@@ -81,8 +81,11 @@ class Dataset:
         self.param_raw = np.asarray(self.param_raw, dtype=float)
         if not (self.lam.shape == self.stress.shape == self.param_raw.shape):
             raise ShapeMismatchError("dataset columns must have equal length")
-        if np.any(self.lam <= 0.0):
-            raise ValueError("stretches must be positive")
+        if np.any(self.lam <= 0.0) or not np.all(np.isfinite(self.lam)):
+            raise ValueError("stretches must be positive and finite")
+        bounds = (self.param_min, self.param_max)
+        if not np.all(np.isfinite(np.append(self.param_raw, bounds))):
+            raise ValueError("parameters must be finite")
         if not np.all(np.isfinite(self.stress)):
             raise ValueError("stresses must be finite")
         n = self.lam.size

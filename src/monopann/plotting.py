@@ -45,6 +45,12 @@ def _nice_ticks(lo: float, hi: float, target: int = 5):
     return [float(t) for t in ticks]
 
 
+def _escape(text: str) -> str:
+    """Escape the characters XML reserves in text content.  (``html.escape``
+    would do, but importing ``html`` costs more than the whole chart.)"""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(value: float) -> str:
     text = f"{value:.6g}"
     return "0" if text == "-0" else text
@@ -140,25 +146,26 @@ def line_chart(
         )
         parts.append(
             f'<text x="{lx + 28}" y="{legend_y}" font-size="12" '
-            f'font-family="sans-serif">{s.label}</text>'
+            f'font-family="sans-serif">{_escape(s.label)}</text>'
         )
         legend_y += 16
     # labels
     if title:
         parts.append(
             f'<text x="{width / 2:.0f}" y="20" font-size="14" text-anchor="middle" '
-            f'font-family="sans-serif" font-weight="bold">{title}</text>'
+            f'font-family="sans-serif" font-weight="bold">{_escape(title)}</text>'
         )
     if xlabel:
         parts.append(
             f'<text x="{margin_l + plot_w / 2:.0f}" y="{height - 10}" font-size="13" '
-            f'text-anchor="middle" font-family="sans-serif">{xlabel}</text>'
+            f'text-anchor="middle" font-family="sans-serif">{_escape(xlabel)}</text>'
         )
     if ylabel:
         parts.append(
             f'<text x="16" y="{margin_t + plot_h / 2:.0f}" font-size="13" '
             f'text-anchor="middle" font-family="sans-serif" '
-            f'transform="rotate(-90 16 {margin_t + plot_h / 2:.0f})">{ylabel}</text>'
+            f'transform="rotate(-90 16 {margin_t + plot_h / 2:.0f})">'
+            f'{_escape(ylabel)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -3,9 +3,9 @@
 The rank-one convexity (ellipticity) check works through the acoustic
 tensor ``Q(F, B)_ik = (d2W/dFdF)_ijkl B_j B_l``.  On the unit-determinant
 manifold, ellipticity is equivalent to two scalar conditions per probing
-direction B,
+direction B (Zee & Sternberg, ARMA 1983),
 
-    (Q x Q) : (F^-T B o F^-T B) >= 0   and   (Q x I) : (F^-T B o F^-T B) >= 0,
+    (Q x Q) : (n o n) >= 0   and   (Q x I) : (n o n) >= 0,   n = F^-T B,
 
 with ``x`` the tensor cross product; they state positive semi-definiteness
 of Q restricted to the plane of admissible rank-one increments.  The
@@ -14,9 +14,15 @@ compressible counterpart adds a third condition,
     (Q x Q) : Q >= 0,   (Q x Q) : I >= 0,   (Q x I) : I >= 0,
 
 and is strictly stronger; it is provided as a diagnostic.  Directions are
-sampled deterministically on the unit sphere.  Condition values are
-normalized by their homogeneity scale in ``Q`` so verdicts do not depend on
-the stress magnitude.
+sampled deterministically on the unit sphere.
+
+Each condition value is homogeneous of degree k in Q (k = 2, 1 for the
+incompressible pair, k = 3, 2, 1 for the compressible triple) and is
+divided by ``|Q|^k |n|^2`` (incompressible) or ``|Q|^k`` (compressible),
+with ``|Q|`` the Frobenius norm.  The normalized values, and so the
+verdicts, do not change when the potential is scaled by c > 0 or the
+deformation is rotated.  Where Q = 0 exactly every value is 0, a
+degenerate pass.
 """
 
 import csv
@@ -27,8 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .constitutive import as_law, pk1_tangent
-from .errors import EmptyGridError
+from .constitutive import _format_params, as_law, pk1_tangent
+from .errors import EmptyGridError, MonopannError
 from .kinematics import isochoric_invariants, principal_stretch_gradient, tensor_cross
 
 __all__ = [
@@ -102,32 +108,72 @@ def direction_set(
     return DirectionSet(vectors, generator, vectors.shape[0])
 
 
+def _vectors(directions) -> np.ndarray:
+    vectors = directions.vectors if isinstance(directions, DirectionSet) else directions
+    return np.atleast_2d(np.asarray(vectors, dtype=float))
+
+
+def _acoustic_tensors(tangent: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """``Q[p, d]_ij = A[p]_iajb B[d]_a B[d]_b`` for tangents (P,3,3,3,3) and
+    directions (D,3), as one matmul of (P,9,9) by the (D,9) dyads."""
+    count = tangent.shape[0]
+    a = tangent.transpose(0, 1, 3, 2, 4).reshape(count, 9, 9)
+    dyads = (directions[:, :, None] * directions[:, None, :]).reshape(-1, 9)
+    return (a @ dyads.T).reshape(count, 3, 3, -1).transpose(0, 3, 1, 2)
+
+
 def acoustic_tensor(law, f, par, b: np.ndarray) -> np.ndarray:
-    """Contract the full tangent twice with a probing direction."""
-    tangent = pk1_tangent(as_law(law), f, par)
+    """Contract the full tangent twice with probing directions.
+
+    ``f`` is (3, 3) or (P, 3, 3) and ``b`` is (3,) or (D, 3); the result has
+    shape ``f.shape[:-2] + b.shape[:-1] + (3, 3)``.
+    """
+    f = np.asarray(f, dtype=float)
     b = np.asarray(b, dtype=float)
-    return np.einsum("...iajb,...a,...b->...ij", tangent, b, b)
+    tangent = pk1_tangent(as_law(law), f.reshape(-1, 3, 3), par)
+    q = _acoustic_tensors(tangent, b.reshape(-1, 3))
+    return q.reshape(f.shape[:-2] + b.shape[:-1] + (3, 3))
 
 
 def _condition_values(law, f, par, directions: np.ndarray):
-    """Normalized incompressible/compressible condition values per direction."""
-    f = np.asarray(f, dtype=float)
-    tangent = pk1_tangent(as_law(law), f, par)
-    b = np.atleast_2d(directions)
-    q = np.einsum("iajb,da,db->dij", tangent, b, b)
-    n = np.einsum("ji,dj->di", np.linalg.inv(f), b)  # F^-T B
-    nsq = np.einsum("di,di->d", n, n)
-    qnorm = np.sqrt(np.einsum("dij,dij->d", q, q))
-    eye = np.broadcast_to(np.eye(3), q.shape)
+    """Normalized condition values of every point-direction pair.
 
-    qxq = tensor_cross(q, q)
-    qxi = tensor_cross(q, eye)
-    c1 = np.einsum("dij,di,dj->d", qxq, n, n) / ((1.0 + qnorm) ** 2 * nsq)
-    c2 = np.einsum("dij,di,dj->d", qxi, n, n) / ((1.0 + qnorm) * nsq)
+    ``f`` is (P, 3, 3), or (3, 3) for P = 1, and ``directions`` (D, 3);
+    returns ``(c1, c2)`` and ``(d1, d2, d3)``, each of shape (P, D).  The
+    tangent is built once for all P points.  With ``n = F^-T B``, the closed
+    forms ``Q x Q = 2 cof Q`` and ``Q x I = (tr Q) I - Q^T`` give, before
+    normalization (see the module docstring),
 
-    d1 = np.einsum("dij,dij->d", qxq, q) / (1.0 + qnorm) ** 3
-    d2 = np.einsum("dii->d", qxq) / (1.0 + qnorm) ** 2
-    d3 = np.einsum("dii->d", qxi) / (1.0 + qnorm)
+        c1 = 2 n.cof(Q)n,  c2 = tr Q |n|^2 - n.Qn,
+        d1 = 2 cof(Q):Q,   d2 = 2 tr cof Q,      d3 = 2 tr Q,
+
+    evaluated through the Cayley-Hamilton form of the cofactor,
+    ``cof(Q)^T = Q^2 - (tr Q) Q + (tr cof Q) I`` with
+    ``2 tr cof Q = (tr Q)^2 - tr Q^2``, which holds for singular Q as well.
+    """
+    f = np.asarray(f, dtype=float).reshape(-1, 3, 3)
+    b = np.asarray(directions, dtype=float)
+    q = _acoustic_tensors(pk1_tangent(as_law(law), f, par), b)
+    n = (b @ np.linalg.inv(f))[..., None]  # (P, D, 3, 1): n_i = F^-1_ji B_j
+    qt = np.swapaxes(q, -1, -2)
+    qn = q @ n
+    n_q_n = np.einsum("...ik,...ik->...", n, qn)
+    nsq = np.einsum("...ik,...ik->...", n, n)
+    tr_q = np.einsum("...ii->...", q)
+    tr_q2 = np.einsum("...ij,...ij->...", q, qt)
+    tr_cof = 0.5 * (tr_q**2 - tr_q2)
+    n_cof_n = np.einsum("...ik,...ik->...", qt @ n, qn) - tr_q * n_q_n + tr_cof * nsq
+    cof_q = np.einsum("...ij,...ij->...", q @ q, qt) - tr_q * tr_q2 + tr_cof * tr_q
+    qnorm = np.sqrt(np.einsum("...ij,...ij->...", q, q))
+    # every value is homogeneous of degree k in Q; where Q = 0 all of them
+    # are exactly 0, so dividing by 1 there leaves the degenerate pass
+    scale = np.where(qnorm == 0.0, 1.0, qnorm)
+
+    c1 = 2.0 * n_cof_n / (scale**2 * nsq)
+    c2 = (tr_q * nsq - n_q_n) / (scale * nsq)
+    d1 = 2.0 * cof_q / scale**3
+    d2 = 2.0 * tr_cof / scale**2
+    d3 = 2.0 * tr_q / scale
     return (c1, c2), (d1, d2, d3)
 
 
@@ -138,8 +184,7 @@ def ellipticity_incompressible(law, f, par, directions) -> tuple[bool, float]:
     normalized condition value; the point counts as elliptic when it stays
     above ``-ELLIPTICITY_TOLERANCE``.
     """
-    vectors = directions.vectors if isinstance(directions, DirectionSet) else directions
-    (c1, c2), _ = _condition_values(law, f, par, vectors)
+    (c1, c2), _ = _condition_values(law, f, par, _vectors(directions))
     min_value = float(min(c1.min(), c2.min()))
     return min_value >= -ELLIPTICITY_TOLERANCE, min_value
 
@@ -150,8 +195,7 @@ def ellipticity_compressible(law, f, par, directions) -> tuple[bool, float]:
     Strictly stronger than the unit-determinant form: a pass here implies a
     pass of :func:`ellipticity_incompressible` at the same point.
     """
-    vectors = directions.vectors if isinstance(directions, DirectionSet) else directions
-    _, (d1, d2, d3) = _condition_values(law, f, par, vectors)
+    _, (d1, d2, d3) = _condition_values(law, f, par, _vectors(directions))
     min_value = float(min(d1.min(), d2.min(), d3.min()))
     return min_value >= -ELLIPTICITY_TOLERANCE, min_value
 
@@ -208,19 +252,22 @@ def tangent_plane_basis(f: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([e1, e2])
 
 
-def baker_ericksen_check(law, f, par) -> bool:
+def _baker_ericksen(coef: np.ndarray, stretches: np.ndarray) -> np.ndarray:
+    values = coef[..., :1] + stretches**2 * coef[..., 1:]
+    return np.all(values >= -BAKER_ERICKSEN_TOLERANCE, axis=-1)
+
+
+def baker_ericksen_check(law, f, par) -> np.ndarray:
     """Sufficient monotonicity condition for the ordered-stress inequalities.
 
     True when ``dpsi/dI1 + lam_i^2 dpsi/dI2`` is non-negative for all three
-    principal stretches of f.
+    principal stretches of f; broadcasts over leading axes of f.
     """
     law = as_law(law)
     f = np.asarray(f, dtype=float)
     i1, i2 = isochoric_invariants(f)
     coef = law.coefficients(i1, i2, par)
-    stretches = np.linalg.svd(f, compute_uv=False)
-    values = float(coef[..., 0]) + stretches**2 * float(coef[..., 1])
-    return bool(np.all(values >= -BAKER_ERICKSEN_TOLERANCE))
+    return _baker_ericksen(coef, np.linalg.svd(f, compute_uv=False))
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +306,59 @@ class StabilityReport:
         return sum(p.elliptic for p in ok) / len(ok)
 
 
-def _format_params(par) -> str:
-    par = np.atleast_1d(np.asarray(par, dtype=float))
-    return ";".join(repr(float(v)) for v in par)
+# Upper bound on the point-direction pairs evaluated together; it caps the
+# scan's scratch memory independently of the grid size.
+_BLOCK_PAIRS = 4096
+
+
+def _evaluate_points(law, t, vectors, f, i1, i2, stretches) -> dict:
+    """Per-point results of one parameter row, in blocks of at most
+    ``_BLOCK_PAIRS`` point-direction pairs."""
+    coef = law.coefficients(i1, i2, t)
+    inc_min, comp_min = [], []
+    block = max(_BLOCK_PAIRS // len(vectors), 1)
+    for start in range(0, len(f), block):
+        (c1, c2), (d1, d2, d3) = _condition_values(
+            law, f[start : start + block], t, vectors
+        )
+        inc_min.append(np.minimum(c1, c2).min(axis=-1))
+        comp_min.append(np.minimum(np.minimum(d1, d2), d3).min(axis=-1))
+    inc_min = np.concatenate(inc_min)
+    comp_min = np.concatenate(comp_min)
+    return {
+        "min_value": inc_min,
+        "elliptic": inc_min >= -ELLIPTICITY_TOLERANCE,
+        "compressible_min_value": comp_min,
+        "compressible_elliptic": comp_min >= -ELLIPTICITY_TOLERANCE,
+        "be_ok": _baker_ericksen(coef, stretches),
+        "mono_ok": np.all(coef >= -BAKER_ERICKSEN_TOLERANCE, axis=-1),
+    }
+
+
+def _scan_row(law, t, vectors, grid, records) -> None:
+    """Fill ``records`` from the point arrays ``grid = (f, i1, i2, stretches)``.
+
+    A package or linear-algebra error re-evaluates the points one by one, so
+    that only the points that raise it record it.
+    """
+    try:
+        values = _evaluate_points(law, t, vectors, *grid)
+    except (MonopannError, np.linalg.LinAlgError) as exc:
+        if len(records) == 1:
+            records[0].error = f"{type(exc).__name__}: {exc}"
+        else:
+            for k, record in enumerate(records):
+                _scan_row(law, t, vectors, [x[k : k + 1] for x in grid], [record])
+        return
+    finite = np.isfinite(values["min_value"]) & np.isfinite(
+        values["compressible_min_value"]
+    )
+    for k, record in enumerate(records):
+        if not finite[k]:
+            record.error = "non-finite condition values"
+            continue
+        for name, column in values.items():
+            setattr(record, name, column[k].item())
 
 
 def scan_invariant_plane(
@@ -275,7 +372,9 @@ def scan_invariant_plane(
 
     Records ellipticity (both forms), the monotonicity spot check on the
     stress coefficients, and the ordered-stress check at every point.
-    Failures at individual points are recorded and the scan continues.
+    Points are evaluated in blocks but stay independent: a point that
+    raises a package or linear-algebra error, or whose condition values
+    are not finite, records the reason and the scan continues.
     """
     law = as_law(law)
     param_grid = np.atleast_2d(np.asarray(param_grid, dtype=float))
@@ -287,35 +386,23 @@ def scan_invariant_plane(
         raise EmptyGridError("stretch grid is empty")
     if directions is None:
         directions = direction_set()
+    if len(directions.vectors) == 0:
+        raise EmptyGridError("direction set is empty")
+
+    lam1, lam2 = np.meshgrid(lambda1_values, lambda2_values, indexing="ij")
+    lam1, lam2 = lam1.ravel(), lam2.ravel()
+    f = principal_stretch_gradient(lam1, lam2)
+    i1, i2 = isochoric_invariants(f)
+    stretches = np.linalg.svd(f, compute_uv=False)
 
     points = []
     per_parameter = []
     for t in param_grid:
-        t_points = []
-        for lam1 in lambda1_values:
-            for lam2 in lambda2_values:
-                f = principal_stretch_gradient(lam1, lam2)
-                i1, i2 = isochoric_invariants(f)
-                record = PointRecord(
-                    float(lam1), float(lam2), f, float(i1), float(i2), t
-                )
-                try:
-                    elliptic, min_value = ellipticity_incompressible(
-                        law, f, t, directions
-                    )
-                    comp, comp_min = ellipticity_compressible(law, f, t, directions)
-                    coef = law.coefficients(i1, i2, t)
-                    record.elliptic = elliptic
-                    record.min_value = min_value
-                    record.compressible_elliptic = comp
-                    record.compressible_min_value = comp_min
-                    record.be_ok = baker_ericksen_check(law, f, t)
-                    record.mono_ok = bool(
-                        np.all(coef >= -BAKER_ERICKSEN_TOLERANCE)
-                    )
-                except Exception as exc:  # record and continue scanning
-                    record.error = f"{type(exc).__name__}: {exc}"
-                t_points.append(record)
+        t_points = [
+            PointRecord(float(l1), float(l2), fk, float(j1), float(j2), t)
+            for l1, l2, fk, j1, j2 in zip(lam1, lam2, f, i1, i2)
+        ]
+        _scan_row(law, t, directions.vectors, (f, i1, i2, stretches), t_points)
         points.extend(t_points)
         ok = [p for p in t_points if p.error is None]
         denom = max(len(ok), 1)

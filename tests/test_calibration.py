@@ -65,6 +65,19 @@ class TestDataset:
                 calibration_indices=[0], test_indices=[],
             )
 
+    @pytest.mark.parametrize(
+        "lam, param_raw",
+        [
+            ([1.0, np.nan, 1.5], [0.5, 0.5, 0.5]),
+            ([1.0, np.inf, 1.5], [0.5, 0.5, 0.5]),
+            ([1.0, 1.2, 1.5], [0.5, np.nan, 0.5]),
+            ([1.0, np.nan, np.inf], [0.5, np.nan, 0.5]),
+        ],
+    )
+    def test_non_finite_rejected(self, lam, param_raw):
+        with pytest.raises(ValueError):
+            cal.Dataset(lam, [0.0, 0.1, 0.2], param_raw, 0.5, 0.5)
+
 
 class TestLoss:
     def test_perfect_model_zero_loss(self):

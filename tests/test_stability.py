@@ -5,7 +5,7 @@ from monopann import constitutive as cons
 from monopann import kinematics as kin
 from monopann import networks as nets
 from monopann import stability as stab
-from monopann.errors import EmptyGridError
+from monopann.errors import EmptyGridError, InvalidStretchError
 
 
 @pytest.fixture(scope="module")
@@ -14,6 +14,50 @@ def directions():
 
 
 T0 = np.array([0.0])
+MR = cons.MooneyRivlin([0.1, 0.3], [-0.05, 0.02], [0.01, -0.04])
+
+
+class WrappedLaw:
+    """A law whose coefficients and Hessian pass through ``edit``."""
+
+    def __init__(self, law, edit, label="wrapped"):
+        self.law, self.edit, self.label = cons.as_law(law), edit, label
+
+    def energy(self, i1, i2, par):
+        return self.law.energy(i1, i2, par)
+
+    def coefficients(self, i1, i2, par):
+        return self.edit(i1, self.law.coefficients(i1, i2, par))
+
+    def hessian(self, i1, i2, par):
+        return self.edit(i1, self.law.hessian(i1, i2, par))
+
+
+def scaled(law, c):
+    return WrappedLaw(law, lambda i1, x: c * x, label=f"scaled({c})")
+
+
+def reference_conditions(law, f, par, b):
+    """Condition values of one direction from the Levi-Civita definition."""
+    q = np.einsum("iajb,a,b->ij", cons.pk1_tangent(law, f, par), b, b)
+    n = np.linalg.inv(f).T @ b
+    qxq = kin.tensor_cross(q, q)
+    qxi = kin.tensor_cross(q, np.eye(3))
+    qn = np.linalg.norm(q)
+    nsq = n @ n
+    return (
+        n @ qxq @ n / (qn**2 * nsq),
+        n @ qxi @ n / (qn * nsq),
+        np.sum(qxq * q) / qn**3,
+        np.trace(qxq) / qn**2,
+        np.trace(qxi) / qn,
+    )
+
+
+def random_laws():
+    laws = [cons.as_law(nets.build_model(arch, 5, 1, np.random.default_rng(3)))
+            for arch in nets.Architecture]
+    return laws + [MR]
 
 
 class TestDirectionSets:
@@ -126,6 +170,106 @@ class TestEllipticity:
                 assert point.elliptic
 
 
+class TestBatchedConditions:
+    def test_matches_levi_civita_reference(self, rng):
+        b = rng.standard_normal((12, 3))
+        for law in random_laws():
+            t = rng.uniform(0.0, 1.0, 1)
+            f = np.stack([kin.random_unimodular(rng) for _ in range(4)])
+            inc, comp = stab._condition_values(law, f, t, b)
+            got = np.stack(inc + comp)
+            for p in range(len(f)):
+                for d in range(len(b)):
+                    ref = reference_conditions(law, f[p], t, b[d])
+                    np.testing.assert_allclose(
+                        got[:, p, d], ref, rtol=1e-12, atol=1e-12
+                    )
+
+    def test_verdict_is_sign_of_tangent_plane_restriction(self, rng):
+        verdicts = set()
+        for law in random_laws():
+            t = rng.uniform(0.0, 1.0, 1)
+            for _ in range(20):
+                f = kin.random_unimodular(rng, spread=0.8)
+                b = rng.standard_normal(3)
+                q = stab.acoustic_tensor(law, f, t, b)
+                basis = stab.tangent_plane_basis(f, b)
+                lowest = np.linalg.eigvalsh(basis @ q @ basis.T)[0]
+                if abs(lowest) < 1e-6 * np.linalg.norm(q):
+                    continue
+                elliptic, _ = stab.ellipticity_incompressible(law, f, t, b[None])
+                assert elliptic == (lowest > 0.0)
+                verdicts.add(elliptic)
+        assert verdicts == {True, False}
+
+    def test_acoustic_tensor_batched_shape(self, rng):
+        law = random_laws()[0]
+        f = np.stack([kin.random_unimodular(rng) for _ in range(3)])
+        b = rng.standard_normal((5, 3))
+        q = stab.acoustic_tensor(law, f, T0, b)
+        assert q.shape == (3, 5, 3, 3)
+        np.testing.assert_allclose(
+            q[2, 4], stab.acoustic_tensor(law, f[2], T0, b[4]), rtol=1e-13
+        )
+
+    @pytest.mark.parametrize("law_index", range(5))
+    def test_scale_invariance(self, law_index):
+        law = random_laws()[law_index]
+        lam = np.linspace(0.3, 4.0, 6)
+        directions = stab.direction_set(count=50)
+        ref = stab.scan_invariant_plane(law, [[0.5]], lam, lam, directions)
+        for c in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            got = stab.scan_invariant_plane(scaled(law, c), [[0.5]], lam, lam, directions)
+            for a, b in zip(ref.points, got.points):
+                assert (a.elliptic, a.compressible_elliptic) == (
+                    b.elliptic, b.compressible_elliptic
+                )
+                assert b.min_value == pytest.approx(a.min_value, rel=1e-9, abs=1e-12)
+                assert b.compressible_min_value == pytest.approx(
+                    a.compressible_min_value, rel=1e-9, abs=1e-12
+                )
+
+    def test_rotation_invariance(self, rng, directions):
+        for law in random_laws():
+            t = rng.uniform(0.0, 1.0, 1)
+            for _ in range(5):
+                f = kin.random_unimodular(rng, spread=0.8)
+                rf = kin.random_rotation(rng) @ f
+                for check in (stab.ellipticity_incompressible,
+                              stab.ellipticity_compressible):
+                    ok, low = check(law, f, t, directions)
+                    rot_ok, rot_low = check(law, rf, t, directions)
+                    assert ok == rot_ok
+                    assert rot_low == pytest.approx(low, rel=1e-9, abs=1e-12)
+
+    def test_scan_over_several_blocks_matches_per_point_calls(self, monkeypatch):
+        law = random_laws()[3]
+        directions = stab.direction_set(count=64)
+        lam = np.linspace(0.4, 3.5, 9)  # 81 points, 64 per block
+        pairs = []
+        evaluate = stab._condition_values
+
+        def recording(law, f, par, vectors):
+            pairs.append(len(f) * len(vectors))
+            return evaluate(law, f, par, vectors)
+
+        monkeypatch.setattr(stab, "_condition_values", recording)
+        report = stab.scan_invariant_plane(law, [[0.3]], lam, lam, directions)
+        assert len(pairs) == 2 and max(pairs) <= stab._BLOCK_PAIRS
+        monkeypatch.undo()
+        for p in report.points:
+            ok, low = stab.ellipticity_incompressible(law, p.f, p.t, directions)
+            comp_ok, comp_low = stab.ellipticity_compressible(
+                law, p.f, p.t, directions
+            )
+            assert (p.elliptic, p.compressible_elliptic) == (ok, comp_ok)
+            assert p.min_value == pytest.approx(low, rel=1e-12, abs=1e-12)
+            assert p.compressible_min_value == pytest.approx(
+                comp_low, rel=1e-12, abs=1e-12
+            )
+            assert p.be_ok == stab.baker_ericksen_check(law, p.f, p.t)
+
+
 class TestHessianDecomposition:
     def test_sum_equals_full_contraction(self, rng):
         model = nets.build_model(nets.Architecture.MONOTONIC, 5, 1, rng)
@@ -183,6 +327,23 @@ class TestBakerEricksen:
         law = cons.neo_hookean(-1.0)
         assert not stab.baker_ericksen_check(law, kin.uniaxial_gradient(1.4), T0)
 
+    def test_batched_matches_per_point(self, rng):
+        law = MR
+        f = np.stack([kin.random_unimodular(rng, spread=0.8) for _ in range(40)])
+        batched = stab.baker_ericksen_check(law, f, T0)
+        assert batched.shape == (40,)
+        assert batched.tolist() == [
+            bool(stab.baker_ericksen_check(law, x, T0)) for x in f
+        ]
+        assert len(set(batched.tolist())) == 2
+
+    @pytest.mark.parametrize("lam, expected", [(2.0, True), (3.0, False)])
+    def test_squared_largest_stretch_decides(self, lam, expected):
+        # 1 - 0.2 lam^2 changes sign at lam = sqrt(5)
+        law = cons.MooneyRivlin([1.0], [-0.2], [0.0])
+        f = kin.uniaxial_gradient(lam)
+        assert stab.baker_ericksen_check(law, f, T0) == expected
+
     def test_neo_hookean_passes(self):
         assert stab.baker_ericksen_check(
             cons.neo_hookean(0.5), kin.uniaxial_gradient(2.5), T0
@@ -199,6 +360,12 @@ class TestScan:
     def test_empty_stretch_grid_raises(self, directions):
         with pytest.raises(EmptyGridError):
             stab.scan_invariant_plane(cons.neo_hookean(1.0), [[0.0]], [], [1.0], directions)
+
+    def test_empty_direction_set_raises(self):
+        with pytest.raises(EmptyGridError):
+            stab.scan_invariant_plane(
+                cons.neo_hookean(1.0), [[0.0]], [1.0], [1.0], stab.direction_set(count=0)
+            )
 
     def test_invariant_coordinates_recorded(self, directions):
         report = stab.scan_invariant_plane(
@@ -226,3 +393,63 @@ class TestScan:
         assert doc["direction_count"] == 200
         assert len(doc["points"]) == 4
         assert len(doc["per_parameter"]) == 2
+
+    def test_non_finite_coefficients_fail_only_their_points(self, directions):
+        def nan_high(i1, x):
+            high = np.asarray(i1) > 4.0
+            return np.where(high.reshape(high.shape + (1,) * (x.ndim - high.ndim)),
+                            np.nan, x)
+
+        law = cons.neo_hookean(0.5)
+        nan_law = WrappedLaw(law, nan_high)
+        lam = np.linspace(0.5, 3.0, 6)
+        ref = stab.scan_invariant_plane(law, [[0.0]], lam, lam, directions)
+        report = stab.scan_invariant_plane(nan_law, [[0.0]], lam, lam, directions)
+        failed = [p for p in report.points if p.error is not None]
+        assert 0 < len(failed) < len(report.points)
+        for p, r in zip(report.points, ref.points):
+            if p.i1 > 4.0:
+                assert p.error == "non-finite condition values"
+            else:
+                assert p.error is None
+                assert (p.elliptic, p.min_value) == (r.elliptic, r.min_value)
+        assert report.per_parameter[0]["failed_points"] == len(failed)
+
+    def test_package_error_fails_only_its_points(self, directions):
+        def raise_high(i1, x):
+            if np.any(np.asarray(i1) > 4.0):
+                raise InvalidStretchError("out of range")
+            return x
+
+        lam = np.linspace(0.5, 3.0, 6)
+        report = stab.scan_invariant_plane(
+            WrappedLaw(cons.neo_hookean(0.5), raise_high), [[0.0]], lam, lam,
+            directions,
+        )
+        for p in report.points:
+            expected = "InvalidStretchError: out of range" if p.i1 > 4.0 else None
+            assert p.error == expected
+        assert 0 < report.per_parameter[0]["failed_points"] < len(report.points)
+
+    def test_non_isochoric_point_fails_alone(self, directions, monkeypatch):
+        def stretched(lam1, lam2):
+            f = kin.principal_stretch_gradient(lam1, lam2)
+            f[0] *= 1.01
+            return f
+
+        monkeypatch.setattr(stab, "principal_stretch_gradient", stretched)
+        report = stab.scan_invariant_plane(
+            cons.neo_hookean(0.5), [[0.0]], [1.0, 1.5], [1.0, 2.0], directions
+        )
+        assert report.points[0].error.startswith("NotIsochoricError")
+        assert all(p.error is None and p.elliptic for p in report.points[1:])
+
+    def test_programming_error_propagates(self, directions):
+        def broken(i1, x):
+            raise TypeError("bug in the law")
+
+        with pytest.raises(TypeError):
+            stab.scan_invariant_plane(
+                WrappedLaw(cons.neo_hookean(0.5), broken), [[0.0]], [1.0], [1.0],
+                directions,
+            )
