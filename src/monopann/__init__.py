@@ -9,7 +9,6 @@ plus a CLI tying the pipeline together.
 from .calibration import (
     CalibrationRecord,
     Dataset,
-    MaterialSample,
     TrainConfig,
     calibrate,
     evaluate,

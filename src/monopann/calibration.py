@@ -24,7 +24,6 @@ from . import constitutive, networks
 from .errors import EmptyDatasetError, ShapeMismatchError
 
 __all__ = [
-    "MaterialSample",
     "Dataset",
     "TrainConfig",
     "CalibrationRecord",
@@ -44,15 +43,6 @@ __all__ = [
     "calibrate",
     "evaluate",
 ]
-
-
-@dataclass(frozen=True)
-class MaterialSample:
-    """One uniaxial measurement: stretch, tensile PK1 stress, parameters."""
-
-    lam: float
-    stress: float
-    param: np.ndarray
 
 
 @dataclass
@@ -122,13 +112,6 @@ class Dataset:
 
     def test_arrays(self):
         return self._slice(self.test_indices)
-
-    def samples(self):
-        t = self.params_normalized()
-        return [
-            MaterialSample(float(l), float(p), t[i])
-            for i, (l, p) in enumerate(zip(self.lam, self.stress))
-        ]
 
 
 def save_dataset(dataset: Dataset, csv_path) -> None:

@@ -192,30 +192,51 @@ def pk1_stress(law, f, par, gamma: float = 0.0) -> np.ndarray:
     return p
 
 
-def pk1_tangent(law, f, par) -> np.ndarray:
-    """Second derivative of the energy w.r.t. the deformation gradient.
+def _tangent_weights(coef: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """Weights ``(psi_11, psi_12, psi_22, psi_1, psi_2)`` of the five terms of
+    :func:`_tangent_terms`, stacked on a trailing axis of length 5, from the
+    law's coefficients (..., 2) and Hessian (..., 2, 2)."""
+    return np.stack(
+        [hess[..., 0, 0], hess[..., 0, 1], hess[..., 1, 1], coef[..., 0], coef[..., 1]],
+        axis=-1,
+    )
 
-    Chain rule through the invariants: second-derivative (constitutive) part
-    plus first-derivative (geometric) part.  The pressure term is excluded;
-    the incompressible ellipticity conditions do not involve it.
+
+def _tangent_terms(f) -> np.ndarray:
+    """The five law-independent terms of :func:`pk1_tangent`, (..., 5, 3, 3, 3, 3).
+
+    In the order of :func:`_tangent_weights` they are ``d1 o d1``,
+    ``d1 o d2 + d2 o d1``, ``d2 o d2``, ``d2I1/dF2`` and ``d2I2/dF2``, with
+    ``dk = dIk/dF``; each is major-symmetric.  The tangent is their sum
+    weighted by the law's second and first derivatives in the invariants.
     """
-    law = as_law(law)
     f = np.asarray(f, dtype=float)
     _check_isochoric(f)
-    i1, i2 = isochoric_invariants(f)
     d1, d2, dd1, dd2 = invariant_derivatives(f)
-    c = law.coefficients(i1, i2, par)
-    h = law.hessian(i1, i2, par)
 
     def outer(a, b):
         return np.einsum("...iI,...jJ->...iIjJ", a, b)
 
-    tangent = h[..., 0, 0, None, None, None, None] * outer(d1, d1)
-    tangent += h[..., 0, 1, None, None, None, None] * (outer(d1, d2) + outer(d2, d1))
-    tangent += h[..., 1, 1, None, None, None, None] * outer(d2, d2)
-    tangent += c[..., 0, None, None, None, None] * dd1
-    tangent += c[..., 1, None, None, None, None] * dd2
-    return tangent
+    return np.stack(
+        [outer(d1, d1), outer(d1, d2) + outer(d2, d1), outer(d2, d2), dd1, dd2],
+        axis=-5,
+    )
+
+
+def pk1_tangent(law, f, par) -> np.ndarray:
+    """Second derivative of the energy w.r.t. the deformation gradient.
+
+    Chain rule through the invariants: second-derivative (constitutive) part
+    plus first-derivative (geometric) part, as the weighted sum of
+    :func:`_tangent_terms`.  The pressure term is excluded; the
+    incompressible ellipticity conditions do not involve it.
+    """
+    law = as_law(law)
+    terms = _tangent_terms(f)
+    i1, i2 = isochoric_invariants(f)
+    w = _tangent_weights(law.coefficients(i1, i2, par), law.hessian(i1, i2, par))
+    tangent = w[..., None, :] @ terms.reshape(terms.shape[:-4] + (81,))
+    return tangent.reshape(tangent.shape[:-2] + (3, 3, 3, 3))
 
 
 def traction_free_gamma(law, f, par, axis: int = 1) -> np.ndarray:

@@ -33,7 +33,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .constitutive import _format_params, as_law, pk1_tangent
+from .constitutive import (
+    _format_params,
+    _tangent_terms,
+    _tangent_weights,
+    as_law,
+    pk1_tangent,
+)
 from .errors import EmptyGridError, MonopannError
 from .kinematics import isochoric_invariants, principal_stretch_gradient, tensor_cross
 
@@ -135,46 +141,92 @@ def acoustic_tensor(law, f, par, b: np.ndarray) -> np.ndarray:
     return q.reshape(f.shape[:-2] + b.shape[:-1] + (3, 3))
 
 
-def _condition_values(law, f, par, directions: np.ndarray):
-    """Normalized condition values of every point-direction pair.
+# the six independent components of a symmetric 3x3 tensor, in the order
+# (00, 11, 22, 01, 02, 12), and their rows in its row-major flattening
+_ROW = np.array([0, 1, 2, 0, 0, 1])
+_COL = np.array([0, 1, 2, 1, 2, 2])
+_SYM = 3 * _ROW + _COL
 
-    ``f`` is (P, 3, 3), or (3, 3) for P = 1, and ``directions`` (D, 3);
-    returns ``(c1, c2)`` and ``(d1, d2, d3)``, each of shape (P, D).  The
-    tangent is built once for all P points.  With ``n = F^-T B``, the closed
-    forms ``Q x Q = 2 cof Q`` and ``Q x I = (tr Q) I - Q^T`` give, before
-    normalization (see the module docstring),
 
-        c1 = 2 n.cof(Q)n,  c2 = tr Q |n|^2 - n.Qn,
-        d1 = 2 cof(Q):Q,   d2 = 2 tr cof Q,      d3 = 2 tr Q,
+def _acoustic_geometry(f: np.ndarray, directions: np.ndarray):
+    """The law-independent part of the acoustic tensors of a block of points.
 
-    evaluated through the Cayley-Hamilton form of the cofactor,
-    ``cof(Q)^T = Q^2 - (tr Q) Q + (tr cof Q) I`` with
-    ``2 tr cof Q = (tr Q)^2 - tr Q^2``, which holds for singular Q as well.
+    ``f`` is (P, 3, 3) and ``directions`` (D, 3).  Returns ``(terms,
+    normals)``: ``terms`` (P, 5, 6 D) holds the six symmetric components of
+    the acoustic tensor of each of the five tangent terms (see
+    ``constitutive._tangent_terms``) for every direction, and ``normals``
+    (6, P, D) the components of ``m o m`` for the unit normals
+    ``m = n / |n|``, ``n = F^-T B``, with the off-diagonal ones doubled, so
+    that ``m.Sm`` is the dot product with the components of a symmetric S.
     """
-    f = np.asarray(f, dtype=float).reshape(-1, 3, 3)
-    b = np.asarray(directions, dtype=float)
-    q = _acoustic_tensors(pk1_tangent(as_law(law), f, par), b)
-    n = (b @ np.linalg.inv(f))[..., None]  # (P, D, 3, 1): n_i = F^-1_ji B_j
-    qt = np.swapaxes(q, -1, -2)
-    qn = q @ n
-    n_q_n = np.einsum("...ik,...ik->...", n, qn)
-    nsq = np.einsum("...ik,...ik->...", n, n)
-    tr_q = np.einsum("...ii->...", q)
-    tr_q2 = np.einsum("...ij,...ij->...", q, qt)
-    tr_cof = 0.5 * (tr_q**2 - tr_q2)
-    n_cof_n = np.einsum("...ik,...ik->...", qt @ n, qn) - tr_q * n_q_n + tr_cof * nsq
-    cof_q = np.einsum("...ij,...ij->...", q @ q, qt) - tr_q * tr_q2 + tr_cof * tr_q
-    qnorm = np.sqrt(np.einsum("...ij,...ij->...", q, q))
+    count = len(f)
+    terms = _tangent_terms(f).transpose(0, 1, 2, 4, 3, 5).reshape(count, 5, 9, 9)
+    dyads = (directions.T[:, None] * directions.T[None, :]).reshape(9, -1)
+    terms = (terms[:, :, _SYM].reshape(-1, 9) @ dyads).reshape(count, 5, -1)
+    n = np.swapaxes(np.linalg.inv(f), -1, -2) @ directions.T  # (P, 3, D)
+    m = (n / np.sqrt(np.einsum("pid,pid->pd", n, n))[:, None]).transpose(1, 0, 2)
+    return terms, m[_ROW] * m[_COL] * np.where(_ROW == _COL, 1.0, 2.0)[:, None, None]
+
+
+def _conditions(geometry, weights: np.ndarray):
+    """Normalized condition values ``(c1, c2), (d1, d2, d3)``, each (P, D),
+    of a block whose geometry is :func:`_acoustic_geometry` and whose tangent
+    weights (P, 5) are ``constitutive._tangent_weights``.
+
+    With the components ``(a, b, c, d, e, f)`` of the symmetric acoustic
+    tensor Q and the closed forms ``Q x Q = 2 cof Q`` and
+    ``Q x I = (tr Q) I - Q``, the values before normalization (see the
+    module docstring) are
+
+        c1 = 2 m.cof(Q)m,  c2 = tr Q - m.Qm,
+        d1 = 2 cof(Q):Q = 6 det Q,  d2 = 2 tr cof Q,  d3 = 2 tr Q,
+
+    with the unit normal m; the incompressible pair is thereby already
+    divided by ``|n|^2``.
+    """
+    terms, normals = geometry
+    q = weights[:, None, :] @ terms
+    # component-major (6, P, D), so that each component is contiguous
+    q = q.reshape(len(weights), 6, -1).transpose(1, 0, 2).copy()
+    a, b, c, d, e, f = q
+    cof = np.stack(
+        [b * c - f * f, a * c - e * e, a * b - d * d,
+         e * f - c * d, d * f - b * e, d * e - a * f]
+    )
+    tr_q = a + b + c
+    tr_cof = cof[0] + cof[1] + cof[2]
+    det = a * cof[0] + d * cof[3] + e * cof[4]
+    m_q_m = np.einsum("spd,spd->pd", normals, q)
+    m_cof_m = np.einsum("spd,spd->pd", normals, cof)
+    # |Q|, with the off-diagonal components counted twice
+    qnorm = np.sqrt(
+        np.einsum("spd,spd->pd", q, q) + np.einsum("spd,spd->pd", q[3:], q[3:])
+    )
     # every value is homogeneous of degree k in Q; where Q = 0 all of them
     # are exactly 0, so dividing by 1 there leaves the degenerate pass
     scale = np.where(qnorm == 0.0, 1.0, qnorm)
 
-    c1 = 2.0 * n_cof_n / (scale**2 * nsq)
-    c2 = (tr_q * nsq - n_q_n) / (scale * nsq)
-    d1 = 2.0 * cof_q / scale**3
+    c1 = 2.0 * m_cof_m / scale**2
+    c2 = (tr_q - m_q_m) / scale
+    d1 = 6.0 * det / scale**3
     d2 = 2.0 * tr_cof / scale**2
     d3 = 2.0 * tr_q / scale
     return (c1, c2), (d1, d2, d3)
+
+
+def _condition_values(law, f, par, directions: np.ndarray):
+    """Normalized condition values of every point-direction pair.
+
+    ``f`` is (P, 3, 3), or (3, 3) for P = 1, and ``directions`` (D, 3);
+    returns ``(c1, c2)`` and ``(d1, d2, d3)``, each of shape (P, D), from
+    :func:`_acoustic_geometry` and :func:`_conditions`.
+    """
+    law = as_law(law)
+    f = np.asarray(f, dtype=float).reshape(-1, 3, 3)
+    geometry = _acoustic_geometry(f, np.asarray(directions, dtype=float))
+    i1, i2 = isochoric_invariants(f)
+    weights = _tangent_weights(law.coefficients(i1, i2, par), law.hessian(i1, i2, par))
+    return _conditions(geometry, weights)
 
 
 def ellipticity_incompressible(law, f, par, directions) -> tuple[bool, float]:
@@ -309,56 +361,64 @@ class StabilityReport:
 # Upper bound on the point-direction pairs evaluated together; it caps the
 # scan's scratch memory independently of the grid size.
 _BLOCK_PAIRS = 4096
+# errors that fail a scan point instead of the scan
+_POINT_ERRORS = (MonopannError, np.linalg.LinAlgError)
 
 
-def _evaluate_points(law, t, vectors, f, i1, i2, stretches) -> dict:
-    """Per-point results of one parameter row, in blocks of at most
-    ``_BLOCK_PAIRS`` point-direction pairs."""
-    coef = law.coefficients(i1, i2, t)
-    inc_min, comp_min = [], []
-    block = max(_BLOCK_PAIRS // len(vectors), 1)
-    for start in range(0, len(f), block):
-        (c1, c2), (d1, d2, d3) = _condition_values(
-            law, f[start : start + block], t, vectors
-        )
-        inc_min.append(np.minimum(c1, c2).min(axis=-1))
-        comp_min.append(np.minimum(np.minimum(d1, d2), d3).min(axis=-1))
-    inc_min = np.concatenate(inc_min)
-    comp_min = np.concatenate(comp_min)
-    return {
-        "min_value": inc_min,
-        "elliptic": inc_min >= -ELLIPTICITY_TOLERANCE,
-        "compressible_min_value": comp_min,
-        "compressible_elliptic": comp_min >= -ELLIPTICITY_TOLERANCE,
-        "be_ok": _baker_ericksen(coef, stretches),
-        "mono_ok": np.all(coef >= -BAKER_ERICKSEN_TOLERANCE, axis=-1),
-    }
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
-def _scan_row(law, t, vectors, grid, records) -> None:
-    """Fill ``records`` from the point arrays ``grid = (f, i1, i2, stretches)``.
+def _row_law_values(law, t, i1, i2, errors):
+    """Stress coefficients (P, 2) and tangent weights (P, 5) of one parameter
+    row.  If the law raises a point error, the points are evaluated one by
+    one; a point that raises it records the reason in ``errors`` (P,) and
+    gets NaN values."""
 
-    A package or linear-algebra error re-evaluates the points one by one, so
-    that only the points that raise it record it.
+    def evaluate(j1, j2):
+        coef = law.coefficients(j1, j2, t)
+        return coef, _tangent_weights(coef, law.hessian(j1, j2, t))
+
+    try:
+        return evaluate(i1, i2)
+    except _POINT_ERRORS:
+        pass
+    coef, weights = np.full((len(i1), 2), np.nan), np.full((len(i1), 5), np.nan)
+    for k in range(len(i1)):
+        try:
+            c, w = evaluate(i1[k : k + 1], i2[k : k + 1])
+        except _POINT_ERRORS as exc:
+            errors[k] = _describe(exc)
+            continue
+        coef[k], weights[k] = c[0], w[0]
+    return coef, weights
+
+
+def _scan_block(f, vectors, weights, minima, errors) -> None:
+    """Smallest incompressible and compressible condition values of a block
+    of points in every parameter row.
+
+    ``weights`` (R, P, 5) are the rows' tangent weights; the results go to
+    ``minima`` (R, P, 2).  The geometry is built once and shared by the
+    rows.  If building it raises a point error, the points are evaluated
+    one by one, and a point that raises it records the reason in
+    ``errors`` (R, P) in every row.
     """
     try:
-        values = _evaluate_points(law, t, vectors, *grid)
-    except (MonopannError, np.linalg.LinAlgError) as exc:
-        if len(records) == 1:
-            records[0].error = f"{type(exc).__name__}: {exc}"
-        else:
-            for k, record in enumerate(records):
-                _scan_row(law, t, vectors, [x[k : k + 1] for x in grid], [record])
+        geometry = _acoustic_geometry(f, vectors)
+    except _POINT_ERRORS as exc:
+        if len(f) == 1:
+            errors[:, 0] = _describe(exc)
+            return
+        for k in range(len(f)):
+            part = slice(k, k + 1)
+            _scan_block(f[part], vectors, weights[:, part], minima[:, part],
+                        errors[:, part])
         return
-    finite = np.isfinite(values["min_value"]) & np.isfinite(
-        values["compressible_min_value"]
-    )
-    for k, record in enumerate(records):
-        if not finite[k]:
-            record.error = "non-finite condition values"
-            continue
-        for name, column in values.items():
-            setattr(record, name, column[k].item())
+    for row, out in zip(weights, minima):
+        (c1, c2), (d1, d2, d3) = _conditions(geometry, row)
+        out[:, 0] = np.minimum(c1, c2).min(axis=-1)
+        out[:, 1] = np.minimum(np.minimum(d1, d2), d3).min(axis=-1)
 
 
 def scan_invariant_plane(
@@ -372,9 +432,13 @@ def scan_invariant_plane(
 
     Records ellipticity (both forms), the monotonicity spot check on the
     stress coefficients, and the ordered-stress check at every point.
-    Points are evaluated in blocks but stay independent: a point that
-    raises a package or linear-algebra error, or whose condition values
-    are not finite, records the reason and the scan continues.
+    The law is evaluated once per parameter row; the points are then taken
+    in blocks of at most ``_BLOCK_PAIRS`` point-direction pairs, and each
+    block's law-independent geometry serves every row.  Points stay
+    independent: a point that raises a package or linear-algebra error, or
+    whose condition values are not finite, records the reason and the scan
+    continues.  An error of the law fails the point in its row only, an
+    error of the geometry in every row.
     """
     law = as_law(law)
     param_grid = np.atleast_2d(np.asarray(param_grid, dtype=float))
@@ -386,7 +450,8 @@ def scan_invariant_plane(
         raise EmptyGridError("stretch grid is empty")
     if directions is None:
         directions = direction_set()
-    if len(directions.vectors) == 0:
+    vectors = directions.vectors
+    if len(vectors) == 0:
         raise EmptyGridError("direction set is empty")
 
     lam1, lam2 = np.meshgrid(lambda1_values, lambda2_values, indexing="ij")
@@ -395,14 +460,45 @@ def scan_invariant_plane(
     i1, i2 = isochoric_invariants(f)
     stretches = np.linalg.svd(f, compute_uv=False)
 
+    errors = np.full((len(param_grid), len(f)), None, dtype=object)
+    rows = [
+        _row_law_values(law, t, i1, i2, row_errors)
+        for t, row_errors in zip(param_grid, errors)
+    ]
+    coef = np.stack([row_coef for row_coef, _ in rows])
+    weights = np.stack([row_weights for _, row_weights in rows])
+    minima = np.full((len(param_grid), len(f), 2), np.nan)
+    block = max(_BLOCK_PAIRS // len(vectors), 1)
+    for start in range(0, len(f), block):
+        part = slice(start, start + block)
+        _scan_block(f[part], vectors, weights[:, part], minima[:, part],
+                    errors[:, part])
+
+    columns = {
+        "min_value": minima[..., 0],
+        "elliptic": minima[..., 0] >= -ELLIPTICITY_TOLERANCE,
+        "compressible_min_value": minima[..., 1],
+        "compressible_elliptic": minima[..., 1] >= -ELLIPTICITY_TOLERANCE,
+        "be_ok": _baker_ericksen(coef, stretches),
+        "mono_ok": np.all(coef >= -BAKER_ERICKSEN_TOLERANCE, axis=-1),
+    }
+    columns = {name: column.tolist() for name, column in columns.items()}
+    finite = np.isfinite(minima).all(axis=-1).tolist()
+    coords = list(zip(lam1.tolist(), lam2.tolist(), f, i1.tolist(), i2.tolist()))
     points = []
     per_parameter = []
-    for t in param_grid:
-        t_points = [
-            PointRecord(float(l1), float(l2), fk, float(j1), float(j2), t)
-            for l1, l2, fk, j1, j2 in zip(lam1, lam2, f, i1, i2)
-        ]
-        _scan_row(law, t, directions.vectors, (f, i1, i2, stretches), t_points)
+    for r, t in enumerate(param_grid):
+        t_points = []
+        for k, (l1, l2, fk, j1, j2) in enumerate(coords):
+            record = PointRecord(l1, l2, fk, j1, j2, t)
+            if errors[r, k] is not None:
+                record.error = errors[r, k]
+            elif not finite[r][k]:
+                record.error = "non-finite condition values"
+            else:
+                for name, column in columns.items():
+                    setattr(record, name, column[r][k])
+            t_points.append(record)
         points.extend(t_points)
         ok = [p for p in t_points if p.error is None]
         denom = max(len(ok), 1)
@@ -459,9 +555,13 @@ def report_to_dict(report: StabilityReport) -> dict:
 
 
 def write_report_json(report: StabilityReport, path) -> None:
-    Path(path).write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
-    )
+    """Write :func:`report_to_dict` as JSON: the header fields indented, then
+    ``points`` last with one compact line per point, which keeps the write
+    on the C encoder."""
+    doc = report_to_dict(report)
+    points = ",\n    ".join(json.dumps(p, sort_keys=True) for p in doc.pop("points"))
+    head = json.dumps(doc, indent=2, sort_keys=True)
+    Path(path).write_text(f'{head[:-2]},\n  "points": [\n    {points}\n  ]\n}}\n')
 
 
 def write_summary_csv(report: StabilityReport, path) -> None:

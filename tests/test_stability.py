@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,39 @@ def directions():
 
 T0 = np.array([0.0])
 MR = cons.MooneyRivlin([0.1, 0.3], [-0.05, 0.02], [0.01, -0.04])
+
+
+class RowFailingLaw:
+    """``law`` with its coefficients and Hessian passed through ``fail`` at
+    the parameter value ``bad_t`` only."""
+
+    def __init__(self, law, bad_t, fail):
+        self.law, self.bad_t, self.fail, self.label = law, bad_t, fail, "row-failing"
+
+    def energy(self, i1, i2, par):
+        return self.law.energy(i1, i2, par)
+
+    def coefficients(self, i1, i2, par):
+        return self._at(par, self.law.coefficients(i1, i2, par))
+
+    def hessian(self, i1, i2, par):
+        return self._at(par, self.law.hessian(i1, i2, par))
+
+    def _at(self, par, x):
+        return self.fail(x) if np.asarray(par)[0] == self.bad_t else x
+
+
+def nan_values(x):
+    return np.full_like(x, np.nan)
+
+
+def raise_out_of_range(x):
+    raise InvalidStretchError("out of range")
+
+
+def outcome(point):
+    return (point.elliptic, point.min_value, point.compressible_elliptic,
+            point.compressible_min_value, point.be_ok, point.mono_ok, point.error)
 
 
 class WrappedLaw:
@@ -247,14 +282,15 @@ class TestBatchedConditions:
         directions = stab.direction_set(count=64)
         lam = np.linspace(0.4, 3.5, 9)  # 81 points, 64 per block
         pairs = []
-        evaluate = stab._condition_values
+        geometry = stab._acoustic_geometry
 
-        def recording(law, f, par, vectors):
+        def recording(f, vectors):
             pairs.append(len(f) * len(vectors))
-            return evaluate(law, f, par, vectors)
+            return geometry(f, vectors)
 
-        monkeypatch.setattr(stab, "_condition_values", recording)
-        report = stab.scan_invariant_plane(law, [[0.3]], lam, lam, directions)
+        monkeypatch.setattr(stab, "_acoustic_geometry", recording)
+        report = stab.scan_invariant_plane(law, [[0.3], [0.8]], lam, lam, directions)
+        # each block's geometry is built once and serves both rows
         assert len(pairs) == 2 and max(pairs) <= stab._BLOCK_PAIRS
         monkeypatch.undo()
         for p in report.points:
@@ -439,10 +475,46 @@ class TestScan:
 
         monkeypatch.setattr(stab, "principal_stretch_gradient", stretched)
         report = stab.scan_invariant_plane(
-            cons.neo_hookean(0.5), [[0.0]], [1.0, 1.5], [1.0, 2.0], directions
+            cons.neo_hookean(0.5), [[0.0], [0.5], [1.0]], [1.0, 1.5], [1.0, 2.0],
+            directions,
         )
-        assert report.points[0].error.startswith("NotIsochoricError")
-        assert all(p.error is None and p.elliptic for p in report.points[1:])
+        # the stretched point fails in every parameter row, and only it
+        for k, p in enumerate(report.points):
+            if k % 4 == 0:
+                assert p.error.startswith("NotIsochoricError")
+            else:
+                assert p.error is None and p.elliptic
+
+    @pytest.mark.parametrize(
+        "fail, error",
+        [(nan_values, "non-finite condition values"),
+         (raise_out_of_range, "InvalidStretchError: out of range")],
+    )
+    def test_law_failure_at_one_parameter_fails_only_that_row(
+        self, directions, fail, error
+    ):
+        grid = [[0.0], [0.5], [1.0]]
+        lam = np.linspace(0.5, 3.0, 5)
+        clean = stab.scan_invariant_plane(MR, grid, lam, lam, directions)
+        report = stab.scan_invariant_plane(
+            RowFailingLaw(MR, 0.5, fail), grid, lam, lam, directions
+        )
+        for p, c in zip(report.points, clean.points):
+            if p.t[0] == 0.5:
+                assert p.error == error
+            else:
+                assert outcome(p) == outcome(c)
+        assert report.per_parameter[1]["failed_points"] == len(lam) ** 2
+        assert report.per_parameter[::2] == clean.per_parameter[::2]
+
+    def test_report_json_matches_report_to_dict(self, tmp_path, directions):
+        lam = np.linspace(0.5, 3.0, 4)
+        report = stab.scan_invariant_plane(
+            RowFailingLaw(MR, 1.0, nan_values), [[0.0], [1.0]], lam, lam, directions
+        )
+        path = tmp_path / "report.json"
+        stab.write_report_json(report, path)
+        assert json.loads(path.read_text()) == stab.report_to_dict(report)
 
     def test_programming_error_propagates(self, directions):
         def broken(i1, x):
