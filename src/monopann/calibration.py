@@ -15,7 +15,7 @@ models always see parameters in the unit interval.
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -272,30 +272,11 @@ class CalibrationRecord:
     eps: float = 1e-7
 
     def to_dict(self) -> dict:
-        return {
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "diverged": self.diverged,
-            "eps": self.eps,
-            "epochs_run": self.epochs_run,
-            "final_mse": self.final_mse,
-            "learning_rate": self.learning_rate,
-            "log10_mse": self.log10_mse,
-            "rank": self.rank,
-            "restart_index": self.restart_index,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _log10(x: float) -> float:
     return math.log10(x) if x > 0.0 else float("-inf")
-
-
-def _model_stress(model, lam, t):
-    i1, i2 = constitutive.uniaxial_invariants(lam)
-    inv = np.stack([i1, i2], axis=-1)
-    g = networks.invariant_gradients_batch(model, inv, t)
-    return 2.0 * (g[..., 0] + g[..., 1] / lam) * (lam - lam**-2.0), inv
 
 
 def mse_loss(model_or_law, dataset: Dataset) -> float:
@@ -308,6 +289,22 @@ def mse_loss(model_or_law, dataset: Dataset) -> float:
     return float(np.mean((p - stress) ** 2))
 
 
+def _loss_and_gradient(model, lam, stress, t):
+    """Losses and gradients; the model's arrays may carry a leading restart axis.
+
+    One forward trace yields the stress and is reused by the VJP.  With a
+    restart axis R the losses have shape (R,) and every gradient array leads
+    with R.
+    """
+    i1, i2 = constitutive.uniaxial_invariants(lam)
+    g, vjp = networks._stress_vjp(model, np.stack([i1, i2], axis=-1) - 3.0, t)
+    stretch = lam - lam**-2.0
+    residual = 2.0 * (g[..., 0] + g[..., 1] / lam) * stretch - stress
+    losses = np.mean(residual**2, axis=-1)
+    scale = (2.0 / lam.size) * residual * 2.0 * stretch
+    return losses, vjp(np.stack([scale, scale / lam], axis=-1))
+
+
 def loss_and_gradient(model, lam, stress, t):
     """Loss plus its gradient w.r.t. every trainable array.
 
@@ -316,13 +313,8 @@ def loss_and_gradient(model, lam, stress, t):
     """
     if lam.size == 0:
         raise EmptyDatasetError("calibration slice is empty")
-    p, inv = _model_stress(model, lam, t)
-    residual = p - stress
-    loss = float(np.mean(residual**2))
-    scale = (2.0 / lam.size) * residual * 2.0 * (lam - lam**-2.0)
-    cot = np.stack([scale, scale / lam], axis=-1)
-    grads = networks.invariant_gradient_vjp(model, inv, t, cot)
-    return loss, grads
+    loss, grads = _loss_and_gradient(model, lam, stress, t)
+    return float(loss), grads
 
 
 @dataclass
@@ -346,6 +338,13 @@ def adam_step(model, grads, state: AdamState, config: TrainConfig) -> AdamState:
     to ``max(w, 0)`` after the step, so infeasible updates land exactly on
     zero.  Returns the advanced optimizer state.
     """
+    _adam_update(model, grads, state, config)
+    return state
+
+
+def _adam_update(model, grads, state: AdamState, config: TrainConfig, frozen=None):
+    """:func:`adam_step` on arrays that may carry a leading restart axis;
+    the restarts flagged in the boolean array ``frozen`` keep their values."""
     arrays = networks.parameter_arrays(model)
     masks = networks.constraint_masks(model)
     state.step += 1
@@ -356,29 +355,57 @@ def adam_step(model, grads, state: AdamState, config: TrainConfig) -> AdamState:
         m += (1.0 - config.beta1) * grad
         v *= config.beta2
         v += (1.0 - config.beta2) * grad**2
-        arr -= config.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + config.eps)
+        step = config.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + config.eps)
+        if frozen is not None:
+            step[frozen] = 0.0
+        arr -= step
         if constrained:
             np.maximum(arr, 0.0, out=arr)
-    return state
 
 
-def _train_single(model, lam, stress, t, config: TrainConfig):
-    state = init_adam(model)
-    loss = float("nan")
-    epochs_run = 0
-    diverged = False
+def _stack(models):
+    """One model whose arrays stack those of ``models`` along a leading axis."""
+    first = models[0]
+    layers = [
+        networks.Layer(
+            np.stack([m.layers[i].weights for m in models]),
+            None if layer.bias is None else np.stack([m.layers[i].bias for m in models]),
+            layer.activation,
+            layer.constraint,
+        )
+        for i, layer in enumerate(first.layers)
+    ]
+    return networks.PotentialModel(
+        first.architecture, first.nodes, first.param_dim, layers
+    )
+
+
+def _train(models, lam, stress, t, config: TrainConfig) -> np.ndarray:
+    """Train every restart in ``models`` together, in place.
+
+    The restarts' arrays are stacked along a leading axis, so an epoch is one
+    forward trace, one VJP and one ADAM update for all of them.  A restart
+    whose loss turns non-finite is frozen from that epoch on: it keeps the
+    arrays that gave that loss, as if it had stopped there, and the others
+    carry on.  Returns the number of completed epochs per restart.
+    """
+    stack = _stack(models)
+    state = init_adam(stack)
+    active = np.ones(len(models), dtype=bool)
+    epochs_run = np.zeros(len(models), dtype=int)
     for _ in range(config.epochs):
-        loss, grads = loss_and_gradient(model, lam, stress, t)
-        if not np.isfinite(loss):
-            diverged = True
+        losses, grads = _loss_and_gradient(stack, lam, stress, t)
+        active &= np.isfinite(losses)
+        if not active.any():
             break
-        adam_step(model, grads, state, config)
-        epochs_run += 1
-    # loss after the final step (or the initial loss when epochs == 0)
-    final = float(np.mean((_model_stress(model, lam, t)[0] - stress) ** 2))
-    if not np.isfinite(final):
-        diverged = True
-    return final, epochs_run, diverged
+        _adam_update(stack, grads, state, config, None if active.all() else ~active)
+        epochs_run += active
+    for r, model in enumerate(models):
+        for dst, src in zip(
+            networks.parameter_arrays(model), networks.parameter_arrays(stack)
+        ):
+            dst[...] = src[r]
+    return epochs_run
 
 
 def calibrate(
@@ -389,26 +416,31 @@ def calibrate(
 ) -> list[tuple[networks.PotentialModel, CalibrationRecord]]:
     """Run independent restarts and return (model, record) pairs, best first.
 
-    Restart seeds are spawned deterministically from ``config.seed``; a
-    non-finite loss aborts that restart and flags its record as diverged.
+    Restart seeds are spawned deterministically from ``config.seed``, and the
+    restarts train together (see :func:`_train`); a non-finite loss stops
+    that restart and flags its record as diverged.
     """
     lam, stress, t = dataset.calibration_arrays()
     if lam.size == 0:
         raise EmptyDatasetError("calibration slice is empty")
-    param_dim = t.shape[1]
-    results = []
     children = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    for idx, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        model = networks.build_model(architecture, nodes, param_dim, rng)
-        final, epochs_run, diverged = _train_single(model, lam, stress, t, config)
+    models = [
+        networks.build_model(architecture, nodes, t.shape[1], np.random.default_rng(child))
+        for child in children
+    ]
+    epochs_run = _train(models, lam, stress, t, config)
+    results = []
+    for idx, (model, epochs) in enumerate(zip(models, epochs_run)):
+        # loss after the final step (or the initial loss when epochs == 0)
+        final = mse_loss(model, dataset)
         record = CalibrationRecord(
             final_mse=final,
             log10_mse=_log10(final),
-            epochs_run=epochs_run,
+            epochs_run=int(epochs),
             seed=config.seed,
             restart_index=idx,
-            diverged=diverged,
+            # a restart stops short of the epoch budget only when it diverges
+            diverged=bool(epochs < config.epochs or not np.isfinite(final)),
             learning_rate=config.learning_rate,
             beta1=config.beta1,
             beta2=config.beta2,

@@ -56,7 +56,7 @@ def _strings(text) -> list:
 
 def _require(path) -> Path:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(path)
     return path
 
@@ -405,19 +405,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list) -> None:
-    if "--config" not in argv:
-        return
-    path = _require(argv[argv.index("--config") + 1])
-    config = json.loads(path.read_text())
-    command = next((a for a in argv if not a.startswith("-")), None)
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Make the values in the ``--config`` file the defaults of the command."""
+    config = json.loads(_require(args.config).read_text())
     merged = {k: v for k, v in config.items() if not isinstance(v, dict)}
-    merged.update(config.get(command, {}))
-    # config supplies defaults; explicit flags still win at parse time
+    merged.update(config.get(args.command, {}))
     for action in parser._subparsers._group_actions:
-        sub = action.choices.get(command)
-        if sub is None:
-            continue
+        sub = action.choices[args.command]
         known = {a.dest for a in sub._actions}
         sub.set_defaults(**{k: v for k, v in merged.items() if k in known})
 
@@ -426,8 +420,11 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        _apply_config(parser, argv)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # config supplies defaults; explicit flags still win when reparsed
+            _apply_config(parser, args)
+            args = parser.parse_args(argv)
         return args.handler(args)
     except FileNotFoundError as exc:
         print(f"FileNotFound: {exc}", file=sys.stderr)

@@ -269,30 +269,37 @@ def _as_batch(model: PotentialModel, inv, par):
     return inv.reshape(-1, 2), par.reshape(-1, model.param_dim), lead
 
 
+def _dense(x, layer: Layer):
+    """``x W^T + b`` for one layer; its arrays may carry a leading restart axis."""
+    return x @ np.swapaxes(layer.weights, -1, -2) + layer.bias[..., None, :]
+
+
 def _chain_trace(model: PotentialModel, z: np.ndarray):
     """Forward intermediates for the single-input-stack architectures."""
-    hidden = model.layers[:-1]
-    w_out = model.layers[-1].weights[0]
     acts, pre = [], []
     x = z
-    for layer in hidden:
-        a = x @ layer.weights.T + layer.bias
+    for layer in model.layers[:-1]:
+        a = _dense(x, layer)
         pre.append(a)
         x = _act(layer.activation, a)
         acts.append(x)
-    return pre, acts, w_out
+    return pre, acts, model.layers[-1].weights[..., 0, :]
 
 
 def _cm_trace(model: PotentialModel, zinv: np.ndarray, zt: np.ndarray):
     """Forward intermediates for the split-input convex architecture."""
     l1, l2, l3 = model.layers
-    a1 = zt @ l1.weights.T + l1.bias
+    a1 = _dense(zt, l1)
     x1 = _act(l1.activation, a1)
-    w2_inv = l2.weights[:, :2]
-    w2_x = l2.weights[:, 2:]
-    a2 = zinv @ w2_inv.T + x1 @ w2_x.T + l2.bias
+    w2_inv = l2.weights[..., :2]
+    w2_x = l2.weights[..., 2:]
+    a2 = (
+        zinv @ np.swapaxes(w2_inv, -1, -2)
+        + x1 @ np.swapaxes(w2_x, -1, -2)
+        + l2.bias[..., None, :]
+    )
     x2 = _act(l2.activation, a2)
-    return a1, x1, w2_inv, w2_x, a2, x2, l3.weights[0]
+    return a1, x1, w2_inv, w2_x, a2, x2, l3.weights[..., 0, :]
 
 
 def forward_batch(model: PotentialModel, inv, par) -> np.ndarray:
@@ -314,33 +321,117 @@ def forward(model: PotentialModel, state: InvariantState) -> float:
     return float(forward_batch(model, [state.i1, state.i2], state.params))
 
 
-def _chain_input_gradients(model, z):
-    """Gradient of the output w.r.t. every input slot, batched."""
-    hidden = model.layers[:-1]
-    pre, acts, w_out = _chain_trace(model, z)
-    if len(hidden) == 1:
-        (l1,) = hidden
-        t1 = _act_d1(l1.activation, pre[0])
-        g = np.einsum("j,sj,jk->sk", w_out, t1, l1.weights)
-        return g
-    l1, l2 = hidden
-    t1 = _act_d1(l1.activation, pre[0])
-    s1 = _act_d1(l2.activation, pre[1])
-    u = np.einsum("ij,sj,jk->sik", l2.weights, t1, l1.weights)
-    return np.einsum("i,si,sik->sk", w_out, s1, u)
+# Each ``*_gradient`` function below runs one forward trace and returns the
+# input gradient together with the parameter-side VJP of its invariant part
+# (d psi / d I), which reuses that trace.  The model's arrays may carry a
+# leading restart axis R; the inputs (S, .) are shared by every restart, and
+# the gradient, cotangent (..., S, 2) and VJP results then carry the axis too.
+
+
+def _one_hidden_gradient(model, z):
+    """d psi / d z, shape (..., S, 2 + m), and the VJP of its first two columns."""
+    (l1,) = model.layers[:-1]
+    (a1,), _, w2 = _chain_trace(model, z)
+    t1 = _act_d1(l1.activation, a1)
+    grad = np.einsum("...j,...sj,...jk->...sk", w2, t1, l1.weights)
+
+    def vjp(cot):
+        t2 = _act_d2(l1.activation, a1)
+        cw1 = np.einsum("...sk,...jk->...sj", cot, l1.weights[..., :2])
+        dw2 = np.einsum("...sj,...sj->...j", t1, cw1)[..., None, :]
+        db1 = w2 * np.einsum("...sj,...sj->...j", t2, cw1)
+        dw1 = np.einsum("...sj,...sl->...jl", t2 * cw1, z)
+        dw1[..., :2] += np.einsum("...sj,...sa->...ja", t1, cot)
+        return [w2[..., None] * dw1, db1, dw2]
+
+    return grad, vjp
+
+
+def _two_hidden_gradient(model, z):
+    """d psi / d z, shape (..., S, 2 + m), and the VJP of its first two columns."""
+    l1, l2 = model.layers[:-1]
+    (a1, a2), (x1, _), w3 = _chain_trace(model, z)
+    t1 = _act_d1(l1.activation, a1)
+    s1 = _act_d1(l2.activation, a2)
+    u = np.einsum("...ij,...sj,...jk->...sik", l2.weights, t1, l1.weights)
+    grad = np.einsum("...i,...si,...sik->...sk", w3, s1, u)
+
+    def vjp(cot):
+        t2 = _act_d2(l1.activation, a1)
+        s2 = _act_d2(l2.activation, a2)
+        q = np.einsum("...sk,...sik->...si", cot, u[..., :2])
+        cw1 = np.einsum("...sk,...jk->...sj", cot, l1.weights[..., :2])
+        w3s = w3[..., None, :]
+        dw3 = np.einsum("...si,...si->...i", s1, q)[..., None, :]
+        db2 = w3 * np.einsum("...si,...si->...i", s2, q)
+        dw2 = w3[..., None] * (
+            np.einsum("...si,...sj->...ij", s2 * q, x1)
+            + np.einsum("...si,...sj->...ij", s1, t1 * cw1)
+        )
+        r2 = np.einsum("...si,...ij->...sj", s2 * q * w3s, l2.weights)
+        r1 = np.einsum("...si,...ij->...sj", s1 * w3s, l2.weights)
+        inner = t1 * r2 + t2 * cw1 * r1
+        db1 = inner.sum(axis=-2)
+        dw1 = np.einsum("...sj,...sl->...jl", inner, z)
+        dw1[..., :2] += np.einsum("...sj,...sa->...ja", r1 * t1, cot)
+        return [dw1, db1, dw2, db2, dw3]
+
+    return grad, vjp
+
+
+def _cm_gradient(model, zinv, zt):
+    """d psi / d I, shape (..., S, 2), and its VJP."""
+    l1, l2, _ = model.layers
+    a1, x1, w2_inv, w2_x, a2, _, w3 = _cm_trace(model, zinv, zt)
+    s1 = _act_d1(l2.activation, a2)
+    g = np.einsum("...i,...si,...ia->...sa", w3, s1, w2_inv)
+
+    def vjp(cot):
+        t1 = _act_d1(l1.activation, a1)
+        s2 = _act_d2(l2.activation, a2)
+        w3s = w3[..., None, :]
+        e = np.einsum("...sa,...ia->...si", cot, w2_inv)
+        dw3 = np.einsum("...si,...si->...i", s1, e)[..., None, :]
+        db2 = w3 * np.einsum("...si,...si->...i", s2, e)
+        dw2_inv = w3[..., None] * (
+            np.einsum("...si,...sb->...ib", s2 * e, zinv)
+            + np.einsum("...si,...sb->...ib", s1, cot)
+        )
+        dw2_x = w3[..., None] * np.einsum("...si,...sj->...ij", s2 * e, x1)
+        dw2 = np.concatenate([dw2_inv, dw2_x], axis=-1)
+        rr = np.einsum("...si,...ij->...sj", s2 * e * w3s, w2_x)
+        db1 = np.einsum("...sj,...sj->...j", t1, rr)
+        dw1 = np.einsum("...sj,...sl->...jl", t1 * rr, zt)
+        return [dw1, db1, dw2, db2, dw3]
+
+    return g, vjp
+
+
+def _chain_gradient(model, z):
+    if len(model.layers) == 2:
+        return _one_hidden_gradient(model, z)
+    return _two_hidden_gradient(model, z)
+
+
+def _stress_vjp(model: PotentialModel, zinv: np.ndarray, par: np.ndarray):
+    """Stress coefficients d psi / d I, shape (..., S, 2), and their VJP.
+
+    ``zinv`` (S, 2) are the invariants shifted by -3 and ``par`` (S, m) the
+    parameters.  The VJP maps a cotangent (..., S, 2) to the parameter-side
+    gradient of ``sum_s cotangent[s] . coefficients[s]``, a list aligned with
+    :func:`parameter_arrays`.  One forward trace serves both, and the model's
+    arrays may carry a leading restart axis (see above).
+    """
+    if model.architecture is Architecture.CONVEX_MONOTONIC:
+        return _cm_gradient(model, zinv, par)
+    grad, vjp = _chain_gradient(model, np.concatenate([zinv, par], axis=-1))
+    return grad[..., :2], vjp
 
 
 def invariant_gradients_batch(model: PotentialModel, inv, par) -> np.ndarray:
     """Stress coefficients (d psi / d I1, d psi / d I2), shape (..., 2)."""
     inv, par, lead = _as_batch(model, inv, par)
-    zinv = inv - 3.0
-    if model.architecture is Architecture.CONVEX_MONOTONIC:
-        _, _, w2_inv, _, a2, _, w3 = _cm_trace(model, zinv, par)
-        s1 = _act_d1(model.layers[1].activation, a2)
-        g = np.einsum("i,si,ia->sa", w3, s1, w2_inv)
-    else:
-        z = np.concatenate([zinv, par], axis=-1)
-        g = _chain_input_gradients(model, z)[:, :2]
+    g, _ = _stress_vjp(model, inv - 3.0, par)
     return g.reshape(lead + (2,))
 
 
@@ -362,7 +453,7 @@ def parameter_gradients_batch(model: PotentialModel, inv, par) -> np.ndarray:
         g = np.einsum("i,si,ij,sj,jl->sl", w3, s1, w2_x, t1, l1.weights)
     else:
         z = np.concatenate([zinv, par], axis=-1)
-        g = _chain_input_gradients(model, z)[:, 2:]
+        g = _chain_gradient(model, z)[0][:, 2:]
     return g.reshape(lead + (m,))
 
 
@@ -417,82 +508,8 @@ def invariant_gradient_vjp(model: PotentialModel, inv, par, cotangent) -> list[n
     cot = np.asarray(cotangent, dtype=float).reshape(-1, 2)
     if cot.shape[0] != inv.shape[0]:
         raise ShapeMismatchError("cotangent batch does not match input batch")
-    zinv = inv - 3.0
-
-    if model.architecture is Architecture.CONVEX_MONOTONIC:
-        return _vjp_convex_monotonic(model, zinv, par, cot)
-    z = np.concatenate([zinv, par], axis=-1)
-    if len(model.layers) == 2:
-        return _vjp_one_hidden(model, z, cot)
-    return _vjp_two_hidden(model, z, cot)
-
-
-def _vjp_two_hidden(model, z, cot):
-    l1, l2 = model.layers[:-1]
-    pre, acts, w3 = _chain_trace(model, z)
-    a1, a2 = pre
-    x1 = acts[0]
-    t1 = _act_d1(l1.activation, a1)
-    t2 = _act_d2(l1.activation, a1)
-    s1 = _act_d1(l2.activation, a2)
-    s2 = _act_d2(l2.activation, a2)
-
-    u = np.einsum("ij,sj,jk->sik", l2.weights, t1, l1.weights)
-    q = np.einsum("sk,sik->si", cot, u[:, :, :2])
-    cw1 = np.einsum("sk,jk->sj", cot, l1.weights[:, :2])
-    cpad = np.zeros_like(z)
-    cpad[:, :2] = cot
-
-    dw3 = np.einsum("si,si->i", s1, q)[None, :]
-    db2 = w3 * np.einsum("si,si->i", s2, q)
-    dw2 = w3[:, None] * (
-        np.einsum("si,sj->ij", s2 * q, x1) + np.einsum("si,sj->ij", s1, t1 * cw1)
-    )
-    r2 = np.einsum("si,ij->sj", s2 * q * w3, l2.weights)
-    r1 = np.einsum("si,ij->sj", s1 * w3, l2.weights)
-    inner = t1 * r2 + t2 * cw1 * r1
-    db1 = inner.sum(axis=0)
-    dw1 = np.einsum("sj,sl->jl", inner, z) + np.einsum("sj,sl->jl", r1 * t1, cpad)
-    return [dw1, db1, dw2, db2, dw3]
-
-
-def _vjp_one_hidden(model, z, cot):
-    (l1,) = model.layers[:-1]
-    pre, _, w2 = _chain_trace(model, z)
-    a1 = pre[0]
-    t1 = _act_d1(l1.activation, a1)
-    t2 = _act_d2(l1.activation, a1)
-    cw1 = np.einsum("sk,jk->sj", cot, l1.weights[:, :2])
-    cpad = np.zeros_like(z)
-    cpad[:, :2] = cot
-
-    dw2 = np.einsum("sj,sj->j", t1, cw1)[None, :]
-    db1 = w2 * np.einsum("sj,sj->j", t2, cw1)
-    dw1 = w2[:, None] * (
-        np.einsum("sj,sl->jl", t2 * cw1, z) + np.einsum("sj,sl->jl", t1, cpad)
-    )
-    return [dw1, db1, dw2]
-
-
-def _vjp_convex_monotonic(model, zinv, zt, cot):
-    l1, l2, _ = model.layers
-    a1, x1, w2_inv, w2_x, a2, _, w3 = _cm_trace(model, zinv, zt)
-    t1 = _act_d1(l1.activation, a1)
-    s1 = _act_d1(l2.activation, a2)
-    s2 = _act_d2(l2.activation, a2)
-
-    e = np.einsum("sa,ia->si", cot, w2_inv)
-    dw3 = np.einsum("si,si->i", s1, e)[None, :]
-    db2 = w3 * np.einsum("si,si->i", s2, e)
-    dw2_inv = w3[:, None] * (
-        np.einsum("si,sb->ib", s2 * e, zinv) + np.einsum("si,sb->ib", s1, cot)
-    )
-    dw2_x = w3[:, None] * np.einsum("si,sj->ij", s2 * e, x1)
-    dw2 = np.concatenate([dw2_inv, dw2_x], axis=1)
-    rr = np.einsum("si,ij->sj", s2 * e * w3, w2_x)
-    db1 = np.einsum("sj,sj->j", t1, rr)
-    dw1 = np.einsum("sj,sl->jl", t1 * rr, zt)
-    return [dw1, db1, dw2, db2, dw3]
+    _, vjp = _stress_vjp(model, inv - 3.0, par)
+    return vjp(cot)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,42 @@ def oracle_law():
     )
 
 
+def sequential_reference(dataset, config, architecture, nodes, build=nets.build_model):
+    """Restart-by-restart training from the public single-model API.
+
+    Returns (model, epochs_run, final_mse) per restart index.
+    """
+    lam, stress, t = dataset.calibration_arrays()
+    out = []
+    for child in np.random.SeedSequence(config.seed).spawn(config.restarts):
+        model = build(architecture, nodes, t.shape[1], np.random.default_rng(child))
+        state = cal.init_adam(model)
+        epochs_run = 0
+        for _ in range(config.epochs):
+            loss, grads = cal.loss_and_gradient(model, lam, stress, t)
+            if not np.isfinite(loss):
+                break
+            cal.adam_step(model, grads, state, config)
+            epochs_run += 1
+        out.append((model, epochs_run, cal.mse_loss(model, dataset)))
+    return out
+
+
+def poisoned_builder(index, scale=1e200):
+    """``build_model`` whose ``index``-th call returns a model with its output
+    weights scaled by ``scale``, so that its loss overflows."""
+    original, calls = nets.build_model, []
+
+    def build(*args, **kwargs):
+        model = original(*args, **kwargs)
+        if len(calls) == index:
+            model.layers[-1].weights *= scale
+        calls.append(model)
+        return model
+
+    return build
+
+
 def neo_hookean_dataset(points=20, label="nh"):
     return cal.generate_synthetic(
         cons.neo_hookean(0.5), np.linspace(1.0, 2.0, points), [0.5], label=label
@@ -237,6 +273,47 @@ class TestCalibrate:
         for (m1, r1), (m2, r2) in zip(first, second):
             assert r1.to_dict() == r2.to_dict()
             for a, b in zip(nets.parameter_arrays(m1), nets.parameter_arrays(m2)):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("arch", list(nets.Architecture))
+    def test_stacked_restarts_match_sequential_reference(self, arch):
+        ds = cal.generate_synthetic(oracle_law(), np.linspace(1.0, 2.0, 10), [0.1, 0.9])
+        config = cal.TrainConfig(epochs=1000, restarts=3, seed=8)
+        results = cal.calibrate(ds, config, arch, 4)
+        reference = sequential_reference(ds, config, arch, 4)
+        assert sorted(r.restart_index for _, r in results) == [0, 1, 2]
+        for model, record in results:
+            ref_model, ref_epochs, ref_mse = reference[record.restart_index]
+            assert record.epochs_run == ref_epochs == config.epochs
+            assert not record.diverged
+            assert record.final_mse == pytest.approx(ref_mse, rel=0.0, abs=1e-10)
+            for a, b in zip(nets.parameter_arrays(model), nets.parameter_arrays(ref_model)):
+                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("arch", list(nets.Architecture))
+    def test_diverged_restart_is_frozen_and_isolated(self, arch, monkeypatch):
+        ds = cal.generate_synthetic(oracle_law(), np.linspace(1.0, 2.0, 10), [0.1, 0.9])
+        config = cal.TrainConfig(epochs=200, restarts=3, seed=8)
+        clean = {r.restart_index: (m, r) for m, r in cal.calibrate(ds, config, arch, 4)}
+        with np.errstate(all="ignore"):
+            ref_model, ref_epochs, _ = sequential_reference(
+                ds, config, arch, 4, build=poisoned_builder(1)
+            )[1]
+            monkeypatch.setattr(nets, "build_model", poisoned_builder(1))
+            results = cal.calibrate(ds, config, arch, 4)
+
+        model, record = results[-1]
+        assert record.restart_index == 1 and record.rank == 2
+        assert record.diverged and record.epochs_run == ref_epochs
+        for a, b in zip(nets.parameter_arrays(model), nets.parameter_arrays(ref_model)):
+            np.testing.assert_array_equal(a, b)
+        for model, record in results[:-1]:
+            clean_model, clean_record = clean[record.restart_index]
+            assert not record.diverged
+            got, want = record.to_dict(), clean_record.to_dict()
+            del got["rank"], want["rank"]
+            assert got == want
+            for a, b in zip(nets.parameter_arrays(model), nets.parameter_arrays(clean_model)):
                 np.testing.assert_array_equal(a, b)
 
 

@@ -211,6 +211,25 @@ class TestConfigAndDeterminism:
         _, rows = read_csv(out / "cfg_p0.6.csv")
         assert len(rows) == 7
 
+    def test_config_given_with_equals_sign(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"scan": {"directions": 7}}))
+        out = tmp_path / "scan"
+        assert run(
+            "scan", "--law", "neo-hookean", f"--config={config}", "--t-values", "0.5",
+            "--lambda1", "0.8,1.6,2", "--lambda2", "0.8,1.6,2", "--out", out,
+        ) == 0
+        (path,) = out.glob("*_report.json")
+        assert json.loads(path.read_text())["direction_count"] == 7
+
+    def test_config_without_path_is_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("scan", "--law", "neo-hookean", "--out", tmp_path, "--config")
+        assert exc.value.code == 2
+        assert "argument --config: expected one argument" in capsys.readouterr().err
+        assert run("scan", "--law", "neo-hookean", "--out", tmp_path, "--config=") == 2
+        assert "FileNotFound" in capsys.readouterr().err
+
     def test_rerun_byte_identical(self, tmp_path, small_dataset):
         digests = []
         for tag in ("a", "b"):
