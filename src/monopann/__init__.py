@@ -28,13 +28,11 @@ from .constitutive import (
     neo_hookean,
     pk1_stress,
     pk1_tangent,
-    stress_coefficients,
     traction_free_gamma,
     uniaxial_stress,
 )
 from .kinematics import (
     DeformationMode,
-    InvariantState,
     ModeKind,
     cofactor,
     generate_mode,
@@ -46,10 +44,6 @@ from .networks import (
     Architecture,
     PotentialModel,
     build_model,
-    forward,
-    grad_invariants,
-    grad_params,
-    hessian_invariants,
     load_model,
     save_model,
     sparsity,

@@ -238,6 +238,12 @@ def generate_synthetic(
 # loss and optimizer
 
 
+# ADAM moment decay rates and denominator offset
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-7
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Full-batch training settings; every run is deterministic in ``seed``."""
@@ -246,15 +252,12 @@ class TrainConfig:
     learning_rate: float = 2e-3
     restarts: int = 5
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-7
 
     def __post_init__(self):
         if self.epochs < 0 or self.restarts < 1:
             raise ValueError("epochs must be >= 0 and restarts >= 1")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError("learning rate must be positive and finite")
 
 
 @dataclass
@@ -267,16 +270,19 @@ class CalibrationRecord:
     rank: int = -1
     diverged: bool = False
     learning_rate: float = 2e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-7
+    beta1: float = ADAM_BETA1
+    beta2: float = ADAM_BETA2
+    eps: float = ADAM_EPS
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
 def _log10(x: float) -> float:
-    return math.log10(x) if x > 0.0 else float("-inf")
+    """log10 of an MSE: -inf for an exact fit, NaN for a NaN MSE."""
+    if x == 0.0:
+        return float("-inf")
+    return math.log10(x) if x > 0.0 else float("nan")
 
 
 def mse_loss(model_or_law, dataset: Dataset) -> float:
@@ -348,14 +354,14 @@ def _adam_update(model, grads, state: AdamState, config: TrainConfig, frozen=Non
     arrays = networks.parameter_arrays(model)
     masks = networks.constraint_masks(model)
     state.step += 1
-    b1c = 1.0 - config.beta1**state.step
-    b2c = 1.0 - config.beta2**state.step
+    b1c = 1.0 - ADAM_BETA1**state.step
+    b2c = 1.0 - ADAM_BETA2**state.step
     for arr, grad, m, v, constrained in zip(arrays, grads, state.m, state.v, masks):
-        m *= config.beta1
-        m += (1.0 - config.beta1) * grad
-        v *= config.beta2
-        v += (1.0 - config.beta2) * grad**2
-        step = config.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + config.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad**2
+        step = config.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
         if frozen is not None:
             step[frozen] = 0.0
         arr -= step
@@ -442,9 +448,6 @@ def calibrate(
             # a restart stops short of the epoch budget only when it diverges
             diverged=bool(epochs < config.epochs or not np.isfinite(final)),
             learning_rate=config.learning_rate,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            eps=config.eps,
         )
         results.append((model, record))
     results.sort(key=lambda pair: (pair[1].diverged, pair[1].final_mse))

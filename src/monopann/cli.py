@@ -82,17 +82,20 @@ def _write_rows(path: Path, header: list, rows: list) -> Path:
     return path
 
 
-def _oracle_law(args):
-    if args.oracle == "neo-hookean":
+def _closed_form_law(name: str, args):
+    """The closed-form law ``name`` with the coefficients given in ``args``."""
+    if name == "neo-hookean":
         return constitutive.neo_hookean(args.c)
-    return constitutive.MooneyRivlin(
-        _floats(args.c10_cubic), _floats(args.c01_cubic), _floats(args.c11_cubic)
-    )
+    if name == "mooney-rivlin":
+        return constitutive.MooneyRivlin(
+            _floats(args.c10_cubic), _floats(args.c01_cubic), _floats(args.c11_cubic)
+        )
+    raise ValueError(f"unknown closed-form law: {name}")
 
 
 def cmd_gendata(args) -> int:
     out = _out_dir(args)
-    law = _oracle_law(args)
+    law = _closed_form_law(args.oracle, args)
     lam = _grid(args.grid)
     params = _floats(args.params)
     rng = np.random.default_rng(args.seed) if args.noise > 0.0 else None
@@ -116,11 +119,18 @@ def cmd_gendata(args) -> int:
 def _load_data(args) -> calibration.Dataset:
     paths = [_require(p) for p in _strings(args.data)]
     dataset = calibration.load_datasets(paths)
-    if getattr(args, "holdout_params", None):
+    if args.holdout_params:
         dataset = calibration.split_by_parameter(dataset, _floats(args.holdout_params))
-    if getattr(args, "max_calibration_stretch", None):
+    if args.max_calibration_stretch:
         dataset = calibration.split_by_stretch(dataset, args.max_calibration_stretch)
     return dataset
+
+
+def _train_config(args) -> calibration.TrainConfig:
+    return calibration.TrainConfig(
+        epochs=args.epochs, learning_rate=args.lr, restarts=args.restarts,
+        seed=args.seed,
+    )
 
 
 def _records_rows(records) -> list:
@@ -151,10 +161,7 @@ RECORD_HEADER = [
 def cmd_calibrate(args) -> int:
     out = _out_dir(args)
     dataset = _load_data(args)
-    config = calibration.TrainConfig(
-        epochs=args.epochs, learning_rate=args.lr, restarts=args.restarts,
-        seed=args.seed,
-    )
+    config = _train_config(args)
     architecture = networks.Architecture(args.arch)
     results = calibration.calibrate(dataset, config, architecture, args.nodes)
     tag = args.tag or args.arch
@@ -202,15 +209,8 @@ def _scan_laws(args) -> list:
     for path in _strings(args.model or ""):
         model = networks.load_model(_require(path))
         laws.append(constitutive.NeuralLaw(model, label=Path(path).stem))
-    if args.law == "neo-hookean":
-        laws.append(constitutive.neo_hookean(args.c))
-    elif args.law == "mooney-rivlin":
-        laws.append(
-            constitutive.MooneyRivlin(
-                _floats(args.c10_cubic), _floats(args.c01_cubic),
-                _floats(args.c11_cubic),
-            )
-        )
+    if args.law is not None:
+        laws.append(_closed_form_law(args.law, args))
     if not laws:
         raise MonopannError("scan needs --model and/or --law")
     return laws
@@ -260,10 +260,7 @@ def cmd_scan(args) -> int:
 def cmd_hyperparam(args) -> int:
     out = _out_dir(args)
     dataset = _load_data(args)
-    config = calibration.TrainConfig(
-        epochs=args.epochs, learning_rate=args.lr, restarts=args.restarts,
-        seed=args.seed,
-    )
+    config = _train_config(args)
     mse_rows, sparsity_rows = [], []
     for arch_name in _strings(args.archs):
         architecture = networks.Architecture(arch_name)
@@ -325,20 +322,34 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default="out", help="output directory")
 
+    split = argparse.ArgumentParser(add_help=False)
+    split.add_argument("--holdout-params", default=None,
+                       help="raw parameter values moved to the test split")
+    split.add_argument("--max-calibration-stretch", type=float, default=None)
+
+    train = argparse.ArgumentParser(add_help=False)
+    train.add_argument("--epochs", type=int, default=20000)
+    train.add_argument("--restarts", type=int, default=5)
+    train.add_argument("--lr", type=float, default=2e-3)
+
+    coefficients = argparse.ArgumentParser(add_help=False)
+    coefficients.add_argument("--c", type=float, default=0.5,
+                              help="neo-hookean coefficient")
+    coefficients.add_argument("--c10-cubic", default=DEFAULT_C10,
+                              help="a,b,c,d for a*G^3+b*G^2+c*G+d in MPa")
+    coefficients.add_argument("--c01-cubic", default=DEFAULT_C01)
+    coefficients.add_argument("--c11-cubic", default=DEFAULT_C11)
+
     parser = argparse.ArgumentParser(
         prog="monopann",
         description="parametrized hyperelastic potentials: calibration and stability",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gendata", parents=[common], help="synthesize datasets")
+    p = sub.add_parser("gendata", parents=[common, coefficients],
+                       help="synthesize datasets")
     p.add_argument("--oracle", choices=["mooney-rivlin", "neo-hookean"],
                    default="mooney-rivlin")
-    p.add_argument("--c", type=float, default=0.5, help="neo-hookean coefficient")
-    p.add_argument("--c10-cubic", default=DEFAULT_C10,
-                   help="a,b,c,d for a*G^3+b*G^2+c*G+d in MPa")
-    p.add_argument("--c01-cubic", default=DEFAULT_C01)
-    p.add_argument("--c11-cubic", default=DEFAULT_C11)
     p.add_argument("--grid", default="1.0,2.0,20", help="lambda_min,lambda_max,n")
     p.add_argument("--params", default="0.1,0.5,0.9", help="raw parameter values")
     p.add_argument("--noise", type=float, default=0.0)
@@ -346,35 +357,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default="dataset", help="output file stem")
     p.set_defaults(handler=cmd_gendata)
 
-    p = sub.add_parser("calibrate", parents=[common], help="fit a potential")
+    p = sub.add_parser("calibrate", parents=[common, split, train],
+                       help="fit a potential")
     p.add_argument("--data", required=True, help="dataset CSV path(s), comma separated")
     p.add_argument("--arch", default="monotonic",
                    choices=[a.value for a in networks.Architecture])
     p.add_argument("--nodes", type=int, default=8)
-    p.add_argument("--epochs", type=int, default=20000)
-    p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--lr", type=float, default=2e-3)
-    p.add_argument("--holdout-params", default=None,
-                   help="raw parameter values moved to the test split")
-    p.add_argument("--max-calibration-stretch", type=float, default=None)
     p.add_argument("--tag", default=None, help="output file prefix")
     p.set_defaults(handler=cmd_calibrate)
 
-    p = sub.add_parser("evaluate", parents=[common], help="residuals on a slice")
+    p = sub.add_parser("evaluate", parents=[common, split], help="residuals on a slice")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--slice", choices=["test", "calibration"], default="test")
-    p.add_argument("--holdout-params", default=None)
-    p.add_argument("--max-calibration-stretch", type=float, default=None)
     p.set_defaults(handler=cmd_evaluate)
 
-    p = sub.add_parser("scan", parents=[common], help="material-stability scan")
+    p = sub.add_parser("scan", parents=[common, coefficients],
+                       help="material-stability scan")
     p.add_argument("--model", default=None, help="model JSON path(s), comma separated")
     p.add_argument("--law", choices=["neo-hookean", "mooney-rivlin"], default=None)
-    p.add_argument("--c", type=float, default=0.5)
-    p.add_argument("--c10-cubic", default=DEFAULT_C10)
-    p.add_argument("--c01-cubic", default=DEFAULT_C01)
-    p.add_argument("--c11-cubic", default=DEFAULT_C11)
     p.add_argument("--t-values", default="0,0.5,1")
     p.add_argument("--lambda1", default="0.5,3.0,8")
     p.add_argument("--lambda2", default="0.5,3.0,8")
@@ -383,24 +384,17 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=[g.value for g in stability.DirectionGenerator])
     p.set_defaults(handler=cmd_scan)
 
-    p = sub.add_parser("hyperparam", parents=[common],
+    p = sub.add_parser("hyperparam", parents=[common, split, train],
                        help="node-count grid: error and sparsity tables")
     p.add_argument("--data", required=True)
     p.add_argument("--archs", default="monotonic,unrestricted_2hl,unrestricted_1hl")
     p.add_argument("--nodes", default="2,4,8,16,32,64")
-    p.add_argument("--epochs", type=int, default=20000)
-    p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--lr", type=float, default=2e-3)
-    p.add_argument("--holdout-params", default=None)
-    p.add_argument("--max-calibration-stretch", type=float, default=None)
     p.set_defaults(handler=cmd_hyperparam)
 
-    p = sub.add_parser("report", parents=[common], help="curve exports and plots")
+    p = sub.add_parser("report", parents=[common, split], help="curve exports and plots")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--points", type=int, default=101, help="dense curve resolution")
-    p.add_argument("--holdout-params", default=None)
-    p.add_argument("--max-calibration-stretch", type=float, default=None)
     p.set_defaults(handler=cmd_report)
     return parser
 

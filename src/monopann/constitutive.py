@@ -20,7 +20,6 @@ import numpy as np
 from . import networks
 from .errors import InvalidStretchError, NotIsochoricError
 from .kinematics import (
-    InvariantState,
     invariant_derivatives,
     invariant_first_derivatives,
     isochoric_invariants,
@@ -32,7 +31,6 @@ __all__ = [
     "MooneyRivlin",
     "neo_hookean",
     "as_law",
-    "stress_coefficients",
     "uniaxial_invariants",
     "uniaxial_stress",
     "pk1_stress",
@@ -136,13 +134,6 @@ def as_law(obj) -> MaterialLaw:
     if isinstance(obj, networks.PotentialModel):
         return NeuralLaw(obj, label=obj.architecture.value)
     return obj
-
-
-def stress_coefficients(law, state: InvariantState) -> tuple[float, float]:
-    """Partial derivatives of the potential in the invariants at one state."""
-    law = as_law(law)
-    c = law.coefficients(state.i1, state.i2, state.params)
-    return float(c[..., 0]), float(c[..., 1])
 
 
 def uniaxial_invariants(lam):

@@ -20,7 +20,6 @@ from .errors import (
 __all__ = [
     "LEVI_CIVITA",
     "IDENTITY4",
-    "InvariantState",
     "ModeKind",
     "DeformationMode",
     "tensor_cross",
@@ -180,20 +179,6 @@ def _scaled_second(det, h, x_f, raw, raw_grad, raw_hess, p):
     out += _bview(p * det ** (p - 1.0) * raw, 4) * x_f
     out += _bview(det**p, 4) * raw_hess
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class InvariantState:
-    """Input point of a parametrized potential: invariant pair plus parameters."""
-
-    i1: float
-    i2: float
-    params: np.ndarray
-
-    @classmethod
-    def from_gradient(cls, f: np.ndarray, params) -> "InvariantState":
-        i1, i2 = isochoric_invariants(f)
-        return cls(float(i1), float(i2), np.atleast_1d(np.asarray(params, float)))
 
 
 class ModeKind(Enum):

@@ -17,8 +17,8 @@ second order in the inputs, and parameter-side vector-Jacobian products for
 training through stresses) are spelled out layer by layer instead of going
 through an autodiff framework.
 
-Batched entry points take invariants of shape (..., 2) and parameters of
-shape (..., m); scalar wrappers take an :class:`InvariantState`.
+Every entry point is batched: invariants have shape (..., 2) and parameters
+shape (..., m), and the two broadcast against each other.
 """
 
 import json
@@ -29,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConstraintViolationError, ShapeMismatchError
-from .kinematics import InvariantState
 
 __all__ = [
     "Activation",
@@ -38,13 +37,9 @@ __all__ = [
     "Layer",
     "PotentialModel",
     "build_model",
-    "forward",
     "forward_batch",
-    "grad_invariants",
     "invariant_gradients_batch",
-    "grad_params",
     "parameter_gradients_batch",
-    "hessian_invariants",
     "invariant_hessians_batch",
     "invariant_gradient_vjp",
     "parameter_arrays",
@@ -316,11 +311,6 @@ def forward_batch(model: PotentialModel, inv, par) -> np.ndarray:
     return psi.reshape(lead)
 
 
-def forward(model: PotentialModel, state: InvariantState) -> float:
-    """Potential value at a single state."""
-    return float(forward_batch(model, [state.i1, state.i2], state.params))
-
-
 # Each ``*_gradient`` function below runs one forward trace and returns the
 # input gradient together with the parameter-side VJP of its invariant part
 # (d psi / d I), which reuses that trace.  The model's arrays may carry a
@@ -435,11 +425,6 @@ def invariant_gradients_batch(model: PotentialModel, inv, par) -> np.ndarray:
     return g.reshape(lead + (2,))
 
 
-def grad_invariants(model: PotentialModel, state: InvariantState):
-    g = invariant_gradients_batch(model, [state.i1, state.i2], state.params)
-    return float(g[0]), float(g[1])
-
-
 def parameter_gradients_batch(model: PotentialModel, inv, par) -> np.ndarray:
     """d psi / d t, shape (..., m)."""
     inv, par, lead = _as_batch(model, inv, par)
@@ -455,11 +440,6 @@ def parameter_gradients_batch(model: PotentialModel, inv, par) -> np.ndarray:
         z = np.concatenate([zinv, par], axis=-1)
         g = _chain_gradient(model, z)[0][:, 2:]
     return g.reshape(lead + (m,))
-
-
-def grad_params(model: PotentialModel, state: InvariantState) -> np.ndarray:
-    g = parameter_gradients_batch(model, [state.i1, state.i2], state.params)
-    return np.asarray(g, dtype=float)
 
 
 def invariant_hessians_batch(model: PotentialModel, inv, par) -> np.ndarray:
@@ -492,13 +472,8 @@ def invariant_hessians_batch(model: PotentialModel, inv, par) -> np.ndarray:
     return h.reshape(lead + (2, 2))
 
 
-def hessian_invariants(model: PotentialModel, state: InvariantState) -> np.ndarray:
-    h = invariant_hessians_batch(model, [state.i1, state.i2], state.params)
-    return np.asarray(h, dtype=float)
-
-
 def invariant_gradient_vjp(model: PotentialModel, inv, par, cotangent) -> list[np.ndarray]:
-    """Parameter-side gradient of ``sum_s cotangent[s] . stress_coefficients[s]``.
+    """Parameter-side gradient of ``sum_s cotangent[s] . d psi / d I [s]``.
 
     ``cotangent`` has shape (..., 2).  The result is a list of arrays aligned
     with :func:`parameter_arrays`; it is what full-batch training through the

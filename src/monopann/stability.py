@@ -33,13 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constitutive import (
-    _format_params,
-    _tangent_terms,
-    _tangent_weights,
-    as_law,
-    pk1_tangent,
-)
+from .constitutive import _format_params, _tangent_terms, _tangent_weights, as_law
 from .errors import EmptyGridError, MonopannError
 from .kinematics import isochoric_invariants, principal_stretch_gradient, tensor_cross
 
@@ -119,33 +113,13 @@ def _vectors(directions) -> np.ndarray:
     return np.atleast_2d(np.asarray(vectors, dtype=float))
 
 
-def _acoustic_tensors(tangent: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """``Q[p, d]_ij = A[p]_iajb B[d]_a B[d]_b`` for tangents (P,3,3,3,3) and
-    directions (D,3), as one matmul of (P,9,9) by the (D,9) dyads."""
-    count = tangent.shape[0]
-    a = tangent.transpose(0, 1, 3, 2, 4).reshape(count, 9, 9)
-    dyads = (directions[:, :, None] * directions[:, None, :]).reshape(-1, 9)
-    return (a @ dyads.T).reshape(count, 3, 3, -1).transpose(0, 3, 1, 2)
-
-
-def acoustic_tensor(law, f, par, b: np.ndarray) -> np.ndarray:
-    """Contract the full tangent twice with probing directions.
-
-    ``f`` is (3, 3) or (P, 3, 3) and ``b`` is (3,) or (D, 3); the result has
-    shape ``f.shape[:-2] + b.shape[:-1] + (3, 3)``.
-    """
-    f = np.asarray(f, dtype=float)
-    b = np.asarray(b, dtype=float)
-    tangent = pk1_tangent(as_law(law), f.reshape(-1, 3, 3), par)
-    q = _acoustic_tensors(tangent, b.reshape(-1, 3))
-    return q.reshape(f.shape[:-2] + b.shape[:-1] + (3, 3))
-
-
 # the six independent components of a symmetric 3x3 tensor, in the order
-# (00, 11, 22, 01, 02, 12), and their rows in its row-major flattening
+# (00, 11, 22, 01, 02, 12), their rows in its row-major flattening, and the
+# component at each entry of the full tensor
 _ROW = np.array([0, 1, 2, 0, 0, 1])
 _COL = np.array([0, 1, 2, 1, 2, 2])
 _SYM = 3 * _ROW + _COL
+_FULL = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 
 
 def _acoustic_geometry(f: np.ndarray, directions: np.ndarray):
@@ -166,6 +140,29 @@ def _acoustic_geometry(f: np.ndarray, directions: np.ndarray):
     n = np.swapaxes(np.linalg.inv(f), -1, -2) @ directions.T  # (P, 3, D)
     m = (n / np.sqrt(np.einsum("pid,pid->pd", n, n))[:, None]).transpose(1, 0, 2)
     return terms, m[_ROW] * m[_COL] * np.where(_ROW == _COL, 1.0, 2.0)[:, None, None]
+
+
+def _point_weights(law, f: np.ndarray, par) -> np.ndarray:
+    """Tangent weights (P, 5) of ``law`` at the points ``f`` (P, 3, 3)."""
+    i1, i2 = isochoric_invariants(f)
+    return _tangent_weights(law.coefficients(i1, i2, par), law.hessian(i1, i2, par))
+
+
+def acoustic_tensor(law, f, par, b: np.ndarray) -> np.ndarray:
+    """Contract the full tangent twice with probing directions.
+
+    ``f`` is (3, 3) or (P, 3, 3) and ``b`` is (3,) or (D, 3); the result has
+    shape ``f.shape[:-2] + b.shape[:-1] + (3, 3)``.  It is built from the
+    scan's own geometry and weights.
+    """
+    f = np.asarray(f, dtype=float)
+    b = np.asarray(b, dtype=float)
+    points = f.reshape(-1, 3, 3)
+    terms, _ = _acoustic_geometry(points, b.reshape(-1, 3))
+    weights = _point_weights(as_law(law), points, par)
+    q = (weights[:, None, :] @ terms).reshape(len(points), 6, -1)
+    q = np.moveaxis(q[:, _FULL], -1, 1)
+    return q.reshape(f.shape[:-2] + b.shape[:-1] + (3, 3))
 
 
 def _conditions(geometry, weights: np.ndarray):
@@ -224,9 +221,7 @@ def _condition_values(law, f, par, directions: np.ndarray):
     law = as_law(law)
     f = np.asarray(f, dtype=float).reshape(-1, 3, 3)
     geometry = _acoustic_geometry(f, np.asarray(directions, dtype=float))
-    i1, i2 = isochoric_invariants(f)
-    weights = _tangent_weights(law.coefficients(i1, i2, par), law.hessian(i1, i2, par))
-    return _conditions(geometry, weights)
+    return _conditions(geometry, _point_weights(law, f, par))
 
 
 def ellipticity_incompressible(law, f, par, directions) -> tuple[bool, float]:

@@ -379,6 +379,41 @@ def test_sparsity_direction(trained):
     assert zero_ok
 
 
+def test_trained_geometric_term_psd(trained):
+    """The paper's argument on trained models: with non-negative stress
+    coefficients the geometric term of the rank-one form is p.s.d., and on
+    the unit-determinant tangent plane the two terms sum to the full form."""
+    rng = np.random.default_rng(505)
+    models = [model for key in ("mono", "mono16") for model, _ in trained[key]]
+    lowest, worst = np.inf, 0.0
+    passed = True
+    try:
+        for model in models:
+            law = cons.as_law(model)
+            for _ in range(20):
+                f = kin.random_unimodular(rng)
+                t = rng.uniform(0.0, 1.0, 1)
+                con, geo = stab.hessian_decomposition(law, f, t)
+                tangent = cons.pk1_tangent(law, f, t)
+                for _ in range(5):
+                    b = rng.standard_normal(3)
+                    value = geo(rng.standard_normal(3), b)
+                    lowest = min(lowest, value)
+                    assert value >= 0.0
+                    for a in stab.tangent_plane_basis(f, b):
+                        full = np.einsum("iIjJ,i,I,j,J->", tangent, a, b, a, b)
+                        split = con(a, b) + geo(a, b)
+                        worst = max(worst, abs(split - full) / max(abs(full), 1e-12))
+                        assert split == pytest.approx(full, rel=1e-10, abs=1e-12)
+    except AssertionError:
+        passed = False
+        raise
+    finally:
+        report("trained-geometric-term", passed,
+               f"{len(models)} monotonic models x 100 rank-one pairs: "
+               f"min geometric {lowest:.2e} (>= 0), split error {worst:.1e}")
+
+
 def _run_all_commands(root: Path, seed: int) -> dict:
     data = root / "data"
     models = root / "models"

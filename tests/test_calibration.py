@@ -169,6 +169,15 @@ class TestLoss:
                 assert grad[idx] == pytest.approx(fd, rel=5e-5, abs=1e-8)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "lr", [0.0, -1e-3, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_learning_rate_must_be_positive_and_finite(self, lr):
+        with pytest.raises(ValueError, match="learning rate"):
+            cal.TrainConfig(epochs=1, learning_rate=lr)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self, rng):
         model = nets.build_model(nets.Architecture.MONOTONIC, 3, 1, rng)
@@ -346,6 +355,14 @@ class TestEvaluate:
         report = cal.evaluate(model, ds)  # no test indices by default
         assert not report.defined
         assert report.mse is None and report.rows == []
+
+    @pytest.mark.parametrize(
+        "mse, expected",
+        [(0.0, float("-inf")), (float("nan"), float("nan")), (1e-4, -4.0)],
+    )
+    def test_log10_mse(self, mse, expected):
+        # a NaN MSE must not read as the perfect fit that only 0 is
+        np.testing.assert_equal(cal.EvaluationReport([], mse, True).log10_mse, expected)
 
     def test_extrapolation_reports_finite_residuals(self, rng):
         ds = cal.split_by_stretch(neo_hookean_dataset(), 1.6)

@@ -91,6 +91,17 @@ class TestCalibrate:
         assert header[0] == "rank" and len(rows) == 1
         assert rows[0][6] == "False"  # not diverged
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_rejected(self, tmp_path, small_dataset, lr,
+                                               capsys):
+        out = tmp_path / "models"
+        assert run(
+            "calibrate", "--data", data_arg(small_dataset), "--nodes", 4,
+            "--epochs", 5, "--restarts", 2, "--lr", lr, "--out", out,
+        ) == 1
+        assert "learning rate" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
     def test_holdout_split_evaluated(self, tmp_path, small_dataset):
         models = tmp_path / "models"
         assert run(

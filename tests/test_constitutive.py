@@ -5,7 +5,6 @@ from monopann import constitutive as cons
 from monopann import kinematics as kin
 from monopann import networks as nets
 from monopann.errors import InvalidStretchError, NotIsochoricError
-from monopann.kinematics import InvariantState
 
 from conftest import central_difference
 
@@ -22,31 +21,26 @@ def all_arch_models(rng, nodes=4, param_dim=1):
 class TestStressCoefficients:
     def test_neo_hookean_constant(self):
         law = cons.neo_hookean(0.5)
-        state = InvariantState(4.1, 3.7, np.array([0.0]))
-        assert cons.stress_coefficients(law, state) == (0.5, 0.0)
+        assert tuple(law.coefficients(4.1, 3.7, [0.0])) == (0.5, 0.0)
 
     def test_mooney_rivlin_cubic_at_reference(self):
         law = cons.MooneyRivlin(C10_CUBIC, [0.0], [0.0])
-        state = InvariantState(3.0, 3.0, np.array([0.1]))
-        c1, _ = cons.stress_coefficients(law, state)
+        c1, _ = law.coefficients(3.0, 3.0, [0.1])
         assert c1 == pytest.approx(-0.7027, abs=5e-5)
 
     def test_zero_weight_model(self, rng):
         model = nets.build_model(nets.Architecture.MONOTONIC, 4, 1, rng)
         for layer in model.layers:
             layer.weights[...] = 0.0
-        state = InvariantState(4.0, 4.0, np.array([0.5]))
-        assert cons.stress_coefficients(model, state) == (0.0, 0.0)
+        law = cons.as_law(model)
+        assert tuple(law.coefficients(4.0, 4.0, [0.5])) == (0.0, 0.0)
 
     def test_coefficients_objective(self, rng):
-        model = nets.build_model(nets.Architecture.MONOTONIC, 4, 1, rng)
+        law = cons.as_law(nets.build_model(nets.Architecture.MONOTONIC, 4, 1, rng))
         f = kin.random_unimodular(rng)
         q1, q2 = kin.random_rotation(rng), kin.random_rotation(rng)
-        t = np.array([0.3])
-        a = cons.stress_coefficients(model, InvariantState.from_gradient(f, t))
-        b = cons.stress_coefficients(
-            model, InvariantState.from_gradient(q1 @ f @ q2.T, t)
-        )
+        i1, i2 = kin.isochoric_invariants(np.stack([f, q1 @ f @ q2.T]))
+        a, b = law.coefficients(i1, i2, np.array([0.3]))
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from monopann import networks as nets
 from monopann.errors import ConstraintViolationError, ShapeMismatchError
-from monopann.kinematics import InvariantState
 
 from conftest import central_difference, central_difference_tensor
 
@@ -34,45 +33,45 @@ class TestForward:
     @pytest.mark.parametrize("arch", ALL_ARCHITECTURES)
     def test_zero_weights_give_zero(self, arch, rng):
         model = zero_model(arch, rng)
-        state = InvariantState(4.7, 3.9, np.array([0.3]))
-        assert nets.forward(model, state) == 0.0
+        assert nets.forward_batch(model, [4.7, 3.9], [0.3]) == 0.0
 
     def test_single_softplus_node_log_two(self, rng):
         # one softplus node with unit weight and zero bias, fed x = 0
         model = zero_model(nets.Architecture.MONOTONIC, rng, nodes=1)
         model.layers[1].weights[...] = 1.0  # softplus layer
         model.layers[2].weights[...] = 1.0  # linear output
-        state = InvariantState(3.0, 3.0, np.array([0.0]))  # tanh branch is 0
-        assert nets.forward(model, state) == pytest.approx(np.log(2.0), rel=1e-12)
+        psi = nets.forward_batch(model, [3.0, 3.0], [0.0])  # tanh branch is 0
+        assert psi == pytest.approx(np.log(2.0), rel=1e-12)
 
     def test_monotone_in_ordered_inputs(self, rng):
         model = make_model(nets.Architecture.MONOTONIC, rng, nodes=6)
-        lo = InvariantState(3.0, 3.0, np.array([0.2]))
-        hi = InvariantState(5.0, 4.25, np.array([0.2]))
-        assert nets.forward(model, hi) >= nets.forward(model, lo)
+        lo, hi = nets.forward_batch(model, [[3.0, 3.0], [5.0, 4.25]], [0.2])
+        assert hi >= lo
 
     def test_monotone_composition_random_pairs(self, rng):
         for arch in CONSTRAINED:
             model = make_model(arch, rng, nodes=5)
-            for _ in range(1000):
-                x = np.array([3.0, 3.0, 0.0]) + rng.random(3) * [2.0, 2.0, 1.0]
-                y = x + rng.random(3) * 0.5
-                fx = nets.forward(model, InvariantState(x[0], x[1], x[2:]))
-                fy = nets.forward(model, InvariantState(y[0], y[1], y[2:]))
-                assert fy >= fx - 1e-12
+            # per pair: three uniforms for x, then three for the step to y
+            draws = rng.random((1000, 2, 3))
+            x = np.array([3.0, 3.0, 0.0]) + draws[:, 0] * [2.0, 2.0, 1.0]
+            y = x + draws[:, 1] * 0.5
+            fx = nets.forward_batch(model, x[:, :2], x[:, 2:])
+            fy = nets.forward_batch(model, y[:, :2], y[:, 2:])
+            assert np.all(fy >= fx - 1e-12)
 
     def test_convexity_along_invariant_segments(self, rng):
         model = make_model(nets.Architecture.CONVEX_MONOTONIC, rng, nodes=5)
         t = np.array([0.4])
-        for _ in range(1000):
-            a = 3.0 + 4.0 * rng.random(2)
-            b = 3.0 + 4.0 * rng.random(2)
-            alpha = rng.random()
-            mid = alpha * a + (1.0 - alpha) * b
-            f_mid = nets.forward(model, InvariantState(mid[0], mid[1], t))
-            f_a = nets.forward(model, InvariantState(a[0], a[1], t))
-            f_b = nets.forward(model, InvariantState(b[0], b[1], t))
-            assert f_mid <= alpha * f_a + (1.0 - alpha) * f_b + 1e-10
+        # per segment: two uniforms each for a and b, then one for alpha
+        draws = rng.random((1000, 5))
+        a = 3.0 + 4.0 * draws[:, 0:2]
+        b = 3.0 + 4.0 * draws[:, 2:4]
+        alpha = draws[:, 4]
+        mid = alpha[:, None] * a + (1.0 - alpha[:, None]) * b
+        f_mid = nets.forward_batch(model, mid, t)
+        f_a = nets.forward_batch(model, a, t)
+        f_b = nets.forward_batch(model, b, t)
+        assert np.all(f_mid <= alpha * f_a + (1.0 - alpha) * f_b + 1e-10)
 
     def test_shape_mismatch(self, rng):
         model = make_model(nets.Architecture.MONOTONIC, rng, param_dim=2)
@@ -116,11 +115,13 @@ class TestDerivatives:
 
     def test_zero_model_derivatives(self, rng):
         model = zero_model(nets.Architecture.MONOTONIC, rng)
-        state = InvariantState(4.0, 3.5, np.array([0.7]))
-        assert nets.grad_invariants(model, state) == (0.0, 0.0)
-        np.testing.assert_array_equal(nets.grad_params(model, state), [0.0])
+        inv, par = [4.0, 3.5], [0.7]
         np.testing.assert_array_equal(
-            nets.hessian_invariants(model, state), np.zeros((2, 2))
+            nets.invariant_gradients_batch(model, inv, par), [0.0, 0.0]
+        )
+        np.testing.assert_array_equal(nets.parameter_gradients_batch(model, inv, par), [0.0])
+        np.testing.assert_array_equal(
+            nets.invariant_hessians_batch(model, inv, par), np.zeros((2, 2))
         )
 
     def test_constrained_gradients_nonnegative_sweep(self, rng):
@@ -232,5 +233,5 @@ class TestValidationAndSerialization:
         path = tmp_path / "model.json"
         nets.save_model(model, path)
         clone = nets.load_model(path)
-        state = InvariantState(4.2, 3.8, np.array([0.5]))
-        assert nets.forward(clone, state) == nets.forward(model, state)
+        inv, par = [4.2, 3.8], [0.5]
+        assert nets.forward_batch(clone, inv, par) == nets.forward_batch(model, inv, par)

@@ -134,6 +134,19 @@ class TestAcousticTensor:
             for a in stab.tangent_plane_basis(np.eye(3), b):
                 assert a @ q @ a >= -1e-12
 
+    def test_matches_pk1_tangent_contraction(self, rng):
+        for law in random_laws():
+            t = rng.uniform(0.0, 1.0, 1)
+            f = np.stack([kin.random_unimodular(rng) for _ in range(4)])
+            b = rng.standard_normal((6, 3)) * rng.uniform(0.2, 5.0, (6, 1))
+            q = stab.acoustic_tensor(law, f, t, b)
+            tangent = cons.pk1_tangent(law, f, t)
+            for p in range(len(f)):
+                for d in range(len(b)):
+                    ref = np.einsum("iIkK,I,K->ik", tangent[p], b[d], b[d])
+                    scale = np.abs(ref).max()
+                    assert np.abs(q[p, d] - ref).max() <= 1e-12 * scale
+
     def test_matches_second_differences_of_energy(self, rng):
         model = nets.build_model(nets.Architecture.MONOTONIC, 4, 1, rng)
         law = cons.as_law(model)
