@@ -197,7 +197,15 @@ def split_by_parameter(dataset: Dataset, holdout_raw_values, atol=1e-12) -> Data
 
 
 def split_by_stretch(dataset: Dataset, max_calibration_stretch: float) -> Dataset:
-    """Hold out samples beyond a stretch threshold (extrapolation studies)."""
+    """Hold out samples beyond a stretch threshold (extrapolation studies).
+
+    Raises ``ValueError`` for a non-finite threshold, which would hold out
+    nothing (NaN) or compare meaninglessly (infinity).
+    """
+    if not np.isfinite(max_calibration_stretch):
+        raise ValueError(
+            f"stretch threshold must be finite, got {max_calibration_stretch}"
+        )
     mask = dataset.lam > max_calibration_stretch
     return replace(
         dataset,
@@ -472,7 +480,10 @@ class EvaluationReport:
 
 
 def evaluate(model_or_law, dataset: Dataset, slice_: str = "test") -> EvaluationReport:
-    """Pure evaluation of a law on the chosen slice; no mutation anywhere."""
+    """Pure evaluation of a law on the chosen slice, ``"test"`` or
+    ``"calibration"``; no mutation anywhere."""
+    if slice_ not in ("test", "calibration"):
+        raise ValueError(f"slice must be 'test' or 'calibration', got {slice_!r}")
     indices = (
         dataset.test_indices if slice_ == "test" else dataset.calibration_indices
     )

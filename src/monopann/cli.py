@@ -119,9 +119,9 @@ def cmd_gendata(args) -> int:
 def _load_data(args) -> calibration.Dataset:
     paths = [_require(p) for p in _strings(args.data)]
     dataset = calibration.load_datasets(paths)
-    if args.holdout_params:
+    if args.holdout_params is not None:
         dataset = calibration.split_by_parameter(dataset, _floats(args.holdout_params))
-    if args.max_calibration_stretch:
+    if args.max_calibration_stretch is not None:
         dataset = calibration.split_by_stretch(dataset, args.max_calibration_stretch)
     return dataset
 

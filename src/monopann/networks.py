@@ -442,14 +442,29 @@ def parameter_gradients_batch(model: PotentialModel, inv, par) -> np.ndarray:
     return g.reshape(lead + (m,))
 
 
+def _weighted_gram(c, w):
+    """``sum_i c[..., i] w[..., i, a] w[..., i, b]``, shape (..., 2, 2), for
+    weights ``c`` (..., n) and ``w`` (..., n, 2)."""
+    return (c[..., None, :] * np.swapaxes(w, -1, -2)) @ w
+
+
 def invariant_hessians_batch(model: PotentialModel, inv, par) -> np.ndarray:
-    """Symmetric 2x2 Hessian in the invariants, shape (..., 2, 2)."""
+    """Symmetric 2x2 Hessian in the invariants, shape (..., 2, 2).
+
+    Each hidden layer contributes one weighted Gram matrix
+    ``W^T diag(c) W``: ``W`` maps the invariants into the layer's
+    pre-activation and ``c`` is its activation's second derivative weighted
+    by the derivative of psi in the layer's output.  For two hidden layers
+    the second layer's ``W`` is the per-sample Jacobian
+    ``u = (t1 o W2) W1[:, :2]`` (S, n, 2), and the first layer's ``c`` is
+    ``((w3 o s1) W2) o t2``.
+    """
     inv, par, lead = _as_batch(model, inv, par)
     zinv = inv - 3.0
     if model.architecture is Architecture.CONVEX_MONOTONIC:
         _, _, w2_inv, _, a2, _, w3 = _cm_trace(model, zinv, par)
         s2 = _act_d2(model.layers[1].activation, a2)
-        h = np.einsum("i,si,ia,ib->sab", w3, s2, w2_inv, w2_inv)
+        h = _weighted_gram(w3 * s2, w2_inv)
     else:
         z = np.concatenate([zinv, par], axis=-1)
         hidden = model.layers[:-1]
@@ -457,8 +472,7 @@ def invariant_hessians_batch(model: PotentialModel, inv, par) -> np.ndarray:
         if len(hidden) == 1:
             (l1,) = hidden
             t2 = _act_d2(l1.activation, pre[0])
-            w1i = l1.weights[:, :2]
-            h = np.einsum("j,sj,ja,jb->sab", w_out, t2, w1i, w1i)
+            h = _weighted_gram(w_out * t2, l1.weights[:, :2])
         else:
             l1, l2 = hidden
             t1 = _act_d1(l1.activation, pre[0])
@@ -466,9 +480,9 @@ def invariant_hessians_batch(model: PotentialModel, inv, par) -> np.ndarray:
             s1 = _act_d1(l2.activation, pre[1])
             s2 = _act_d2(l2.activation, pre[1])
             w1i = l1.weights[:, :2]
-            u = np.einsum("ij,sj,ja->sia", l2.weights, t1, w1i)
-            h = np.einsum("i,si,sia,sib->sab", w_out, s2, u, u)
-            h += np.einsum("i,si,ij,sj,ja,jb->sab", w_out, s1, l2.weights, t2, w1i, w1i)
+            u = (t1[:, None, :] * l2.weights) @ w1i
+            h = _weighted_gram(w_out * s2, u)
+            h += _weighted_gram(((w_out * s1) @ l2.weights) * t2, w1i)
     return h.reshape(lead + (2, 2))
 
 

@@ -23,6 +23,13 @@ with ``|Q|`` the Frobenius norm.  The normalized values, and so the
 verdicts, do not change when the potential is scaled by c > 0 or the
 deformation is rotated.  Where Q = 0 exactly every value is 0, a
 degenerate pass.
+
+The acoustic tensors are computed without the fourth-order tangent.  Q is
+the tangent's weighted sum of five law-independent terms, and each term
+contracted with ``B o B`` is a rank-one closed form in 3x3 quantities of the
+point (see ``_acoustic_geometry``): outer products ``X o Y`` contract to
+``(XB) o (YB)``, and the tensor-cross parts of the second invariant
+derivatives vanish, because ``eps_IJK B_I B_K = 0``.
 """
 
 import csv
@@ -33,9 +40,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .constitutive import _format_params, _tangent_terms, _tangent_weights, as_law
-from .errors import EmptyGridError, MonopannError
-from .kinematics import isochoric_invariants, principal_stretch_gradient, tensor_cross
+from .constitutive import _check_isochoric, _format_params, _tangent_weights, as_law
+from .errors import EmptyGridError, InvertedConfigurationError, MonopannError
+from .kinematics import isochoric_invariants, principal_stretch_gradient
 
 __all__ = [
     "ELLIPTICITY_TOLERANCE",
@@ -114,12 +121,49 @@ def _vectors(directions) -> np.ndarray:
 
 
 # the six independent components of a symmetric 3x3 tensor, in the order
-# (00, 11, 22, 01, 02, 12), their rows in its row-major flattening, and the
-# component at each entry of the full tensor
+# (00, 11, 22, 01, 02, 12), and the component at each entry of the full
+# tensor
 _ROW = np.array([0, 1, 2, 0, 0, 1])
 _COL = np.array([0, 1, 2, 1, 2, 2])
-_SYM = 3 * _ROW + _COL
 _FULL = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+
+
+# The acoustic geometry in rank-one closed form (see _acoustic_geometry).
+# A point's quantities are laid out flat: the tensors d1, d2, h, F, g2,
+# F F^T and C, nine entries each, then the constants 0 and 1.  Each of the
+# 13 basis tensors, indexed [s, I, J] with s the symmetric component (i, j),
+# is the product of a left and a right factor gathered from that layout.
+_ZERO, _ONE = 63, 64
+# the first ten are the outer products X o Y of these pairs of tensors:
+# d1 d1, d1 d2, d2 d1, d2 d2, h h, h F, F h, h g2, g2 h and F F
+_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (2, 4), (4, 2),
+          (3, 3)]
+
+
+def _basis_factors(k, i, j, a, b):
+    if k < 10:
+        x, y = _PAIRS[k]
+        return 9 * x + 3 * i + a, 9 * y + 3 * j + b
+    if k == 10:  # delta_ij delta_IJ
+        return _ONE, _ONE if i == j and a == b else _ZERO
+    if k == 11:  # delta_IJ (F F^T)_ij
+        return 45 + 3 * i + j, _ONE if a == b else _ZERO
+    return 54 + 3 * a + b, _ONE if i == j else _ZERO  # delta_ij C_IJ
+
+
+_BASIS_LEFT, _BASIS_RIGHT = np.array([
+    _basis_factors(k, i, j, a, b)
+    for k in range(13) for i, j in zip(_ROW, _COL) for a in range(3) for b in range(3)
+]).T
+# The weight of each basis tensor (column) in each of the five tangent terms
+# (row), as an index into a point's weights (see _acoustic_geometry).
+_TERM_WEIGHTS = np.array([
+    [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],  # d1 o d1
+    [0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],  # d1 o d2 + d2 o d1
+    [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],  # d2 o d2
+    [0, 0, 0, 0, 2, 3, 3, 0, 0, 0, 4, 0, 0],  # d2 I1 / dF2
+    [0, 0, 0, 0, 5, 0, 0, 6, 6, 7, 8, 9, 9],  # d2 I2 / dF2
+])
 
 
 def _acoustic_geometry(f: np.ndarray, directions: np.ndarray):
@@ -132,14 +176,73 @@ def _acoustic_geometry(f: np.ndarray, directions: np.ndarray):
     (6, P, D) the components of ``m o m`` for the unit normals
     ``m = n / |n|``, ``n = F^-T B``, with the off-diagonal ones doubled, so
     that ``m.Sm`` is the dot product with the components of a symmetric S.
+
+    No fourth-order tensor is formed.  Contracted with ``B_I B_J``, an
+    outer product ``X o Y`` of 3x3 tensors gives ``(XB)_i (YB)_j``, and
+    every ``kinematics.cross_operator`` part of the second invariant
+    derivatives gives 0, because ``eps_IJK B_I B_K = 0``.  With the cofactor
+    ``h = J F^-T``, ``C = F^T F`` and ``g2 = 2 (|F|^2 F - F C)``, the raw
+    gradient of ``|h|^2``, the terms are then outer products of
+    ``d1, d2, h, F, g2`` weighted by powers of J, plus two parts that are
+    not: ``2 J^-2/3 |B|^2 I`` in the second derivative of I1, and in that
+    of I2 the ``x_f o x_f`` part, which contracts to
+    ``2 J^-4/3 [(FB) o (FB) - |B|^2 F F^T - (|FB|^2 - |B|^2 |F|^2) I]``.
+    Each term is a weighted sum over a per-point basis of 13 such tensors,
+    one (P, 5, 13) @ (P, 13, 6 x 9) product, and one product with the
+    dyads ``B_I B_J`` gives its acoustic tensors.
+
+    Raises ``NotIsochoricError`` where ``|det F - 1|`` exceeds the tolerance
+    and ``InvertedConfigurationError`` where det F is not finite.
     """
     count = len(f)
-    terms = _tangent_terms(f).transpose(0, 1, 2, 4, 3, 5).reshape(count, 5, 9, 9)
+    det = _check_isochoric(f)
+    if not np.all(np.isfinite(det)):
+        raise InvertedConfigurationError("invariant derivatives require det f > 0")
+    finv_t = np.swapaxes(np.linalg.inv(f), -1, -2)
+    f_t = np.swapaxes(f, -1, -2)
+    c = f_t @ f
+    h = det[:, None, None] * finv_t
+    i1 = np.einsum("pij,pij->p", f, f)
+    i2 = np.einsum("pij,pij->p", h, h)
+    g2 = 2.0 * (i1[:, None, None] * f - f @ c)
+    # J^p and p J^(p-1) for the exponents p = -2/3 (I1) and -4/3 (I2)
+    j1, j2 = det ** (-2.0 / 3.0), det ** (-4.0 / 3.0)
+    dj1, dj2 = -2.0 / 3.0 * j1 / det, -4.0 / 3.0 * j2 / det
+    d1 = (dj1 * i1)[:, None, None] * h + (2.0 * j1)[:, None, None] * f
+    d2 = (dj2 * i2)[:, None, None] * h + j2[:, None, None] * g2
+
+    zero, one = np.zeros((count, 1)), np.ones((count, 1))
+    flat = np.concatenate(
+        [x.reshape(count, 9) for x in (d1, d2, h, f, g2, f @ f_t, c)] + [zero, one],
+        axis=1,
+    )
+    basis = (flat[:, _BASIS_LEFT] * flat[:, _BASIS_RIGHT]).reshape(count, 13, 54)
+    # the weights 0 and 1, then per invariant (p = -2/3 for I1, -4/3 for I2)
+    # p (p - 1) J^(p-2) |.|^2 for h o h, p J^(p-1) times the factor of the
+    # raw gradient (2F, g2) for the mixed pairs with h, and 2 J^p for the
+    # raw second derivative, whose identity part for I2 carries |F|^2
+    point_weights = np.concatenate(
+        [zero, one, np.stack([
+            -5.0 / 3.0 * dj1 / det * i1, 2.0 * dj1, 2.0 * j1,
+            -7.0 / 3.0 * dj2 / det * i2, dj2, 2.0 * j2, 2.0 * j2 * i1, -2.0 * j2,
+        ], axis=1)],
+        axis=1,
+    )
+    terms = (point_weights[:, _TERM_WEIGHTS] @ basis).reshape(-1, 9)
     dyads = (directions.T[:, None] * directions.T[None, :]).reshape(9, -1)
-    terms = (terms[:, :, _SYM].reshape(-1, 9) @ dyads).reshape(count, 5, -1)
-    n = np.swapaxes(np.linalg.inv(f), -1, -2) @ directions.T  # (P, 3, D)
+    # Terms and normals are written in place into one allocation.  As
+    # separate arrays, in some process layouts, the C heap returned about
+    # 1.7 MB to the system after every block and faulted it back in: 4x the
+    # minor page faults and a 25% slower scan on a 2-vCPU x86-64 host.
+    size = count * 30 * len(directions)
+    out = np.empty(size + 6 * count * len(directions))
+    np.matmul(terms, dyads, out=out[:size].reshape(count * 30, -1))
+    n = finv_t @ directions.T  # (P, 3, D)
     m = (n / np.sqrt(np.einsum("pid,pid->pd", n, n))[:, None]).transpose(1, 0, 2)
-    return terms, m[_ROW] * m[_COL] * np.where(_ROW == _COL, 1.0, 2.0)[:, None, None]
+    normals = out[size:].reshape(6, count, -1)
+    np.multiply(m[_ROW], m[_COL], out=normals)
+    normals[3:] *= 2.0
+    return out[:size].reshape(count, 5, -1), normals
 
 
 def _point_weights(law, f: np.ndarray, par) -> np.ndarray:
@@ -255,18 +358,27 @@ def hessian_decomposition(law, f, par):
     the potential in the invariants, the second its first derivatives; for
     increments in the unit-determinant tangent plane their sum equals the
     full contraction of :func:`pk1_tangent`.
+
+    Both are closed forms in ``a`` and ``B``.  With ``C = F^T F``,
+    ``w1 = a.F B`` and ``w2 = a.(|F|^2 F - F C) B``, the constitutive term
+    is ``4 (psi_11 w1^2 + 2 psi_12 w1 w2 + psi_22 w2^2)`` and the geometric
+    term ``2 (psi_1 |a|^2 |B|^2 + psi_2 |(a o B) x F|^2)``, with the tensor
+    cross product's square
+    ``(a.FB)^2 - |B|^2 |F^T a|^2 - |a|^2 |FB|^2 + |a|^2 |B|^2 |F|^2``.
     """
     law = as_law(law)
     f = np.asarray(f, dtype=float)
     i1, i2 = isochoric_invariants(f)
     coef = law.coefficients(i1, i2, par)
     hess = law.hessian(i1, i2, par)
-    h_cof = tensor_cross(f, f) / 2.0
+    f_sq = float(np.sum(f * f))
+    # |F|^2 F - F C, half the derivative of |cof F|^2
+    g = f_sq * f - f @ f.T @ f
 
     def constitutive_term(a, b):
-        incr = np.outer(a, b)
-        w1 = float(np.sum(f * incr))
-        w2 = float(np.sum(h_cof * tensor_cross(incr, f)))
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        w1 = float(a @ f @ b)
+        w2 = float(a @ g @ b)
         return 4.0 * (
             float(hess[..., 0, 0]) * w1 * w1
             + 2.0 * float(hess[..., 0, 1]) * w1 * w2
@@ -274,11 +386,13 @@ def hessian_decomposition(law, f, par):
         )
 
     def geometric_term(a, b):
-        incr = np.outer(a, b)
-        cross = tensor_cross(incr, f)
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        fb, fta = f @ b, f.T @ a
+        aa, bb = float(a @ a), float(b @ b)
+        cross_sq = (float(a @ fb) ** 2 - bb * float(fta @ fta)
+                    - aa * float(fb @ fb) + aa * bb * f_sq)
         return 2.0 * (
-            float(coef[..., 0]) * float(np.sum(incr * incr))
-            + float(coef[..., 1]) * float(np.sum(cross * cross))
+            float(coef[..., 0]) * aa * bb + float(coef[..., 1]) * cross_sq
         )
 
     return constitutive_term, geometric_term

@@ -94,6 +94,11 @@ class TestDataset:
         assert np.all(split.lam[split.calibration_indices] <= 1.5)
         assert np.all(split.lam[split.test_indices] > 1.5)
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_split_by_stretch_rejects_non_finite_threshold(self, threshold):
+        with pytest.raises(ValueError, match="finite"):
+            cal.split_by_stretch(neo_hookean_dataset(), threshold)
+
     def test_split_must_cover(self):
         with pytest.raises(ValueError):
             cal.Dataset(
@@ -348,6 +353,13 @@ class TestEvaluate:
         model = nets.build_model(nets.Architecture.MONOTONIC, 4, 1, rng)
         report = cal.evaluate(model, ds, slice_="calibration")
         assert report.mse == pytest.approx(cal.mse_loss(model, ds), rel=1e-15)
+
+    @pytest.mark.parametrize("slice_", ["train", "Test", "", None])
+    def test_unknown_slice_rejected(self, rng, slice_):
+        ds = cal.split_by_stretch(neo_hookean_dataset(), 1.5)
+        model = nets.build_model(nets.Architecture.MONOTONIC, 4, 1, rng)
+        with pytest.raises(ValueError, match="slice"):
+            cal.evaluate(model, ds, slice_=slice_)
 
     def test_empty_slice_flagged(self, rng):
         ds = neo_hookean_dataset()

@@ -102,6 +102,30 @@ class TestCalibrate:
         assert "learning rate" in capsys.readouterr().err
         assert not list(out.glob("*"))
 
+    def test_zero_stretch_threshold_holds_out_everything(self, tmp_path,
+                                                          small_dataset, capsys):
+        # 0 is a threshold like any other: every sample lies beyond it
+        out = tmp_path / "models"
+        assert run(
+            "calibrate", "--data", data_arg(small_dataset), "--nodes", 4,
+            "--epochs", 5, "--restarts", 1, "--max-calibration-stretch", 0,
+            "--out", out,
+        ) == 1
+        assert "calibration slice is empty" in capsys.readouterr().err
+        assert not list(out.glob("*.json"))
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_stretch_threshold_rejected(self, tmp_path, small_dataset,
+                                                   threshold, capsys):
+        out = tmp_path / "models"
+        assert run(
+            "calibrate", "--data", data_arg(small_dataset), "--nodes", 4,
+            "--epochs", 5, "--restarts", 1, "--max-calibration-stretch",
+            threshold, "--out", out,
+        ) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not list(out.glob("*.json"))
+
     def test_holdout_split_evaluated(self, tmp_path, small_dataset):
         models = tmp_path / "models"
         assert run(

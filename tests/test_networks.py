@@ -113,6 +113,19 @@ class TestDerivatives:
             )
             np.testing.assert_allclose(h[s], fd, rtol=1e-5, atol=1e-8)
 
+    @pytest.mark.parametrize("arch", ALL_ARCHITECTURES)
+    def test_hessians_match_fd_at_acceptance_size(self, arch, rng):
+        # n = 8 and m = 1, the size of the trained models the scan probes
+        model = make_model(arch, rng, nodes=8, param_dim=1)
+        inv, par = random_states(rng, 6)
+        h = nets.invariant_hessians_batch(model, inv, par)
+        assert h.shape == (6, 2, 2)
+        for s in range(6):
+            fd = central_difference_tensor(
+                lambda x: nets.invariant_gradients_batch(model, x, par[s]), inv[s]
+            )
+            np.testing.assert_allclose(h[s], fd, rtol=1e-5, atol=1e-8)
+
     def test_zero_model_derivatives(self, rng):
         model = zero_model(nets.Architecture.MONOTONIC, rng)
         inv, par = [4.0, 3.5], [0.7]

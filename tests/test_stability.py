@@ -7,7 +7,12 @@ from monopann import constitutive as cons
 from monopann import kinematics as kin
 from monopann import networks as nets
 from monopann import stability as stab
-from monopann.errors import EmptyGridError, InvalidStretchError
+from monopann.errors import (
+    EmptyGridError,
+    InvalidStretchError,
+    InvertedConfigurationError,
+    NotIsochoricError,
+)
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +170,84 @@ class TestAcousticTensor:
         assert a @ q @ a == pytest.approx(second, rel=1e-4, abs=1e-8)
 
 
+def unimodular_block(rng, count=12):
+    """Non-diagonal unimodular gradients, two of them with det F off 1 by
+    +-1e-13, inside the isochoric tolerance."""
+    f = np.stack([kin.random_unimodular(rng, spread=0.8) for _ in range(count)])
+    f[0] *= (1.0 + 1e-13) ** (1.0 / 3.0)
+    f[1] *= (1.0 - 1e-13) ** (1.0 / 3.0)
+    return f
+
+
+class TestClosedFormGeometry:
+    def test_each_term_matches_fourth_order_contraction(self, rng):
+        f = unimodular_block(rng)
+        b = rng.standard_normal((9, 3)) * rng.uniform(0.2, 5.0, (9, 1))
+        terms, _ = stab._acoustic_geometry(f, b)
+        terms = terms.reshape(len(f), 5, 6, len(b))
+        ref = np.einsum("ptiIjJ,dI,dJ->ptijd", cons._tangent_terms(f), b, b)
+        ref = ref[:, :, stab._ROW, stab._COL]
+        for k in range(5):
+            for p in range(len(f)):
+                scale = np.abs(ref[p, k]).max()
+                assert np.abs(terms[p, k] - ref[p, k]).max() <= 1e-13 * scale
+
+    def test_runtime_path_builds_no_fourth_order_tangent(self, rng, monkeypatch):
+        law = random_laws()[1]
+        lam = np.linspace(0.4, 3.5, 5)
+        directions = stab.direction_set(count=40)
+        f = unimodular_block(rng, count=3)
+        b = rng.standard_normal((4, 3))
+        scan = stab.scan_invariant_plane(law, [[0.2], [0.7]], lam, lam, directions)
+        q = stab.acoustic_tensor(law, f, T0, b)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the fourth-order path was used")
+
+        # replace each function in every module that holds it, including
+        # modules that imported it by name
+        for original in (cons._tangent_terms, kin.invariant_derivatives,
+                         kin.cross_operator, kin.tensor_cross):
+            for module in (cons, kin, nets, stab):
+                for name, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, name, forbidden)
+        again = stab.scan_invariant_plane(law, [[0.2], [0.7]], lam, lam, directions)
+        assert [outcome(p) for p in again.points] == [outcome(p) for p in scan.points]
+        assert again.per_parameter == scan.per_parameter
+        np.testing.assert_array_equal(stab.acoustic_tensor(law, f, T0, b), q)
+        con, geo = stab.hessian_decomposition(law, f[0], T0)
+        assert np.isfinite(con(b[0], b[1]) + geo(b[0], b[1]))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
+    def test_error_types(self, rng):
+        f = unimodular_block(rng, count=3)
+        b = rng.standard_normal((4, 3))
+        bad = f.copy()
+        bad[1, 0, 0] = np.nan
+        with pytest.raises(InvertedConfigurationError):
+            stab._acoustic_geometry(bad, b)
+        off = f.copy()
+        off[1] *= 1.01
+        with pytest.raises(NotIsochoricError):
+            stab._acoustic_geometry(off, b)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
+    def test_nan_point_fails_alone_in_every_row(self, rng):
+        f = unimodular_block(rng, count=3)
+        f[1, 0, 0] = np.nan
+        weights = rng.uniform(0.1, 1.0, (2, 3, 5))
+        minima = np.full((2, 3, 2), np.nan)
+        errors = np.full((2, 3), None, dtype=object)
+        stab._scan_block(f, stab.direction_set(count=20).vectors, weights, minima,
+                         errors)
+        assert errors[:, 1].tolist() == [
+            "InvertedConfigurationError: invariant derivatives require det f > 0"
+        ] * 2
+        assert errors[:, ::2].tolist() == [[None, None]] * 2
+        assert np.isfinite(minima[:, ::2]).all()
+
+
 class TestEllipticity:
     def test_neo_hookean_everywhere(self, directions):
         law = cons.neo_hookean(0.5)
@@ -319,7 +402,46 @@ class TestBatchedConditions:
             assert p.be_ok == stab.baker_ericksen_check(law, p.f, p.t)
 
 
+def tensor_cross_decomposition(law, f, par):
+    """The two parts of the rank-one quadratic form from their Levi-Civita
+    definitions, through ``kinematics.tensor_cross``."""
+    i1, i2 = kin.isochoric_invariants(f)
+    coef = law.coefficients(i1, i2, par)
+    hess = law.hessian(i1, i2, par)
+    h_cof = kin.tensor_cross(f, f) / 2.0
+
+    def constitutive_term(a, b):
+        incr = np.outer(a, b)
+        w1 = float(np.sum(f * incr))
+        w2 = float(np.sum(h_cof * kin.tensor_cross(incr, f)))
+        return 4.0 * (float(hess[..., 0, 0]) * w1 * w1
+                      + 2.0 * float(hess[..., 0, 1]) * w1 * w2
+                      + float(hess[..., 1, 1]) * w2 * w2)
+
+    def geometric_term(a, b):
+        incr = np.outer(a, b)
+        cross = kin.tensor_cross(incr, f)
+        return 2.0 * (float(coef[..., 0]) * float(np.sum(incr * incr))
+                      + float(coef[..., 1]) * float(np.sum(cross * cross)))
+
+    return constitutive_term, geometric_term
+
+
 class TestHessianDecomposition:
+    def test_closed_forms_match_tensor_cross_reference(self, rng):
+        for law in random_laws():
+            t = rng.uniform(0.0, 1.0, 1)
+            for _ in range(10):
+                f = kin.random_unimodular(rng, spread=0.8)
+                got = stab.hessian_decomposition(law, f, t)
+                ref = tensor_cross_decomposition(law, f, t)
+                a = rng.standard_normal(3)
+                b = rng.standard_normal(3) * rng.uniform(0.2, 5.0)
+                for term, ref_term in zip(got, ref):
+                    assert term(a, b) == pytest.approx(
+                        ref_term(a, b), rel=1e-12, abs=1e-300
+                    )
+
     def test_sum_equals_full_contraction(self, rng):
         model = nets.build_model(nets.Architecture.MONOTONIC, 5, 1, rng)
         law = cons.as_law(model)
