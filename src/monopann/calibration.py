@@ -184,11 +184,23 @@ def load_datasets(paths) -> Dataset:
 
 
 def split_by_parameter(dataset: Dataset, holdout_raw_values, atol=1e-12) -> Dataset:
-    """Move samples whose raw parameter matches any holdout value to the test set."""
+    """Move samples whose raw parameter matches any holdout value to the test set.
+
+    Raises ``ValueError`` for a holdout value that is not finite or that
+    matches no sample, either of which would silently hold out nothing.
+    """
     holdout = np.atleast_1d(np.asarray(holdout_raw_values, dtype=float))
-    mask = np.any(
-        np.abs(dataset.param_raw[:, None] - holdout[None, :]) <= atol, axis=1
-    )
+    if not np.all(np.isfinite(holdout)):
+        raise ValueError(
+            f"holdout parameter values must be finite, got {holdout.tolist()}"
+        )
+    matches = np.abs(dataset.param_raw[:, None] - holdout[None, :]) <= atol
+    unmatched = holdout[~matches.any(axis=0)]
+    if unmatched.size:
+        raise ValueError(
+            f"holdout parameter values match no sample: {unmatched.tolist()}"
+        )
+    mask = matches.any(axis=1)
     return replace(
         dataset,
         calibration_indices=np.flatnonzero(~mask),

@@ -45,6 +45,8 @@ def _grid(text) -> np.ndarray:
     values = _floats(text)
     if len(values) != 3:
         raise ValueError("grid must be min,max,count")
+    if not values[2].is_integer():
+        raise ValueError(f"grid count must be a whole number, got {values[2]:g}")
     return np.linspace(values[0], values[1], int(values[2]))
 
 

@@ -34,6 +34,7 @@ derivatives vanish, because ``eps_IJK B_I B_K = 0``.
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -67,6 +68,7 @@ __all__ = [
 
 ELLIPTICITY_TOLERANCE = 1e-8
 BAKER_ERICKSEN_TOLERANCE = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 class DirectionGenerator(Enum):
@@ -126,6 +128,7 @@ def _vectors(directions) -> np.ndarray:
 _ROW = np.array([0, 1, 2, 0, 0, 1])
 _COL = np.array([0, 1, 2, 1, 2, 2])
 _FULL = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+_SYMMETRIC = list(zip(_ROW.tolist(), _COL.tolist()))
 
 
 # The acoustic geometry in rank-one closed form (see _acoustic_geometry).
@@ -166,16 +169,75 @@ _TERM_WEIGHTS = np.array([
 ])
 
 
-def _acoustic_geometry(f: np.ndarray, directions: np.ndarray):
+def _geometry_shapes(count: int, dirs: int):
+    """Shapes of the geometry of a block of ``count`` points and ``dirs``
+    directions: coefficients, dyads and normals (see _acoustic_geometry)."""
+    return (count, 5, 54), (9, dirs), (6, count, dirs)
+
+
+def _geometry_scratch_shapes(count: int, dirs: int):
+    """Shapes of the geometry's intermediates: the left and right factors of
+    the basis, then ``n = F^-T B`` and ``|n|``."""
+    return (count, 702), (count, 702), (3, count, dirs), (count, dirs)
+
+
+def _condition_shapes(count: int, dirs: int):
+    """Shapes of the intermediates of _conditions: one row's coefficients of
+    ``B_I B_J``, point-major and component-major, Q, cof Q, then seven
+    (P, D) planes."""
+    planes = ((count, dirs),) * 7
+    return ((count, 1, 54), (6, count, 9), (6, count, dirs), (6, count, dirs)) + planes
+
+
+def _size(shapes) -> int:
+    return sum(math.prod(shape) for shape in shapes)
+
+
+def _workspace(count: int, dirs: int) -> np.ndarray:
+    """Scratch memory for blocks of up to ``count`` points and ``dirs``
+    directions: one flat buffer that _acoustic_geometry and _conditions
+    split into views with _carve.
+
+    The geometry comes first and is kept for every parameter row; behind it,
+    the geometry's intermediates and then those of the conditions share the
+    rest.  Every intermediate of size (P, D) or larger is written into a
+    view with ``out=``, so that a scan allocates almost nothing per block:
+    large temporaries freed and taken again per block made the C heap return
+    memory to the system and fault it back in.  Nothing is read from the
+    buffer before it is written in the same block.
+    """
+    scratch = max(_size(_geometry_scratch_shapes(count, dirs)),
+                  _size(_condition_shapes(count, dirs)))
+    return np.empty(_size(_geometry_shapes(count, dirs)) + scratch)
+
+
+def _carve(work: np.ndarray, shapes):
+    """Consecutive views of the flat buffer ``work`` with the given shapes,
+    and the rest of the buffer."""
+    views = []
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(work[:size].reshape(shape))
+        work = work[size:]
+    return views, work
+
+
+def _acoustic_geometry(f: np.ndarray, directions: np.ndarray, work: np.ndarray):
     """The law-independent part of the acoustic tensors of a block of points.
 
-    ``f`` is (P, 3, 3) and ``directions`` (D, 3).  Returns ``(terms,
-    normals)``: ``terms`` (P, 5, 6 D) holds the six symmetric components of
-    the acoustic tensor of each of the five tangent terms (see
-    ``constitutive._tangent_terms``) for every direction, and ``normals``
-    (6, P, D) the components of ``m o m`` for the unit normals
+    ``f`` is (P, 3, 3), ``directions`` (D, 3) and ``work`` a buffer from
+    :func:`_workspace` sized for at least P points and D directions.
+    Returns ``(coefficients, dyads, normals)``, views of ``work``:
+    ``coefficients`` (P, 5, 54) holds, for each of the five tangent terms
+    (see ``constitutive._tangent_terms``), the coefficients of ``B_I B_J``
+    in the six symmetric components of its acoustic tensor, laid out as
+    (6, 9); ``dyads`` (9, D) the products ``B_I B_J`` of every direction, so
+    that ``coefficients @ dyads`` are the terms' acoustic tensors; and
+    ``normals`` (6, P, D) the components of ``m o m`` for the unit normals
     ``m = n / |n|``, ``n = F^-T B``, with the off-diagonal ones doubled, so
     that ``m.Sm`` is the dot product with the components of a symmetric S.
+    The results and every intermediate of size (P, D) or larger, the basis
+    gathers included, are written into ``work`` with ``out=``.
 
     No fourth-order tensor is formed.  Contracted with ``B_I B_J``, an
     outer product ``X o Y`` of 3x3 tensors gives ``(XB)_i (YB)_j``, and
@@ -188,13 +250,14 @@ def _acoustic_geometry(f: np.ndarray, directions: np.ndarray):
     of I2 the ``x_f o x_f`` part, which contracts to
     ``2 J^-4/3 [(FB) o (FB) - |B|^2 F F^T - (|FB|^2 - |B|^2 |F|^2) I]``.
     Each term is a weighted sum over a per-point basis of 13 such tensors,
-    one (P, 5, 13) @ (P, 13, 6 x 9) product, and one product with the
-    dyads ``B_I B_J`` gives its acoustic tensors.
+    one (P, 5, 13) @ (P, 13, 54) product.
 
     Raises ``NotIsochoricError`` where ``|det F - 1|`` exceeds the tolerance
     and ``InvertedConfigurationError`` where det F is not finite.
     """
-    count = len(f)
+    count, dirs = len(f), len(directions)
+    (coefficients, dyads, normals), rest = _carve(work, _geometry_shapes(count, dirs))
+    (left, right, n, norm), _ = _carve(rest, _geometry_scratch_shapes(count, dirs))
     det = _check_isochoric(f)
     if not np.all(np.isfinite(det)):
         raise InvertedConfigurationError("invariant derivatives require det f > 0")
@@ -216,7 +279,11 @@ def _acoustic_geometry(f: np.ndarray, directions: np.ndarray):
         [x.reshape(count, 9) for x in (d1, d2, h, f, g2, f @ f_t, c)] + [zero, one],
         axis=1,
     )
-    basis = (flat[:, _BASIS_LEFT] * flat[:, _BASIS_RIGHT]).reshape(count, 13, 54)
+    # mode "clip" (the indices are in range) lets take write into ``out``
+    # directly; the default mode buffers ``out`` in a temporary copy
+    np.take(flat, _BASIS_LEFT, axis=1, out=left, mode="clip")
+    np.take(flat, _BASIS_RIGHT, axis=1, out=right, mode="clip")
+    basis = np.multiply(left, right, out=left).reshape(count, 13, 54)
     # the weights 0 and 1, then per invariant (p = -2/3 for I1, -4/3 for I2)
     # p (p - 1) J^(p-2) |.|^2 for h o h, p J^(p-1) times the factor of the
     # raw gradient (2F, g2) for the mixed pairs with h, and 2 J^p for the
@@ -228,21 +295,18 @@ def _acoustic_geometry(f: np.ndarray, directions: np.ndarray):
         ], axis=1)],
         axis=1,
     )
-    terms = (point_weights[:, _TERM_WEIGHTS] @ basis).reshape(-1, 9)
-    dyads = (directions.T[:, None] * directions.T[None, :]).reshape(9, -1)
-    # Terms and normals are written in place into one allocation.  As
-    # separate arrays, in some process layouts, the C heap returned about
-    # 1.7 MB to the system after every block and faulted it back in: 4x the
-    # minor page faults and a 25% slower scan on a 2-vCPU x86-64 host.
-    size = count * 30 * len(directions)
-    out = np.empty(size + 6 * count * len(directions))
-    np.matmul(terms, dyads, out=out[:size].reshape(count * 30, -1))
-    n = finv_t @ directions.T  # (P, 3, D)
-    m = (n / np.sqrt(np.einsum("pid,pid->pd", n, n))[:, None]).transpose(1, 0, 2)
-    normals = out[size:].reshape(6, count, -1)
-    np.multiply(m[_ROW], m[_COL], out=normals)
+    np.matmul(point_weights[:, _TERM_WEIGHTS], basis, out=coefficients)
+    b_t = directions.T
+    np.multiply(b_t[:, None], b_t[None, :], out=dyads.reshape(3, 3, dirs))
+    # n component-major (3, P, D), so that each component is contiguous
+    rows = np.ascontiguousarray(finv_t.transpose(1, 0, 2)).reshape(3 * count, 3)
+    np.matmul(rows, b_t, out=n.reshape(3 * count, dirs))
+    np.sqrt(np.einsum("ipd,ipd->pd", n, n, out=norm), out=norm)
+    m = np.divide(n, norm, out=n)
+    for s, (i, j) in enumerate(_SYMMETRIC):
+        np.multiply(m[i], m[j], out=normals[s])
     normals[3:] *= 2.0
-    return out[:size].reshape(count, 5, -1), normals
+    return coefficients, dyads, normals
 
 
 def _point_weights(law, f: np.ndarray, par) -> np.ndarray:
@@ -260,23 +324,36 @@ def acoustic_tensor(law, f, par, b: np.ndarray) -> np.ndarray:
     """
     f = np.asarray(f, dtype=float)
     b = np.asarray(b, dtype=float)
-    points = f.reshape(-1, 3, 3)
-    terms, _ = _acoustic_geometry(points, b.reshape(-1, 3))
+    points, vectors = f.reshape(-1, 3, 3), b.reshape(-1, 3)
+    work = _workspace(len(points), len(vectors))
+    coefficients, dyads, _ = _acoustic_geometry(points, vectors, work)
     weights = _point_weights(as_law(law), points, par)
-    q = (weights[:, None, :] @ terms).reshape(len(points), 6, -1)
+    q = (weights[:, None, :] @ coefficients).reshape(len(points), 6, 9) @ dyads
     q = np.moveaxis(q[:, _FULL], -1, 1)
     return q.reshape(f.shape[:-2] + b.shape[:-1] + (3, 3))
 
 
-def _conditions(geometry, weights: np.ndarray):
-    """Normalized condition values ``(c1, c2), (d1, d2, d3)``, each (P, D),
-    of a block whose geometry is :func:`_acoustic_geometry` and whose tangent
-    weights (P, 5) are ``constitutive._tangent_weights``.
+def _sub_products(out, x, y, u, v, scratch):
+    """``out = x y - u v``, elementwise and in place."""
+    np.multiply(x, y, out=out)
+    out -= np.multiply(u, v, out=scratch)
 
-    With the components ``(a, b, c, d, e, f)`` of the symmetric acoustic
-    tensor Q and the closed forms ``Q x Q = 2 cof Q`` and
-    ``Q x I = (tr Q) I - Q``, the values before normalization (see the
-    module docstring) are
+
+def _conditions(geometry, weights: np.ndarray, work: np.ndarray):
+    """Normalized condition values ``(c1, c2), (d1, d2, d3)``, each (P, D),
+    of one parameter row of a block whose geometry is
+    :func:`_acoustic_geometry` and whose tangent weights (P, 5) are
+    ``constitutive._tangent_weights``.
+
+    The values are views of ``work``, the buffer the geometry was built in,
+    and the next call overwrites them; every intermediate is written into
+    ``work`` with ``out=``.  The row's (6, P, 9) coefficients
+    make one ``(6 P, 9) @ (9, D)`` product, which writes Q component-major
+    (6, P, D), so that each component is contiguous.  Q is divided by its
+    Frobenius norm ``|Q|`` first, which normalizes every value at once (see
+    the module docstring).  With the components ``(a, b, c, d, e, f)`` of
+    the symmetric, normalized acoustic tensor Q and the closed forms
+    ``Q x Q = 2 cof Q`` and ``Q x I = (tr Q) I - Q``, the values are
 
         c1 = 2 m.cof(Q)m,  c2 = tr Q - m.Qm,
         d1 = 2 cof(Q):Q = 6 det Q,  d2 = 2 tr cof Q,  d3 = 2 tr Q,
@@ -284,33 +361,47 @@ def _conditions(geometry, weights: np.ndarray):
     with the unit normal m; the incompressible pair is thereby already
     divided by ``|n|^2``.
     """
-    terms, normals = geometry
-    q = weights[:, None, :] @ terms
-    # component-major (6, P, D), so that each component is contiguous
-    q = q.reshape(len(weights), 6, -1).transpose(1, 0, 2).copy()
+    coefficients, dyads, normals = geometry
+    count, dirs = len(weights), dyads.shape[1]
+    rest = work[_size(_geometry_shapes(count, dirs)):]
+    (row, tensor, q, cof, c1, c2, d1, d2, d3, tr_q, tmp), _ = _carve(
+        rest, _condition_shapes(count, dirs)
+    )
+    np.matmul(weights[:, None, :], coefficients, out=row)
+    np.copyto(tensor, row.reshape(count, 6, 9).transpose(1, 0, 2))
+    np.matmul(tensor.reshape(6 * count, 9), dyads, out=q.reshape(6 * count, dirs))
+    # |Q|, with the off-diagonal components counted twice.  Every value is
+    # homogeneous in Q, so where Q = 0 all of them are exactly 0; raising
+    # that norm to the smallest normal float keeps its reciprocal finite
+    # (a nonzero |Q| is at least 1e-162, the root of the least subnormal)
+    norm = np.einsum("spd,spd->pd", q, q, out=tmp)
+    norm += np.einsum("spd,spd->pd", q[3:], q[3:], out=tr_q)
+    np.sqrt(norm, out=norm)
+    np.maximum(norm, _TINY, out=norm)
+    q *= np.divide(1.0, norm, out=norm)
     a, b, c, d, e, f = q
-    cof = np.stack(
-        [b * c - f * f, a * c - e * e, a * b - d * d,
-         e * f - c * d, d * f - b * e, d * e - a * f]
-    )
-    tr_q = a + b + c
-    tr_cof = cof[0] + cof[1] + cof[2]
-    det = a * cof[0] + d * cof[3] + e * cof[4]
-    m_q_m = np.einsum("spd,spd->pd", normals, q)
-    m_cof_m = np.einsum("spd,spd->pd", normals, cof)
-    # |Q|, with the off-diagonal components counted twice
-    qnorm = np.sqrt(
-        np.einsum("spd,spd->pd", q, q) + np.einsum("spd,spd->pd", q[3:], q[3:])
-    )
-    # every value is homogeneous of degree k in Q; where Q = 0 all of them
-    # are exactly 0, so dividing by 1 there leaves the degenerate pass
-    scale = np.where(qnorm == 0.0, 1.0, qnorm)
+    _sub_products(cof[0], b, c, f, f, tmp)
+    _sub_products(cof[1], a, c, e, e, tmp)
+    _sub_products(cof[2], a, b, d, d, tmp)
+    _sub_products(cof[3], e, f, c, d, tmp)
+    _sub_products(cof[4], d, f, b, e, tmp)
+    _sub_products(cof[5], d, e, a, f, tmp)
+    np.add(a, b, out=tr_q)
+    tr_q += c
 
-    c1 = 2.0 * m_cof_m / scale**2
-    c2 = (tr_q - m_q_m) / scale
-    d1 = 6.0 * det / scale**3
-    d2 = 2.0 * tr_cof / scale**2
-    d3 = 2.0 * tr_q / scale
+    np.einsum("spd,spd->pd", normals, cof, out=c1)
+    c1 *= 2.0
+    np.einsum("spd,spd->pd", normals, q, out=c2)
+    np.subtract(tr_q, c2, out=c2)
+    # 6 det Q, expanded along the first row
+    np.multiply(a, cof[0], out=d1)
+    d1 += np.multiply(d, cof[3], out=tmp)
+    d1 += np.multiply(e, cof[4], out=tmp)
+    d1 *= 6.0
+    np.add(cof[0], cof[1], out=d2)
+    d2 += cof[2]
+    d2 *= 2.0
+    np.multiply(tr_q, 2.0, out=d3)
     return (c1, c2), (d1, d2, d3)
 
 
@@ -323,8 +414,10 @@ def _condition_values(law, f, par, directions: np.ndarray):
     """
     law = as_law(law)
     f = np.asarray(f, dtype=float).reshape(-1, 3, 3)
-    geometry = _acoustic_geometry(f, np.asarray(directions, dtype=float))
-    return _conditions(geometry, _point_weights(law, f, par))
+    directions = np.asarray(directions, dtype=float)
+    work = _workspace(len(f), len(directions))
+    geometry = _acoustic_geometry(f, directions, work)
+    return _conditions(geometry, _point_weights(law, f, par), work)
 
 
 def ellipticity_incompressible(law, f, par, directions) -> tuple[bool, float]:
@@ -359,6 +452,10 @@ def hessian_decomposition(law, f, par):
     increments in the unit-determinant tangent plane their sum equals the
     full contraction of :func:`pk1_tangent`.
 
+    ``f`` is (3, 3) or (..., 3, 3), and the evaluators take ``a`` and ``B``
+    as (3,) or (..., 3); the three leading shapes broadcast, and so does
+    ``par`` as the law allows.  A single point and pair give a scalar.
+
     Both are closed forms in ``a`` and ``B``.  With ``C = F^T F``,
     ``w1 = a.F B`` and ``w2 = a.(|F|^2 F - F C) B``, the constitutive term
     is ``4 (psi_11 w1^2 + 2 psi_12 w1 w2 + psi_22 w2^2)`` and the geometric
@@ -368,32 +465,36 @@ def hessian_decomposition(law, f, par):
     """
     law = as_law(law)
     f = np.asarray(f, dtype=float)
+    f_t = np.swapaxes(f, -1, -2)
     i1, i2 = isochoric_invariants(f)
     coef = law.coefficients(i1, i2, par)
     hess = law.hessian(i1, i2, par)
-    f_sq = float(np.sum(f * f))
+    f_sq = np.einsum("...ij,...ij->...", f, f)
     # |F|^2 F - F C, half the derivative of |cof F|^2
-    g = f_sq * f - f @ f.T @ f
+    g = f_sq[..., None, None] * f - f @ f_t @ f
+
+    def apply(x, v):
+        return np.einsum("...ij,...j->...i", x, v)
+
+    def dot(u, v):
+        return np.einsum("...i,...i->...", u, v)
 
     def constitutive_term(a, b):
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        w1 = float(a @ f @ b)
-        w2 = float(a @ g @ b)
-        return 4.0 * (
-            float(hess[..., 0, 0]) * w1 * w1
-            + 2.0 * float(hess[..., 0, 1]) * w1 * w2
-            + float(hess[..., 1, 1]) * w2 * w2
-        )
+        w1, w2 = dot(a, apply(f, b)), dot(a, apply(g, b))
+        return (4.0 * (
+            hess[..., 0, 0] * w1 * w1
+            + 2.0 * hess[..., 0, 1] * w1 * w2
+            + hess[..., 1, 1] * w2 * w2
+        ))[()]
 
     def geometric_term(a, b):
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        fb, fta = f @ b, f.T @ a
-        aa, bb = float(a @ a), float(b @ b)
-        cross_sq = (float(a @ fb) ** 2 - bb * float(fta @ fta)
-                    - aa * float(fb @ fb) + aa * bb * f_sq)
-        return 2.0 * (
-            float(coef[..., 0]) * aa * bb + float(coef[..., 1]) * cross_sq
-        )
+        fb, fta = apply(f, b), apply(f_t, a)
+        aa, bb = dot(a, a), dot(b, b)
+        cross_sq = (dot(a, fb) ** 2 - bb * dot(fta, fta) - aa * dot(fb, fb)
+                    + aa * bb * f_sq)
+        return (2.0 * (coef[..., 0] * aa * bb + coef[..., 1] * cross_sq))[()]
 
     return constitutive_term, geometric_term
 
@@ -468,7 +569,8 @@ class StabilityReport:
 
 
 # Upper bound on the point-direction pairs evaluated together; it caps the
-# scan's scratch memory independently of the grid size.
+# scan's scratch memory independently of the grid size: one workspace of
+# 25 to 35 floats per pair, 0.9 MB at 200 directions, made once per scan.
 _BLOCK_PAIRS = 4096
 # errors that fail a scan point instead of the scan
 _POINT_ERRORS = (MonopannError, np.linalg.LinAlgError)
@@ -503,18 +605,18 @@ def _row_law_values(law, t, i1, i2, errors):
     return coef, weights
 
 
-def _scan_block(f, vectors, weights, minima, errors) -> None:
+def _scan_block(f, vectors, weights, minima, errors, work) -> None:
     """Smallest incompressible and compressible condition values of a block
     of points in every parameter row.
 
     ``weights`` (R, P, 5) are the rows' tangent weights; the results go to
-    ``minima`` (R, P, 2).  The geometry is built once and shared by the
-    rows.  If building it raises a point error, the points are evaluated
-    one by one, and a point that raises it records the reason in
-    ``errors`` (R, P) in every row.
+    ``minima`` (R, P, 2).  ``work`` is the scan's :func:`_workspace`.  The
+    geometry is built once and shared by the rows.  If building it raises a
+    point error, the points are evaluated one by one, and a point that
+    raises it records the reason in ``errors`` (R, P) in every row.
     """
     try:
-        geometry = _acoustic_geometry(f, vectors)
+        geometry = _acoustic_geometry(f, vectors, work)
     except _POINT_ERRORS as exc:
         if len(f) == 1:
             errors[:, 0] = _describe(exc)
@@ -522,12 +624,13 @@ def _scan_block(f, vectors, weights, minima, errors) -> None:
         for k in range(len(f)):
             part = slice(k, k + 1)
             _scan_block(f[part], vectors, weights[:, part], minima[:, part],
-                        errors[:, part])
+                        errors[:, part], work)
         return
     for row, out in zip(weights, minima):
-        (c1, c2), (d1, d2, d3) = _conditions(geometry, row)
-        out[:, 0] = np.minimum(c1, c2).min(axis=-1)
-        out[:, 1] = np.minimum(np.minimum(d1, d2), d3).min(axis=-1)
+        (c1, c2), (d1, d2, d3) = _conditions(geometry, row, work)
+        np.minimum(c1, c2, out=c1).min(axis=-1, out=out[:, 0])
+        np.minimum(d1, d2, out=d1)
+        np.minimum(d1, d3, out=d1).min(axis=-1, out=out[:, 1])
 
 
 def scan_invariant_plane(
@@ -578,56 +681,57 @@ def scan_invariant_plane(
     weights = np.stack([row_weights for _, row_weights in rows])
     minima = np.full((len(param_grid), len(f), 2), np.nan)
     block = max(_BLOCK_PAIRS // len(vectors), 1)
+    work = _workspace(min(block, len(f)), len(vectors))
     for start in range(0, len(f), block):
         part = slice(start, start + block)
         _scan_block(f[part], vectors, weights[:, part], minima[:, part],
-                    errors[:, part])
+                    errors[:, part], work)
 
-    columns = {
-        "min_value": minima[..., 0],
-        "elliptic": minima[..., 0] >= -ELLIPTICITY_TOLERANCE,
-        "compressible_min_value": minima[..., 1],
-        "compressible_elliptic": minima[..., 1] >= -ELLIPTICITY_TOLERANCE,
-        "be_ok": _baker_ericksen(coef, stretches),
-        "mono_ok": np.all(coef >= -BAKER_ERICKSEN_TOLERANCE, axis=-1),
+    # the records, built column by column; a failed point keeps the
+    # defaults of PointRecord for its verdicts and values
+    finite = np.isfinite(minima).all(axis=-1)
+    errors[np.equal(errors, None) & ~finite] = "non-finite condition values"
+    ok = np.equal(errors, None)
+    columns = {  # in the field order of PointRecord
+        "elliptic": ok & (minima[..., 0] >= -ELLIPTICITY_TOLERANCE),
+        "min_value": np.where(ok, minima[..., 0], np.nan),
+        "compressible_elliptic": ok & (minima[..., 1] >= -ELLIPTICITY_TOLERANCE),
+        "compressible_min_value": np.where(ok, minima[..., 1], np.nan),
+        "be_ok": ok & _baker_ericksen(coef, stretches),
+        "mono_ok": ok & np.all(coef >= -BAKER_ERICKSEN_TOLERANCE, axis=-1),
     }
-    columns = {name: column.tolist() for name, column in columns.items()}
-    finite = np.isfinite(minima).all(axis=-1).tolist()
-    coords = list(zip(lam1.tolist(), lam2.tolist(), f, i1.tolist(), i2.tolist()))
-    points = []
+    t_rows = list(param_grid)
+    repeat = len(t_rows)
+    points = list(map(
+        PointRecord,
+        lam1.tolist() * repeat, lam2.tolist() * repeat, list(f) * repeat,
+        i1.tolist() * repeat, i2.tolist() * repeat,
+        [t for t in t_rows for _ in range(len(f))],
+        *(column.ravel().tolist() for column in columns.values()),
+        errors.ravel().tolist(),
+    ))
+    passed = np.count_nonzero(ok, axis=-1).tolist()
+    counts = {name: np.count_nonzero(columns[name], axis=-1).tolist()
+              for name in ("elliptic", "compressible_elliptic", "be_ok", "mono_ok")}
     per_parameter = []
-    for r, t in enumerate(param_grid):
-        t_points = []
-        for k, (l1, l2, fk, j1, j2) in enumerate(coords):
-            record = PointRecord(l1, l2, fk, j1, j2, t)
-            if errors[r, k] is not None:
-                record.error = errors[r, k]
-            elif not finite[r][k]:
-                record.error = "non-finite condition values"
-            else:
-                for name, column in columns.items():
-                    setattr(record, name, column[r][k])
-            t_points.append(record)
-        points.extend(t_points)
-        ok = [p for p in t_points if p.error is None]
-        denom = max(len(ok), 1)
+    for r, t in enumerate(t_rows):
+        denom = max(passed[r], 1)
         per_parameter.append(
             {
                 "t": [float(v) for v in t],
-                "points": len(t_points),
-                "failed_points": len(t_points) - len(ok),
-                "elliptic_fraction": sum(p.elliptic for p in ok) / denom,
-                "compressible_fraction": sum(p.compressible_elliptic for p in ok)
-                / denom,
-                "be_fraction": sum(p.be_ok for p in ok) / denom,
-                "mono_fraction": sum(p.mono_ok for p in ok) / denom,
+                "points": len(f),
+                "failed_points": len(f) - passed[r],
+                "elliptic_fraction": counts["elliptic"][r] / denom,
+                "compressible_fraction": counts["compressible_elliptic"][r] / denom,
+                "be_fraction": counts["be_ok"][r] / denom,
+                "mono_fraction": counts["mono_ok"][r] / denom,
             }
         )
     region = {
         "lambda1": [float(lambda1_values.min()), float(lambda1_values.max())],
         "lambda2": [float(lambda2_values.min()), float(lambda2_values.max())],
-        "i1": [min(p.i1 for p in points), max(p.i1 for p in points)],
-        "i2": [min(p.i2 for p in points), max(p.i2 for p in points)],
+        "i1": [float(i1.min()), float(i1.max())],
+        "i2": [float(i2.min()), float(i2.max())],
     }
     return StabilityReport(
         points, per_parameter, region, directions.count, law.label

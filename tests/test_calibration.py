@@ -88,6 +88,16 @@ class TestDataset:
         assert len(split.calibration_indices) == 8
         assert set(split.param_raw[split.test_indices]) == {0.5}
 
+    @pytest.mark.parametrize("holdout, message", [([np.nan], "finite"),
+                                                  ([0.5, np.inf], "finite"),
+                                                  ([0.9, 0.42], "match no sample")])
+    def test_split_by_parameter_rejects_a_value_that_holds_out_nothing(
+        self, holdout, message
+    ):
+        ds = cal.generate_synthetic(oracle_law(), np.linspace(1.0, 2.0, 5), [0.1, 0.9])
+        with pytest.raises(ValueError, match=message):
+            cal.split_by_parameter(ds, holdout)
+
     def test_split_by_stretch(self):
         ds = neo_hookean_dataset()
         split = cal.split_by_stretch(ds, 1.5)

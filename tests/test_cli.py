@@ -126,6 +126,20 @@ class TestCalibrate:
         assert "finite" in capsys.readouterr().err
         assert not list(out.glob("*.json"))
 
+    @pytest.mark.parametrize("value, message", [("nan", "finite"),
+                                                ("0.42", "match no sample")])
+    def test_holdout_value_that_holds_out_nothing_rejected(
+        self, tmp_path, small_dataset, value, message, capsys
+    ):
+        out = tmp_path / "models"
+        assert run(
+            "calibrate", "--data", data_arg(small_dataset), "--nodes", 4,
+            "--epochs", 5, "--restarts", 1, "--holdout-params", value,
+            "--out", out,
+        ) == 1
+        assert message in capsys.readouterr().err
+        assert not list(out.glob("*.json"))
+
     def test_holdout_split_evaluated(self, tmp_path, small_dataset):
         models = tmp_path / "models"
         assert run(
@@ -171,6 +185,17 @@ class TestScan:
         assert header == ["t", "lambda1", "lambda2", "i1", "i2", "elliptic",
                           "min_value", "be_ok"]
         assert all(row[5] == "true" for row in rows)
+
+    def test_fractional_grid_count_rejected(self, tmp_path, capsys):
+        # int(2.5) would silently scan 2 values
+        out = tmp_path / "scan"
+        assert run(
+            "scan", "--law", "neo-hookean", "--c", "0.5", "--t-values", "0",
+            "--lambda1", "0.5,3.0,2.5", "--lambda2", "0.6,2.0,4",
+            "--directions", 8, "--out", out,
+        ) == 1
+        assert "whole number" in capsys.readouterr().err
+        assert not list(out.glob("*"))
 
     def test_missing_model_exits_with_file_not_found(self, tmp_path, capsys):
         code = run("scan", "--model", tmp_path / "absent.json", "--out", tmp_path)

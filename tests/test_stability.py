@@ -183,8 +183,13 @@ class TestClosedFormGeometry:
     def test_each_term_matches_fourth_order_contraction(self, rng):
         f = unimodular_block(rng)
         b = rng.standard_normal((9, 3)) * rng.uniform(0.2, 5.0, (9, 1))
-        terms, _ = stab._acoustic_geometry(f, b)
-        terms = terms.reshape(len(f), 5, 6, len(b))
+        work = stab._workspace(len(f), len(b))
+        coefficients, dyads, _ = stab._acoustic_geometry(f, b, work)
+        np.testing.assert_array_equal(
+            dyads, np.einsum("dI,dJ->IJd", b, b).reshape(9, len(b))
+        )
+        terms = np.einsum("ptsIJ,dI,dJ->ptsd",
+                          coefficients.reshape(len(f), 5, 6, 3, 3), b, b)
         ref = np.einsum("ptiIjJ,dI,dJ->ptijd", cons._tangent_terms(f), b, b)
         ref = ref[:, :, stab._ROW, stab._COL]
         for k in range(5):
@@ -223,14 +228,15 @@ class TestClosedFormGeometry:
     def test_error_types(self, rng):
         f = unimodular_block(rng, count=3)
         b = rng.standard_normal((4, 3))
+        work = stab._workspace(len(f), len(b))
         bad = f.copy()
         bad[1, 0, 0] = np.nan
         with pytest.raises(InvertedConfigurationError):
-            stab._acoustic_geometry(bad, b)
+            stab._acoustic_geometry(bad, b, work)
         off = f.copy()
         off[1] *= 1.01
         with pytest.raises(NotIsochoricError):
-            stab._acoustic_geometry(off, b)
+            stab._acoustic_geometry(off, b, work)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
     def test_nan_point_fails_alone_in_every_row(self, rng):
@@ -239,8 +245,9 @@ class TestClosedFormGeometry:
         weights = rng.uniform(0.1, 1.0, (2, 3, 5))
         minima = np.full((2, 3, 2), np.nan)
         errors = np.full((2, 3), None, dtype=object)
-        stab._scan_block(f, stab.direction_set(count=20).vectors, weights, minima,
-                         errors)
+        vectors = stab.direction_set(count=20).vectors
+        stab._scan_block(f, vectors, weights, minima, errors,
+                         stab._workspace(len(f), len(vectors)))
         assert errors[:, 1].tolist() == [
             "InvertedConfigurationError: invariant derivatives require det f > 0"
         ] * 2
@@ -380,9 +387,9 @@ class TestBatchedConditions:
         pairs = []
         geometry = stab._acoustic_geometry
 
-        def recording(f, vectors):
+        def recording(f, vectors, work):
             pairs.append(len(f) * len(vectors))
-            return geometry(f, vectors)
+            return geometry(f, vectors, work)
 
         monkeypatch.setattr(stab, "_acoustic_geometry", recording)
         report = stab.scan_invariant_plane(law, [[0.3], [0.8]], lam, lam, directions)
@@ -400,6 +407,28 @@ class TestBatchedConditions:
                 comp_low, rel=1e-12, abs=1e-12
             )
             assert p.be_ok == stab.baker_ericksen_check(law, p.f, p.t)
+
+    @pytest.mark.parametrize("law_index", [2, 4])
+    def test_scan_reads_no_unwritten_workspace_entry(self, monkeypatch, law_index):
+        law = random_laws()[law_index]
+        directions = stab.direction_set(count=64)
+        lam = np.linspace(0.4, 3.5, 9)  # 81 points: blocks of 64 and 17
+        grid = [[0.3], [0.8]]
+        ref = stab.scan_invariant_plane(law, grid, lam, lam, directions)
+        workspace = stab._workspace
+        sizes = []
+
+        def nan_filled(count, dirs):
+            sizes.append((count, dirs))
+            work = workspace(count, dirs)
+            work.fill(np.nan)
+            return work
+
+        monkeypatch.setattr(stab, "_workspace", nan_filled)
+        got = stab.scan_invariant_plane(law, grid, lam, lam, directions)
+        assert sizes == [(64, 64)]
+        assert [outcome(p) for p in got.points] == [outcome(p) for p in ref.points]
+        assert stab.report_to_dict(got) == stab.report_to_dict(ref)
 
 
 def tensor_cross_decomposition(law, f, par):
@@ -441,6 +470,23 @@ class TestHessianDecomposition:
                     assert term(a, b) == pytest.approx(
                         ref_term(a, b), rel=1e-12, abs=1e-300
                     )
+
+    def test_batched_matches_per_point(self, rng):
+        for law in random_laws():
+            t = rng.uniform(0.0, 1.0, 1)
+            f = np.stack([kin.random_unimodular(rng, spread=0.8) for _ in range(6)])
+            # a carries an extra leading axis, which broadcasts against F and B
+            a = rng.standard_normal((4, 6, 3))
+            b = rng.standard_normal((6, 3)) * rng.uniform(0.2, 5.0, (6, 1))
+            batched = [term(a, b) for term in stab.hessian_decomposition(law, f, t)]
+            for p in range(len(f)):
+                single = stab.hessian_decomposition(law, f[p], t)
+                for got, term in zip(batched, single):
+                    assert got.shape == (4, 6)
+                    for r in range(len(a)):
+                        assert got[r, p] == pytest.approx(
+                            term(a[r, p], b[p]), rel=1e-12, abs=1e-300
+                        )
 
     def test_sum_equals_full_contraction(self, rng):
         model = nets.build_model(nets.Architecture.MONOTONIC, 5, 1, rng)
