@@ -1,0 +1,122 @@
+"""Agreement of the stability scan between two checkouts.
+
+Run from the repository root, for example against an unpacked copy of
+another commit::
+
+    python3 scripts/scan_agreement.py --parent ../parent --change .
+
+It scans a fixed set of laws with each checkout's ``src``, each in its own
+fresh interpreter: untrained networks of all four architectures (n = 6,
+seeds 11 to 13) and a Mooney-Rivlin law, on a 12x12 stretch grid over
+[0.3, 4], with 3 parameter rows and 150 Fibonacci directions.  It prints
+the worst deviation of the condition minima (absolute, or relative above
+1) and of the invariants i1, i2 (relative), and exits 1 if any verdict,
+``error`` or ``per_parameter`` entry differs, or if a minimum differs by
+more than ``MINIMUM_TOLERANCE``.
+"""
+
+import argparse
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+MINIMUM_TOLERANCE = 1e-12
+SEEDS = (11, 12, 13)
+NODES = 6
+GRID = (0.3, 4.0, 12)
+ROWS = [[0.0], [0.5], [1.0]]
+DIRECTIONS = 150
+EXACT = ("elliptic", "compressible_elliptic", "be_ok", "mono_ok", "error")
+MINIMA = ("min_value", "compressible_min_value")
+
+
+def scan_all(src: Path) -> dict:
+    """The scan report of every law, by label, computed with ``src``."""
+    sys.path.insert(0, str(src))
+    import numpy as np
+
+    from monopann import constitutive, networks, stability
+
+    laws = [
+        constitutive.NeuralLaw(
+            networks.build_model(arch, NODES, 1, np.random.default_rng(seed)),
+            label=f"{arch.value}-{seed}",
+        )
+        for arch in networks.Architecture for seed in SEEDS
+    ]
+    laws.append(constitutive.MooneyRivlin([0.1, 0.3], [-0.05, 0.02], [0.01, -0.04]))
+    lam = np.linspace(*GRID[:2], GRID[2])
+    directions = stability.direction_set(count=DIRECTIONS)
+    return {
+        law.label: stability.report_to_dict(
+            stability.scan_invariant_plane(law, ROWS, lam, lam, directions)
+        )
+        for law in laws
+    }
+
+
+def run_child(src: Path) -> dict:
+    done = subprocess.run(
+        [sys.executable, __file__, "--child", str(src)],
+        capture_output=True, text=True, check=True, timeout=1800,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def deviation(a, b, floor: float) -> float:
+    """``|a - b|`` relative to ``max(|a|, floor)``; 0 where both are missing,
+    infinite where only one is."""
+    if a is None or b is None:
+        return 0.0 if a is b else math.inf
+    return abs(a - b) / max(abs(a), floor)
+
+
+def compare(parent: dict, change: dict) -> tuple[list, float, float]:
+    """Differing exact entries, worst minimum deviation, worst invariant
+    deviation."""
+    if parent.keys() != change.keys():
+        return [f"laws differ: {sorted(parent)} vs {sorted(change)}"], 0.0, 0.0
+    diffs, worst_min, worst_inv = [], 0.0, 0.0
+    for label, old in parent.items():
+        new = change[label]
+        if old["per_parameter"] != new["per_parameter"]:
+            diffs.append(f"{label}: per_parameter differs")
+        for k, (p, q) in enumerate(zip(old["points"], new["points"], strict=True)):
+            diffs += [f"{label} point {k}: {key} {p[key]!r} -> {q[key]!r}"
+                      for key in EXACT if p[key] != q[key]]
+            worst_min = max([worst_min] + [deviation(p[key], q[key], 1.0)
+                                           for key in MINIMA])
+            worst_inv = max([worst_inv] + [deviation(p[key], q[key], 0.0)
+                                           for key in ("i1", "i2")])
+    return diffs, worst_min, worst_inv
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, help="checkout to compare against")
+    parser.add_argument("--change", type=Path, help="checkout under test")
+    parser.add_argument("--child", type=Path,
+                        help="scan with this src directory and print the reports")
+    args = parser.parse_args(argv)
+    if args.child is not None:
+        print(json.dumps(scan_all(args.child.resolve())))
+        return 0
+    if args.parent is None or args.change is None:
+        parser.error("--parent and --change are required")
+    parent = run_child((args.parent / "src").resolve())
+    change = run_child((args.change / "src").resolve())
+    diffs, worst_min, worst_inv = compare(parent, change)
+    for line in diffs:
+        print(line)
+    print(f"laws: {len(parent)}, differing verdicts, errors or per_parameter "
+          f"entries: {len(diffs)}")
+    print(f"worst minimum deviation: {worst_min:.3g} "
+          f"(absolute, or relative above 1; bound {MINIMUM_TOLERANCE:g})")
+    print(f"worst i1/i2 relative deviation: {worst_inv:.3g}")
+    return 1 if diffs or worst_min > MINIMUM_TOLERANCE else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -141,7 +141,15 @@ def load_dataset(csv_path) -> Dataset:
         header = next(reader)
         if header[:3] != ["lambda", "stress_mpa", "param_raw"]:
             raise ValueError(f"unexpected dataset header: {header}")
-        rows = np.array([[float(v) for v in row[:3]] for row in reader])
+        values = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < 3:
+                raise ValueError(f"{csv_path} line {reader.line_num}: "
+                                 f"expected 3 fields, got {len(row)}")
+            values.append([float(v) for v in row[:3]])
+        rows = np.array(values)
     if rows.size == 0:
         raise EmptyDatasetError(f"no samples in {csv_path}")
     sidecar_path = csv_path.with_suffix(".json")

@@ -45,6 +45,8 @@ def _grid(text) -> np.ndarray:
     values = _floats(text)
     if len(values) != 3:
         raise ValueError("grid must be min,max,count")
+    if not np.all(np.isfinite(values[:2])):
+        raise ValueError(f"grid bounds must be finite, got {values[0]:g},{values[1]:g}")
     if not values[2].is_integer():
         raise ValueError(f"grid count must be a whole number, got {values[2]:g}")
     return np.linspace(values[0], values[1], int(values[2]))
@@ -206,7 +208,12 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _scan_laws(args) -> list:
+def _scan_laws(args) -> dict:
+    """The laws to scan, by the file stem of their reports.
+
+    Raises ``MonopannError`` when two laws share a stem, whose reports would
+    overwrite each other.
+    """
     laws = []
     for path in _strings(args.model or ""):
         model = networks.load_model(_require(path))
@@ -215,7 +222,13 @@ def _scan_laws(args) -> list:
         laws.append(_closed_form_law(args.law, args))
     if not laws:
         raise MonopannError("scan needs --model and/or --law")
-    return laws
+    by_stem = {}
+    for law in laws:
+        stem = re.sub(r"[^\w.+-]+", "_", law.label).strip("_")
+        if stem in by_stem:
+            raise MonopannError(f"two scanned laws share the report stem '{stem}'")
+        by_stem[stem] = law
+    return by_stem
 
 
 def cmd_scan(args) -> int:
@@ -228,9 +241,8 @@ def cmd_scan(args) -> int:
     lam1 = _grid(args.lambda1)
     lam2 = _grid(args.lambda2)
     summaries = []
-    for law in laws:
+    for stem, law in laws.items():
         report = stability.scan_invariant_plane(law, t_grid, lam1, lam2, directions)
-        stem = re.sub(r"[^\w.+-]+", "_", law.label).strip("_")
         stability.write_report_json(report, out / f"{stem}_report.json")
         print(f"wrote {out / (stem + '_report.json')}")
         stability.write_summary_csv(report, out / f"{stem}_summary.csv")

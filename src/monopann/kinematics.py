@@ -7,7 +7,6 @@ generated deformation modes all live on the unit-determinant manifold.
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
 
 import numpy as np
 
@@ -91,39 +90,54 @@ def cofactor(f: np.ndarray) -> np.ndarray:
     return _bview(det) * inv_t
 
 
-def isochoric_invariants(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Volume-normalized invariants of the right Cauchy-Green tensor.
+def _invariant_terms(f: np.ndarray):
+    """Closed forms of the isochoric invariants' first-order quantities.
 
-    Returns ``(J**(-2/3) tr C, J**(-4/3) tr cof C)`` with ``C = f^T f`` and
-    ``J = det f``.  Both equal 3 exactly when f is a rotation, and are
-    invariant under any positive scaling of f.
+    Returns ``(det, h, i1, i2, g2, d1, d2)`` from one det and one inverse of
+    f (..., 3, 3): the cofactor ``h = det f^-T``, the raw invariants
+    ``i1 = |f|^2`` and ``i2 = |h|^2``, ``g2 = 2 (|f|^2 f - f C)`` with
+    ``C = f^T f``, the derivative of ``|h|^2``, and the derivatives ``d1``,
+    ``d2`` of the isochoric invariants ``det^(-2/3) i1`` and
+    ``det^(-4/3) i2``.
 
     Raises
     ------
     InvertedConfigurationError
-        If any input has non-positive determinant.
+        If any input has non-positive or non-finite determinant.
     """
     f = np.asarray(f, dtype=float)
-    det = np.linalg.det(f)
-    if np.any(det <= 0.0) or not np.all(np.isfinite(det)):
-        raise InvertedConfigurationError("isochoric invariants require det f > 0")
-    c = np.swapaxes(f, -1, -2) @ f
-    i1 = np.einsum("...ii->...", c)
-    i2 = np.einsum("...ii->...", cofactor(c))
-    return det ** (-2.0 / 3.0) * i1, det ** (-4.0 / 3.0) * i2
-
-
-def _raw_invariant_terms(f: np.ndarray):
-    """Shared building blocks for the invariant derivatives."""
     det = np.linalg.det(f)
     if np.any(det <= 0.0) or not np.all(np.isfinite(det)):
         raise InvertedConfigurationError("invariant derivatives require det f > 0")
     h = _bview(det) * np.swapaxes(np.linalg.inv(f), -1, -2)
     i1 = np.einsum("...iI,...iI->...", f, f)
     i2 = np.einsum("...iI,...iI->...", h, h)
-    g1 = 2.0 * f
-    g2 = 2.0 * tensor_cross(h, f)
-    return det, h, i1, i2, g1, g2
+    g2 = 2.0 * (_bview(i1) * f - f @ (np.swapaxes(f, -1, -2) @ f))
+    d1 = _scaled_first(det, h, i1, 2.0 * f, -2.0 / 3.0)
+    d2 = _scaled_first(det, h, i2, g2, -4.0 / 3.0)
+    return det, h, i1, i2, g2, d1, d2
+
+
+def _scaled_first(det, h, raw, raw_grad, p):
+    # d(J^p * raw) = p J^(p-1) raw H + J^p d(raw)
+    return _bview(p * det ** (p - 1.0) * raw) * h + _bview(det**p) * raw_grad
+
+
+def isochoric_invariants(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Volume-normalized invariants of the right Cauchy-Green tensor.
+
+    Returns ``(J**(-2/3) tr C, J**(-4/3) tr cof C)`` with ``C = f^T f`` and
+    ``J = det f``, computed as ``J**(-2/3) |f|^2`` and
+    ``J**(-4/3) |cof f|^2``.  Both equal 3 exactly when f is a rotation,
+    and are invariant under any positive scaling of f.
+
+    Raises
+    ------
+    InvertedConfigurationError
+        If any input has non-positive determinant.
+    """
+    det, _, i1, i2, _, _, _ = _invariant_terms(f)
+    return det ** (-2.0 / 3.0) * i1, det ** (-4.0 / 3.0) * i2
 
 
 def invariant_first_derivatives(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,16 +146,8 @@ def invariant_first_derivatives(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Both vanish identically at any rotation, which is what makes the
     reference configuration stress-free regardless of the potential.
     """
-    f = np.asarray(f, dtype=float)
-    det, h, i1, i2, g1, g2 = _raw_invariant_terms(f)
-    d1 = _scaled_first(det, h, i1, g1, -2.0 / 3.0)
-    d2 = _scaled_first(det, h, i2, g2, -4.0 / 3.0)
+    *_, d1, d2 = _invariant_terms(f)
     return d1, d2
-
-
-def _scaled_first(det, h, raw, raw_grad, p):
-    # d(J^p * raw) = p J^(p-1) raw H + J^p d(raw)
-    return _bview(p * det ** (p - 1.0) * raw) * h + _bview(det**p) * raw_grad
 
 
 def invariant_derivatives(
@@ -154,7 +160,7 @@ def invariant_derivatives(
     construction.
     """
     f = np.asarray(f, dtype=float)
-    det, h, i1, i2, g1, g2 = _raw_invariant_terms(f)
+    det, h, i1, i2, g2, d1, d2 = _invariant_terms(f)
 
     x_f = cross_operator(f)  # second derivative of det
     d2_raw1 = 2.0 * np.broadcast_to(IDENTITY4, f.shape[:-2] + (3, 3, 3, 3))
@@ -162,9 +168,7 @@ def invariant_derivatives(
         np.einsum("...iIaA,...aAjJ->...iIjJ", x_f, x_f) + cross_operator(h)
     )
 
-    d1 = _scaled_first(det, h, i1, g1, -2.0 / 3.0)
-    d2 = _scaled_first(det, h, i2, g2, -4.0 / 3.0)
-    dd1 = _scaled_second(det, h, x_f, i1, g1, d2_raw1, -2.0 / 3.0)
+    dd1 = _scaled_second(det, h, x_f, i1, 2.0 * f, d2_raw1, -2.0 / 3.0)
     dd2 = _scaled_second(det, h, x_f, i2, g2, d2_raw2, -4.0 / 3.0)
     return d1, d2, dd1, dd2
 
@@ -202,8 +206,8 @@ class DeformationMode:
     parameters: tuple
 
 
-def _check_positive(values: np.ndarray) -> np.ndarray:
-    values = np.atleast_1d(np.asarray(values, dtype=float))
+def _check_positive(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
     if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
         raise InvalidStretchError("stretch values must be positive and finite")
     return values
@@ -211,9 +215,7 @@ def _check_positive(values: np.ndarray) -> np.ndarray:
 
 def uniaxial_gradient(lam) -> np.ndarray:
     """diag(lam, lam^-1/2, lam^-1/2); broadcasts over an array of stretches."""
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0.0):
-        raise InvalidStretchError("stretch values must be positive")
+    lam = _check_positive(lam)
     out = np.zeros(lam.shape + (3, 3))
     lat = lam**-0.5
     out[..., 0, 0] = lam
@@ -224,11 +226,7 @@ def uniaxial_gradient(lam) -> np.ndarray:
 
 def principal_stretch_gradient(lam1, lam2) -> np.ndarray:
     """diag(lam1, lam2, 1/(lam1 lam2)); broadcasts over stretch arrays."""
-    lam1 = np.asarray(lam1, dtype=float)
-    lam2 = np.asarray(lam2, dtype=float)
-    if np.any(lam1 <= 0.0) or np.any(lam2 <= 0.0):
-        raise InvalidStretchError("stretch values must be positive")
-    lam1, lam2 = np.broadcast_arrays(lam1, lam2)
+    lam1, lam2 = np.broadcast_arrays(_check_positive(lam1), _check_positive(lam2))
     out = np.zeros(lam1.shape + (3, 3))
     out[..., 0, 0] = lam1
     out[..., 1, 1] = lam2
@@ -243,13 +241,10 @@ def generate_mode(mode: DeformationMode) -> np.ndarray:
     """
     kind = mode.kind
     if kind is ModeKind.PRINCIPAL_STRETCH_GRID:
-        lam1_values, lam2_values = mode.parameters
-        lam1_values = _check_positive(lam1_values)
-        lam2_values = _check_positive(lam2_values)
-        pairs = np.array(list(product(lam1_values, lam2_values)))
-        return principal_stretch_gradient(pairs[:, 0], pairs[:, 1])
+        lam1, lam2 = np.meshgrid(*mode.parameters, indexing="ij")
+        return principal_stretch_gradient(lam1.ravel(), lam2.ravel())
 
-    values = _check_positive(np.asarray(mode.parameters))
+    values = np.atleast_1d(_check_positive(mode.parameters))
     if kind is ModeKind.UNIAXIAL_TENSION:
         return uniaxial_gradient(values)
     if kind is ModeKind.EQUIBIAXIAL_TENSION:

@@ -27,7 +27,7 @@ degenerate pass.
 The acoustic tensors are computed without the fourth-order tangent.  Q is
 the tangent's weighted sum of five law-independent terms, and each term
 contracted with ``B o B`` is a rank-one closed form in 3x3 quantities of the
-point (see ``_acoustic_geometry``): outer products ``X o Y`` contract to
+point (see ``_point_geometry``): outer products ``X o Y`` contract to
 ``(XB) o (YB)``, and the tensor-cross parts of the second invariant
 derivatives vanish, because ``eps_IJK B_I B_K = 0``.
 """
@@ -37,13 +37,18 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .constitutive import _check_isochoric, _format_params, _tangent_weights, as_law
-from .errors import EmptyGridError, InvertedConfigurationError, MonopannError
-from .kinematics import isochoric_invariants, principal_stretch_gradient
+from .errors import EmptyGridError, MonopannError
+from .kinematics import (
+    _invariant_terms,
+    isochoric_invariants,
+    principal_stretch_gradient,
+)
 
 __all__ = [
     "ELLIPTICITY_TOLERANCE",
@@ -110,6 +115,10 @@ def direction_set(
     generator: DirectionGenerator = DirectionGenerator.FIBONACCI_LATTICE,
     count: int = 200,
 ) -> DirectionSet:
+    """About ``count`` directions from ``generator`` (the spherical grid
+    rounds the count to its lattice); ``EmptyGridError`` for a count below 1."""
+    if count < 1:
+        raise EmptyGridError(f"direction count must be at least 1, got {count}")
     if generator is DirectionGenerator.FIBONACCI_LATTICE:
         vectors = fibonacci_directions(count)
     else:
@@ -129,56 +138,79 @@ _ROW = np.array([0, 1, 2, 0, 0, 1])
 _COL = np.array([0, 1, 2, 1, 2, 2])
 _FULL = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 _SYMMETRIC = list(zip(_ROW.tolist(), _COL.tolist()))
+# delta_ij at each symmetric component, and delta_ij delta_IJ laid out as
+# in _outer
+_DIAGONAL = np.eye(3)[_ROW, _COL]
+_DELTA = _DIAGONAL[:, None, None] * np.eye(3)
 
 
-# The acoustic geometry in rank-one closed form (see _acoustic_geometry).
-# A point's quantities are laid out flat: the tensors d1, d2, h, F, g2,
-# F F^T and C, nine entries each, then the constants 0 and 1.  Each of the
-# 13 basis tensors, indexed [s, I, J] with s the symmetric component (i, j),
-# is the product of a left and a right factor gathered from that layout.
-_ZERO, _ONE = 63, 64
-# the first ten are the outer products X o Y of these pairs of tensors:
-# d1 d1, d1 d2, d2 d1, d2 d2, h h, h F, F h, h g2, g2 h and F F
-_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (2, 4), (4, 2),
-          (3, 3)]
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients (P, 6, 3, 3) of ``B_I B_J`` in the symmetric components
+    (i, j) of ``(xB) o (yB)``, for (P, 3, 3) tensors x and y: the entries
+    ``x[i, I] y[j, J]``."""
+    return x[:, _ROW, :, None] * y[:, _COL, None, :]
 
 
-def _basis_factors(k, i, j, a, b):
-    if k < 10:
-        x, y = _PAIRS[k]
-        return 9 * x + 3 * i + a, 9 * y + 3 * j + b
-    if k == 10:  # delta_ij delta_IJ
-        return _ONE, _ONE if i == j and a == b else _ZERO
-    if k == 11:  # delta_IJ (F F^T)_ij
-        return 45 + 3 * i + j, _ONE if a == b else _ZERO
-    return 54 + 3 * a + b, _ONE if i == j else _ZERO  # delta_ij C_IJ
+def _point_geometry(f: np.ndarray):
+    """The law- and direction-independent part of the acoustic tensors of
+    the points ``f`` (P, 3, 3), built once per scan.
+
+    Returns ``(coefficients, finv_t)``: ``coefficients`` (P, 5, 54) holds,
+    for each of the five tangent terms (see ``constitutive._tangent_terms``),
+    the coefficients of ``B_I B_J`` in the six symmetric components of its
+    acoustic tensor, laid out as (6, 9), so that ``coefficients @ dyads``
+    are the terms' acoustic tensors; ``finv_t`` is ``F^-T`` (P, 3, 3).
+
+    Contracted with ``B o B``, an outer product ``X o Y`` gives
+    ``(XB) o (YB)`` (:func:`_outer`), and every ``kinematics.cross_operator``
+    part of the second invariant derivatives gives 0.  With the cofactor
+    ``h``, ``C = F^T F`` and ``g2``, the raw gradient of ``|h|^2`` (see
+    ``kinematics._invariant_terms``), each term is a weighted sum of outer
+    products of ``d1, d2, h, F, g2``, plus two parts: ``2 J^-2/3 |B|^2 I``
+    in the second derivative of I1, and in that of I2 the contraction of
+    its ``x_f o x_f`` part, ``2 J^-4/3 [(FB) o (FB) - |B|^2 F F^T
+    - (|FB|^2 - |B|^2 |F|^2) I]``.
+
+    Raises ``NotIsochoricError`` where ``|det F - 1|`` exceeds the tolerance
+    and ``InvertedConfigurationError`` where det F is not finite.
+    """
+    _check_isochoric(f)
+    det, h, i1, i2, g2, d1, d2 = _invariant_terms(f)
+    c = np.swapaxes(f, -1, -2) @ f
+    f_ft = f @ np.swapaxes(f, -1, -2)
+    finv_t = h / det[:, None, None]
+    # J, |F|^2 and |h|^2 shaped to scale the (P, 6, 3, 3) outer products
+    det, i1, i2 = (x[:, None, None, None] for x in (det, i1, i2))
+    # J^p and p J^(p-1) for the exponents p = -2/3 (I1) and -4/3 (I2)
+    j1, j2 = det ** (-2.0 / 3.0), det ** (-4.0 / 3.0)
+    dj1, dj2 = -2.0 / 3.0 * j1 / det, -4.0 / 3.0 * j2 / det
+    hh = _outer(h, h)
+    # per invariant: p (p - 1) J^(p-2) |.|^2 for h o h, p J^(p-1) times the
+    # raw gradient's factor (2F, g2) for the mixed pairs with h, and J^p
+    # times the contraction of the raw second derivative
+    terms = np.stack([
+        _outer(d1, d1),
+        _outer(d1, d2) + _outer(d2, d1),
+        _outer(d2, d2),
+        -5.0 / 3.0 * dj1 / det * i1 * hh + 2.0 * dj1 * (_outer(h, f) + _outer(f, h))
+        + 2.0 * j1 * _DELTA,
+        -7.0 / 3.0 * dj2 / det * i2 * hh + dj2 * (_outer(h, g2) + _outer(g2, h))
+        + 2.0 * j2 * (_outer(f, f) - f_ft[:, _ROW, _COL, None, None] * np.eye(3)
+                      - _DIAGONAL[:, None, None] * c[:, None] + i1 * _DELTA),
+    ], axis=1)
+    return terms.reshape(len(f), 5, 54), finv_t
 
 
-_BASIS_LEFT, _BASIS_RIGHT = np.array([
-    _basis_factors(k, i, j, a, b)
-    for k in range(13) for i, j in zip(_ROW, _COL) for a in range(3) for b in range(3)
-]).T
-# The weight of each basis tensor (column) in each of the five tangent terms
-# (row), as an index into a point's weights (see _acoustic_geometry).
-_TERM_WEIGHTS = np.array([
-    [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],  # d1 o d1
-    [0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],  # d1 o d2 + d2 o d1
-    [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],  # d2 o d2
-    [0, 0, 0, 0, 2, 3, 3, 0, 0, 0, 4, 0, 0],  # d2 I1 / dF2
-    [0, 0, 0, 0, 5, 0, 0, 6, 6, 7, 8, 9, 9],  # d2 I2 / dF2
-])
+def _dyads(directions: np.ndarray) -> np.ndarray:
+    """The products ``B_I B_J`` (9, D) of the directions (D, 3)."""
+    b_t = directions.T
+    return (b_t[:, None] * b_t[None, :]).reshape(9, len(directions))
 
 
-def _geometry_shapes(count: int, dirs: int):
-    """Shapes of the geometry of a block of ``count`` points and ``dirs``
-    directions: coefficients, dyads and normals (see _acoustic_geometry)."""
-    return (count, 5, 54), (9, dirs), (6, count, dirs)
-
-
-def _geometry_scratch_shapes(count: int, dirs: int):
-    """Shapes of the geometry's intermediates: the left and right factors of
-    the basis, then ``n = F^-T B`` and ``|n|``."""
-    return (count, 702), (count, 702), (3, count, dirs), (count, dirs)
+def _normal_shapes(count: int, dirs: int):
+    """Shapes of the normals of a block of ``count`` points and ``dirs``
+    directions, then of their intermediates ``n = F^-T B`` and ``|n|``."""
+    return (6, count, dirs), (3, count, dirs), (count, dirs)
 
 
 def _condition_shapes(count: int, dirs: int):
@@ -195,20 +227,20 @@ def _size(shapes) -> int:
 
 def _workspace(count: int, dirs: int) -> np.ndarray:
     """Scratch memory for blocks of up to ``count`` points and ``dirs``
-    directions: one flat buffer that _acoustic_geometry and _conditions
-    split into views with _carve.
+    directions: one flat buffer that _normals and _conditions split into
+    views with _carve.
 
-    The geometry comes first and is kept for every parameter row; behind it,
-    the geometry's intermediates and then those of the conditions share the
-    rest.  Every intermediate of size (P, D) or larger is written into a
+    The normals come first and are kept for every parameter row; behind
+    them, the normals' intermediates and then those of the conditions share
+    the rest.  Every intermediate of size (P, D) or larger is written into a
     view with ``out=``, so that a scan allocates almost nothing per block:
     large temporaries freed and taken again per block made the C heap return
     memory to the system and fault it back in.  Nothing is read from the
     buffer before it is written in the same block.
     """
-    scratch = max(_size(_geometry_scratch_shapes(count, dirs)),
-                  _size(_condition_shapes(count, dirs)))
-    return np.empty(_size(_geometry_shapes(count, dirs)) + scratch)
+    normals, *scratch = _normal_shapes(count, dirs)
+    rest = max(_size(scratch), _size(_condition_shapes(count, dirs)))
+    return np.empty(math.prod(normals) + rest)
 
 
 def _carve(work: np.ndarray, shapes):
@@ -222,97 +254,39 @@ def _carve(work: np.ndarray, shapes):
     return views, work
 
 
-def _acoustic_geometry(f: np.ndarray, directions: np.ndarray, work: np.ndarray):
-    """The law-independent part of the acoustic tensors of a block of points.
+def _normals(finv_t: np.ndarray, directions: np.ndarray, work: np.ndarray):
+    """The direction-dependent part of the acoustic geometry of a block.
 
-    ``f`` is (P, 3, 3), ``directions`` (D, 3) and ``work`` a buffer from
-    :func:`_workspace` sized for at least P points and D directions.
-    Returns ``(coefficients, dyads, normals)``, views of ``work``:
-    ``coefficients`` (P, 5, 54) holds, for each of the five tangent terms
-    (see ``constitutive._tangent_terms``), the coefficients of ``B_I B_J``
-    in the six symmetric components of its acoustic tensor, laid out as
-    (6, 9); ``dyads`` (9, D) the products ``B_I B_J`` of every direction, so
-    that ``coefficients @ dyads`` are the terms' acoustic tensors; and
-    ``normals`` (6, P, D) the components of ``m o m`` for the unit normals
+    ``finv_t`` is the block's ``F^-T`` (P, 3, 3), ``directions`` (D, 3) and
+    ``work`` a :func:`_workspace` for at least P points and D directions.
+    Returns the components (6, P, D) of ``m o m`` for the unit normals
     ``m = n / |n|``, ``n = F^-T B``, with the off-diagonal ones doubled, so
     that ``m.Sm`` is the dot product with the components of a symmetric S.
-    The results and every intermediate of size (P, D) or larger, the basis
-    gathers included, are written into ``work`` with ``out=``.
-
-    No fourth-order tensor is formed.  Contracted with ``B_I B_J``, an
-    outer product ``X o Y`` of 3x3 tensors gives ``(XB)_i (YB)_j``, and
-    every ``kinematics.cross_operator`` part of the second invariant
-    derivatives gives 0, because ``eps_IJK B_I B_K = 0``.  With the cofactor
-    ``h = J F^-T``, ``C = F^T F`` and ``g2 = 2 (|F|^2 F - F C)``, the raw
-    gradient of ``|h|^2``, the terms are then outer products of
-    ``d1, d2, h, F, g2`` weighted by powers of J, plus two parts that are
-    not: ``2 J^-2/3 |B|^2 I`` in the second derivative of I1, and in that
-    of I2 the ``x_f o x_f`` part, which contracts to
-    ``2 J^-4/3 [(FB) o (FB) - |B|^2 F F^T - (|FB|^2 - |B|^2 |F|^2) I]``.
-    Each term is a weighted sum over a per-point basis of 13 such tensors,
-    one (P, 5, 13) @ (P, 13, 54) product.
-
-    Raises ``NotIsochoricError`` where ``|det F - 1|`` exceeds the tolerance
-    and ``InvertedConfigurationError`` where det F is not finite.
+    They are the first view of ``work``; they and every intermediate are
+    written into it with ``out=``, ``n`` component-major (3, P, D).
     """
-    count, dirs = len(f), len(directions)
-    (coefficients, dyads, normals), rest = _carve(work, _geometry_shapes(count, dirs))
-    (left, right, n, norm), _ = _carve(rest, _geometry_scratch_shapes(count, dirs))
-    det = _check_isochoric(f)
-    if not np.all(np.isfinite(det)):
-        raise InvertedConfigurationError("invariant derivatives require det f > 0")
-    finv_t = np.swapaxes(np.linalg.inv(f), -1, -2)
-    f_t = np.swapaxes(f, -1, -2)
-    c = f_t @ f
-    h = det[:, None, None] * finv_t
-    i1 = np.einsum("pij,pij->p", f, f)
-    i2 = np.einsum("pij,pij->p", h, h)
-    g2 = 2.0 * (i1[:, None, None] * f - f @ c)
-    # J^p and p J^(p-1) for the exponents p = -2/3 (I1) and -4/3 (I2)
-    j1, j2 = det ** (-2.0 / 3.0), det ** (-4.0 / 3.0)
-    dj1, dj2 = -2.0 / 3.0 * j1 / det, -4.0 / 3.0 * j2 / det
-    d1 = (dj1 * i1)[:, None, None] * h + (2.0 * j1)[:, None, None] * f
-    d2 = (dj2 * i2)[:, None, None] * h + j2[:, None, None] * g2
-
-    zero, one = np.zeros((count, 1)), np.ones((count, 1))
-    flat = np.concatenate(
-        [x.reshape(count, 9) for x in (d1, d2, h, f, g2, f @ f_t, c)] + [zero, one],
-        axis=1,
-    )
-    # mode "clip" (the indices are in range) lets take write into ``out``
-    # directly; the default mode buffers ``out`` in a temporary copy
-    np.take(flat, _BASIS_LEFT, axis=1, out=left, mode="clip")
-    np.take(flat, _BASIS_RIGHT, axis=1, out=right, mode="clip")
-    basis = np.multiply(left, right, out=left).reshape(count, 13, 54)
-    # the weights 0 and 1, then per invariant (p = -2/3 for I1, -4/3 for I2)
-    # p (p - 1) J^(p-2) |.|^2 for h o h, p J^(p-1) times the factor of the
-    # raw gradient (2F, g2) for the mixed pairs with h, and 2 J^p for the
-    # raw second derivative, whose identity part for I2 carries |F|^2
-    point_weights = np.concatenate(
-        [zero, one, np.stack([
-            -5.0 / 3.0 * dj1 / det * i1, 2.0 * dj1, 2.0 * j1,
-            -7.0 / 3.0 * dj2 / det * i2, dj2, 2.0 * j2, 2.0 * j2 * i1, -2.0 * j2,
-        ], axis=1)],
-        axis=1,
-    )
-    np.matmul(point_weights[:, _TERM_WEIGHTS], basis, out=coefficients)
-    b_t = directions.T
-    np.multiply(b_t[:, None], b_t[None, :], out=dyads.reshape(3, 3, dirs))
-    # n component-major (3, P, D), so that each component is contiguous
+    count, dirs = len(finv_t), len(directions)
+    (normals, n, norm), _ = _carve(work, _normal_shapes(count, dirs))
     rows = np.ascontiguousarray(finv_t.transpose(1, 0, 2)).reshape(3 * count, 3)
-    np.matmul(rows, b_t, out=n.reshape(3 * count, dirs))
+    np.matmul(rows, directions.T, out=n.reshape(3 * count, dirs))
     np.sqrt(np.einsum("ipd,ipd->pd", n, n, out=norm), out=norm)
     m = np.divide(n, norm, out=n)
     for s, (i, j) in enumerate(_SYMMETRIC):
         np.multiply(m[i], m[j], out=normals[s])
     normals[3:] *= 2.0
-    return coefficients, dyads, normals
+    return normals
+
+
+def _law_values(law, par, i1, i2):
+    """Stress coefficients (P, 2) and tangent weights (P, 5) of ``law`` at
+    the invariants ``i1``, ``i2`` (P,)."""
+    coef = law.coefficients(i1, i2, par)
+    return coef, _tangent_weights(coef, law.hessian(i1, i2, par))
 
 
 def _point_weights(law, f: np.ndarray, par) -> np.ndarray:
     """Tangent weights (P, 5) of ``law`` at the points ``f`` (P, 3, 3)."""
-    i1, i2 = isochoric_invariants(f)
-    return _tangent_weights(law.coefficients(i1, i2, par), law.hessian(i1, i2, par))
+    return _law_values(law, par, *isochoric_invariants(f))[1]
 
 
 def acoustic_tensor(law, f, par, b: np.ndarray) -> np.ndarray:
@@ -325,10 +299,10 @@ def acoustic_tensor(law, f, par, b: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     b = np.asarray(b, dtype=float)
     points, vectors = f.reshape(-1, 3, 3), b.reshape(-1, 3)
-    work = _workspace(len(points), len(vectors))
-    coefficients, dyads, _ = _acoustic_geometry(points, vectors, work)
+    coefficients, _ = _point_geometry(points)
     weights = _point_weights(as_law(law), points, par)
-    q = (weights[:, None, :] @ coefficients).reshape(len(points), 6, 9) @ dyads
+    q = (weights[:, None, :] @ coefficients).reshape(len(points), 6, 9)
+    q = q @ _dyads(vectors)
     q = np.moveaxis(q[:, _FULL], -1, 1)
     return q.reshape(f.shape[:-2] + b.shape[:-1] + (3, 3))
 
@@ -339,21 +313,24 @@ def _sub_products(out, x, y, u, v, scratch):
     out -= np.multiply(u, v, out=scratch)
 
 
-def _conditions(geometry, weights: np.ndarray, work: np.ndarray):
+def _conditions(coefficients, dyads, normals, weights: np.ndarray, work: np.ndarray):
     """Normalized condition values ``(c1, c2), (d1, d2, d3)``, each (P, D),
-    of one parameter row of a block whose geometry is
-    :func:`_acoustic_geometry` and whose tangent weights (P, 5) are
-    ``constitutive._tangent_weights``.
+    of one parameter row of a block of P points and D directions.
 
-    The values are views of ``work``, the buffer the geometry was built in,
-    and the next call overwrites them; every intermediate is written into
-    ``work`` with ``out=``.  The row's (6, P, 9) coefficients
-    make one ``(6 P, 9) @ (9, D)`` product, which writes Q component-major
-    (6, P, D), so that each component is contiguous.  Q is divided by its
-    Frobenius norm ``|Q|`` first, which normalizes every value at once (see
-    the module docstring).  With the components ``(a, b, c, d, e, f)`` of
-    the symmetric, normalized acoustic tensor Q and the closed forms
-    ``Q x Q = 2 cof Q`` and ``Q x I = (tr Q) I - Q``, the values are
+    ``coefficients`` (P, 5, 54) are the block's rows of
+    :func:`_point_geometry`, ``dyads`` (9, D) are :func:`_dyads`,
+    ``normals`` (6, P, D) are :func:`_normals`, built at the start of
+    ``work``, and ``weights`` (P, 5) are the row's
+    ``constitutive._tangent_weights``.  The values are views of ``work``
+    behind the normals, and the next call overwrites them; every
+    intermediate is written into ``work`` with ``out=``.  The row's
+    (6, P, 9) coefficients make one ``(6 P, 9) @ (9, D)`` product, which
+    writes Q component-major (6, P, D), so that each component is
+    contiguous.  Q is divided by its Frobenius norm ``|Q|`` first, which
+    normalizes every value at once (see the module docstring).  With the
+    components ``(a, b, c, d, e, f)`` of the symmetric, normalized acoustic
+    tensor Q and the closed forms ``Q x Q = 2 cof Q`` and
+    ``Q x I = (tr Q) I - Q``, the values are
 
         c1 = 2 m.cof(Q)m,  c2 = tr Q - m.Qm,
         d1 = 2 cof(Q):Q = 6 det Q,  d2 = 2 tr cof Q,  d3 = 2 tr Q,
@@ -361,9 +338,8 @@ def _conditions(geometry, weights: np.ndarray, work: np.ndarray):
     with the unit normal m; the incompressible pair is thereby already
     divided by ``|n|^2``.
     """
-    coefficients, dyads, normals = geometry
     count, dirs = len(weights), dyads.shape[1]
-    rest = work[_size(_geometry_shapes(count, dirs)):]
+    rest = work[normals.size:]
     (row, tensor, q, cof, c1, c2, d1, d2, d3, tr_q, tmp), _ = _carve(
         rest, _condition_shapes(count, dirs)
     )
@@ -410,14 +386,16 @@ def _condition_values(law, f, par, directions: np.ndarray):
 
     ``f`` is (P, 3, 3), or (3, 3) for P = 1, and ``directions`` (D, 3);
     returns ``(c1, c2)`` and ``(d1, d2, d3)``, each of shape (P, D), from
-    :func:`_acoustic_geometry` and :func:`_conditions`.
+    :func:`_point_geometry`, :func:`_normals` and :func:`_conditions`.
     """
     law = as_law(law)
     f = np.asarray(f, dtype=float).reshape(-1, 3, 3)
     directions = np.asarray(directions, dtype=float)
+    coefficients, finv_t = _point_geometry(f)
     work = _workspace(len(f), len(directions))
-    geometry = _acoustic_geometry(f, directions, work)
-    return _conditions(geometry, _point_weights(law, f, par), work)
+    normals = _normals(finv_t, directions, work)
+    return _conditions(coefficients, _dyads(directions), normals,
+                       _point_weights(law, f, par), work)
 
 
 def ellipticity_incompressible(law, f, par, directions) -> tuple[bool, float]:
@@ -467,11 +445,10 @@ def hessian_decomposition(law, f, par):
     f = np.asarray(f, dtype=float)
     f_t = np.swapaxes(f, -1, -2)
     i1, i2 = isochoric_invariants(f)
+    _, _, f_sq, _, g2, _, _ = _invariant_terms(f)
     coef = law.coefficients(i1, i2, par)
     hess = law.hessian(i1, i2, par)
-    f_sq = np.einsum("...ij,...ij->...", f, f)
-    # |F|^2 F - F C, half the derivative of |cof F|^2
-    g = f_sq[..., None, None] * f - f @ f_t @ f
+    g = 0.5 * g2
 
     def apply(x, v):
         return np.einsum("...ij,...j->...i", x, v)
@@ -569,8 +546,10 @@ class StabilityReport:
 
 
 # Upper bound on the point-direction pairs evaluated together; it caps the
-# scan's scratch memory independently of the grid size: one workspace of
-# 25 to 35 floats per pair, 0.9 MB at 200 directions, made once per scan.
+# scan's scratch memory per block independently of the grid size: one
+# workspace of 25 floats per pair and 108 per point, 0.8 MB at 200
+# directions, made once per scan.  The point geometry is built once per scan
+# for the whole grid and adds 2.2 kB of coefficients per point.
 _BLOCK_PAIRS = 4096
 # errors that fail a scan point instead of the scan
 _POINT_ERRORS = (MonopannError, np.linalg.LinAlgError)
@@ -580,54 +559,48 @@ def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _row_law_values(law, t, i1, i2, errors):
-    """Stress coefficients (P, 2) and tangent weights (P, 5) of one parameter
-    row.  If the law raises a point error, the points are evaluated one by
-    one; a point that raises it records the reason in ``errors`` (P,) and
-    gets NaN values."""
+def _pointwise(evaluate, args, outs, errors) -> None:
+    """Write the arrays ``evaluate(*args)`` into ``outs``, point by point
+    along the first axis of every array.
 
-    def evaluate(j1, j2):
-        coef = law.coefficients(j1, j2, t)
-        return coef, _tangent_weights(coef, law.hessian(j1, j2, t))
-
+    If ``evaluate`` raises a point error, the points are evaluated one by
+    one; a point that raises it keeps the values ``outs`` had (NaN in the
+    scan) and records the reason in ``errors[..., k]``: in its row for an
+    ``errors`` of shape (P,), in every row for one of shape (R, P).
+    """
     try:
-        return evaluate(i1, i2)
+        results = evaluate(*args)
     except _POINT_ERRORS:
         pass
-    coef, weights = np.full((len(i1), 2), np.nan), np.full((len(i1), 5), np.nan)
-    for k in range(len(i1)):
+    else:
+        for out, result in zip(outs, results):
+            out[...] = result
+        return
+    for k in range(len(args[0])):
         try:
-            c, w = evaluate(i1[k : k + 1], i2[k : k + 1])
+            results = evaluate(*(arg[k : k + 1] for arg in args))
         except _POINT_ERRORS as exc:
-            errors[k] = _describe(exc)
+            errors[..., k] = _describe(exc)
             continue
-        coef[k], weights[k] = c[0], w[0]
-    return coef, weights
+        for out, result in zip(outs, results):
+            out[k] = result[0]
 
 
-def _scan_block(f, vectors, weights, minima, errors, work) -> None:
+def _scan_block(coefficients, finv_t, directions, dyads, weights, minima, work) -> None:
     """Smallest incompressible and compressible condition values of a block
     of points in every parameter row.
 
-    ``weights`` (R, P, 5) are the rows' tangent weights; the results go to
-    ``minima`` (R, P, 2).  ``work`` is the scan's :func:`_workspace`.  The
-    geometry is built once and shared by the rows.  If building it raises a
-    point error, the points are evaluated one by one, and a point that
-    raises it records the reason in ``errors`` (R, P) in every row.
+    ``coefficients`` and ``finv_t`` are the block's rows of
+    :func:`_point_geometry`, ``directions`` (D, 3) and ``dyads`` the scan's
+    directions and their :func:`_dyads`, and ``weights`` (R, P, 5) the
+    rows' tangent weights; the results go to ``minima`` (R, P, 2).
+    ``work`` is the scan's :func:`_workspace`.  Only the direction-dependent
+    normals are built per block, once, and serve every row.  A point whose
+    geometry or weights are NaN gets NaN minima.
     """
-    try:
-        geometry = _acoustic_geometry(f, vectors, work)
-    except _POINT_ERRORS as exc:
-        if len(f) == 1:
-            errors[:, 0] = _describe(exc)
-            return
-        for k in range(len(f)):
-            part = slice(k, k + 1)
-            _scan_block(f[part], vectors, weights[:, part], minima[:, part],
-                        errors[:, part], work)
-        return
+    normals = _normals(finv_t, directions, work)
     for row, out in zip(weights, minima):
-        (c1, c2), (d1, d2, d3) = _conditions(geometry, row, work)
+        (c1, c2), (d1, d2, d3) = _conditions(coefficients, dyads, normals, row, work)
         np.minimum(c1, c2, out=c1).min(axis=-1, out=out[:, 0])
         np.minimum(d1, d2, out=d1)
         np.minimum(d1, d3, out=d1).min(axis=-1, out=out[:, 1])
@@ -644,13 +617,14 @@ def scan_invariant_plane(
 
     Records ellipticity (both forms), the monotonicity spot check on the
     stress coefficients, and the ordered-stress check at every point.
-    The law is evaluated once per parameter row; the points are then taken
-    in blocks of at most ``_BLOCK_PAIRS`` point-direction pairs, and each
-    block's law-independent geometry serves every row.  Points stay
-    independent: a point that raises a package or linear-algebra error, or
-    whose condition values are not finite, records the reason and the scan
-    continues.  An error of the law fails the point in its row only, an
-    error of the geometry in every row.
+    The law is evaluated once per parameter row and the point geometry once
+    per scan; the points are then taken in blocks of at most
+    ``_BLOCK_PAIRS`` point-direction pairs, and each block's normals serve
+    every row.  Points stay independent: a point that raises a package or
+    linear-algebra error, or whose condition values are not finite, records
+    the reason and the scan continues.  An error of the law fails the point
+    in its row only, an error of the geometry in every row, where it
+    overrides an error of the law.
     """
     law = as_law(law)
     param_grid = np.atleast_2d(np.asarray(param_grid, dtype=float))
@@ -673,19 +647,22 @@ def scan_invariant_plane(
     stretches = np.linalg.svd(f, compute_uv=False)
 
     errors = np.full((len(param_grid), len(f)), None, dtype=object)
-    rows = [
-        _row_law_values(law, t, i1, i2, row_errors)
-        for t, row_errors in zip(param_grid, errors)
-    ]
-    coef = np.stack([row_coef for row_coef, _ in rows])
-    weights = np.stack([row_weights for _, row_weights in rows])
+    coef = np.full((len(param_grid), len(f), 2), np.nan)
+    weights = np.full((len(param_grid), len(f), 5), np.nan)
+    for t, row_coef, row_weights, row_errors in zip(param_grid, coef, weights, errors):
+        _pointwise(partial(_law_values, law, t), (i1, i2), (row_coef, row_weights),
+                   row_errors)
+    coefficients = np.full((len(f), 5, 54), np.nan)
+    finv_t = np.full((len(f), 3, 3), np.nan)
+    _pointwise(_point_geometry, (f,), (coefficients, finv_t), errors)
+    dyads = _dyads(vectors)
     minima = np.full((len(param_grid), len(f), 2), np.nan)
     block = max(_BLOCK_PAIRS // len(vectors), 1)
     work = _workspace(min(block, len(f)), len(vectors))
     for start in range(0, len(f), block):
         part = slice(start, start + block)
-        _scan_block(f[part], vectors, weights[:, part], minima[:, part],
-                    errors[:, part], work)
+        _scan_block(coefficients[part], finv_t[part], vectors, dyads,
+                    weights[:, part], minima[:, part], work)
 
     # the records, built column by column; a failed point keeps the
     # defaults of PointRecord for its verdicts and values

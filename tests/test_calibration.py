@@ -71,6 +71,19 @@ class TestDataset:
         assert back.param_min == 0.1 and back.param_max == 0.9
         assert back.label == "demo"
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("lambda,stress_mpa,param_raw\n1.0,0.0,0.5\n\n1.5,0.2,0.5\n\n")
+        ds = cal.load_dataset(path)
+        np.testing.assert_array_equal(ds.lam, [1.0, 1.5])
+        np.testing.assert_array_equal(ds.stress, [0.0, 0.2])
+
+    def test_short_row_names_its_line(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("lambda,stress_mpa,param_raw\n1.0,0.0,0.5\n1.5,0.2\n")
+        with pytest.raises(ValueError, match="line 3: expected 3 fields, got 2"):
+            cal.load_dataset(path)
+
     def test_normalization_bounds(self):
         ds = cal.Dataset([1.0, 1.5], [0.0, 1.0], [10.0, 30.0], 10.0, 30.0)
         np.testing.assert_array_equal(ds.params_normalized()[:, 0], [0.0, 1.0])

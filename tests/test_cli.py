@@ -197,6 +197,34 @@ class TestScan:
         assert "whole number" in capsys.readouterr().err
         assert not list(out.glob("*"))
 
+    def test_non_finite_grid_bound_rejected(self, tmp_path, capsys, recwarn):
+        out = tmp_path / "scan"
+        assert run(
+            "scan", "--law", "neo-hookean", "--t-values", "0",
+            "--lambda1", "0.5,inf,3", "--lambda2", "0.6,2.0,4",
+            "--directions", 8, "--out", out,
+        ) == 1
+        assert "grid bounds must be finite" in capsys.readouterr().err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not list(out.glob("*"))
+
+    def test_duplicate_report_stem_rejected(self, tmp_path, small_dataset, capsys):
+        for name in ("a", "b"):
+            assert run(
+                "calibrate", "--data", data_arg(small_dataset), "--nodes", 4,
+                "--epochs", 0, "--restarts", 1, "--out", tmp_path / name,
+            ) == 0
+        out = tmp_path / "scan"
+        assert run(
+            "scan", "--model",
+            f"{tmp_path / 'a' / 'monotonic_rank0.json'},"
+            f"{tmp_path / 'b' / 'monotonic_rank0.json'}",
+            "--t-values", "0", "--lambda1", "0.8,1.5,3", "--lambda2", "0.8,1.5,3",
+            "--directions", 8, "--out", out,
+        ) == 1
+        assert "'monotonic_rank0'" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
     def test_missing_model_exits_with_file_not_found(self, tmp_path, capsys):
         code = run("scan", "--model", tmp_path / "absent.json", "--out", tmp_path)
         assert code == 2

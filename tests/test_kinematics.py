@@ -202,6 +202,19 @@ class TestGenerateMode:
         with pytest.raises(InvalidStretchError):
             kin.generate_mode(mode)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, [1.5, np.inf]])
+    def test_uniaxial_gradient_rejects_non_finite_stretch(self, bad):
+        with pytest.raises(InvalidStretchError, match="finite"):
+            kin.uniaxial_gradient(bad)
+        assert kin.uniaxial_gradient(2.0).shape == (3, 3)
+
+    @pytest.mark.parametrize("lam1, lam2", [(np.nan, 1.0), (1.0, np.inf),
+                                            ([0.5, 1.0], [np.inf, 2.0])])
+    def test_principal_stretch_gradient_rejects_non_finite_stretch(self, lam1, lam2):
+        with pytest.raises(InvalidStretchError, match="finite"):
+            kin.principal_stretch_gradient(lam1, lam2)
+        assert kin.principal_stretch_gradient(1.5, 1.2).shape == (3, 3)
+
 
 class TestRandomGenerators:
     def test_rotation_is_orthogonal(self, rng):

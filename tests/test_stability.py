@@ -111,6 +111,12 @@ class TestDirectionSets:
         b = stab.fibonacci_directions(64)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("generator", list(stab.DirectionGenerator))
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_rejected(self, generator, count):
+        with pytest.raises(EmptyGridError, match="at least 1"):
+            stab.direction_set(generator, count)
+
     def test_spherical_grid_unit_norm(self):
         vecs = stab.spherical_grid_directions(128)
         np.testing.assert_allclose(np.linalg.norm(vecs, axis=-1), 1.0, atol=1e-12)
@@ -183,8 +189,8 @@ class TestClosedFormGeometry:
     def test_each_term_matches_fourth_order_contraction(self, rng):
         f = unimodular_block(rng)
         b = rng.standard_normal((9, 3)) * rng.uniform(0.2, 5.0, (9, 1))
-        work = stab._workspace(len(f), len(b))
-        coefficients, dyads, _ = stab._acoustic_geometry(f, b, work)
+        coefficients, _ = stab._point_geometry(f)
+        dyads = stab._dyads(b)
         np.testing.assert_array_equal(
             dyads, np.einsum("dI,dJ->IJd", b, b).reshape(9, len(b))
         )
@@ -227,16 +233,14 @@ class TestClosedFormGeometry:
     @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
     def test_error_types(self, rng):
         f = unimodular_block(rng, count=3)
-        b = rng.standard_normal((4, 3))
-        work = stab._workspace(len(f), len(b))
         bad = f.copy()
         bad[1, 0, 0] = np.nan
         with pytest.raises(InvertedConfigurationError):
-            stab._acoustic_geometry(bad, b, work)
+            stab._point_geometry(bad)
         off = f.copy()
         off[1] *= 1.01
         with pytest.raises(NotIsochoricError):
-            stab._acoustic_geometry(off, b, work)
+            stab._point_geometry(off)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
     def test_nan_point_fails_alone_in_every_row(self, rng):
@@ -246,7 +250,9 @@ class TestClosedFormGeometry:
         minima = np.full((2, 3, 2), np.nan)
         errors = np.full((2, 3), None, dtype=object)
         vectors = stab.direction_set(count=20).vectors
-        stab._scan_block(f, vectors, weights, minima, errors,
+        geometry = np.full((3, 5, 54), np.nan), np.full((3, 3, 3), np.nan)
+        stab._pointwise(stab._point_geometry, (f,), geometry, errors)
+        stab._scan_block(*geometry, vectors, stab._dyads(vectors), weights, minima,
                          stab._workspace(len(f), len(vectors)))
         assert errors[:, 1].tolist() == [
             "InvertedConfigurationError: invariant derivatives require det f > 0"
@@ -384,16 +390,23 @@ class TestBatchedConditions:
         law = random_laws()[3]
         directions = stab.direction_set(count=64)
         lam = np.linspace(0.4, 3.5, 9)  # 81 points, 64 per block
-        pairs = []
-        geometry = stab._acoustic_geometry
+        points, pairs = [], []
+        point_geometry, normals = stab._point_geometry, stab._normals
 
-        def recording(f, vectors, work):
-            pairs.append(len(f) * len(vectors))
-            return geometry(f, vectors, work)
+        def recording_points(f):
+            points.append(len(f))
+            return point_geometry(f)
 
-        monkeypatch.setattr(stab, "_acoustic_geometry", recording)
+        def recording_normals(finv_t, vectors, work):
+            pairs.append(len(finv_t) * len(vectors))
+            return normals(finv_t, vectors, work)
+
+        monkeypatch.setattr(stab, "_point_geometry", recording_points)
+        monkeypatch.setattr(stab, "_normals", recording_normals)
         report = stab.scan_invariant_plane(law, [[0.3], [0.8]], lam, lam, directions)
-        # each block's geometry is built once and serves both rows
+        # the point geometry is built once per scan, and each block's
+        # normals once, serving both rows
+        assert points == [81]
         assert len(pairs) == 2 and max(pairs) <= stab._BLOCK_PAIRS
         monkeypatch.undo()
         for p in report.points:
