@@ -316,6 +316,14 @@ def forward_batch(model: PotentialModel, inv, par) -> np.ndarray:
 # (d psi / d I), which reuses that trace.  The model's arrays may carry a
 # leading restart axis R; the inputs (S, .) are shared by every restart, and
 # the gradient, cotangent (..., S, 2) and VJP results then carry the axis too.
+#
+# For two hidden layers (weights W1, W2, output row w3; first and second
+# activation derivatives t1, t2 of layer 1 and s1, s2 of layer 2) the
+# per-sample Jacobian ``u = W2 diag(t1) W1`` of layer 2 is never formed.
+# The gradient is ``(r1 o t1) W1`` with ``r1 = (w3 o s1) W2``, and the VJP
+# of a cotangent ``cot`` needs ``u`` only through ``q = u[:, :, :2] cot``,
+# which is ``(t1 o cw1) W2^T`` with ``cw1 = cot W1[:, :2]^T``.  Each product
+# is a matmul batched over the restart axis.
 
 
 def _one_hidden_gradient(model, z):
@@ -338,32 +346,39 @@ def _one_hidden_gradient(model, z):
 
 
 def _two_hidden_gradient(model, z):
-    """d psi / d z, shape (..., S, 2 + m), and the VJP of its first two columns."""
+    """d psi / d z, shape (..., S, 2 + m), and the VJP of its first two columns.
+
+    Factored through layer 2's input (see above): ``r1 = (w3 o s1) W2`` and
+    ``grad = (r1 o t1) W1``; the VJP takes ``cw1 = cot W1[:, :2]^T``,
+    ``q = (t1 o cw1) W2^T`` and ``r2 = (s2 o q o w3) W2``, and reuses ``r1``.
+    """
     l1, l2 = model.layers[:-1]
     (a1, a2), (x1, _), w3 = _chain_trace(model, z)
+    w1, w2 = l1.weights, l2.weights
     t1 = _act_d1(l1.activation, a1)
     s1 = _act_d1(l2.activation, a2)
-    u = np.einsum("...ij,...sj,...jk->...sik", l2.weights, t1, l1.weights)
-    grad = np.einsum("...i,...si,...sik->...sk", w3, s1, u)
+    w3s = w3[..., None, :]
+    r1 = (w3s * s1) @ w2
+    r1t1 = r1 * t1
+    grad = r1t1 @ w1
 
     def vjp(cot):
         t2 = _act_d2(l1.activation, a1)
         s2 = _act_d2(l2.activation, a2)
-        q = np.einsum("...sk,...sik->...si", cot, u[..., :2])
-        cw1 = np.einsum("...sk,...jk->...sj", cot, l1.weights[..., :2])
-        w3s = w3[..., None, :]
+        cw1 = cot @ np.swapaxes(w1[..., :2], -1, -2)
+        t1cw1 = t1 * cw1
+        q = t1cw1 @ np.swapaxes(w2, -1, -2)
         dw3 = np.einsum("...si,...si->...i", s1, q)[..., None, :]
         db2 = w3 * np.einsum("...si,...si->...i", s2, q)
         dw2 = w3[..., None] * (
             np.einsum("...si,...sj->...ij", s2 * q, x1)
-            + np.einsum("...si,...sj->...ij", s1, t1 * cw1)
+            + np.einsum("...si,...sj->...ij", s1, t1cw1)
         )
-        r2 = np.einsum("...si,...ij->...sj", s2 * q * w3s, l2.weights)
-        r1 = np.einsum("...si,...ij->...sj", s1 * w3s, l2.weights)
+        r2 = (s2 * q * w3s) @ w2
         inner = t1 * r2 + t2 * cw1 * r1
         db1 = inner.sum(axis=-2)
         dw1 = np.einsum("...sj,...sl->...jl", inner, z)
-        dw1[..., :2] += np.einsum("...sj,...sa->...ja", r1 * t1, cot)
+        dw1[..., :2] += np.einsum("...sj,...sa->...ja", r1t1, cot)
         return [dw1, db1, dw2, db2, dw3]
 
     return grad, vjp

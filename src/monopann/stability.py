@@ -606,46 +606,34 @@ def _scan_block(coefficients, finv_t, directions, dyads, weights, minima, work) 
         np.minimum(d1, d3, out=d1).min(axis=-1, out=out[:, 1])
 
 
-def scan_invariant_plane(
-    law,
-    param_grid,
-    lambda1_values,
-    lambda2_values,
-    directions: DirectionSet | None = None,
-) -> StabilityReport:
-    """Sweep ``F = diag(l1, l2, 1/(l1 l2))`` over a stretch grid per parameter.
+def _scan_points(lam1, lam2, errors):
+    """Deformation gradients (P, 3, 3) of the stretch pairs and their
+    isochoric invariants (P,) each.
 
-    Records ellipticity (both forms), the monotonicity spot check on the
-    stress coefficients, and the ordered-stress check at every point.
-    The law is evaluated once per parameter row and the point geometry once
-    per scan; the points are then taken in blocks of at most
-    ``_BLOCK_PAIRS`` point-direction pairs, and each block's normals serve
-    every row.  Points stay independent: a point that raises a package or
-    linear-algebra error, or whose condition values are not finite, records
-    the reason and the scan continues.  An error of the law fails the point
-    in its row only, an error of the geometry in every row, where it
-    overrides an error of the law.
+    A point whose det F is not finite and positive (its third stretch
+    ``1/(l1 l2)`` over- or underflows), or whose invariants overflow, fails
+    in every row of ``errors`` (R, P) with a reason that names the value; its
+    invariants are NaN or infinite.  The floating-point warnings of these
+    points are ignored, because the check reports them point by point.
     """
-    law = as_law(law)
-    param_grid = np.atleast_2d(np.asarray(param_grid, dtype=float))
-    lambda1_values = np.atleast_1d(np.asarray(lambda1_values, dtype=float))
-    lambda2_values = np.atleast_1d(np.asarray(lambda2_values, dtype=float))
-    if param_grid.size == 0:
-        raise EmptyGridError("parameter grid is empty")
-    if lambda1_values.size == 0 or lambda2_values.size == 0:
-        raise EmptyGridError("stretch grid is empty")
-    if directions is None:
-        directions = direction_set()
-    vectors = directions.vectors
-    if len(vectors) == 0:
-        raise EmptyGridError("direction set is empty")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        f = principal_stretch_gradient(lam1, lam2)
+        det = np.linalg.det(f)
+        valid = np.isfinite(det) & (det > 0.0)
+        i1, i2 = np.full((2, len(f)), np.nan)
+        i1[valid], i2[valid] = isochoric_invariants(f[valid])
+    for k in np.flatnonzero(~valid):
+        errors[:, k] = f"det F = {det[k]:.6g} is not finite and positive"
+    for k in np.flatnonzero(valid & ~(np.isfinite(i1) & np.isfinite(i2))):
+        errors[:, k] = f"isochoric invariants not finite: I1 = {i1[k]:.6g}, I2 = {i2[k]:.6g}"
+    return f, i1, i2
 
-    lam1, lam2 = np.meshgrid(lambda1_values, lambda2_values, indexing="ij")
-    lam1, lam2 = lam1.ravel(), lam2.ravel()
-    f = principal_stretch_gradient(lam1, lam2)
-    i1, i2 = isochoric_invariants(f)
-    stretches = np.linalg.svd(f, compute_uv=False)
 
+def _scan_minima(law, param_grid, f, i1, i2, vectors):
+    """Stress coefficients (R, P, 2), smallest incompressible and
+    compressible condition values (R, P, 2) and point errors (R, P) of the
+    points ``f`` (P, 3, 3) with invariants ``i1``, ``i2`` in every parameter
+    row; see :func:`scan_invariant_plane`."""
     errors = np.full((len(param_grid), len(f)), None, dtype=object)
     coef = np.full((len(param_grid), len(f), 2), np.nan)
     weights = np.full((len(param_grid), len(f), 5), np.nan)
@@ -663,6 +651,61 @@ def scan_invariant_plane(
         part = slice(start, start + block)
         _scan_block(coefficients[part], finv_t[part], vectors, dyads,
                     weights[:, part], minima[:, part], work)
+    return coef, minima, errors
+
+
+def _span(values: np.ndarray):
+    return [float(values.min()), float(values.max())] if values.size else None
+
+
+def scan_invariant_plane(
+    law,
+    param_grid,
+    lambda1_values,
+    lambda2_values,
+    directions: DirectionSet | None = None,
+) -> StabilityReport:
+    """Sweep ``F = diag(l1, l2, 1/(l1 l2))`` over a stretch grid per parameter.
+
+    Records ellipticity (both forms), the monotonicity spot check on the
+    stress coefficients, and the ordered-stress check at every point.
+    The law is evaluated once per parameter row and the point geometry once
+    per scan; the points are then taken in blocks of at most
+    ``_BLOCK_PAIRS`` point-direction pairs, and each block's normals serve
+    every row.  Points stay independent: a point whose det F or invariants
+    are not finite, that raises a package or linear-algebra error, or whose
+    condition values are not finite, records the reason and the scan
+    continues.  An error of the law fails the point in its row only, an
+    error of the geometry in every row, where it overrides an error of the
+    law.
+    """
+    law = as_law(law)
+    param_grid = np.atleast_2d(np.asarray(param_grid, dtype=float))
+    lambda1_values = np.atleast_1d(np.asarray(lambda1_values, dtype=float))
+    lambda2_values = np.atleast_1d(np.asarray(lambda2_values, dtype=float))
+    if param_grid.size == 0:
+        raise EmptyGridError("parameter grid is empty")
+    if lambda1_values.size == 0 or lambda2_values.size == 0:
+        raise EmptyGridError("stretch grid is empty")
+    if directions is None:
+        directions = direction_set()
+    vectors = directions.vectors
+    if len(vectors) == 0:
+        raise EmptyGridError("direction set is empty")
+
+    lam1, lam2 = np.meshgrid(lambda1_values, lambda2_values, indexing="ij")
+    lam1, lam2 = lam1.ravel(), lam2.ravel()
+    errors = np.full((len(param_grid), len(lam1)), None, dtype=object)
+    f, i1, i2 = _scan_points(lam1, lam2, errors)
+    # only the points that passed _scan_points are evaluated
+    live = np.flatnonzero(np.equal(errors[0], None))
+    coef = np.full((len(param_grid), len(f), 2), np.nan)
+    minima = np.full((len(param_grid), len(f), 2), np.nan)
+    stretches = np.full((len(f), 3), np.nan)
+    coef[:, live], minima[:, live], errors[:, live] = _scan_minima(
+        law, param_grid, f[live], i1[live], i2[live], vectors
+    )
+    stretches[live] = np.linalg.svd(f[live], compute_uv=False)
 
     # the records, built column by column; a failed point keeps the
     # defaults of PointRecord for its verdicts and values
@@ -707,8 +750,8 @@ def scan_invariant_plane(
     region = {
         "lambda1": [float(lambda1_values.min()), float(lambda1_values.max())],
         "lambda2": [float(lambda2_values.min()), float(lambda2_values.max())],
-        "i1": [float(i1.min()), float(i1.max())],
-        "i2": [float(i2.min()), float(i2.max())],
+        "i1": _span(i1[live]),
+        "i2": _span(i2[live]),
     }
     return StabilityReport(
         points, per_parameter, region, directions.count, law.label
@@ -726,8 +769,8 @@ def report_to_dict(report: StabilityReport) -> dict:
                 "lambda1": p.lambda1,
                 "lambda2": p.lambda2,
                 "f": p.f.tolist(),
-                "i1": p.i1,
-                "i2": p.i2,
+                "i1": p.i1 if math.isfinite(p.i1) else None,
+                "i2": p.i2 if math.isfinite(p.i2) else None,
                 "t": [float(v) for v in p.t],
                 "elliptic": p.elliptic,
                 "min_value": None if np.isnan(p.min_value) else p.min_value,

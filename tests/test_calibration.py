@@ -171,10 +171,7 @@ class TestLoss:
         with pytest.raises(EmptyDatasetError):
             cal.mse_loss(cons.neo_hookean(1.0), ds)
 
-    @pytest.mark.parametrize(
-        "arch", [nets.Architecture.MONOTONIC, nets.Architecture.CONVEX_MONOTONIC,
-                 nets.Architecture.UNRESTRICTED_1HL]
-    )
+    @pytest.mark.parametrize("arch", list(nets.Architecture))
     def test_gradient_matches_fd(self, arch, rng):
         model = nets.build_model(arch, 3, 1, rng)
         lam = np.linspace(1.1, 1.9, 5)

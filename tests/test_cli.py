@@ -208,6 +208,39 @@ class TestScan:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not list(out.glob("*"))
 
+    @pytest.mark.parametrize("lambda1,lambda2,reasons", [
+        # 1/(l1 l2) overflows at (1e-160, 1e-160); |F|^2 elsewhere on the edges
+        ("1e-160,1,3", "1e-160,1,2", {
+            (1e-160, 1e-160): "det F = inf is not finite and positive",
+            (1e-160, 1.0): "isochoric invariants not finite: I1 = inf, I2 = inf",
+            (0.5, 1e-160): "isochoric invariants not finite: I1 = inf, I2 = inf",
+            (1.0, 1e-160): "isochoric invariants not finite: I1 = inf, I2 = inf",
+        }),
+        ("1e-200,1,3", "0.5,1,2", {
+            (1e-200, 0.5): "isochoric invariants not finite: I1 = inf, I2 = inf",
+            (1e-200, 1.0): "isochoric invariants not finite: I1 = inf, I2 = inf",
+        }),
+    ])
+    def test_overflowing_points_fail_alone(self, tmp_path, recwarn, lambda1, lambda2,
+                                           reasons):
+        out = tmp_path / "scan"
+        assert run(
+            "scan", "--law", "neo-hookean", "--c", "0.5", "--t-values", "0,1",
+            "--lambda1", lambda1, "--lambda2", lambda2,
+            "--directions", 16, "--out", out,
+        ) == 0
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        report = json.loads((out / "neo-hookean_c_0.5_report.json").read_text())
+        assert len(report["points"]) == 12
+        for p in report["points"]:
+            reason = reasons.get((p["lambda1"], p["lambda2"]))
+            assert p["error"] == reason
+            assert (p["i1"] is None) == (reason is not None)
+            assert p["elliptic"] == (reason is None)
+        assert [r["failed_points"] for r in report["per_parameter"]] == [len(reasons)] * 2
+        # the region spans the evaluated points only
+        assert report["region"]["i1"][0] == 3.0 < report["region"]["i1"][1] < 20.0
+
     def test_duplicate_report_stem_rejected(self, tmp_path, small_dataset, capsys):
         for name in ("a", "b"):
             assert run(

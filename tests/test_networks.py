@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from monopann import networks as nets
+from monopann.calibration import _stack
 from monopann.errors import ConstraintViolationError, ShapeMismatchError
 
 from conftest import central_difference, central_difference_tensor
 
 ALL_ARCHITECTURES = list(nets.Architecture)
 CONSTRAINED = [nets.Architecture.MONOTONIC, nets.Architecture.CONVEX_MONOTONIC]
+TWO_HIDDEN = [nets.Architecture.MONOTONIC, nets.Architecture.UNRESTRICTED_2HL]
 
 
 def make_model(arch, rng, nodes=4, param_dim=1):
@@ -189,6 +191,69 @@ class TestVjp:
                 arr[idx] = orig
                 fd = (f_plus - f_minus) / (2.0 * h)
                 assert grad[idx] == pytest.approx(fd, rel=5e-5, abs=1e-7)
+
+
+def explicit_u_two_hidden(model, zinv, par, cot):
+    """Stress coefficients and their VJP for a two-hidden-layer model,
+    derived in reverse mode through the per-sample Jacobian
+    ``u = W2 diag(t1) W1`` (..., S, n, 2 + m) of the second layer, which is
+    formed explicitly.  The arrays may carry a leading restart axis."""
+    l1, l2, l3 = model.layers
+    w1, w2, w3 = l1.weights, l2.weights, l3.weights[..., 0, :]
+    z = np.concatenate([zinv, par], axis=-1)
+    a1 = z @ np.swapaxes(w1, -1, -2) + l1.bias[..., None, :]
+    x1 = np.tanh(a1)
+    t1 = 1.0 - x1**2
+    t2 = -2.0 * x1 * t1
+    a2 = x1 @ np.swapaxes(w2, -1, -2) + l2.bias[..., None, :]
+    s1 = 1.0 / (1.0 + np.exp(-a2))
+    s2 = s1 * (1.0 - s1)
+    u = np.einsum("...ij,...sj,...jk->...sik", w2, t1, w1)
+    v = w3[..., None, :] * s1
+    coefficients = np.einsum("...si,...sik->...sk", v, u)[..., :2]
+    # reverse sweep of sum_s cot[s] . (v[s] u[s])[:2]
+    du = np.zeros_like(u)
+    du[..., :2] = v[..., :, None] * cot[..., :, None, :]
+    dv = np.einsum("...sik,...sk->...si", u[..., :2], cot)
+    da2 = s2 * w3[..., None, :] * dv
+    dt1 = np.einsum("...sik,...ij,...jk->...sj", du, w2, w1)
+    da1 = (da2 @ w2) * t1 + dt1 * t2
+    dw1 = np.einsum("...sj,...sl->...jl", da1, z)
+    dw1 += np.einsum("...sik,...ij,...sj->...jk", du, w2, t1)
+    dw2 = np.einsum("...si,...sj->...ij", da2, x1)
+    dw2 += np.einsum("...sik,...sj,...jk->...ij", du, t1, w1)
+    dw3 = np.einsum("...si,...si->...i", s1, dv)[..., None, :]
+    grads = [dw1, da1.sum(axis=-2), dw2, da2.sum(axis=-2), dw3]
+    return coefficients, grads
+
+
+class TestFactoredTwoHidden:
+    """The 2-HL gradient and VJP never form u; they must still agree with
+    the explicit-u derivation, per restart and stacked."""
+
+    @pytest.mark.parametrize("arch", TWO_HIDDEN)
+    @pytest.mark.parametrize("nodes,samples,restarts", [(8, 60, 5), (32, 200, 2)])
+    def test_matches_explicit_u_and_unstacked_calls(self, arch, nodes, samples,
+                                                    restarts, rng):
+        models = [make_model(arch, rng, nodes=nodes) for _ in range(restarts)]
+        for model in models:
+            for layer in model.layers[:-1]:
+                layer.bias[...] = rng.uniform(-0.5, 0.5, layer.bias.shape)
+        stacked = _stack(models)
+        inv, par = random_states(rng, samples)
+        zinv = inv - 3.0
+        cot = rng.standard_normal((restarts, samples, 2))
+        coefficients, vjp = nets._stress_vjp(stacked, zinv, par)
+        grads = vjp(cot)
+        ref_coefficients, ref_grads = explicit_u_two_hidden(stacked, zinv, par, cot)
+        for got, want in zip([coefficients, *grads], [ref_coefficients, *ref_grads]):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        for r, model in enumerate(models):
+            one, one_vjp = nets._stress_vjp(model, zinv, par)
+            np.testing.assert_array_equal(coefficients[r], one)
+            for got, want in zip(grads, one_vjp(cot[r])):
+                np.testing.assert_array_equal(got[r], want)
 
 
 class TestCountsAndSparsity:
