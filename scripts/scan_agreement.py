@@ -8,18 +8,28 @@ another commit::
 It scans a fixed set of laws with each checkout's ``src``, each in its own
 fresh interpreter: untrained networks of all four architectures (n = 6,
 seeds 11 to 13) and a Mooney-Rivlin law, on a 12x12 stretch grid over
-[0.3, 4], with 3 parameter rows and 150 Fibonacci directions.  It prints
-the worst deviation of the condition minima (absolute, or relative above
-1) and of the invariants i1, i2 (relative), and exits 1 if any verdict,
-``error`` or ``per_parameter`` entry differs, or if a minimum differs by
-more than ``MINIMUM_TOLERANCE``.
+[0.3, 4], with 3 parameter rows and 150 Fibonacci directions.  The reports
+are compared as each checkout's ``stability.write_report_json`` writes
+them.  It prints the worst deviation of the condition minima (absolute, or
+relative above 1) and of the invariants i1, i2 (relative).
+
+Each checkout also runs the two ``scan`` commands of the benchmark's
+scan-grid workload (a seeded monotonic network with n = 8, then the
+Mooney-Rivlin law, over 3 parameter rows, a 10x10 grid over [0.5, 3] and
+200 directions), and the sha256 of every artifact they write is compared.
+
+It exits 1 if any verdict, ``error`` or ``per_parameter`` entry differs, if
+a minimum differs by more than ``MINIMUM_TOLERANCE``, or if any CLI
+artifact differs; every differing entry and file is printed.
 """
 
 import argparse
+import hashlib
 import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 MINIMUM_TOLERANCE = 1e-12
@@ -30,10 +40,23 @@ ROWS = [[0.0], [0.5], [1.0]]
 DIRECTIONS = 150
 EXACT = ("elliptic", "compressible_elliptic", "be_ok", "mono_ok", "error")
 MINIMA = ("min_value", "compressible_min_value")
+# the scan-grid workload of bench/run.py
+CLI_SEED = 1
+CLI_NODES = 8
+CLI_ARGS = [
+    "--t-values", "0,0.5,1", "--lambda1", "0.5,3,10", "--lambda2", "0.5,3,10",
+    "--directions", "200", "--seed", str(CLI_SEED),
+]
+CLI_ORACLE = [
+    "--c10-cubic", "0,0,0.25,0.15",
+    "--c01-cubic", "0,0,0.05,0.03",
+    "--c11-cubic", "0,0,0.02,0",
+]
 
 
-def scan_all(src: Path) -> dict:
-    """The scan report of every law, by label, computed with ``src``."""
+def scan_all(src: Path, work: Path) -> dict:
+    """The scan report of every law, by label, computed with ``src`` and
+    read back from the JSON that ``src`` writes into ``work``."""
     sys.path.insert(0, str(src))
     import numpy as np
 
@@ -49,19 +72,41 @@ def scan_all(src: Path) -> dict:
     laws.append(constitutive.MooneyRivlin([0.1, 0.3], [-0.05, 0.02], [0.01, -0.04]))
     lam = np.linspace(*GRID[:2], GRID[2])
     directions = stability.direction_set(count=DIRECTIONS)
-    return {
-        law.label: stability.report_to_dict(
-            stability.scan_invariant_plane(law, ROWS, lam, lam, directions)
-        )
-        for law in laws
-    }
+    reports = {}
+    for k, law in enumerate(laws):
+        path = work / f"law{k}_report.json"
+        report = stability.scan_invariant_plane(law, ROWS, lam, lam, directions)
+        stability.write_report_json(report, path)
+        reports[law.label] = json.loads(path.read_text())
+    return reports
+
+
+def cli_artifacts(src: Path, work: Path) -> dict:
+    """The sha256 of every file that the scan-grid commands write with
+    ``src``, by name."""
+    sys.path.insert(0, str(src))
+    import numpy as np
+
+    from monopann import cli, networks
+
+    model = networks.build_model(networks.Architecture.MONOTONIC, CLI_NODES, 1,
+                                 np.random.default_rng(CLI_SEED))
+    networks.save_model(model, work / "scan_model.json")
+    out = work / "out"
+    for law in (["--model", str(work / "scan_model.json")],
+                ["--law", "mooney-rivlin", *CLI_ORACLE]):
+        if cli.main(["scan", *law, *CLI_ARGS, "--out", str(out)]) != 0:
+            raise SystemExit(f"scan {law[:2]} failed")
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())}
 
 
 def run_child(src: Path) -> dict:
-    done = subprocess.run(
-        [sys.executable, __file__, "--child", str(src)],
-        capture_output=True, text=True, check=True, timeout=1800,
-    )
+    with tempfile.TemporaryDirectory() as work:
+        done = subprocess.run(
+            [sys.executable, __file__, "--child", str(src), "--work", work],
+            capture_output=True, text=True, check=True, timeout=1800,
+        )
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -93,29 +138,41 @@ def compare(parent: dict, change: dict) -> tuple[list, float, float]:
     return diffs, worst_min, worst_inv
 
 
+def compare_files(parent: dict, change: dict) -> list:
+    """The names of the artifacts that differ, or that only one side wrote."""
+    return [f"artifact {name} differs" for name in sorted(parent.keys() | change.keys())
+            if parent.get(name) != change.get(name)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, help="checkout to compare against")
     parser.add_argument("--change", type=Path, help="checkout under test")
     parser.add_argument("--child", type=Path,
-                        help="scan with this src directory and print the reports")
+                        help="scan with this src directory and print the results")
+    parser.add_argument("--work", type=Path, help="scratch directory of --child")
     args = parser.parse_args(argv)
     if args.child is not None:
-        print(json.dumps(scan_all(args.child.resolve())))
+        src = args.child.resolve()
+        (args.work / "cli").mkdir()
+        print(json.dumps({"reports": scan_all(src, args.work),
+                          "artifacts": cli_artifacts(src, args.work / "cli")}))
         return 0
     if args.parent is None or args.change is None:
         parser.error("--parent and --change are required")
     parent = run_child((args.parent / "src").resolve())
     change = run_child((args.change / "src").resolve())
-    diffs, worst_min, worst_inv = compare(parent, change)
-    for line in diffs:
+    diffs, worst_min, worst_inv = compare(parent["reports"], change["reports"])
+    files = compare_files(parent["artifacts"], change["artifacts"])
+    for line in diffs + files:
         print(line)
-    print(f"laws: {len(parent)}, differing verdicts, errors or per_parameter "
-          f"entries: {len(diffs)}")
+    print(f"laws: {len(parent['reports'])}, differing verdicts, errors or "
+          f"per_parameter entries: {len(diffs)}")
     print(f"worst minimum deviation: {worst_min:.3g} "
           f"(absolute, or relative above 1; bound {MINIMUM_TOLERANCE:g})")
     print(f"worst i1/i2 relative deviation: {worst_inv:.3g}")
-    return 1 if diffs or worst_min > MINIMUM_TOLERANCE else 0
+    print(f"CLI scan artifacts: {len(parent['artifacts'])}, differing: {len(files)}")
+    return 1 if diffs or files or worst_min > MINIMUM_TOLERANCE else 0
 
 
 if __name__ == "__main__":

@@ -251,23 +251,18 @@ def cmd_scan(args) -> int:
             summaries.append([law.label, entry])
         print(f"{law.label}: elliptic fraction {report.elliptic_fraction():.4f}")
     if len(laws) > 1:
+        # a row whose points all failed has no fractions (None), written nan
+        fractions = ("elliptic_fraction", "compressible_fraction", "be_fraction",
+                     "mono_fraction")
         rows = [
             [
                 label,
                 ";".join(repr(v) for v in entry["t"]),
-                repr(entry["elliptic_fraction"]),
-                repr(entry["compressible_fraction"]),
-                repr(entry["be_fraction"]),
-                repr(entry["mono_fraction"]),
+                *("nan" if entry[key] is None else repr(entry[key]) for key in fractions),
             ]
             for label, entry in summaries
         ]
-        _write_rows(
-            out / "comparison.csv",
-            ["law", "t", "elliptic_fraction", "compressible_fraction",
-             "be_fraction", "mono_fraction"],
-            rows,
-        )
+        _write_rows(out / "comparison.csv", ["law", "t", *fractions], rows)
     return 0
 
 

@@ -136,7 +136,12 @@ def isochoric_invariants(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     InvertedConfigurationError
         If any input has non-positive determinant.
     """
-    det, _, i1, i2, _, _, _ = _invariant_terms(f)
+    return _isochoric(_invariant_terms(f))
+
+
+def _isochoric(terms) -> tuple[np.ndarray, np.ndarray]:
+    """The isochoric invariants from the :func:`_invariant_terms` of f."""
+    det, _, i1, i2, _, _, _ = terms
     return det ** (-2.0 / 3.0) * i1, det ** (-4.0 / 3.0) * i2
 
 

@@ -46,6 +46,7 @@ from .constitutive import _check_isochoric, _format_params, _tangent_weights, as
 from .errors import EmptyGridError, MonopannError
 from .kinematics import (
     _invariant_terms,
+    _isochoric,
     isochoric_invariants,
     principal_stretch_gradient,
 )
@@ -63,10 +64,8 @@ __all__ = [
     "hessian_decomposition",
     "tangent_plane_basis",
     "baker_ericksen_check",
-    "PointRecord",
     "StabilityReport",
     "scan_invariant_plane",
-    "report_to_dict",
     "write_report_json",
     "write_summary_csv",
 ]
@@ -151,9 +150,10 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[:, _ROW, :, None] * y[:, _COL, None, :]
 
 
-def _point_geometry(f: np.ndarray):
+def _point_geometry(f: np.ndarray, *terms):
     """The law- and direction-independent part of the acoustic tensors of
-    the points ``f`` (P, 3, 3), built once per scan.
+    the points ``f`` (P, 3, 3), built once per scan.  ``terms`` are the
+    points' ``kinematics._invariant_terms``, computed here if not given.
 
     Returns ``(coefficients, finv_t)``: ``coefficients`` (P, 5, 54) holds,
     for each of the five tangent terms (see ``constitutive._tangent_terms``),
@@ -175,7 +175,7 @@ def _point_geometry(f: np.ndarray):
     and ``InvertedConfigurationError`` where det F is not finite.
     """
     _check_isochoric(f)
-    det, h, i1, i2, g2, d1, d2 = _invariant_terms(f)
+    det, h, i1, i2, g2, d1, d2 = terms or _invariant_terms(f)
     c = np.swapaxes(f, -1, -2) @ f
     f_ft = f @ np.swapaxes(f, -1, -2)
     finv_t = h / det[:, None, None]
@@ -284,11 +284,6 @@ def _law_values(law, par, i1, i2):
     return coef, _tangent_weights(coef, law.hessian(i1, i2, par))
 
 
-def _point_weights(law, f: np.ndarray, par) -> np.ndarray:
-    """Tangent weights (P, 5) of ``law`` at the points ``f`` (P, 3, 3)."""
-    return _law_values(law, par, *isochoric_invariants(f))[1]
-
-
 def acoustic_tensor(law, f, par, b: np.ndarray) -> np.ndarray:
     """Contract the full tangent twice with probing directions.
 
@@ -300,7 +295,7 @@ def acoustic_tensor(law, f, par, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     points, vectors = f.reshape(-1, 3, 3), b.reshape(-1, 3)
     coefficients, _ = _point_geometry(points)
-    weights = _point_weights(as_law(law), points, par)
+    weights = _law_values(as_law(law), par, *isochoric_invariants(points))[1]
     q = (weights[:, None, :] @ coefficients).reshape(len(points), 6, 9)
     q = q @ _dyads(vectors)
     q = np.moveaxis(q[:, _FULL], -1, 1)
@@ -394,8 +389,8 @@ def _condition_values(law, f, par, directions: np.ndarray):
     coefficients, finv_t = _point_geometry(f)
     work = _workspace(len(f), len(directions))
     normals = _normals(finv_t, directions, work)
-    return _conditions(coefficients, _dyads(directions), normals,
-                       _point_weights(law, f, par), work)
+    weights = _law_values(law, par, *isochoric_invariants(f))[1]
+    return _conditions(coefficients, _dyads(directions), normals, weights, work)
 
 
 def ellipticity_incompressible(law, f, par, directions) -> tuple[bool, float]:
@@ -444,8 +439,9 @@ def hessian_decomposition(law, f, par):
     law = as_law(law)
     f = np.asarray(f, dtype=float)
     f_t = np.swapaxes(f, -1, -2)
-    i1, i2 = isochoric_invariants(f)
-    _, _, f_sq, _, g2, _, _ = _invariant_terms(f)
+    terms = _invariant_terms(f)
+    i1, i2 = _isochoric(terms)
+    _, _, f_sq, _, g2, _, _ = terms
     coef = law.coefficients(i1, i2, par)
     hess = law.hessian(i1, i2, par)
     g = 0.5 * g2
@@ -513,36 +509,47 @@ def baker_ericksen_check(law, f, par) -> np.ndarray:
 # invariant-plane scan
 
 
-@dataclass
-class PointRecord:
-    lambda1: float
-    lambda2: float
-    f: np.ndarray
-    i1: float
-    i2: float
-    t: np.ndarray
-    elliptic: bool = False
-    min_value: float = np.nan
-    compressible_elliptic: bool = False
-    compressible_min_value: float = np.nan
-    be_ok: bool = False
-    mono_ok: bool = False
-    error: str | None = None
+def _point_dtype(params: int) -> np.dtype:
+    """The fields of a scan point, for ``params`` parameters per row."""
+    return np.dtype([
+        ("lambda1", float), ("lambda2", float), ("f", float, (3, 3)), ("i1", float),
+        ("i2", float), ("t", float, (params,)), ("elliptic", bool), ("min_value", float),
+        ("compressible_elliptic", bool), ("compressible_min_value", float),
+        ("be_ok", bool), ("mono_ok", bool), ("error", object),
+    ])
+
+
+# each fraction of a per_parameter entry, and the point field it counts
+_FRACTIONS = {"elliptic_fraction": "elliptic", "compressible_fraction":
+              "compressible_elliptic", "be_fraction": "be_ok", "mono_fraction": "mono_ok"}
+# the float fields that the JSON report writes as null where not finite
+_NULLABLE = ("i1", "i2", "min_value", "compressible_min_value")
 
 
 @dataclass
 class StabilityReport:
-    points: list
+    """The result of :func:`scan_invariant_plane`.
+
+    ``points`` is a ``numpy.recarray`` with one row per parameter row and
+    stretch pair, in the order of ``per_parameter``, and the fields of
+    ``_point_dtype``; ``error`` is None or the reason the point failed, and
+    a failed point has False verdicts and NaN minima.  ``per_parameter``
+    holds one dict per parameter row: its ``t``, ``points``,
+    ``failed_points`` and the fractions of its evaluated points that pass
+    each check (``_FRACTIONS``), None for a row whose points all failed.
+    """
+
+    points: np.recarray
     per_parameter: list
     region: dict
     direction_count: int
     law_label: str
 
     def elliptic_fraction(self) -> float:
-        ok = [p for p in self.points if p.error is None]
-        if not ok:
-            return float("nan")
-        return sum(p.elliptic for p in ok) / len(ok)
+        """Fraction of the evaluated points that are elliptic; NaN if every
+        point failed."""
+        passed = np.count_nonzero(np.equal(self.points.error, None))
+        return np.count_nonzero(self.points.elliptic) / passed if passed else float("nan")
 
 
 # Upper bound on the point-direction pairs evaluated together; it caps the
@@ -607,8 +614,9 @@ def _scan_block(coefficients, finv_t, directions, dyads, weights, minima, work) 
 
 
 def _scan_points(lam1, lam2, errors):
-    """Deformation gradients (P, 3, 3) of the stretch pairs and their
-    isochoric invariants (P,) each.
+    """Deformation gradients (P, 3, 3) of the stretch pairs, their isochoric
+    invariants (P,) each, the indices of the points that go on to the law
+    and the geometry, and those points' ``kinematics._invariant_terms``.
 
     A point whose det F is not finite and positive (its third stretch
     ``1/(l1 l2)`` over- or underflows), or whose invariants overflow, fails
@@ -620,20 +628,24 @@ def _scan_points(lam1, lam2, errors):
         f = principal_stretch_gradient(lam1, lam2)
         det = np.linalg.det(f)
         valid = np.isfinite(det) & (det > 0.0)
+        terms = _invariant_terms(f[valid])
         i1, i2 = np.full((2, len(f)), np.nan)
-        i1[valid], i2[valid] = isochoric_invariants(f[valid])
+        i1[valid], i2[valid] = _isochoric(terms)
+    finite = np.isfinite(i1) & np.isfinite(i2)
     for k in np.flatnonzero(~valid):
         errors[:, k] = f"det F = {det[k]:.6g} is not finite and positive"
-    for k in np.flatnonzero(valid & ~(np.isfinite(i1) & np.isfinite(i2))):
+    for k in np.flatnonzero(valid & ~finite):
         errors[:, k] = f"isochoric invariants not finite: I1 = {i1[k]:.6g}, I2 = {i2[k]:.6g}"
-    return f, i1, i2
+    live = np.flatnonzero(valid & finite)
+    return f, i1, i2, live, [term[finite[valid]] for term in terms]
 
 
-def _scan_minima(law, param_grid, f, i1, i2, vectors):
+def _scan_minima(law, param_grid, f, i1, i2, terms, vectors):
     """Stress coefficients (R, P, 2), smallest incompressible and
     compressible condition values (R, P, 2) and point errors (R, P) of the
-    points ``f`` (P, 3, 3) with invariants ``i1``, ``i2`` in every parameter
-    row; see :func:`scan_invariant_plane`."""
+    points ``f`` (P, 3, 3) with invariants ``i1``, ``i2`` and invariant
+    terms ``terms`` in every parameter row; see
+    :func:`scan_invariant_plane`."""
     errors = np.full((len(param_grid), len(f)), None, dtype=object)
     coef = np.full((len(param_grid), len(f), 2), np.nan)
     weights = np.full((len(param_grid), len(f), 5), np.nan)
@@ -642,7 +654,7 @@ def _scan_minima(law, param_grid, f, i1, i2, vectors):
                    row_errors)
     coefficients = np.full((len(f), 5, 54), np.nan)
     finv_t = np.full((len(f), 3, 3), np.nan)
-    _pointwise(_point_geometry, (f,), (coefficients, finv_t), errors)
+    _pointwise(_point_geometry, (f, *terms), (coefficients, finv_t), errors)
     dyads = _dyads(vectors)
     minima = np.full((len(param_grid), len(f), 2), np.nan)
     block = max(_BLOCK_PAIRS // len(vectors), 1)
@@ -677,7 +689,8 @@ def scan_invariant_plane(
     condition values are not finite, records the reason and the scan
     continues.  An error of the law fails the point in its row only, an
     error of the geometry in every row, where it overrides an error of the
-    law.
+    law.  Each verdict is computed as one (R, P) array over the R parameter
+    rows and P stretch pairs, which fills a field of the report's ``points``.
     """
     law = as_law(law)
     param_grid = np.atleast_2d(np.asarray(param_grid, dtype=float))
@@ -696,124 +709,106 @@ def scan_invariant_plane(
     lam1, lam2 = np.meshgrid(lambda1_values, lambda2_values, indexing="ij")
     lam1, lam2 = lam1.ravel(), lam2.ravel()
     errors = np.full((len(param_grid), len(lam1)), None, dtype=object)
-    f, i1, i2 = _scan_points(lam1, lam2, errors)
-    # only the points that passed _scan_points are evaluated
-    live = np.flatnonzero(np.equal(errors[0], None))
+    f, i1, i2, live, terms = _scan_points(lam1, lam2, errors)
     coef = np.full((len(param_grid), len(f), 2), np.nan)
     minima = np.full((len(param_grid), len(f), 2), np.nan)
     stretches = np.full((len(f), 3), np.nan)
     coef[:, live], minima[:, live], errors[:, live] = _scan_minima(
-        law, param_grid, f[live], i1[live], i2[live], vectors
+        law, param_grid, f[live], i1[live], i2[live], terms, vectors
     )
     stretches[live] = np.linalg.svd(f[live], compute_uv=False)
 
-    # the records, built column by column; a failed point keeps the
-    # defaults of PointRecord for its verdicts and values
     finite = np.isfinite(minima).all(axis=-1)
     errors[np.equal(errors, None) & ~finite] = "non-finite condition values"
     ok = np.equal(errors, None)
-    columns = {  # in the field order of PointRecord
+    # the points as (R, P) fields; a failed point gets False verdicts and NaN minima
+    points = np.recarray(errors.shape, _point_dtype(param_grid.shape[1]))
+    columns = {
+        "lambda1": lam1, "lambda2": lam2, "f": f, "i1": i1, "i2": i2,
+        "t": param_grid[:, None],
         "elliptic": ok & (minima[..., 0] >= -ELLIPTICITY_TOLERANCE),
         "min_value": np.where(ok, minima[..., 0], np.nan),
         "compressible_elliptic": ok & (minima[..., 1] >= -ELLIPTICITY_TOLERANCE),
         "compressible_min_value": np.where(ok, minima[..., 1], np.nan),
         "be_ok": ok & _baker_ericksen(coef, stretches),
         "mono_ok": ok & np.all(coef >= -BAKER_ERICKSEN_TOLERANCE, axis=-1),
+        "error": errors,
     }
-    t_rows = list(param_grid)
-    repeat = len(t_rows)
-    points = list(map(
-        PointRecord,
-        lam1.tolist() * repeat, lam2.tolist() * repeat, list(f) * repeat,
-        i1.tolist() * repeat, i2.tolist() * repeat,
-        [t for t in t_rows for _ in range(len(f))],
-        *(column.ravel().tolist() for column in columns.values()),
-        errors.ravel().tolist(),
-    ))
-    passed = np.count_nonzero(ok, axis=-1).tolist()
-    counts = {name: np.count_nonzero(columns[name], axis=-1).tolist()
-              for name in ("elliptic", "compressible_elliptic", "be_ok", "mono_ok")}
-    per_parameter = []
-    for r, t in enumerate(t_rows):
-        denom = max(passed[r], 1)
-        per_parameter.append(
-            {
-                "t": [float(v) for v in t],
-                "points": len(f),
-                "failed_points": len(f) - passed[r],
-                "elliptic_fraction": counts["elliptic"][r] / denom,
-                "compressible_fraction": counts["compressible_elliptic"][r] / denom,
-                "be_fraction": counts["be_ok"][r] / denom,
-                "mono_fraction": counts["mono_ok"][r] / denom,
-            }
-        )
-    region = {
-        "lambda1": [float(lambda1_values.min()), float(lambda1_values.max())],
-        "lambda2": [float(lambda2_values.min()), float(lambda2_values.max())],
-        "i1": _span(i1[live]),
-        "i2": _span(i2[live]),
-    }
+    for name, column in columns.items():
+        points[name] = column
+    region = {"lambda1": _span(lambda1_values), "lambda2": _span(lambda2_values),
+              "i1": _span(i1[live]), "i2": _span(i2[live])}
     return StabilityReport(
-        points, per_parameter, region, directions.count, law.label
+        points.ravel(), _per_parameter(points), region, directions.count, law.label
     )
 
 
-def report_to_dict(report: StabilityReport) -> dict:
-    return {
-        "law": report.law_label,
-        "direction_count": report.direction_count,
-        "region": report.region,
-        "per_parameter": report.per_parameter,
-        "points": [
-            {
-                "lambda1": p.lambda1,
-                "lambda2": p.lambda2,
-                "f": p.f.tolist(),
-                "i1": p.i1 if math.isfinite(p.i1) else None,
-                "i2": p.i2 if math.isfinite(p.i2) else None,
-                "t": [float(v) for v in p.t],
-                "elliptic": p.elliptic,
-                "min_value": None if np.isnan(p.min_value) else p.min_value,
-                "compressible_elliptic": p.compressible_elliptic,
-                "compressible_min_value": None
-                if np.isnan(p.compressible_min_value)
-                else p.compressible_min_value,
-                "be_ok": p.be_ok,
-                "mono_ok": p.mono_ok,
-                "error": p.error,
-            }
-            for p in report.points
-        ],
-    }
+def _per_parameter(points: np.recarray) -> list:
+    """The ``per_parameter`` entries of a scan's points (R, P): per row its
+    ``t``, point count and failed points, and the fraction of its evaluated
+    points that pass each check, None where none was evaluated."""
+    count = points.shape[1]
+    passed = np.count_nonzero(np.equal(points.error, None), axis=-1).tolist()
+    passes = [np.count_nonzero(points[field], axis=-1).tolist()
+              for field in _FRACTIONS.values()]
+    return [
+        {"t": t, "points": count, "failed_points": count - n,
+         **{key: k / n if n else None for key, k in zip(_FRACTIONS, row)}}
+        for t, n, *row in zip(points.t[:, 0].tolist(), passed, *passes)
+    ]
+
+
+def _flags(values: np.ndarray) -> list:
+    """``true`` or ``false`` for each of the booleans ``values``."""
+    return np.where(values, "true", "false").tolist()
+
+
+def _json_column(points: np.recarray, name: str) -> list:
+    """The JSON text of the field ``name`` of each point.  Floats are written
+    as their ``repr``, which is their JSON form when finite; ``json`` encodes
+    the error strings and the entries with a value that is not finite,
+    except that those of ``_NULLABLE`` are null."""
+    values = points[name]
+    if values.dtype == bool:
+        return _flags(values)
+    if values.dtype == object:
+        return ["null" if e is None else json.dumps(e) for e in values.tolist()]
+    texts = list(map(repr, values.tolist()))
+    for k in np.flatnonzero(~np.isfinite(values.reshape(len(values), -1)).all(axis=-1)):
+        texts[k] = "null" if name in _NULLABLE else json.dumps(values[k].tolist())
+    return texts
 
 
 def write_report_json(report: StabilityReport, path) -> None:
-    """Write :func:`report_to_dict` as JSON: the header fields indented, then
-    ``points`` last with one compact line per point, which keeps the write
-    on the C encoder."""
-    doc = report_to_dict(report)
-    points = ",\n    ".join(json.dumps(p, sort_keys=True) for p in doc.pop("points"))
-    head = json.dumps(doc, indent=2, sort_keys=True)
+    """Write the report as JSON: the header fields ``direction_count``,
+    ``law``, ``per_parameter`` and ``region`` indented, then ``points``
+    last, one line per point, a compact object with sorted keys.  Each
+    point field is turned into text once, as a column (:func:`_json_column`),
+    and the lines are joined from one template.
+    """
+    head = json.dumps({"law": report.law_label, "direction_count": report.direction_count,
+                       "region": report.region, "per_parameter": report.per_parameter},
+                      indent=2, sort_keys=True)
+    names = sorted(report.points.dtype.names)
+    line = "{{" + ", ".join(f'"{name}": {{}}' for name in names) + "}}"
+    columns = [_json_column(report.points, name) for name in names]
+    points = ",\n    ".join(map(line.format, *columns))
     Path(path).write_text(f'{head[:-2]},\n  "points": [\n    {points}\n  ]\n}}\n')
 
 
 def write_summary_csv(report: StabilityReport, path) -> None:
     """Per-point summary: ``t,lambda1,lambda2,i1,i2,elliptic,min_value,be_ok``."""
+    points = report.points
+    t = [text for entry in report.per_parameter
+         for text in [_format_params(entry["t"])] * entry["points"]]
+    lam1, lam2, i1, i2, min_value = (
+        map(repr, points[name].tolist())
+        for name in ("lambda1", "lambda2", "i1", "i2", "min_value")
+    )
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["t", "lambda1", "lambda2", "i1", "i2", "elliptic", "min_value", "be_ok"]
         )
-        for p in report.points:
-            writer.writerow(
-                [
-                    _format_params(p.t),
-                    repr(p.lambda1),
-                    repr(p.lambda2),
-                    repr(p.i1),
-                    repr(p.i2),
-                    "true" if p.elliptic else "false",
-                    repr(float(p.min_value)),
-                    "true" if p.be_ok else "false",
-                ]
-            )
+        writer.writerows(zip(t, lam1, lam2, i1, i2, _flags(points.elliptic), min_value,
+                             _flags(points.be_ok)))

@@ -34,6 +34,7 @@ ORACLE_C11 = [0.0, 0.0, 0.02, 0.0]
 CAL_PARAMS = [0.1, 0.5, 0.9]
 HOLDOUT_PARAM = 0.3
 SCAN_T = [[0.0], [0.5], [1.0]]
+SWEEP = 200  # points of the batched hessian_decomposition sweep per model
 
 
 def report(criterion: str, passed: bool, detail: str = "") -> None:
@@ -314,7 +315,7 @@ def test_ellipticity_ground_truth():
             cons.neo_hookean(-0.5), [[0.0]], lam, lam, directions
         )
         assert flipped.elliptic_fraction() < 1.0
-        for point in nh.points + flipped.points:
+        for point in [*nh.points, *flipped.points]:
             assert point.error is None
             if point.compressible_elliptic:
                 assert point.elliptic
@@ -343,7 +344,7 @@ def test_comparative_stability(trained):
     be_full = all(rate == 1.0 for rate in be_rate)
     relaxation = all(
         (not p.compressible_elliptic) or p.elliptic
-        for p in mono.points + unres.points
+        for p in [*mono.points, *unres.points]
         if p.error is None
     )
     passed = ordering and be_full and relaxation
@@ -384,6 +385,7 @@ def test_trained_geometric_term_psd(trained):
     coefficients the geometric term of the rank-one form is p.s.d., and on
     the unit-determinant tangent plane the two terms sum to the full form."""
     rng = np.random.default_rng(505)
+    sweep_rng = np.random.default_rng(506)
     models = [model for key in ("mono", "mono16") for model, _ in trained[key]]
     lowest, worst = np.inf, 0.0
     passed = True
@@ -405,13 +407,26 @@ def test_trained_geometric_term_psd(trained):
                         split = con(a, b) + geo(a, b)
                         worst = max(worst, abs(split - full) / max(abs(full), 1e-12))
                         assert split == pytest.approx(full, rel=1e-10, abs=1e-12)
+            # one batched call over a stack of points, each with its own
+            # parameter and rank-one pair, from a generator of its own so
+            # that the draws above stay as they are
+            f = np.stack([kin.random_unimodular(sweep_rng) for _ in range(SWEEP)])
+            t = sweep_rng.uniform(0.0, 1.0, (SWEEP, 1))
+            a, b = sweep_rng.standard_normal((2, SWEEP, 3))
+            values = stab.hessian_decomposition(law, f, t)[1](a, b)
+            lowest = min(lowest, values.min())
+            assert values.shape == (SWEEP,) and np.all(values >= 0.0)
+            single = [stab.hessian_decomposition(law, f[k], t[k])[1](a[k], b[k])
+                      for k in range(SWEEP)]
+            assert values == pytest.approx(single, rel=1e-12, abs=1e-12)
     except AssertionError:
         passed = False
         raise
     finally:
         report("trained-geometric-term", passed,
-               f"{len(models)} monotonic models x 100 rank-one pairs: "
-               f"min geometric {lowest:.2e} (>= 0), split error {worst:.1e}")
+               f"{len(models)} monotonic models x (100 rank-one pairs + a batched "
+               f"sweep of {SWEEP}): min geometric {lowest:.2e} (>= 0), "
+               f"split error {worst:.1e}")
 
 
 def _run_all_commands(root: Path, seed: int) -> dict:

@@ -2,9 +2,11 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from monopann.cli import main
+from monopann.networks import Architecture, build_model, save_model
 
 PAPER_STYLE_C10 = "114.3,-207.3,23.99,-1.143"
 
@@ -278,6 +280,27 @@ class TestScan:
         ) == 0
         header, rows = read_csv(out / "comparison.csv")
         assert header[0] == "law" and len(rows) == 4  # 2 laws x 2 t values
+
+    def test_all_failed_rows_have_no_fractions(self, tmp_path):
+        # |F|^2 overflows at every point, so every point fails in every row
+        model = build_model(Architecture.MONOTONIC, 4, 1, np.random.default_rng(0))
+        save_model(model, tmp_path / "net.json")
+        out = tmp_path / "scan"
+        assert run(
+            "scan", "--model", tmp_path / "net.json", "--law", "neo-hookean",
+            "--t-values", "0,1", "--lambda1", "1e-200,1e-200,1",
+            "--lambda2", "0.5,1,2", "--directions", 8, "--out", out,
+        ) == 0
+        fractions = ["elliptic_fraction", "compressible_fraction", "be_fraction",
+                     "mono_fraction"]
+        for stem in ("net", "neo-hookean_c_0.5"):
+            report = json.loads((out / f"{stem}_report.json").read_text())
+            for entry in report["per_parameter"]:
+                assert entry["failed_points"] == entry["points"] == 2
+                assert [entry[key] for key in fractions] == [None] * 4
+        header, rows = read_csv(out / "comparison.csv")
+        assert header[2:] == fractions
+        assert [row[2:] for row in rows] == [["nan"] * 4] * 4
 
 
 class TestHyperparam:

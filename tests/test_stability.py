@@ -52,6 +52,10 @@ def raise_out_of_range(x):
     raise InvalidStretchError("out of range")
 
 
+FRACTIONS = ("elliptic_fraction", "compressible_fraction", "be_fraction",
+             "mono_fraction")
+
+
 def outcome(point):
     return (point.elliptic, point.min_value, point.compressible_elliptic,
             point.compressible_min_value, point.be_ok, point.mono_ok, point.error)
@@ -393,9 +397,9 @@ class TestBatchedConditions:
         points, pairs = [], []
         point_geometry, normals = stab._point_geometry, stab._normals
 
-        def recording_points(f):
+        def recording_points(f, *terms):
             points.append(len(f))
-            return point_geometry(f)
+            return point_geometry(f, *terms)
 
         def recording_normals(finv_t, vectors, work):
             pairs.append(len(finv_t) * len(vectors))
@@ -422,7 +426,8 @@ class TestBatchedConditions:
             assert p.be_ok == stab.baker_ericksen_check(law, p.f, p.t)
 
     @pytest.mark.parametrize("law_index", [2, 4])
-    def test_scan_reads_no_unwritten_workspace_entry(self, monkeypatch, law_index):
+    def test_scan_reads_no_unwritten_workspace_entry(self, monkeypatch, tmp_path,
+                                                     law_index):
         law = random_laws()[law_index]
         directions = stab.direction_set(count=64)
         lam = np.linspace(0.4, 3.5, 9)  # 81 points: blocks of 64 and 17
@@ -441,7 +446,11 @@ class TestBatchedConditions:
         got = stab.scan_invariant_plane(law, grid, lam, lam, directions)
         assert sizes == [(64, 64)]
         assert [outcome(p) for p in got.points] == [outcome(p) for p in ref.points]
-        assert stab.report_to_dict(got) == stab.report_to_dict(ref)
+        docs = []
+        for name, report in (("got", got), ("ref", ref)):
+            stab.write_report_json(report, tmp_path / f"{name}.json")
+            docs.append(json.loads((tmp_path / f"{name}.json").read_text()))
+        assert docs[0] == docs[1]
 
 
 def tensor_cross_decomposition(law, f, par):
@@ -685,7 +694,7 @@ class TestScan:
          (raise_out_of_range, "InvalidStretchError: out of range")],
     )
     def test_law_failure_at_one_parameter_fails_only_that_row(
-        self, directions, fail, error
+        self, tmp_path, directions, fail, error
     ):
         grid = [[0.0], [0.5], [1.0]]
         lam = np.linspace(0.5, 3.0, 5)
@@ -700,15 +709,42 @@ class TestScan:
                 assert outcome(p) == outcome(c)
         assert report.per_parameter[1]["failed_points"] == len(lam) ** 2
         assert report.per_parameter[::2] == clean.per_parameter[::2]
+        # no point of the failed row was evaluated, so it has no fractions
+        path = tmp_path / "report.json"
+        stab.write_report_json(report, path)
+        doc = json.loads(path.read_text())
+        for entry in (report.per_parameter[1], doc["per_parameter"][1]):
+            assert [entry[key] for key in FRACTIONS] == [None] * 4
 
-    def test_report_json_matches_report_to_dict(self, tmp_path, directions):
+    def test_report_json_matches_report_columns(self, tmp_path, directions):
         lam = np.linspace(0.5, 3.0, 4)
         report = stab.scan_invariant_plane(
             RowFailingLaw(MR, 1.0, nan_values), [[0.0], [1.0]], lam, lam, directions
         )
         path = tmp_path / "report.json"
         stab.write_report_json(report, path)
-        assert json.loads(path.read_text()) == stab.report_to_dict(report)
+        doc = json.loads(path.read_text())
+        assert doc["law"] == report.law_label
+        assert doc["direction_count"] == report.direction_count
+        assert doc["region"] == report.region
+        assert doc["per_parameter"] == report.per_parameter
+        points = report.points
+        assert [list(p) for p in doc["points"]] == [sorted(points.dtype.names)] * 32
+
+        def column(name):
+            return [p[name] for p in doc["points"]]
+
+        # NaN minima of the failed row are null, the other values as scanned
+        for name in ("lambda1", "lambda2", "i1", "i2", "min_value",
+                     "compressible_min_value"):
+            assert column(name) == [v if np.isfinite(v) else None
+                                    for v in points[name].tolist()]
+        assert column("min_value").count(None) == 16
+        for name in ("elliptic", "compressible_elliptic", "be_ok", "mono_ok", "error"):
+            assert column(name) == points[name].tolist()
+        assert column("error") == [None] * 16 + ["non-finite condition values"] * 16
+        assert column("t") == [[0.0]] * 16 + [[1.0]] * 16
+        assert column("f") == points.f.tolist()
 
     def test_programming_error_propagates(self, directions):
         def broken(i1, x):
