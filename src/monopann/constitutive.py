@@ -20,8 +20,9 @@ import numpy as np
 from . import networks
 from .errors import InvalidStretchError, NotIsochoricError
 from .kinematics import (
+    _invariant_terms,
+    _isochoric,
     invariant_derivatives,
-    invariant_first_derivatives,
     isochoric_invariants,
 )
 
@@ -173,9 +174,9 @@ def pk1_stress(law, f, par, gamma: float = 0.0) -> np.ndarray:
     law = as_law(law)
     f = np.asarray(f, dtype=float)
     det = _check_isochoric(f)
-    i1, i2 = isochoric_invariants(f)
-    d1, d2 = invariant_first_derivatives(f)
-    c = law.coefficients(i1, i2, par)
+    terms = _invariant_terms(f)
+    *_, d1, d2 = terms
+    c = law.coefficients(*_isochoric(terms), par)
     p = c[..., 0, None, None] * d1 + c[..., 1, None, None] * d2
     if np.any(gamma != 0.0):
         finv_t = np.swapaxes(np.linalg.inv(f), -1, -2)

@@ -22,7 +22,8 @@ class ShapeMismatchError(MonopannError):
 
 
 class ConstraintViolationError(MonopannError):
-    """A sign-constrained weight carries a negative value."""
+    """A model carries a value its constraints forbid: a negative
+    sign-constrained weight, or a weight or bias that is not finite."""
 
 
 class NotIsochoricError(MonopannError):

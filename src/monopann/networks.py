@@ -12,10 +12,12 @@ vector, and return a scalar potential in MPa:
 * ``UNRESTRICTED_2HL`` / ``UNRESTRICTED_1HL`` - the same stacks with free
   weights (and one hidden layer for the 1HL variant).
 
-Because the stacks are shallow, all derivatives used downstream (first and
-second order in the inputs, and parameter-side vector-Jacobian products for
-training through stresses) are spelled out layer by layer instead of going
-through an autodiff framework.
+All derivatives used downstream (first and second order in the inputs, and
+the parameter-side vector-Jacobian product of the stress coefficients) come
+from one engine that every architecture and depth shares: the reverse rule
+``r <- (r o sigma'(a_k)) W_k`` and a forward tangent
+``a'_k = (sigma'(a_{k-1}) o a'_{k-1}) W_k^T`` with one reverse sweep over it.
+The architectures differ only in which hidden layer first reads the invariants.
 
 Every entry point is batched: invariants have shape (..., 2) and parameters
 shape (..., m), and the two broadcast against each other.
@@ -146,31 +148,18 @@ def _glorot(rng: np.random.Generator, shape, constrained: bool) -> np.ndarray:
 
 
 def _layer_plan(architecture: Architecture, nodes: int, param_dim: int):
+    """``(shape, activation, constrained)`` of every layer, the output last."""
     n, m = nodes, param_dim
     if architecture is Architecture.CONVEX_MONOTONIC:
-        return [
-            ((n, m), Activation.TANH, True),
-            ((n, 2 + n), Activation.SOFTPLUS, True),
-            ((1, n), Activation.LINEAR, True),
-        ]
-    if architecture is Architecture.MONOTONIC:
-        return [
-            ((n, 2 + m), Activation.TANH, True),
-            ((n, n), Activation.SOFTPLUS, True),
-            ((1, n), Activation.LINEAR, True),
-        ]
-    if architecture is Architecture.UNRESTRICTED_2HL:
-        return [
-            ((n, 2 + m), Activation.TANH, False),
-            ((n, n), Activation.SOFTPLUS, False),
-            ((1, n), Activation.LINEAR, False),
-        ]
-    if architecture is Architecture.UNRESTRICTED_1HL:
-        return [
-            ((n, 2 + m), Activation.TANH, False),
-            ((1, n), Activation.LINEAR, False),
-        ]
-    raise ValueError(f"unknown architecture: {architecture}")
+        hidden = [((n, m), Activation.TANH), ((n, 2 + n), Activation.SOFTPLUS)]
+    elif architecture is Architecture.UNRESTRICTED_1HL:
+        hidden = [((n, 2 + m), Activation.TANH)]
+    elif architecture in (Architecture.MONOTONIC, Architecture.UNRESTRICTED_2HL):
+        hidden = [((n, 2 + m), Activation.TANH), ((n, n), Activation.SOFTPLUS)]
+    else:
+        raise ValueError(f"unknown architecture: {architecture}")
+    constrained = architecture in CONSTRAINED_ARCHITECTURES
+    return [(shape, kind, constrained) for shape, kind in [*hidden, ((1, n), Activation.LINEAR)]]
 
 
 def build_model(
@@ -241,8 +230,7 @@ def sparsity(model: PotentialModel, threshold: float = ZERO_WEIGHT_THRESHOLD):
     """
     arrays = parameter_arrays(model)
     nonzero = sum(int(np.count_nonzero(np.abs(a) > threshold)) for a in arrays)
-    total = sum(a.size for a in arrays)
-    return nonzero, total
+    return nonzero, parameter_count(model)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +243,7 @@ def _as_batch(model: PotentialModel, inv, par):
     if inv.shape[-1:] != (2,):
         raise ShapeMismatchError("invariants must have trailing shape (2,)")
     if par.shape[-1:] != (model.param_dim,):
-        raise ShapeMismatchError(
-            f"parameter vector must have trailing shape ({model.param_dim},)"
-        )
+        raise ShapeMismatchError(f"parameter vector must have trailing shape ({model.param_dim},)")
     lead = np.broadcast_shapes(inv.shape[:-1], par.shape[:-1])
     inv = np.broadcast_to(inv, lead + (2,))
     par = np.broadcast_to(par, lead + (model.param_dim,))
@@ -269,153 +255,63 @@ def _dense(x, layer: Layer):
     return x @ np.swapaxes(layer.weights, -1, -2) + layer.bias[..., None, :]
 
 
-def _chain_trace(model: PotentialModel, z: np.ndarray):
-    """Forward intermediates for the single-input-stack architectures."""
-    acts, pre = [], []
-    x = z
-    for layer in model.layers[:-1]:
-        a = _dense(x, layer)
-        pre.append(a)
-        x = _act(layer.activation, a)
-        acts.append(x)
-    return pre, acts, model.layers[-1].weights[..., 0, :]
+# The engine's rules, for hidden layers k with input x_k, pre-activation a_k
+# and activation slopes s', s'' at a_k; the entry layer e reads
+# ``(I - 3, previous output)`` and psi is the last output times the row w.
+# * reverse: ``r <- (r o s') W_k`` from ``r = w``; at layer e the first two
+#   columns split off as d psi / d I.  ``r_k`` is r on layer k's output.
+# * tangent along a cotangent c: ``a'_e = c W_e[:, :2]^T``,
+#   ``a'_k = (s'_{k-1} o a'_{k-1}) W_k^T``.
+# * VJP, sweeping down from ``xbar = 0`` (x' is the tangent of x_k, c at
+#   layer e): ``ahat = s' o r_k``, ``abar = s' o xbar + s'' o a' o r_k``,
+#   ``Wbar = abar^T x + ahat^T x'``, ``bbar = sum_s abar``, ``xbar <- abar W``;
+#   the output row gets ``sum_s s' o a'`` of the last layer.
+# * Hessian: ``sum_{k >= e} A_k^T diag(s'' o r_k) A_k`` with
+#   ``A_e = W_e[:, :2]`` and ``A_k = (s'_{k-1} o W_k) A_{k-1}``.
+# The arrays may carry a leading restart axis, against which inputs broadcast.
 
 
-def _cm_trace(model: PotentialModel, zinv: np.ndarray, zt: np.ndarray):
-    """Forward intermediates for the split-input convex architecture."""
-    l1, l2, l3 = model.layers
-    a1 = _dense(zt, l1)
-    x1 = _act(l1.activation, a1)
-    w2_inv = l2.weights[..., :2]
-    w2_x = l2.weights[..., 2:]
-    a2 = (
-        zinv @ np.swapaxes(w2_inv, -1, -2)
-        + x1 @ np.swapaxes(w2_x, -1, -2)
-        + l2.bias[..., None, :]
-    )
-    x2 = _act(l2.activation, a2)
-    return a1, x1, w2_inv, w2_x, a2, x2, l3.weights[..., 0, :]
+def _entry(model: PotentialModel) -> int:
+    """Index of the first hidden layer that reads the invariants."""
+    return 1 if model.architecture is Architecture.CONVEX_MONOTONIC else 0
+
+
+def _trace(model: PotentialModel, zinv: np.ndarray, par: np.ndarray):
+    """Each hidden layer's input and pre-activation, and the last output."""
+    entry, x, inputs, pre = _entry(model), par, [], []
+    for k, layer in enumerate(model.layers[:-1]):
+        if k == entry:
+            x = np.concatenate([np.broadcast_to(zinv, x.shape[:-1] + (2,)), x], axis=-1)
+        inputs.append(x)
+        pre.append(_dense(x, layer))
+        x = _act(layer.activation, pre[-1])
+    return inputs, pre, x
+
+
+def _slopes(model: PotentialModel, pre, d=_act_d1):
+    """An activation derivative ``d`` at every hidden pre-activation."""
+    return [d(layer.activation, a) for layer, a in zip(model.layers, pre)]
+
+
+def _reverse(model: PotentialModel, slopes, stop: int):
+    """The reverse rule down to layer ``stop``: returns d psi / d I, the
+    adjoint of the input of layer ``stop`` past the invariant columns, and
+    the adjoints ``r_k`` of the layers' outputs (None below ``stop``)."""
+    entry, r = _entry(model), model.layers[-1].weights
+    adjoints = [None] * len(slopes)
+    for k in range(len(slopes) - 1, stop - 1, -1):
+        adjoints[k] = r
+        r = (r * slopes[k]) @ model.layers[k].weights
+        if k == entry:
+            grad, r = r[..., :2], r[..., 2:]
+    return grad, r, adjoints
 
 
 def forward_batch(model: PotentialModel, inv, par) -> np.ndarray:
     """Potential values for batched invariant/parameter inputs."""
     inv, par, lead = _as_batch(model, inv, par)
-    zinv = inv - 3.0
-    if model.architecture is Architecture.CONVEX_MONOTONIC:
-        *_, x2, w3 = _cm_trace(model, zinv, par)
-        psi = x2 @ w3
-    else:
-        z = np.concatenate([zinv, par], axis=-1)
-        _, acts, w_out = _chain_trace(model, z)
-        psi = acts[-1] @ w_out
+    psi = _trace(model, inv - 3.0, par)[2] @ model.layers[-1].weights[..., 0, :]
     return psi.reshape(lead)
-
-
-# Each ``*_gradient`` function below runs one forward trace and returns the
-# input gradient together with the parameter-side VJP of its invariant part
-# (d psi / d I), which reuses that trace.  The model's arrays may carry a
-# leading restart axis R; the inputs (S, .) are shared by every restart, and
-# the gradient, cotangent (..., S, 2) and VJP results then carry the axis too.
-#
-# For two hidden layers (weights W1, W2, output row w3; first and second
-# activation derivatives t1, t2 of layer 1 and s1, s2 of layer 2) the
-# per-sample Jacobian ``u = W2 diag(t1) W1`` of layer 2 is never formed.
-# The gradient is ``(r1 o t1) W1`` with ``r1 = (w3 o s1) W2``, and the VJP
-# of a cotangent ``cot`` needs ``u`` only through ``q = u[:, :, :2] cot``,
-# which is ``(t1 o cw1) W2^T`` with ``cw1 = cot W1[:, :2]^T``.  Each product
-# is a matmul batched over the restart axis.
-
-
-def _one_hidden_gradient(model, z):
-    """d psi / d z, shape (..., S, 2 + m), and the VJP of its first two columns."""
-    (l1,) = model.layers[:-1]
-    (a1,), _, w2 = _chain_trace(model, z)
-    t1 = _act_d1(l1.activation, a1)
-    grad = np.einsum("...j,...sj,...jk->...sk", w2, t1, l1.weights)
-
-    def vjp(cot):
-        t2 = _act_d2(l1.activation, a1)
-        cw1 = np.einsum("...sk,...jk->...sj", cot, l1.weights[..., :2])
-        dw2 = np.einsum("...sj,...sj->...j", t1, cw1)[..., None, :]
-        db1 = w2 * np.einsum("...sj,...sj->...j", t2, cw1)
-        dw1 = np.einsum("...sj,...sl->...jl", t2 * cw1, z)
-        dw1[..., :2] += np.einsum("...sj,...sa->...ja", t1, cot)
-        return [w2[..., None] * dw1, db1, dw2]
-
-    return grad, vjp
-
-
-def _two_hidden_gradient(model, z):
-    """d psi / d z, shape (..., S, 2 + m), and the VJP of its first two columns.
-
-    Factored through layer 2's input (see above): ``r1 = (w3 o s1) W2`` and
-    ``grad = (r1 o t1) W1``; the VJP takes ``cw1 = cot W1[:, :2]^T``,
-    ``q = (t1 o cw1) W2^T`` and ``r2 = (s2 o q o w3) W2``, and reuses ``r1``.
-    """
-    l1, l2 = model.layers[:-1]
-    (a1, a2), (x1, _), w3 = _chain_trace(model, z)
-    w1, w2 = l1.weights, l2.weights
-    t1 = _act_d1(l1.activation, a1)
-    s1 = _act_d1(l2.activation, a2)
-    w3s = w3[..., None, :]
-    r1 = (w3s * s1) @ w2
-    r1t1 = r1 * t1
-    grad = r1t1 @ w1
-
-    def vjp(cot):
-        t2 = _act_d2(l1.activation, a1)
-        s2 = _act_d2(l2.activation, a2)
-        cw1 = cot @ np.swapaxes(w1[..., :2], -1, -2)
-        t1cw1 = t1 * cw1
-        q = t1cw1 @ np.swapaxes(w2, -1, -2)
-        dw3 = np.einsum("...si,...si->...i", s1, q)[..., None, :]
-        db2 = w3 * np.einsum("...si,...si->...i", s2, q)
-        dw2 = w3[..., None] * (
-            np.einsum("...si,...sj->...ij", s2 * q, x1)
-            + np.einsum("...si,...sj->...ij", s1, t1cw1)
-        )
-        r2 = (s2 * q * w3s) @ w2
-        inner = t1 * r2 + t2 * cw1 * r1
-        db1 = inner.sum(axis=-2)
-        dw1 = np.einsum("...sj,...sl->...jl", inner, z)
-        dw1[..., :2] += np.einsum("...sj,...sa->...ja", r1t1, cot)
-        return [dw1, db1, dw2, db2, dw3]
-
-    return grad, vjp
-
-
-def _cm_gradient(model, zinv, zt):
-    """d psi / d I, shape (..., S, 2), and its VJP."""
-    l1, l2, _ = model.layers
-    a1, x1, w2_inv, w2_x, a2, _, w3 = _cm_trace(model, zinv, zt)
-    s1 = _act_d1(l2.activation, a2)
-    g = np.einsum("...i,...si,...ia->...sa", w3, s1, w2_inv)
-
-    def vjp(cot):
-        t1 = _act_d1(l1.activation, a1)
-        s2 = _act_d2(l2.activation, a2)
-        w3s = w3[..., None, :]
-        e = np.einsum("...sa,...ia->...si", cot, w2_inv)
-        dw3 = np.einsum("...si,...si->...i", s1, e)[..., None, :]
-        db2 = w3 * np.einsum("...si,...si->...i", s2, e)
-        dw2_inv = w3[..., None] * (
-            np.einsum("...si,...sb->...ib", s2 * e, zinv)
-            + np.einsum("...si,...sb->...ib", s1, cot)
-        )
-        dw2_x = w3[..., None] * np.einsum("...si,...sj->...ij", s2 * e, x1)
-        dw2 = np.concatenate([dw2_inv, dw2_x], axis=-1)
-        rr = np.einsum("...si,...ij->...sj", s2 * e * w3s, w2_x)
-        db1 = np.einsum("...sj,...sj->...j", t1, rr)
-        dw1 = np.einsum("...sj,...sl->...jl", t1 * rr, zt)
-        return [dw1, db1, dw2, db2, dw3]
-
-    return g, vjp
-
-
-def _chain_gradient(model, z):
-    if len(model.layers) == 2:
-        return _one_hidden_gradient(model, z)
-    return _two_hidden_gradient(model, z)
 
 
 def _stress_vjp(model: PotentialModel, zinv: np.ndarray, par: np.ndarray):
@@ -427,10 +323,38 @@ def _stress_vjp(model: PotentialModel, zinv: np.ndarray, par: np.ndarray):
     :func:`parameter_arrays`.  One forward trace serves both, and the model's
     arrays may carry a leading restart axis (see above).
     """
-    if model.architecture is Architecture.CONVEX_MONOTONIC:
-        return _cm_gradient(model, zinv, par)
-    grad, vjp = _chain_gradient(model, np.concatenate([zinv, par], axis=-1))
-    return grad[..., :2], vjp
+    entry, hidden = _entry(model), model.layers[:-1]
+    inputs, pre, _ = _trace(model, zinv, par)
+    slopes = _slopes(model, pre)
+    grad, _, adjoints = _reverse(model, slopes, entry)
+
+    def vjp(cot):
+        curvatures = _slopes(model, pre, _act_d2)
+        # tangents a' of the pre-activations and s' o a' of the outputs
+        a_dots, x_dots = [None] * len(hidden), [None] * len(hidden)
+        a_dot = cot @ np.swapaxes(hidden[entry].weights[..., :2], -1, -2)
+        for k in range(entry, len(hidden)):
+            if k > entry:
+                a_dot = x_dots[k - 1] @ np.swapaxes(hidden[k].weights, -1, -2)
+            a_dots[k], x_dots[k] = a_dot, slopes[k] * a_dot
+        grads = [x_dots[-1].sum(axis=-2)[..., None, :]]
+        x_bar = 0.0
+        for k in range(len(hidden) - 1, -1, -1):
+            a_bar = slopes[k] * x_bar
+            if k >= entry:
+                a_hat = slopes[k] * adjoints[k]
+                a_bar = a_bar + curvatures[k] * a_dots[k] * adjoints[k]
+            w_bar = np.swapaxes(a_bar, -1, -2) @ inputs[k]
+            if k > entry:
+                w_bar += np.swapaxes(a_hat, -1, -2) @ x_dots[k - 1]
+            elif k == entry:
+                w_bar[..., :2] += np.swapaxes(a_hat, -1, -2) @ cot
+            grads[:0] = [w_bar, a_bar.sum(axis=-2)]
+            if k:
+                x_bar = (a_bar @ hidden[k].weights)[..., 2 if k == entry else 0:]
+        return grads
+
+    return grad, vjp
 
 
 def invariant_gradients_batch(model: PotentialModel, inv, par) -> np.ndarray:
@@ -443,62 +367,36 @@ def invariant_gradients_batch(model: PotentialModel, inv, par) -> np.ndarray:
 def parameter_gradients_batch(model: PotentialModel, inv, par) -> np.ndarray:
     """d psi / d t, shape (..., m)."""
     inv, par, lead = _as_batch(model, inv, par)
-    zinv = inv - 3.0
-    m = model.param_dim
-    if model.architecture is Architecture.CONVEX_MONOTONIC:
-        l1, l2, _ = model.layers
-        a1, _, _, w2_x, a2, _, w3 = _cm_trace(model, zinv, par)
-        t1 = _act_d1(l1.activation, a1)
-        s1 = _act_d1(l2.activation, a2)
-        g = np.einsum("i,si,ij,sj,jl->sl", w3, s1, w2_x, t1, l1.weights)
-    else:
-        z = np.concatenate([zinv, par], axis=-1)
-        g = _chain_gradient(model, z)[0][:, 2:]
-    return g.reshape(lead + (m,))
+    _, pre, _ = _trace(model, inv - 3.0, par)
+    g = _reverse(model, _slopes(model, pre), 0)[1]
+    return g.reshape(g.shape[:-2] + lead + (model.param_dim,))
 
 
 def _weighted_gram(c, w):
-    """``sum_i c[..., i] w[..., i, a] w[..., i, b]``, shape (..., 2, 2), for
-    weights ``c`` (..., n) and ``w`` (..., n, 2)."""
+    """``sum_i c_i w_ia w_ib``, shape (..., 2, 2), for ``c`` (..., n), ``w`` (..., n, 2)."""
     return (c[..., None, :] * np.swapaxes(w, -1, -2)) @ w
 
 
 def invariant_hessians_batch(model: PotentialModel, inv, par) -> np.ndarray:
     """Symmetric 2x2 Hessian in the invariants, shape (..., 2, 2).
 
-    Each hidden layer contributes one weighted Gram matrix
-    ``W^T diag(c) W``: ``W`` maps the invariants into the layer's
-    pre-activation and ``c`` is its activation's second derivative weighted
-    by the derivative of psi in the layer's output.  For two hidden layers
-    the second layer's ``W`` is the per-sample Jacobian
-    ``u = (t1 o W2) W1[:, :2]`` (S, n, 2), and the first layer's ``c`` is
-    ``((w3 o s1) W2) o t2``.
+    Each hidden layer from the entry layer on contributes one weighted Gram
+    matrix ``A^T diag(c) A`` (see above): ``A`` maps the invariants into the
+    layer's pre-activation and ``c`` is its activation's second derivative
+    times the derivative of psi in the layer's output.
     """
     inv, par, lead = _as_batch(model, inv, par)
-    zinv = inv - 3.0
-    if model.architecture is Architecture.CONVEX_MONOTONIC:
-        _, _, w2_inv, _, a2, _, w3 = _cm_trace(model, zinv, par)
-        s2 = _act_d2(model.layers[1].activation, a2)
-        h = _weighted_gram(w3 * s2, w2_inv)
-    else:
-        z = np.concatenate([zinv, par], axis=-1)
-        hidden = model.layers[:-1]
-        pre, _, w_out = _chain_trace(model, z)
-        if len(hidden) == 1:
-            (l1,) = hidden
-            t2 = _act_d2(l1.activation, pre[0])
-            h = _weighted_gram(w_out * t2, l1.weights[:, :2])
-        else:
-            l1, l2 = hidden
-            t1 = _act_d1(l1.activation, pre[0])
-            t2 = _act_d2(l1.activation, pre[0])
-            s1 = _act_d1(l2.activation, pre[1])
-            s2 = _act_d2(l2.activation, pre[1])
-            w1i = l1.weights[:, :2]
-            u = (t1[:, None, :] * l2.weights) @ w1i
-            h = _weighted_gram(w_out * s2, u)
-            h += _weighted_gram(((w_out * s1) @ l2.weights) * t2, w1i)
-    return h.reshape(lead + (2, 2))
+    entry, hidden = _entry(model), model.layers[:-1]
+    _, pre, _ = _trace(model, inv - 3.0, par)
+    slopes = _slopes(model, pre)
+    curvatures = _slopes(model, pre, _act_d2)
+    adjoints = _reverse(model, slopes, entry)[2]
+    jac = hidden[entry].weights[..., None, :, :2]
+    h = _weighted_gram(curvatures[entry] * adjoints[entry], jac)
+    for k in range(entry + 1, len(hidden)):
+        jac = (slopes[k - 1][..., None, :] * hidden[k].weights[..., None, :, :]) @ jac
+        h += _weighted_gram(curvatures[k] * adjoints[k], jac)
+    return h.reshape(h.shape[:-3] + lead + (2, 2))
 
 
 def invariant_gradient_vjp(model: PotentialModel, inv, par, cotangent) -> list[np.ndarray]:
@@ -512,8 +410,7 @@ def invariant_gradient_vjp(model: PotentialModel, inv, par, cotangent) -> list[n
     cot = np.asarray(cotangent, dtype=float).reshape(-1, 2)
     if cot.shape[0] != inv.shape[0]:
         raise ShapeMismatchError("cotangent batch does not match input batch")
-    _, vjp = _stress_vjp(model, inv - 3.0, par)
-    return vjp(cot)
+    return _stress_vjp(model, inv - 3.0, par)[1](cot)
 
 
 # ---------------------------------------------------------------------------
@@ -521,34 +418,31 @@ def invariant_gradient_vjp(model: PotentialModel, inv, par, cotangent) -> list[n
 
 
 def validate(model: PotentialModel) -> None:
-    """Audit shapes, activation pattern, and sign constraints.
+    """Audit shapes, activation pattern, finiteness and sign constraints.
 
     Raises :class:`ShapeMismatchError` on a structural mismatch and
-    :class:`ConstraintViolationError` if any constrained weight is negative
-    (the check is exact; projection leaves no tolerance to grant).
+    :class:`ConstraintViolationError` if any weight or bias is not finite or
+    any constrained weight is negative (the check is exact; projection
+    leaves no tolerance to grant).
     """
     plan = _layer_plan(model.architecture, model.nodes, model.param_dim)
     if len(plan) != len(model.layers):
         raise ShapeMismatchError("layer count does not match architecture")
-    for idx, ((shape, activation, constrained), layer) in enumerate(
-        zip(plan, model.layers)
-    ):
+    for idx, ((shape, activation, constrained), layer) in enumerate(zip(plan, model.layers)):
         if layer.weights.shape != shape:
-            raise ShapeMismatchError(
-                f"layer {idx}: weights {layer.weights.shape} != expected {shape}"
-            )
-        last = idx == len(plan) - 1
-        if last and layer.bias is not None:
-            raise ShapeMismatchError("output layer must not carry a bias")
-        if not last and (layer.bias is None or layer.bias.shape != (shape[0],)):
-            raise ShapeMismatchError(f"layer {idx}: bias shape mismatch")
+            raise ShapeMismatchError(f"layer {idx}: weights {layer.weights.shape} != {shape}")
+        bias = None if idx == len(plan) - 1 else (shape[0],)
+        got = None if layer.bias is None else layer.bias.shape
+        if got != bias:
+            raise ShapeMismatchError(f"layer {idx}: bias shape {got} != expected {bias}")
         if layer.activation is not activation:
             raise ShapeMismatchError(f"layer {idx}: activation must be {activation}")
-        expected_constraint = (
-            Constraint.NON_NEGATIVE if constrained else Constraint.FREE
-        )
+        expected_constraint = Constraint.NON_NEGATIVE if constrained else Constraint.FREE
         if layer.constraint is not expected_constraint:
             raise ShapeMismatchError(f"layer {idx}: constraint must be {expected_constraint}")
+        for name, values in (("w", layer.weights), ("b", layer.bias)):
+            if values is not None and not np.all(np.isfinite(values)):
+                raise ConstraintViolationError(f"layer {idx}: non-finite value in '{name}'")
         if layer.constraint is Constraint.NON_NEGATIVE and np.any(layer.weights < 0.0):
             raise ConstraintViolationError(f"layer {idx}: negative constrained weight")
     total = parameter_count(model)
@@ -581,24 +475,29 @@ def model_to_json(model: PotentialModel) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _array(entry: dict, key: str, idx: int) -> np.ndarray:
+    try:
+        return np.asarray(entry[key], dtype=float)
+    except (TypeError, ValueError):
+        raise ShapeMismatchError(f"layer {idx}: '{key}' is not a numeric array") from None
+
+
 def model_from_json(text: str) -> PotentialModel:
+    """Parse a document of :func:`model_to_json` and :func:`validate` it.
+
+    Raises :class:`ShapeMismatchError` naming a missing key, or the layer
+    and array that is not a rectangular array of numbers.
+    """
     doc = json.loads(text)
-    layers = [
-        Layer(
-            np.asarray(entry["w"], dtype=float),
-            None if entry["b"] is None else np.asarray(entry["b"], dtype=float),
-            Activation(entry["activation"]),
-            Constraint(entry["constraint"]),
-        )
-        for entry in doc["layers"]
-    ]
-    model = PotentialModel(
-        Architecture(doc["architecture"]),
-        int(doc["n"]),
-        int(doc["m"]),
-        layers,
-        doc.get("metadata", {}),
-    )
+    try:
+        layers = [Layer(_array(entry, "w", idx),
+                        None if entry["b"] is None else _array(entry, "b", idx),
+                        Activation(entry["activation"]), Constraint(entry["constraint"]))
+                  for idx, entry in enumerate(doc["layers"])]
+        model = PotentialModel(Architecture(doc["architecture"]), int(doc["n"]),
+                               int(doc["m"]), layers, doc.get("metadata", {}))
+    except KeyError as exc:
+        raise ShapeMismatchError(f"model document lacks the key {exc}") from None
     validate(model)
     return model
 

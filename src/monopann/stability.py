@@ -294,8 +294,10 @@ def acoustic_tensor(law, f, par, b: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     b = np.asarray(b, dtype=float)
     points, vectors = f.reshape(-1, 3, 3), b.reshape(-1, 3)
-    coefficients, _ = _point_geometry(points)
-    weights = _law_values(as_law(law), par, *isochoric_invariants(points))[1]
+    _check_isochoric(points)
+    terms = _invariant_terms(points)
+    coefficients, _ = _point_geometry(points, *terms)
+    weights = _law_values(as_law(law), par, *_isochoric(terms))[1]
     q = (weights[:, None, :] @ coefficients).reshape(len(points), 6, 9)
     q = q @ _dyads(vectors)
     q = np.moveaxis(q[:, _FULL], -1, 1)
@@ -386,10 +388,12 @@ def _condition_values(law, f, par, directions: np.ndarray):
     law = as_law(law)
     f = np.asarray(f, dtype=float).reshape(-1, 3, 3)
     directions = np.asarray(directions, dtype=float)
-    coefficients, finv_t = _point_geometry(f)
+    _check_isochoric(f)
+    terms = _invariant_terms(f)
+    coefficients, finv_t = _point_geometry(f, *terms)
     work = _workspace(len(f), len(directions))
     normals = _normals(finv_t, directions, work)
-    weights = _law_values(law, par, *isochoric_invariants(f))[1]
+    weights = _law_values(law, par, *_isochoric(terms))[1]
     return _conditions(coefficients, _dyads(directions), normals, weights, work)
 
 

@@ -265,6 +265,19 @@ class TestScan:
         assert code == 2
         assert "FileNotFound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["scan", "evaluate"])
+    def test_non_finite_model_weight_rejected(self, tmp_path, small_dataset, command,
+                                              capsys):
+        model = build_model(Architecture.MONOTONIC, 4, 1, np.random.default_rng(0))
+        model.layers[1].weights[2, 0] = np.nan
+        save_model(model, tmp_path / "net.json")
+        out = tmp_path / "out"
+        args = (["--t-values", "0", "--lambda1", "0.8,1.5,3", "--lambda2", "0.8,1.5,3"]
+                if command == "scan" else ["--data", data_arg(small_dataset)])
+        assert run(command, "--model", tmp_path / "net.json", *args, "--out", out) == 1
+        assert "layer 1: non-finite value in 'w'" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_two_laws_comparison_csv(self, tmp_path, small_dataset):
         models = tmp_path / "models"
         run(

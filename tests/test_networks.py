@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,37 @@ from conftest import central_difference, central_difference_tensor
 ALL_ARCHITECTURES = list(nets.Architecture)
 CONSTRAINED = [nets.Architecture.MONOTONIC, nets.Architecture.CONVEX_MONOTONIC]
 TWO_HIDDEN = [nets.Architecture.MONOTONIC, nets.Architecture.UNRESTRICTED_2HL]
+# stacks with three hidden layers, which no architecture builds
+THREE_HIDDEN = ["three_hidden_chain", "three_hidden_convex"]
+DERIVATIVE_CASES = ALL_ARCHITECTURES + THREE_HIDDEN
+
+
+def three_hidden_model(kind, rng, nodes, param_dim):
+    """A hand-built model: the free chain tanh -> softplus -> tanh -> linear,
+    or the convex-monotonic input assembly (a tanh branch on the parameters
+    joining the invariants in a softplus layer) with an extra softplus
+    layer and non-negative weights.  It is not :func:`nets.validate`-d."""
+    n, m = nodes, param_dim
+    act = nets.Activation
+    if kind == "three_hidden_chain":
+        arch, constrained = nets.Architecture.UNRESTRICTED_2HL, False
+        plan = [((n, 2 + m), act.TANH), ((n, n), act.SOFTPLUS), ((n, n), act.TANH)]
+    else:
+        arch, constrained = nets.Architecture.CONVEX_MONOTONIC, True
+        plan = [((n, m), act.TANH), ((n, 2 + n), act.SOFTPLUS), ((n, n), act.SOFTPLUS)]
+    constraint = nets.Constraint.NON_NEGATIVE if constrained else nets.Constraint.FREE
+    layers = []
+    for shape, activation in plan + [((1, n), act.LINEAR)]:
+        w = rng.uniform(-1.0, 1.0, shape)
+        bias = None if activation is act.LINEAR else rng.uniform(-0.5, 0.5, n)
+        layers.append(nets.Layer(np.abs(w) if constrained else w, bias, activation,
+                                 constraint))
+    return nets.PotentialModel(arch, n, m, layers)
 
 
 def make_model(arch, rng, nodes=4, param_dim=1):
+    if arch in THREE_HIDDEN:
+        return three_hidden_model(arch, rng, nodes, param_dim)
     return nets.build_model(arch, nodes, param_dim, rng)
 
 
@@ -82,7 +112,7 @@ class TestForward:
 
 
 class TestDerivatives:
-    @pytest.mark.parametrize("arch", ALL_ARCHITECTURES)
+    @pytest.mark.parametrize("arch", DERIVATIVE_CASES)
     def test_invariant_gradients_match_fd(self, arch, rng):
         model = make_model(arch, rng, nodes=5, param_dim=2)
         inv, par = random_states(rng, 10, param_dim=2)
@@ -93,7 +123,7 @@ class TestDerivatives:
             )
             np.testing.assert_allclose(g[s], fd, rtol=1e-6, atol=1e-9)
 
-    @pytest.mark.parametrize("arch", ALL_ARCHITECTURES)
+    @pytest.mark.parametrize("arch", DERIVATIVE_CASES)
     def test_parameter_gradients_match_fd(self, arch, rng):
         model = make_model(arch, rng, nodes=5, param_dim=2)
         inv, par = random_states(rng, 10, param_dim=2)
@@ -104,7 +134,7 @@ class TestDerivatives:
             )
             np.testing.assert_allclose(g[s], fd, rtol=1e-6, atol=1e-9)
 
-    @pytest.mark.parametrize("arch", ALL_ARCHITECTURES)
+    @pytest.mark.parametrize("arch", DERIVATIVE_CASES)
     def test_hessians_match_fd(self, arch, rng):
         model = make_model(arch, rng, nodes=5)
         inv, par = random_states(rng, 5)
@@ -164,7 +194,7 @@ class TestDerivatives:
 
 
 class TestVjp:
-    @pytest.mark.parametrize("arch", ALL_ARCHITECTURES)
+    @pytest.mark.parametrize("arch", DERIVATIVE_CASES)
     def test_vjp_matches_fd(self, arch, rng):
         model = make_model(arch, rng, nodes=4, param_dim=2)
         inv, par = random_states(rng, 6, param_dim=2)
@@ -256,6 +286,26 @@ class TestFactoredTwoHidden:
                 np.testing.assert_array_equal(got[r], want)
 
 
+class TestStackedRestarts:
+    """With a leading restart axis (``calibration._stack``), every slice equals
+    the per-model result exactly."""
+
+    @pytest.mark.parametrize("arch", ALL_ARCHITECTURES)
+    def test_hessians_and_parameter_gradients_match_per_model(self, arch, rng):
+        models = [make_model(arch, rng, nodes=6, param_dim=2) for _ in range(3)]
+        for model in models:
+            for layer in model.layers[:-1]:
+                layer.bias[...] = rng.uniform(-0.5, 0.5, layer.bias.shape)
+        stacked = _stack(models)
+        inv, par = random_states(rng, 20, param_dim=2)
+        h = nets.invariant_hessians_batch(stacked, inv, par)
+        g = nets.parameter_gradients_batch(stacked, inv, par)
+        assert h.shape == (3, 20, 2, 2) and g.shape == (3, 20, 2)
+        for r, model in enumerate(models):
+            np.testing.assert_array_equal(h[r], nets.invariant_hessians_batch(model, inv, par))
+            np.testing.assert_array_equal(g[r], nets.parameter_gradients_batch(model, inv, par))
+
+
 class TestCountsAndSparsity:
     def test_two_hidden_layer_count(self, rng):
         # n = 8, m = 1: n^2 + n(m + 5) = 112
@@ -313,3 +363,54 @@ class TestValidationAndSerialization:
         clone = nets.load_model(path)
         inv, par = [4.2, 3.8], [0.5]
         assert nets.forward_batch(clone, inv, par) == nets.forward_batch(model, inv, par)
+
+
+def edit_entry(path, value=None, drop=False):
+    """An edit of a model document that sets, or drops, the entry at ``path``."""
+
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        if drop:
+            del doc[path[-1]]
+        else:
+            doc[path[-1]] = value
+
+    return edit
+
+
+class TestMalformedModelFiles:
+    """Model documents come from outside the program; a malformed one is
+    rejected with the package's own error, naming what is wrong."""
+
+    @pytest.mark.parametrize("edit, error, match", [
+        (edit_entry(["layers"], drop=True), ShapeMismatchError, "'layers'"),
+        (edit_entry(["architecture"], drop=True), ShapeMismatchError, "'architecture'"),
+        (edit_entry(["layers", 1, "b"], drop=True), ShapeMismatchError, "'b'"),
+        (edit_entry(["layers", 0, "w", 1], [0.5]), ShapeMismatchError, "layer 0: 'w'"),
+        (edit_entry(["layers", 1, "b"], [[0.1], 0.2, 0.3, 0.4]), ShapeMismatchError,
+         "layer 1: 'b'"),
+        (edit_entry(["layers", 2, "w", 0, 1], "x"), ShapeMismatchError, "layer 2: 'w'"),
+        (edit_entry(["layers", 0, "w", 2, 1], None), ConstraintViolationError,
+         "layer 0: non-finite"),
+        (edit_entry(["layers", 1, "w", 3, 3], float("nan")), ConstraintViolationError,
+         "layer 1: non-finite"),
+        (edit_entry(["layers", 1, "b", 0], float("-inf")), ConstraintViolationError,
+         "layer 1: non-finite value in 'b'"),
+        (edit_entry(["layers", 2, "w", 0, 0], float("inf")), ConstraintViolationError,
+         "layer 2: non-finite"),
+    ], ids=["no-layers", "no-architecture", "no-bias-key", "ragged-w", "ragged-b",
+            "text-weight", "null-weight", "nan-weight", "infinite-bias",
+            "infinite-output-weight"])
+    def test_rejected(self, edit, error, match, rng):
+        doc = json.loads(nets.model_to_json(make_model(nets.Architecture.MONOTONIC, rng)))
+        edit(doc)
+        with pytest.raises(error, match=match):
+            nets.model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("arch", ALL_ARCHITECTURES)
+    def test_validate_flags_non_finite_free_weight(self, arch, rng):
+        model = make_model(arch, rng)
+        model.layers[0].weights[0, 0] = np.nan
+        with pytest.raises(ConstraintViolationError, match="non-finite"):
+            nets.validate(model)

@@ -180,6 +180,50 @@ class TestAcousticTensor:
         assert a @ q @ a == pytest.approx(second, rel=1e-4, abs=1e-8)
 
 
+def per_point_wrappers(law, directions):
+    return {
+        "ellipticity_incompressible":
+            lambda f: stab.ellipticity_incompressible(law, f, T0, directions),
+        "ellipticity_compressible":
+            lambda f: stab.ellipticity_compressible(law, f, T0, directions),
+        "acoustic_tensor": lambda f: stab.acoustic_tensor(law, f, T0, [0.3, -1.0, 0.5]),
+        "pk1_stress": lambda f: cons.pk1_stress(law, f, T0),
+    }
+
+
+class TestPerPointWrappers:
+    """The per-point wrappers take the invariants and the geometry from one
+    ``kinematics._invariant_terms`` pass and check det F before it."""
+
+    def test_one_invariant_pass_per_call(self, rng, monkeypatch, directions):
+        original, calls = kin._invariant_terms, []
+
+        def counting(f):
+            calls.append(len(f))
+            return original(f)
+
+        for module in (cons, kin, stab):
+            monkeypatch.setattr(module, "_invariant_terms", counting, raising=False)
+        law = nets.build_model(nets.Architecture.MONOTONIC, 4, 1, rng)
+        f = unimodular_block(rng, count=3)
+        for name, call in per_point_wrappers(law, directions).items():
+            calls.clear()
+            call(f)
+            assert calls == [3], name
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
+    @pytest.mark.parametrize("bad, error", [
+        (1.1 * np.eye(3), NotIsochoricError),
+        (np.diag([1.0, 1.0, -1.0]), NotIsochoricError),
+        (np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+         InvertedConfigurationError),
+    ], ids=["scaled", "reflected", "nan"])
+    def test_error_types(self, bad, error, directions):
+        for name, call in per_point_wrappers(cons.neo_hookean(0.5), directions).items():
+            with pytest.raises(error):
+                call(bad)
+
+
 def unimodular_block(rng, count=12):
     """Non-diagonal unimodular gradients, two of them with det F off 1 by
     +-1e-13, inside the isochoric tolerance."""
