@@ -2,9 +2,11 @@
 
 Calibration minimizes the mean squared error of the analytic uniaxial
 tension stress over stretch-stress-parameter tuples, so the potential is
-fitted through its derivatives.  The optimizer is plain full-batch ADAM
-followed by projection of the sign-constrained weights onto [0, inf);
-projection is what lets constrained models develop exactly-zero weights.
+fitted through its derivatives.  The restarts train as the rows of one
+(R, P) parameter buffer that every layer's arrays view, by plain full-batch
+ADAM followed by projection of the sign-constrained weights onto [0, inf):
+both elementwise, one pass over the buffer with one boolean (P,) mask.
+Projection is what lets constrained models develop exactly-zero weights.
 
 Datasets live in CSV files with header ``lambda,stress_mpa,param_raw`` and
 a JSON sidecar holding the parameter normalization bounds, so raw
@@ -109,9 +111,6 @@ class Dataset:
 
     def calibration_arrays(self):
         return self._slice(self.calibration_indices)
-
-    def test_arrays(self):
-        return self._slice(self.test_indices)
 
 
 def save_dataset(dataset: Dataset, csv_path) -> None:
@@ -246,8 +245,11 @@ def generate_synthetic(
     """Sample a closed-form law on a stretch grid for several raw parameters.
 
     The law receives the raw parameter values.  Optional Gaussian noise is
-    seeded by the caller; the default is noise-free.
+    seeded by the caller; the default is noise-free.  Raises ``ValueError``
+    for a noise level that is negative or not finite.
     """
+    if not (math.isfinite(noise_std) and noise_std >= 0.0):
+        raise ValueError(f"noise level must be finite and >= 0, got {noise_std}")
     lam_values = np.asarray(lam_values, dtype=float)
     param_values = np.atleast_1d(np.asarray(param_values, dtype=float))
     lam = np.tile(lam_values, param_values.size)
@@ -353,78 +355,67 @@ def loss_and_gradient(model, lam, stress, t):
 
 @dataclass
 class AdamState:
+    """Step count and moment estimates, shaped like the flat parameters."""
+
     step: int
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
 
 
 def init_adam(model) -> AdamState:
-    arrays = networks.parameter_arrays(model)
-    return AdamState(
-        0, [np.zeros_like(a) for a in arrays], [np.zeros_like(a) for a in arrays]
-    )
+    size = networks.parameter_count(model)
+    return AdamState(0, np.zeros(size), np.zeros(size))
+
+
+def _flat(arrays, lead=()):
+    """``arrays``, each led by the axes ``lead``, end to end along one last axis."""
+    return np.concatenate([a.reshape(lead + (-1,)) for a in arrays], axis=-1)
 
 
 def adam_step(model, grads, state: AdamState, config: TrainConfig) -> AdamState:
-    """One bias-corrected ADAM update followed by weight projection.
-
-    The model's arrays are updated in place; constrained weights are clamped
-    to ``max(w, 0)`` after the step, so infeasible updates land exactly on
-    zero.  Returns the advanced optimizer state.
-    """
-    _adam_update(model, grads, state, config)
+    """One bias-corrected ADAM update followed by weight projection, which
+    clamps constrained weights to ``max(w, 0)`` so infeasible updates land
+    exactly on zero.  The model's layers are rebound to views of the updated
+    parameters.  Returns the advanced optimizer state."""
+    params = _flat(networks.parameter_arrays(model))
+    _adam_update(params, _flat(grads), networks.constraint_mask(model), state, config)
+    model.layers = networks.with_buffer(model, params).layers
     return state
 
 
-def _adam_update(model, grads, state: AdamState, config: TrainConfig, frozen=None):
-    """:func:`adam_step` on arrays that may carry a leading restart axis;
-    the restarts flagged in the boolean array ``frozen`` keep their values."""
-    arrays = networks.parameter_arrays(model)
-    masks = networks.constraint_masks(model)
+def _adam_update(params, grad, mask, state: AdamState, config: TrainConfig, frozen=None):
+    """:func:`adam_step` on flat parameters (..., P) in place, with the (P,)
+    constraint ``mask``; the rows flagged in ``frozen`` keep their values."""
     state.step += 1
     b1c = 1.0 - ADAM_BETA1**state.step
     b2c = 1.0 - ADAM_BETA2**state.step
-    for arr, grad, m, v, constrained in zip(arrays, grads, state.m, state.v, masks):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * grad**2
-        step = config.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
-        if frozen is not None:
-            step[frozen] = 0.0
-        arr -= step
-        if constrained:
-            np.maximum(arr, 0.0, out=arr)
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad**2
+    step = config.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+    if frozen is not None:
+        step[frozen] = 0.0
+    params -= step
+    np.maximum(params, 0.0, out=params, where=mask)
 
 
 def _stack(models):
-    """One model whose arrays stack those of ``models`` along a leading axis."""
-    first = models[0]
-    layers = [
-        networks.Layer(
-            np.stack([m.layers[i].weights for m in models]),
-            None if layer.bias is None else np.stack([m.layers[i].bias for m in models]),
-            layer.activation,
-            layer.constraint,
-        )
-        for i, layer in enumerate(first.layers)
-    ]
-    return networks.PotentialModel(
-        first.architecture, first.nodes, first.param_dim, layers
-    )
+    """One model whose arrays view one (R, P) buffer, row r from ``models[r]``."""
+    rows = [_flat(networks.parameter_arrays(m)) for m in models]
+    return networks.with_buffer(models[0], np.stack(rows))
 
 
 def _train(models, lam, stress, t, config: TrainConfig) -> np.ndarray:
-    """Train every restart in ``models`` together, in place.
-
-    The restarts' arrays are stacked along a leading axis, so an epoch is one
-    forward trace, one VJP and one ADAM update for all of them.  A restart
-    whose loss turns non-finite is frozen from that epoch on: it keeps the
-    arrays that gave that loss, as if it had stopped there, and the others
-    carry on.  Returns the number of completed epochs per restart.
-    """
-    stack = _stack(models)
-    state = init_adam(stack)
+    """Train the restarts ``models`` together: an epoch is one forward trace,
+    one VJP and one ADAM update for all.  A restart whose loss turns
+    non-finite is frozen from that epoch on, keeping the arrays that gave
+    that loss.  Each model ends up viewing its row of the parameter buffer.
+    Returns the number of completed epochs per restart."""
+    params = np.stack([_flat(networks.parameter_arrays(m)) for m in models])
+    stack, mask = networks.with_buffer(models[0], params), networks.constraint_mask(models[0])
+    state = AdamState(0, np.zeros_like(params), np.zeros_like(params))
     active = np.ones(len(models), dtype=bool)
     epochs_run = np.zeros(len(models), dtype=int)
     for _ in range(config.epochs):
@@ -432,13 +423,11 @@ def _train(models, lam, stress, t, config: TrainConfig) -> np.ndarray:
         active &= np.isfinite(losses)
         if not active.any():
             break
-        _adam_update(stack, grads, state, config, None if active.all() else ~active)
+        _adam_update(params, _flat(grads, active.shape), mask, state, config,
+                     None if active.all() else ~active)
         epochs_run += active
-    for r, model in enumerate(models):
-        for dst, src in zip(
-            networks.parameter_arrays(model), networks.parameter_arrays(stack)
-        ):
-            dst[...] = src[r]
+    for model, row in zip(models, params):
+        model.layers = networks.with_buffer(model, row).layers
     return epochs_run
 
 

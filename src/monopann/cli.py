@@ -47,9 +47,13 @@ def _grid(text) -> np.ndarray:
         raise ValueError("grid must be min,max,count")
     if not np.all(np.isfinite(values[:2])):
         raise ValueError(f"grid bounds must be finite, got {values[0]:g},{values[1]:g}")
-    if not values[2].is_integer():
-        raise ValueError(f"grid count must be a whole number, got {values[2]:g}")
-    return np.linspace(values[0], values[1], int(values[2]))
+    return np.linspace(values[0], values[1], _whole(values[2], "grid count"))
+
+
+def _whole(value: float, what: str) -> int:
+    if not value.is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value:g}")
+    return int(value)
 
 
 def _strings(text) -> list:
@@ -270,10 +274,11 @@ def cmd_hyperparam(args) -> int:
     out = _out_dir(args)
     dataset = _load_data(args)
     config = _train_config(args)
+    node_counts = [_whole(v, "node count") for v in _floats(args.nodes)]
     mse_rows, sparsity_rows = [], []
     for arch_name in _strings(args.archs):
         architecture = networks.Architecture(arch_name)
-        for nodes in (int(v) for v in _floats(args.nodes)):
+        for nodes in node_counts:
             results = calibration.calibrate(dataset, config, architecture, nodes)
             model, record = results[0]
             nonzero, total = networks.sparsity(model)

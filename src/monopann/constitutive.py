@@ -158,8 +158,9 @@ def uniaxial_stress(law, lam, par) -> np.ndarray:
     return 2.0 * (c[..., 0] + c[..., 1] / lam) * (lam - lam**-2.0)
 
 
-def _check_isochoric(f: np.ndarray) -> np.ndarray:
-    det = np.linalg.det(f)
+def _check_isochoric(f: np.ndarray, det=None) -> np.ndarray:
+    """det ``f`` (or the given ``det`` of ``f``), checked to be 1 within tolerance."""
+    det = np.linalg.det(f) if det is None else det
     if np.any(np.abs(det - 1.0) > ISOCHORIC_TOLERANCE):
         raise NotIsochoricError("deformation gradient must satisfy det F = 1")
     return det

@@ -45,7 +45,8 @@ __all__ = [
     "invariant_hessians_batch",
     "invariant_gradient_vjp",
     "parameter_arrays",
-    "constraint_masks",
+    "with_buffer",
+    "constraint_mask",
     "parameter_count",
     "expected_parameter_count",
     "sparsity",
@@ -209,17 +210,24 @@ def parameter_arrays(model: PotentialModel) -> list[np.ndarray]:
     return out
 
 
-def constraint_masks(model: PotentialModel) -> list[bool]:
-    """Per-array flags marking which entries are clamped to [0, inf).
+def with_buffer(model: PotentialModel, flat: np.ndarray) -> PotentialModel:
+    """The unstacked ``model`` with its trainable arrays as views of ``flat``
+    (..., P), in :func:`parameter_arrays` order, led by the axes before P."""
+    arrays = parameter_arrays(model)
+    parts = np.split(flat, np.cumsum([a.size for a in arrays])[:-1], axis=-1)
+    views = iter(p.reshape(flat.shape[:-1] + a.shape) for p, a in zip(parts, arrays))
+    layers = [Layer(next(views), None if layer.bias is None else next(views),
+                    layer.activation, layer.constraint) for layer in model.layers]
+    return PotentialModel(model.architecture, model.nodes, model.param_dim, layers)
 
-    Only weights are sign-constrained; biases stay free.
-    """
-    out = []
-    for layer in model.layers:
-        out.append(layer.constraint is Constraint.NON_NEGATIVE)
-        if layer.bias is not None:
-            out.append(False)
-    return out
+
+def constraint_mask(model: PotentialModel) -> np.ndarray:
+    """Boolean (P,) mask of the entries clamped to [0, inf), laid out as in
+    :func:`with_buffer`; only weights are sign-constrained, biases stay free."""
+    mask = np.zeros(parameter_count(model), dtype=bool)
+    for layer in with_buffer(model, mask).layers:
+        layer.weights[...] = layer.constraint is Constraint.NON_NEGATIVE
+    return mask
 
 
 def sparsity(model: PotentialModel, threshold: float = ZERO_WEIGHT_THRESHOLD):
@@ -288,9 +296,11 @@ def _trace(model: PotentialModel, zinv: np.ndarray, par: np.ndarray):
     return inputs, pre, x
 
 
-def _slopes(model: PotentialModel, pre, d=_act_d1):
-    """An activation derivative ``d`` at every hidden pre-activation."""
-    return [d(layer.activation, a) for layer, a in zip(model.layers, pre)]
+def _slopes(model: PotentialModel, pre, d=_act_d1, start=0):
+    """An activation derivative ``d`` at every hidden pre-activation from
+    layer ``start`` on, None below it."""
+    return [None] * start + [d(layer.activation, a)
+                             for layer, a in zip(model.layers[start:], pre[start:])]
 
 
 def _reverse(model: PotentialModel, slopes, stop: int):
@@ -329,7 +339,7 @@ def _stress_vjp(model: PotentialModel, zinv: np.ndarray, par: np.ndarray):
     grad, _, adjoints = _reverse(model, slopes, entry)
 
     def vjp(cot):
-        curvatures = _slopes(model, pre, _act_d2)
+        curvatures = _slopes(model, pre, _act_d2, entry)
         # tangents a' of the pre-activations and s' o a' of the outputs
         a_dots, x_dots = [None] * len(hidden), [None] * len(hidden)
         a_dot = cot @ np.swapaxes(hidden[entry].weights[..., :2], -1, -2)
@@ -388,8 +398,8 @@ def invariant_hessians_batch(model: PotentialModel, inv, par) -> np.ndarray:
     inv, par, lead = _as_batch(model, inv, par)
     entry, hidden = _entry(model), model.layers[:-1]
     _, pre, _ = _trace(model, inv - 3.0, par)
-    slopes = _slopes(model, pre)
-    curvatures = _slopes(model, pre, _act_d2)
+    slopes = _slopes(model, pre, start=entry)
+    curvatures = _slopes(model, pre, _act_d2, entry)
     adjoints = _reverse(model, slopes, entry)[2]
     jac = hidden[entry].weights[..., None, :, :2]
     h = _weighted_gram(curvatures[entry] * adjoints[entry], jac)

@@ -174,8 +174,12 @@ def _point_geometry(f: np.ndarray, *terms):
     Raises ``NotIsochoricError`` where ``|det F - 1|`` exceeds the tolerance
     and ``InvertedConfigurationError`` where det F is not finite.
     """
-    _check_isochoric(f)
-    det, h, i1, i2, g2, d1, d2 = terms or _invariant_terms(f)
+    if terms:
+        _check_isochoric(f, terms[0])
+    else:
+        _check_isochoric(f)
+        terms = _invariant_terms(f)
+    det, h, i1, i2, g2, d1, d2 = terms
     c = np.swapaxes(f, -1, -2) @ f
     f_ft = f @ np.swapaxes(f, -1, -2)
     finv_t = h / det[:, None, None]

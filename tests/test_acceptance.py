@@ -82,8 +82,9 @@ def batch_energy(model, f_batch, t_batch):
 
 def batch_stress_free(model, f_batch, t_batch):
     """gamma-free stress without the det F = 1 gate, usable off-manifold."""
-    i1, i2 = kin.isochoric_invariants(f_batch)
-    d1, d2 = kin.invariant_first_derivatives(f_batch)
+    terms = kin._invariant_terms(f_batch)
+    i1, i2 = kin._isochoric(terms)
+    *_, d1, d2 = terms
     g = nets.invariant_gradients_batch(model, np.stack([i1, i2], axis=-1), t_batch)
     return g[..., 0, None, None] * d1 + g[..., 1, None, None] * d2
 

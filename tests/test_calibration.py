@@ -92,6 +92,12 @@ class TestDataset:
         ds = cal.Dataset([1.0, 1.5], [0.0, 1.0], [10.0, 10.0], 10.0, 10.0)
         np.testing.assert_array_equal(ds.params_normalized()[:, 0], [0.0, 0.0])
 
+    @pytest.mark.parametrize("noise", [-1e-3, np.nan, np.inf])
+    def test_synthetic_noise_level_must_be_finite_and_non_negative(self, noise):
+        with pytest.raises(ValueError, match="noise level"):
+            cal.generate_synthetic(oracle_law(), np.linspace(1.0, 2.0, 4), [0.5],
+                                   noise_std=noise, rng=np.random.default_rng(0))
+
     def test_split_by_parameter(self):
         ds = cal.generate_synthetic(
             oracle_law(), np.linspace(1.0, 2.0, 4), [0.1, 0.5, 0.9]
@@ -248,6 +254,34 @@ class TestAdam:
             0.873366322772819, abs=1e-14
         )
 
+    @pytest.mark.parametrize("arch", list(nets.Architecture))
+    def test_flat_update_freezes_a_row_and_matches_per_model_steps(self, arch, rng):
+        models = [nets.build_model(arch, 3, 1, rng) for _ in range(3)]
+        stack = cal._stack(models)
+        arrays = nets.parameter_arrays(stack)
+        params = arrays[0].base
+        size = nets.parameter_count(models[0])
+        assert params.shape == (3, size)
+        assert all(np.shares_memory(a, params) for a in arrays)
+        # positive gradients drive small constrained weights onto zero
+        grads = rng.uniform(0.0, 1.0, (3, 3, size))
+        config = cal.TrainConfig(epochs=1, learning_rate=0.1)
+        before = params.copy()
+        state = cal.AdamState(0, np.zeros_like(params), np.zeros_like(params))
+        for grad in grads:
+            cal._adam_update(params, grad, nets.constraint_mask(models[0]), state,
+                             config, np.array([False, True, False]))
+        np.testing.assert_array_equal(params[1], before[1])
+        for r in (0, 2):
+            model, alone = models[r], cal.init_adam(models[r])
+            for grad in grads:
+                row = nets.parameter_arrays(nets.with_buffer(model, grad[r]))
+                cal.adam_step(model, row, alone, config)
+            for a, b in zip(nets.parameter_arrays(model), arrays):
+                np.testing.assert_array_equal(a, b[r])
+        if arch in nets.CONSTRAINED_ARCHITECTURES:
+            assert (params[[0, 2]] == 0.0).any()
+
 
 class TestCalibrate:
     def test_zero_epochs_returns_initial_model(self):
@@ -281,11 +315,8 @@ class TestCalibrate:
         for _, record in results:
             assert record.final_mse <= 1.1 * initial[record.restart_index]
         # feasibility is exact after every projected step
-        for layer, mask in zip(
-            best_model.layers, nets.constraint_masks(best_model)[::2]
-        ):
-            if mask:
-                assert layer.weights.min() >= 0.0
+        params = np.concatenate([a.ravel() for a in nets.parameter_arrays(best_model)])
+        assert params[nets.constraint_mask(best_model)].min() >= 0.0
 
     def test_best_of_k_selection_monotone(self):
         ds = neo_hookean_dataset()

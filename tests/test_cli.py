@@ -67,6 +67,17 @@ class TestGendata:
             doc = json.loads(sidecar.read_text())
             assert doc["param_min"] == 0.2 and doc["param_max"] == 0.8
 
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+    def test_bad_noise_level_rejected(self, tmp_path, capsys, noise):
+        # a negative or NaN level would otherwise give noise-free data
+        out = tmp_path / "data"
+        assert run(
+            "gendata", "--grid", "1.0,2.0,5", "--params", "0.5",
+            f"--noise={noise}", "--out", out,
+        ) == 1
+        assert "noise level must be finite and >= 0" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
 
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
@@ -331,6 +342,17 @@ class TestHyperparam:
         assert len(rows) == 1
         nonzero, total = int(rows[0][2]), int(rows[0][3])
         assert nonzero == total
+
+    def test_fractional_node_count_rejected(self, tmp_path, capsys, small_dataset):
+        # int(2.5) would silently train n = 2
+        out = tmp_path / "hp"
+        assert run(
+            "hyperparam", "--data", data_arg(small_dataset),
+            "--archs", "monotonic", "--nodes", "4,2.5",
+            "--epochs", 10, "--restarts", 1, "--out", out,
+        ) == 1
+        assert "node count must be a whole number, got 2.5" in capsys.readouterr().err
+        assert not list(out.glob("*"))
 
 
 class TestReport:

@@ -211,6 +211,27 @@ class TestPerPointWrappers:
             call(f)
             assert calls == [3], name
 
+    def test_two_determinants_per_call(self, rng, monkeypatch, directions):
+        # one for the det F = 1 check, one in the invariant pass, which the
+        # point geometry reuses
+        original, calls = np.linalg.det, []
+
+        def counting(f):
+            calls.append(np.shape(f))
+            return original(f)
+
+        monkeypatch.setattr(np.linalg, "det", counting)
+        law = nets.build_model(nets.Architecture.MONOTONIC, 4, 1, rng)
+        f = unimodular_block(rng, count=3)
+        for name, call in per_point_wrappers(law, directions).items():
+            calls.clear()
+            call(f)
+            assert len(calls) == 2, name
+        calls.clear()
+        lam = np.linspace(0.5, 2.0, 4)
+        stab.scan_invariant_plane(law, [[0.2], [0.7]], lam, lam, directions)
+        assert calls == [(16, 3, 3)] * 2
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
     @pytest.mark.parametrize("bad, error", [
         (1.1 * np.eye(3), NotIsochoricError),
