@@ -325,16 +325,21 @@ def mse_loss(model_or_law, dataset: Dataset) -> float:
     return float(np.mean((p - stress) ** 2))
 
 
-def _loss_and_gradient(model, lam, stress, t):
+def _uniaxial_terms(lam):
+    """The epoch-invariant terms of uniaxial tension at the stretches ``lam``:
+    the invariants shifted by -3, shape (S, 2), and ``lam - lam^-2``."""
+    i1, i2 = constitutive.uniaxial_invariants(lam)
+    return np.stack([i1, i2], axis=-1) - 3.0, lam - lam**-2.0
+
+
+def _loss_and_gradient(model, zinv, stretch, lam, stress, t):
     """Losses and gradients; the model's arrays may carry a leading restart axis.
 
-    One forward trace yields the stress and is reused by the VJP.  With a
-    restart axis R the losses have shape (R,) and every gradient array leads
-    with R.
+    ``zinv`` and ``stretch`` are the :func:`_uniaxial_terms` of ``lam``.  One
+    forward trace yields the stress and is reused by the VJP.  With a restart
+    axis R the losses have shape (R,) and every gradient array leads with R.
     """
-    i1, i2 = constitutive.uniaxial_invariants(lam)
-    g, vjp = networks._stress_vjp(model, np.stack([i1, i2], axis=-1) - 3.0, t)
-    stretch = lam - lam**-2.0
+    g, vjp = networks._stress_vjp(model, zinv, t)
     residual = 2.0 * (g[..., 0] + g[..., 1] / lam) * stretch - stress
     losses = np.mean(residual**2, axis=-1)
     scale = (2.0 / lam.size) * residual * 2.0 * stretch
@@ -349,7 +354,7 @@ def loss_and_gradient(model, lam, stress, t):
     """
     if lam.size == 0:
         raise EmptyDatasetError("calibration slice is empty")
-    loss, grads = _loss_and_gradient(model, lam, stress, t)
+    loss, grads = _loss_and_gradient(model, *_uniaxial_terms(lam), lam, stress, t)
     return float(loss), grads
 
 
@@ -418,8 +423,9 @@ def _train(models, lam, stress, t, config: TrainConfig) -> np.ndarray:
     state = AdamState(0, np.zeros_like(params), np.zeros_like(params))
     active = np.ones(len(models), dtype=bool)
     epochs_run = np.zeros(len(models), dtype=int)
+    zinv, stretch = _uniaxial_terms(lam)
     for _ in range(config.epochs):
-        losses, grads = _loss_and_gradient(stack, lam, stress, t)
+        losses, grads = _loss_and_gradient(stack, zinv, stretch, lam, stress, t)
         active &= np.isfinite(losses)
         if not active.any():
             break

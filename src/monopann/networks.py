@@ -18,6 +18,9 @@ from one engine that every architecture and depth shares: the reverse rule
 ``r <- (r o sigma'(a_k)) W_k`` and a forward tangent
 ``a'_k = (sigma'(a_{k-1}) o a'_{k-1}) W_k^T`` with one reverse sweep over it.
 The architectures differ only in which hidden layer first reads the invariants.
+One forward trace evaluates each hidden activation once, and sigma' and
+sigma'' come from that layer's output (tanh) or from the ``exp(-|a|)`` its
+output is built from (softplus), never from a second evaluation.
 
 Every entry point is batched: invariants have shape (..., 2) and parameters
 shape (..., m), and the two broadcast against each other.
@@ -79,42 +82,6 @@ class Architecture(Enum):
 
 
 CONSTRAINED_ARCHITECTURES = (Architecture.CONVEX_MONOTONIC, Architecture.MONOTONIC)
-
-
-def _sigmoid(x):
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _softplus(x):
-    # overflow-safe: max(x, 0) + log1p(exp(-|x|))
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-def _act(kind: Activation, x):
-    if kind is Activation.TANH:
-        return np.tanh(x)
-    if kind is Activation.SOFTPLUS:
-        return _softplus(x)
-    return x
-
-
-def _act_d1(kind: Activation, x):
-    if kind is Activation.TANH:
-        return 1.0 - np.tanh(x) ** 2
-    if kind is Activation.SOFTPLUS:
-        return _sigmoid(x)
-    return np.ones_like(x)
-
-
-def _act_d2(kind: Activation, x):
-    if kind is Activation.TANH:
-        t = np.tanh(x)
-        return -2.0 * t * (1.0 - t**2)
-    if kind is Activation.SOFTPLUS:
-        s = _sigmoid(x)
-        return s * (1.0 - s)
-    return np.zeros_like(x)
 
 
 @dataclass
@@ -264,14 +231,17 @@ def _dense(x, layer: Layer):
 
 
 # The engine's rules, for hidden layers k with input x_k, pre-activation a_k
-# and activation slopes s', s'' at a_k; the entry layer e reads
-# ``(I - 3, previous output)`` and psi is the last output times the row w.
+# and activation slopes s', s'' at a_k, both read off the layer's one
+# activation evaluation in :func:`_trace` (tanh from its output, softplus from
+# ``exp(-|a_k|)``); the entry layer e reads ``(I - 3, previous output)`` and
+# psi is the last output times the row w.
 # * reverse: ``r <- (r o s') W_k`` from ``r = w``; at layer e the first two
-#   columns split off as d psi / d I.  ``r_k`` is r on layer k's output.
+#   columns split off as d psi / d I.  ``r_k`` is r on layer k's output and
+#   ``ahat_k = r_k o s'_k`` the product the rule forms.
 # * tangent along a cotangent c: ``a'_e = c W_e[:, :2]^T``,
 #   ``a'_k = (s'_{k-1} o a'_{k-1}) W_k^T``.
-# * VJP, sweeping down from ``xbar = 0`` (x' is the tangent of x_k, c at
-#   layer e): ``ahat = s' o r_k``, ``abar = s' o xbar + s'' o a' o r_k``,
+# * VJP, sweeping down from the last layer, where ``xbar = 0`` (x' is the
+#   tangent of x_k, c at layer e): ``abar = s' o xbar + s'' o a' o r_k``,
 #   ``Wbar = abar^T x + ahat^T x'``, ``bbar = sum_s abar``, ``xbar <- abar W``;
 #   the output row gets ``sum_s s' o a'`` of the last layer.
 # * Hessian: ``sum_{k >= e} A_k^T diag(s'' o r_k) A_k`` with
@@ -284,43 +254,59 @@ def _entry(model: PotentialModel) -> int:
     return 1 if model.architecture is Architecture.CONVEX_MONOTONIC else 0
 
 
-def _trace(model: PotentialModel, zinv: np.ndarray, par: np.ndarray):
-    """Each hidden layer's input and pre-activation, and the last output."""
-    entry, x, inputs, pre = _entry(model), par, [], []
-    for k, layer in enumerate(model.layers[:-1]):
+def _activate(kind: Activation, a, output: bool = True):
+    """``(sigma, sigma', sigma'')`` of a hidden activation at ``a``, from one
+    evaluation: tanh takes both derivatives from its output, softplus from
+    ``e = exp(-|a|)`` in forms that never overflow, and skips its own value
+    (None) when ``output`` is false."""
+    if kind is Activation.TANH:
+        x = np.tanh(a)
+        d1 = 1.0 - x**2
+        return x, d1, -2.0 * x * d1
+    if kind is not Activation.SOFTPLUS:
+        raise ValueError(f"{kind.value} is not a hidden activation")
+    e = np.exp(-np.abs(a))
+    # the sigmoid: 1 / (1 + e) for a >= 0, e / (1 + e) below
+    d1 = np.where(a >= 0.0, 1.0, e) / (1.0 + e)
+    x = np.maximum(a, 0.0) + np.log1p(e) if output else None
+    return x, d1, d1 * (1.0 - d1)
+
+
+def _trace(model: PotentialModel, zinv: np.ndarray, par: np.ndarray, output=False):
+    """Each hidden layer's input, slope s' and curvature s'' (see above),
+    and the last hidden output if ``output`` is set (else None)."""
+    entry, hidden, x = _entry(model), model.layers[:-1], par
+    inputs, slopes, curvatures = [], [], []
+    for k, layer in enumerate(hidden):
         if k == entry:
             x = np.concatenate([np.broadcast_to(zinv, x.shape[:-1] + (2,)), x], axis=-1)
         inputs.append(x)
-        pre.append(_dense(x, layer))
-        x = _act(layer.activation, pre[-1])
-    return inputs, pre, x
-
-
-def _slopes(model: PotentialModel, pre, d=_act_d1, start=0):
-    """An activation derivative ``d`` at every hidden pre-activation from
-    layer ``start`` on, None below it."""
-    return [None] * start + [d(layer.activation, a)
-                             for layer, a in zip(model.layers[start:], pre[start:])]
+        x, d1, d2 = _activate(layer.activation, _dense(x, layer),
+                              output or k < len(hidden) - 1)
+        slopes.append(d1)
+        curvatures.append(d2)
+    return inputs, slopes, curvatures, x if output else None
 
 
 def _reverse(model: PotentialModel, slopes, stop: int):
     """The reverse rule down to layer ``stop``: returns d psi / d I, the
     adjoint of the input of layer ``stop`` past the invariant columns, and
-    the adjoints ``r_k`` of the layers' outputs (None below ``stop``)."""
+    per layer the adjoint ``r_k`` of its output and ``r_k o s'_k`` (None
+    below ``stop``)."""
     entry, r = _entry(model), model.layers[-1].weights
-    adjoints = [None] * len(slopes)
+    adjoints, a_hats = [None] * len(slopes), [None] * len(slopes)
     for k in range(len(slopes) - 1, stop - 1, -1):
-        adjoints[k] = r
-        r = (r * slopes[k]) @ model.layers[k].weights
+        adjoints[k], a_hats[k] = r, r * slopes[k]
+        r = a_hats[k] @ model.layers[k].weights
         if k == entry:
             grad, r = r[..., :2], r[..., 2:]
-    return grad, r, adjoints
+    return grad, r, adjoints, a_hats
 
 
 def forward_batch(model: PotentialModel, inv, par) -> np.ndarray:
     """Potential values for batched invariant/parameter inputs."""
     inv, par, lead = _as_batch(model, inv, par)
-    psi = _trace(model, inv - 3.0, par)[2] @ model.layers[-1].weights[..., 0, :]
+    psi = _trace(model, inv - 3.0, par, output=True)[3] @ model.layers[-1].weights[..., 0, :]
     return psi.reshape(lead)
 
 
@@ -334,12 +320,10 @@ def _stress_vjp(model: PotentialModel, zinv: np.ndarray, par: np.ndarray):
     arrays may carry a leading restart axis (see above).
     """
     entry, hidden = _entry(model), model.layers[:-1]
-    inputs, pre, _ = _trace(model, zinv, par)
-    slopes = _slopes(model, pre)
-    grad, _, adjoints = _reverse(model, slopes, entry)
+    inputs, slopes, curvatures, _ = _trace(model, zinv, par)
+    grad, _, adjoints, a_hats = _reverse(model, slopes, entry)
 
     def vjp(cot):
-        curvatures = _slopes(model, pre, _act_d2, entry)
         # tangents a' of the pre-activations and s' o a' of the outputs
         a_dots, x_dots = [None] * len(hidden), [None] * len(hidden)
         a_dot = cot @ np.swapaxes(hidden[entry].weights[..., :2], -1, -2)
@@ -348,17 +332,17 @@ def _stress_vjp(model: PotentialModel, zinv: np.ndarray, par: np.ndarray):
                 a_dot = x_dots[k - 1] @ np.swapaxes(hidden[k].weights, -1, -2)
             a_dots[k], x_dots[k] = a_dot, slopes[k] * a_dot
         grads = [x_dots[-1].sum(axis=-2)[..., None, :]]
-        x_bar = 0.0
+        x_bar = None
         for k in range(len(hidden) - 1, -1, -1):
-            a_bar = slopes[k] * x_bar
+            a_bar = None if x_bar is None else slopes[k] * x_bar
             if k >= entry:
-                a_hat = slopes[k] * adjoints[k]
-                a_bar = a_bar + curvatures[k] * a_dots[k] * adjoints[k]
+                bend = curvatures[k] * a_dots[k] * adjoints[k]
+                a_bar = bend if a_bar is None else a_bar + bend
             w_bar = np.swapaxes(a_bar, -1, -2) @ inputs[k]
             if k > entry:
-                w_bar += np.swapaxes(a_hat, -1, -2) @ x_dots[k - 1]
+                w_bar += np.swapaxes(a_hats[k], -1, -2) @ x_dots[k - 1]
             elif k == entry:
-                w_bar[..., :2] += np.swapaxes(a_hat, -1, -2) @ cot
+                w_bar[..., :2] += np.swapaxes(a_hats[k], -1, -2) @ cot
             grads[:0] = [w_bar, a_bar.sum(axis=-2)]
             if k:
                 x_bar = (a_bar @ hidden[k].weights)[..., 2 if k == entry else 0:]
@@ -377,8 +361,7 @@ def invariant_gradients_batch(model: PotentialModel, inv, par) -> np.ndarray:
 def parameter_gradients_batch(model: PotentialModel, inv, par) -> np.ndarray:
     """d psi / d t, shape (..., m)."""
     inv, par, lead = _as_batch(model, inv, par)
-    _, pre, _ = _trace(model, inv - 3.0, par)
-    g = _reverse(model, _slopes(model, pre), 0)[1]
+    g = _reverse(model, _trace(model, inv - 3.0, par)[1], 0)[1]
     return g.reshape(g.shape[:-2] + lead + (model.param_dim,))
 
 
@@ -397,9 +380,7 @@ def invariant_hessians_batch(model: PotentialModel, inv, par) -> np.ndarray:
     """
     inv, par, lead = _as_batch(model, inv, par)
     entry, hidden = _entry(model), model.layers[:-1]
-    _, pre, _ = _trace(model, inv - 3.0, par)
-    slopes = _slopes(model, pre, start=entry)
-    curvatures = _slopes(model, pre, _act_d2, entry)
+    _, slopes, curvatures, _ = _trace(model, inv - 3.0, par)
     adjoints = _reverse(model, slopes, entry)[2]
     jac = hidden[entry].weights[..., None, :, :2]
     h = _weighted_gram(curvatures[entry] * adjoints[entry], jac)

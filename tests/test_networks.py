@@ -223,6 +223,85 @@ class TestVjp:
                 assert grad[idx] == pytest.approx(fd, rel=5e-5, abs=1e-7)
 
 
+def stable_sigmoid(a):
+    """The sigmoid evaluated on each side of 0 in its non-overflowing form."""
+    s = np.empty_like(a)
+    pos = a >= 0.0
+    s[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    s[~pos] = np.exp(a[~pos]) / (1.0 + np.exp(a[~pos]))
+    return s
+
+
+class TestActivation:
+    """``_activate`` takes sigma, sigma' and sigma'' from one evaluation."""
+
+    # +-800, where exp(-|a|) underflows to 0, +-40, both zeros and a dense grid
+    GRID = np.concatenate([[-800.0, -40.0, -0.0, 0.0, 40.0, 800.0],
+                           np.linspace(-20.0, 20.0, 401)])
+
+    def activate(self, kind, a):
+        # underflow of exp(-|a|) to 0 is the stable forms' intended result
+        with np.errstate(all="raise", under="ignore"):
+            return nets._activate(kind, a)
+
+    @staticmethod
+    def assert_bits_equal(got, want):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_tanh_bit_identical_to_textbook_forms(self):
+        a = self.GRID
+        x, d1, d2 = self.activate(nets.Activation.TANH, a)
+        self.assert_bits_equal(x, np.tanh(a))
+        self.assert_bits_equal(d1, 1.0 - np.tanh(a) ** 2)
+        self.assert_bits_equal(d2, -2.0 * np.tanh(a) * (1.0 - np.tanh(a) ** 2))
+
+    def test_softplus_bit_identical_to_textbook_forms(self):
+        a = self.GRID
+        x, d1, d2 = self.activate(nets.Activation.SOFTPLUS, a)
+        s = stable_sigmoid(a)
+        self.assert_bits_equal(x, np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a))))
+        self.assert_bits_equal(d1, s)
+        self.assert_bits_equal(d2, s * (1.0 - s))
+        np.testing.assert_allclose(x, np.logaddexp(0.0, a), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("kind", [nets.Activation.TANH, nets.Activation.SOFTPLUS])
+    def test_derivatives_match_central_differences(self, kind):
+        a, h = np.linspace(-6.0, 6.0, 121), 1e-5
+        _, d1, d2 = self.activate(kind, a)
+        x_plus, d1_plus, _ = self.activate(kind, a + h)
+        x_minus, d1_minus, _ = self.activate(kind, a - h)
+        np.testing.assert_allclose(d1, (x_plus - x_minus) / (2.0 * h), rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(d2, (d1_plus - d1_minus) / (2.0 * h), rtol=1e-7, atol=1e-10)
+
+    def test_softplus_can_skip_its_value(self):
+        a = self.GRID
+        x, d1, d2 = nets._activate(nets.Activation.SOFTPLUS, a, output=False)
+        assert x is None
+        self.assert_bits_equal(d1, stable_sigmoid(a))
+
+    def test_linear_is_not_a_hidden_activation(self):
+        with pytest.raises(ValueError, match="linear"):
+            nets._activate(nets.Activation.LINEAR, self.GRID)
+
+    @pytest.mark.parametrize("arch", ALL_ARCHITECTURES)
+    def test_one_transcendental_call_per_hidden_layer(self, arch, rng, monkeypatch):
+        """A trace and its VJP take tanh once per tanh layer and exp once
+        per softplus layer."""
+        model = make_model(arch, rng, nodes=5)
+        inv, par = random_states(rng, 7)
+        calls = {"tanh": 0, "exp": 0}
+        for name in calls:
+            def counted(*args, _ufunc=getattr(np, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _ufunc(*args, **kwargs)
+            monkeypatch.setattr(np, name, counted)
+        _, vjp = nets._stress_vjp(model, inv - 3.0, par)
+        vjp(rng.standard_normal((7, 2)))
+        kinds = [layer.activation for layer in model.layers[:-1]]
+        assert calls == {"tanh": kinds.count(nets.Activation.TANH),
+                         "exp": kinds.count(nets.Activation.SOFTPLUS)}
+
+
 def explicit_u_two_hidden(model, zinv, par, cot):
     """Stress coefficients and their VJP for a two-hidden-layer model,
     derived in reverse mode through the per-sample Jacobian
