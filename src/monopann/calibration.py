@@ -332,18 +332,22 @@ def _uniaxial_terms(lam):
     return np.stack([i1, i2], axis=-1) - 3.0, lam - lam**-2.0
 
 
-def _loss_and_gradient(model, zinv, stretch, lam, stress, t):
+def _loss_and_gradient(model, work, stretch, lam, stress, grads):
     """Losses and gradients; the model's arrays may carry a leading restart axis.
 
-    ``zinv`` and ``stretch`` are the :func:`_uniaxial_terms` of ``lam``.  One
-    forward trace yields the stress and is reused by the VJP.  With a restart
-    axis R the losses have shape (R,) and every gradient array leads with R.
+    ``work`` is a ``networks._Workspace`` of ``model`` at the shifted
+    invariants of uniaxial tension at the stretches ``lam`` and at the
+    samples' parameters, and ``stretch`` is ``lam - lam^-2`` (both from
+    :func:`_uniaxial_terms`).  One forward trace yields the stress and is
+    reused by the VJP, which writes the gradient into ``grads``, arrays
+    aligned with ``networks.parameter_arrays(model)``.  With a restart axis
+    R the losses have shape (R,) and every gradient array leads with R.
     """
-    g, vjp = networks._stress_vjp(model, zinv, t)
+    g, vjp = networks._stress_vjp(model, work)
     residual = 2.0 * (g[..., 0] + g[..., 1] / lam) * stretch - stress
     losses = np.mean(residual**2, axis=-1)
     scale = (2.0 / lam.size) * residual * 2.0 * stretch
-    return losses, vjp(np.stack([scale, scale / lam], axis=-1))
+    return losses, vjp(np.stack([scale, scale / lam], axis=-1), grads)
 
 
 def loss_and_gradient(model, lam, stress, t):
@@ -354,7 +358,10 @@ def loss_and_gradient(model, lam, stress, t):
     """
     if lam.size == 0:
         raise EmptyDatasetError("calibration slice is empty")
-    loss, grads = _loss_and_gradient(model, *_uniaxial_terms(lam), lam, stress, t)
+    zinv, stretch = _uniaxial_terms(lam)
+    grads = [np.empty(a.shape) for a in networks.parameter_arrays(model)]
+    loss, grads = _loss_and_gradient(model, networks._Workspace(model, zinv, t), stretch,
+                                     lam, stress, grads)
     return float(loss), grads
 
 
@@ -372,9 +379,9 @@ def init_adam(model) -> AdamState:
     return AdamState(0, np.zeros(size), np.zeros(size))
 
 
-def _flat(arrays, lead=()):
-    """``arrays``, each led by the axes ``lead``, end to end along one last axis."""
-    return np.concatenate([a.reshape(lead + (-1,)) for a in arrays], axis=-1)
+def _flat(arrays):
+    """``arrays`` end to end along one axis."""
+    return np.concatenate([a.reshape(-1) for a in arrays])
 
 
 def adam_step(model, grads, state: AdamState, config: TrainConfig) -> AdamState:
@@ -424,13 +431,16 @@ def _train(models, lam, stress, t, config: TrainConfig) -> np.ndarray:
     active = np.ones(len(models), dtype=bool)
     epochs_run = np.zeros(len(models), dtype=int)
     zinv, stretch = _uniaxial_terms(lam)
+    # the epoch's arrays: one workspace, and the gradient as views of one
+    # (R, P) buffer that the ADAM update reads
+    work, grad = networks._Workspace(stack, zinv, t), np.empty_like(params)
+    grads = networks.parameter_arrays(networks.with_buffer(models[0], grad))
     for _ in range(config.epochs):
-        losses, grads = _loss_and_gradient(stack, zinv, stretch, lam, stress, t)
+        losses, _ = _loss_and_gradient(stack, work, stretch, lam, stress, grads)
         active &= np.isfinite(losses)
         if not active.any():
             break
-        _adam_update(params, _flat(grads, active.shape), mask, state, config,
-                     None if active.all() else ~active)
+        _adam_update(params, grad, mask, state, config, None if active.all() else ~active)
         epochs_run += active
     for model, row in zip(models, params):
         model.layers = networks.with_buffer(model, row).layers

@@ -20,7 +20,11 @@ from one engine that every architecture and depth shares: the reverse rule
 The architectures differ only in which hidden layer first reads the invariants.
 One forward trace evaluates each hidden activation once, and sigma' and
 sigma'' come from that layer's output (tanh) or from the ``exp(-|a|)`` its
-output is built from (softplus), never from a second evaluation.
+output is built from (softplus), never from a second evaluation.  Every
+array of shape (..., samples, n) that the trace, the reverse rule and the
+VJP form lives in one workspace that nothing reads before writing it;
+calibration builds that workspace once per run, so that a training epoch
+allocates none of these arrays.
 
 Every entry point is batched: invariants have shape (..., 2) and parameters
 shape (..., m), and the two broadcast against each other.
@@ -29,6 +33,7 @@ shape (..., m), and the two broadcast against each other.
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -225,16 +230,11 @@ def _as_batch(model: PotentialModel, inv, par):
     return inv.reshape(-1, 2), par.reshape(-1, model.param_dim), lead
 
 
-def _dense(x, layer: Layer):
-    """``x W^T + b`` for one layer; its arrays may carry a leading restart axis."""
-    return x @ np.swapaxes(layer.weights, -1, -2) + layer.bias[..., None, :]
-
-
 # The engine's rules, for hidden layers k with input x_k, pre-activation a_k
 # and activation slopes s', s'' at a_k, both read off the layer's one
-# activation evaluation in :func:`_trace` (tanh from its output, softplus from
-# ``exp(-|a_k|)``); the entry layer e reads ``(I - 3, previous output)`` and
-# psi is the last output times the row w.
+# activation evaluation in :func:`_activate` (tanh from its output, softplus
+# from ``exp(-|a_k|)``); the entry layer e reads ``(I - 3, previous output)``
+# and psi is the last output times the row w.
 # * reverse: ``r <- (r o s') W_k`` from ``r = w``; at layer e the first two
 #   columns split off as d psi / d I.  ``r_k`` is r on layer k's output and
 #   ``ahat_k = r_k o s'_k`` the product the rule forms.
@@ -247,6 +247,9 @@ def _dense(x, layer: Layer):
 # * Hessian: ``sum_{k >= e} A_k^T diag(s'' o r_k) A_k`` with
 #   ``A_e = W_e[:, :2]`` and ``A_k = (s'_{k-1} o W_k) A_{k-1}``.
 # The arrays may carry a leading restart axis, against which inputs broadcast.
+# Every array of shape (..., S, n) that the trace, the reverse rule and the
+# VJP form is written with ``out=`` into a view of one :class:`_Workspace`,
+# and none is read before it is written in the same call.
 
 
 def _entry(model: PotentialModel) -> int:
@@ -254,98 +257,182 @@ def _entry(model: PotentialModel) -> int:
     return 1 if model.architecture is Architecture.CONVEX_MONOTONIC else 0
 
 
-def _activate(kind: Activation, a, output: bool = True):
-    """``(sigma, sigma', sigma'')`` of a hidden activation at ``a``, from one
-    evaluation: tanh takes both derivatives from its output, softplus from
-    ``e = exp(-|a|)`` in forms that never overflow, and skips its own value
-    (None) when ``output`` is false."""
+class _Workspace:
+    """The arrays that a trace of ``model`` at the shifted invariants
+    ``zinv`` (S, 2) and parameters ``par`` (S, m), its reverse rule and its
+    VJP write, as views built once; calibration builds one per run.  Freeing
+    arrays of shape (..., S, n) and taking them again per epoch made the C
+    heap return memory to the system and fault it back in, so no epoch
+    allocates one (``...`` are the leading axes of ``model``'s arrays).
+
+    Per hidden layer, the slopes and, from the entry layer up, the
+    curvatures and ``ahat`` stay live from the trace through the VJP, as do
+    the outputs that feed the next layer and the adjoints below the top
+    layer.  The ``scratch`` slots are taken in turn by the trace (the
+    pre-activation of the last layer, which then holds its output, and of a
+    layer feeding the entry layer, and softplus intermediates), by the
+    reverse rule (``ahat`` below the entry layer) and by the VJP (see
+    :func:`_stress_vjp`).
+
+    The entry layer's input has ``zinv`` in its first two columns, filled
+    here with ``par`` behind it when the entry layer is the first; else the
+    layer below writes its output there, and ``entry_bar``, shaped like that
+    input, takes the VJP's ``abar W`` at the entry layer.
+    """
+
+    def __init__(self, model: PotentialModel, zinv: np.ndarray, par: np.ndarray):
+        hidden, entry = model.layers[:-1], _entry(model)
+        depth, lead = len(hidden), model.layers[-1].weights.shape[:-2]
+        samples, width = zinv.shape[-2], hidden[entry].weights.shape[-1]
+        # layers from the entry layer up, and outputs that feed the next
+        # layer from a slot of their own
+        above, own = depth - entry, depth - 1 - (entry > 0)
+        softplus = any(layer.activation is Activation.SOFTPLUS for layer in hidden)
+        # the trace's pre-activation and softplus pair; the reverse rule's
+        # ahat below the entry layer; the VJP's a' and s' o a' from the entry
+        # layer up, abar below it and abar W between layers below it
+        spare = max(1 + 2 * softplus, entry, 2 * above + max(2 * entry - 1, 0))
+        slots = iter(np.empty((spare + depth + 3 * above - 1 + own, *lead, samples,
+                               hidden[0].weights.shape[-2])))
+        self.scratch = list(islice(slots, spare))
+        self.spare = tuple(self.scratch[1:3]) if softplus else None
+        self.slopes = list(islice(slots, depth))
+        self.curvatures = [None] * entry + list(islice(slots, above))
+        self.a_hats = self.scratch[:entry] + list(islice(slots, above))
+        x = np.empty((lead if entry else ()) + (samples, width))
+        x[..., :2] = zinv
+        if not entry:
+            x[..., 2:] = par
+        held = list(islice(slots, own))
+        self.outputs = [x[..., 2:] if k + 1 == entry else held.pop() if k + 1 < depth
+                        else self.scratch[0] for k in range(depth)]
+        self.pre = [self.scratch[0] if k + 1 == entry else out
+                    for k, out in enumerate(self.outputs)]
+        self.inputs = [x if k == entry else self.outputs[k - 1] if k else par
+                       for k in range(depth)]
+        # the reverse rule's products ahat_k W_k: at the entry layer d psi / d I
+        # and the adjoint below, above it the adjoint r_{k-1}; under it allocated
+        self.products = [None] * entry + [np.empty(lead + (samples, width))] + list(slots)
+        self.adjoints = [None] * depth
+        self.entry_bar = np.empty(lead + (samples, width)) if entry else None
+
+
+def _activate(kind: Activation, a, x, d1, d2, spare):
+    """Write ``sigma``, ``sigma'`` and ``sigma''`` of a hidden activation at
+    ``a`` into ``x``, ``d1`` and ``d2`` from one evaluation: tanh takes both
+    derivatives from its output, softplus from ``e = exp(-|a|)`` in forms
+    that never overflow, with the two arrays ``spare`` shaped like ``a`` for
+    its intermediates.  ``x`` may be ``a`` itself.  With ``x`` None softplus
+    skips its value and tanh writes it over ``a``; with ``d2`` None the
+    curvature is skipped."""
     if kind is Activation.TANH:
-        x = np.tanh(a)
-        d1 = 1.0 - x**2
-        return x, d1, -2.0 * x * d1
+        x = np.tanh(a, out=a if x is None else x)
+        np.subtract(1.0, np.square(x, out=d1), out=d1)
+        if d2 is not None:
+            np.multiply(np.multiply(x, -2.0, out=d2), d1, out=d2)
+        return
     if kind is not Activation.SOFTPLUS:
         raise ValueError(f"{kind.value} is not a hidden activation")
-    e = np.exp(-np.abs(a))
-    # the sigmoid: 1 / (1 + e) for a >= 0, e / (1 + e) below
-    d1 = np.where(a >= 0.0, 1.0, e) / (1.0 + e)
-    x = np.maximum(a, 0.0) + np.log1p(e) if output else None
-    return x, d1, d1 * (1.0 - d1)
+    e, t = spare
+    np.exp(np.negative(np.abs(a, out=e), out=e), out=e)
+    # the sigmoid: 1 / (1 + e) for a >= 0, e / (1 + e) below, as e <= 1
+    np.maximum(e, np.greater_equal(a, 0.0, out=d1), out=d1)
+    d1 /= np.add(e, 1.0, out=t)
+    if x is not None:
+        np.add(np.maximum(a, 0.0, out=x), np.log1p(e, out=t), out=x)
+    if d2 is not None:
+        np.multiply(d1, np.subtract(1.0, d1, out=d2), out=d2)
 
 
-def _trace(model: PotentialModel, zinv: np.ndarray, par: np.ndarray, output=False):
-    """Each hidden layer's input, slope s' and curvature s'' (see above),
-    and the last hidden output if ``output`` is set (else None)."""
-    entry, hidden, x = _entry(model), model.layers[:-1], par
-    inputs, slopes, curvatures = [], [], []
+def _trace(model: PotentialModel, work: _Workspace, output=False):
+    """Write each hidden layer's slope s' and curvature s'' (see above) into
+    ``work``; returns the last hidden output if ``output`` is set (else None)."""
+    hidden = model.layers[:-1]
     for k, layer in enumerate(hidden):
-        if k == entry:
-            x = np.concatenate([np.broadcast_to(zinv, x.shape[:-1] + (2,)), x], axis=-1)
-        inputs.append(x)
-        x, d1, d2 = _activate(layer.activation, _dense(x, layer),
-                              output or k < len(hidden) - 1)
-        slopes.append(d1)
-        curvatures.append(d2)
-    return inputs, slopes, curvatures, x if output else None
+        a = np.matmul(work.inputs[k], layer.weights.mT, out=work.pre[k])
+        a += layer.bias[..., None, :]
+        x = work.outputs[k] if output or k < len(hidden) - 1 else None
+        _activate(layer.activation, a, x, work.slopes[k], work.curvatures[k], work.spare)
+    return x
 
 
-def _reverse(model: PotentialModel, slopes, stop: int):
-    """The reverse rule down to layer ``stop``: returns d psi / d I, the
-    adjoint of the input of layer ``stop`` past the invariant columns, and
-    per layer the adjoint ``r_k`` of its output and ``r_k o s'_k`` (None
-    below ``stop``)."""
+def _reverse(model: PotentialModel, work: _Workspace, stop: int):
+    """The reverse rule down to layer ``stop``, after :func:`_trace`: writes
+    per layer the adjoint ``r_k`` of its output and ``r_k o s'_k`` into
+    ``work``, and returns d psi / d I and the adjoint of the input of layer
+    ``stop`` past the invariant columns."""
     entry, r = _entry(model), model.layers[-1].weights
-    adjoints, a_hats = [None] * len(slopes), [None] * len(slopes)
-    for k in range(len(slopes) - 1, stop - 1, -1):
-        adjoints[k], a_hats[k] = r, r * slopes[k]
-        r = a_hats[k] @ model.layers[k].weights
+    for k in range(len(work.slopes) - 1, stop - 1, -1):
+        work.adjoints[k] = r
+        a_hat = np.multiply(r, work.slopes[k], out=work.a_hats[k])
+        r = np.matmul(a_hat, model.layers[k].weights, out=work.products[k])
         if k == entry:
             grad, r = r[..., :2], r[..., 2:]
-    return grad, r, adjoints, a_hats
+    return grad, r
 
 
 def forward_batch(model: PotentialModel, inv, par) -> np.ndarray:
     """Potential values for batched invariant/parameter inputs."""
     inv, par, lead = _as_batch(model, inv, par)
-    psi = _trace(model, inv - 3.0, par, output=True)[3] @ model.layers[-1].weights[..., 0, :]
-    return psi.reshape(lead)
+    x = _trace(model, _Workspace(model, inv - 3.0, par), output=True)
+    return (x @ model.layers[-1].weights[..., 0, :]).reshape(lead)
 
 
-def _stress_vjp(model: PotentialModel, zinv: np.ndarray, par: np.ndarray):
-    """Stress coefficients d psi / d I, shape (..., S, 2), and their VJP.
+def _stress_vjp(model: PotentialModel, work: _Workspace):
+    """Stress coefficients d psi / d I, shape (..., S, 2), and their VJP, at
+    the inputs of ``work``, a :class:`_Workspace` of ``model``.
 
-    ``zinv`` (S, 2) are the invariants shifted by -3 and ``par`` (S, m) the
-    parameters.  The VJP maps a cotangent (..., S, 2) to the parameter-side
-    gradient of ``sum_s cotangent[s] . coefficients[s]``, a list aligned with
-    :func:`parameter_arrays`.  One forward trace serves both, and the model's
-    arrays may carry a leading restart axis (see above).
+    The VJP maps a cotangent (..., S, 2) to the parameter-side gradient of
+    ``sum_s cotangent[s] . coefficients[s]``, which it writes into
+    ``grads``, arrays aligned with :func:`parameter_arrays`, and returns.
+    One forward trace serves both, and the model's arrays may carry a
+    leading restart axis (see above).  The coefficients view ``work`` and
+    hold until its next trace.  The VJP's tangents ``a'`` (which then hold
+    ``abar``) and ``s' o a'`` (which then hold ``xbar`` of the layer below)
+    take the first scratch slots in pairs from the entry layer up; behind
+    them come ``abar`` of each layer below the entry layer and ``abar W``
+    between such layers.
     """
     entry, hidden = _entry(model), model.layers[:-1]
-    inputs, slopes, curvatures, _ = _trace(model, zinv, par)
-    grad, _, adjoints, a_hats = _reverse(model, slopes, entry)
+    _trace(model, work)
+    grad, _ = _reverse(model, work, entry)
+    above, slopes, scratch = len(hidden) - entry, work.slopes, work.scratch
+    a_dots = [None] * entry + scratch[0:2 * above:2]
+    x_dots = [None] * entry + scratch[1:2 * above:2]
+    bars = scratch[2 * above:]
 
-    def vjp(cot):
+    def vjp(cot, grads):
         # tangents a' of the pre-activations and s' o a' of the outputs
-        a_dots, x_dots = [None] * len(hidden), [None] * len(hidden)
-        a_dot = cot @ np.swapaxes(hidden[entry].weights[..., :2], -1, -2)
+        np.matmul(cot, hidden[entry].weights[..., :2].mT, out=a_dots[entry])
         for k in range(entry, len(hidden)):
             if k > entry:
-                a_dot = x_dots[k - 1] @ np.swapaxes(hidden[k].weights, -1, -2)
-            a_dots[k], x_dots[k] = a_dot, slopes[k] * a_dot
-        grads = [x_dots[-1].sum(axis=-2)[..., None, :]]
+                np.matmul(x_dots[k - 1], hidden[k].weights.mT, out=a_dots[k])
+            np.multiply(slopes[k], a_dots[k], out=x_dots[k])
+        # sample-axis sums: einsum adds the samples in order, as .sum(axis=-2)
+        # does unless n = 1, and takes about half its time
+        np.einsum("...si->...i", x_dots[-1], out=grads[-1][..., 0, :])
         x_bar = None
         for k in range(len(hidden) - 1, -1, -1):
-            a_bar = None if x_bar is None else slopes[k] * x_bar
             if k >= entry:
-                bend = curvatures[k] * a_dots[k] * adjoints[k]
-                a_bar = bend if a_bar is None else a_bar + bend
-            w_bar = np.swapaxes(a_bar, -1, -2) @ inputs[k]
+                # abar = s'' o a' o r_k + s' o xbar, over a' and xbar
+                a_bar = np.multiply(work.curvatures[k], a_dots[k], out=a_dots[k])
+                a_bar *= work.adjoints[k]
+                if x_bar is not None:
+                    a_bar += np.multiply(slopes[k], x_bar, out=x_bar)
+            else:
+                a_bar = np.multiply(slopes[k], x_bar, out=bars[k])
+            w_bar = np.matmul(a_bar.mT, work.inputs[k], out=grads[2 * k])
             if k > entry:
-                w_bar += np.swapaxes(a_hats[k], -1, -2) @ x_dots[k - 1]
+                w_bar += work.a_hats[k].mT @ x_dots[k - 1]
             elif k == entry:
-                w_bar[..., :2] += np.swapaxes(a_hats[k], -1, -2) @ cot
-            grads[:0] = [w_bar, a_bar.sum(axis=-2)]
-            if k:
-                x_bar = (a_bar @ hidden[k].weights)[..., 2 if k == entry else 0:]
+                w_bar[..., :2] += work.a_hats[k].mT @ cot
+            np.einsum("...si->...i", a_bar, out=grads[2 * k + 1])
+            if k > entry:
+                x_bar = np.matmul(a_bar, hidden[k].weights, out=x_dots[k])
+            elif k:
+                x_bar = np.matmul(a_bar, hidden[k].weights,
+                                  out=work.entry_bar if k == entry else bars[entry + k - 1])
+                x_bar = x_bar[..., 2 if k == entry else 0:]
         return grads
 
     return grad, vjp
@@ -354,20 +441,22 @@ def _stress_vjp(model: PotentialModel, zinv: np.ndarray, par: np.ndarray):
 def invariant_gradients_batch(model: PotentialModel, inv, par) -> np.ndarray:
     """Stress coefficients (d psi / d I1, d psi / d I2), shape (..., 2)."""
     inv, par, lead = _as_batch(model, inv, par)
-    g, _ = _stress_vjp(model, inv - 3.0, par)
+    g, _ = _stress_vjp(model, _Workspace(model, inv - 3.0, par))
     return g.reshape(lead + (2,))
 
 
 def parameter_gradients_batch(model: PotentialModel, inv, par) -> np.ndarray:
     """d psi / d t, shape (..., m)."""
     inv, par, lead = _as_batch(model, inv, par)
-    g = _reverse(model, _trace(model, inv - 3.0, par)[1], 0)[1]
+    work = _Workspace(model, inv - 3.0, par)
+    _trace(model, work)
+    g = _reverse(model, work, 0)[1]
     return g.reshape(g.shape[:-2] + lead + (model.param_dim,))
 
 
 def _weighted_gram(c, w):
     """``sum_i c_i w_ia w_ib``, shape (..., 2, 2), for ``c`` (..., n), ``w`` (..., n, 2)."""
-    return (c[..., None, :] * np.swapaxes(w, -1, -2)) @ w
+    return (c[..., None, :] * w.mT) @ w
 
 
 def invariant_hessians_batch(model: PotentialModel, inv, par) -> np.ndarray:
@@ -380,8 +469,10 @@ def invariant_hessians_batch(model: PotentialModel, inv, par) -> np.ndarray:
     """
     inv, par, lead = _as_batch(model, inv, par)
     entry, hidden = _entry(model), model.layers[:-1]
-    _, slopes, curvatures, _ = _trace(model, inv - 3.0, par)
-    adjoints = _reverse(model, slopes, entry)[2]
+    work = _Workspace(model, inv - 3.0, par)
+    _trace(model, work)
+    _reverse(model, work, entry)
+    slopes, curvatures, adjoints = work.slopes, work.curvatures, work.adjoints
     jac = hidden[entry].weights[..., None, :, :2]
     h = _weighted_gram(curvatures[entry] * adjoints[entry], jac)
     for k in range(entry + 1, len(hidden)):
@@ -401,7 +492,8 @@ def invariant_gradient_vjp(model: PotentialModel, inv, par, cotangent) -> list[n
     cot = np.asarray(cotangent, dtype=float).reshape(-1, 2)
     if cot.shape[0] != inv.shape[0]:
         raise ShapeMismatchError("cotangent batch does not match input batch")
-    return _stress_vjp(model, inv - 3.0, par)[1](cot)
+    grads = [np.empty(a.shape) for a in parameter_arrays(model)]
+    return _stress_vjp(model, _Workspace(model, inv - 3.0, par))[1](cot, grads)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -380,6 +382,64 @@ class TestCalibrate:
             assert got == want
             for a, b in zip(nets.parameter_arrays(model), nets.parameter_arrays(clean_model)):
                 np.testing.assert_array_equal(a, b)
+
+
+class TestEpochAllocation:
+    """An epoch writes its arrays of shape (R, S, n) into the one workspace
+    of the run, so between two ADAM steps the traced memory peaks less than
+    128 KiB above what the epoch leaves: large arrays freed and taken again
+    per epoch make the C heap trim memory and fault it back in."""
+
+    @pytest.mark.parametrize("arch", list(nets.Architecture))
+    @pytest.mark.parametrize("nodes,restarts,samples", [(32, 2, 200), (8, 5, 60)])
+    def test_epoch_transient_is_small(self, arch, nodes, restarts, samples, monkeypatch):
+        ds = cal.generate_synthetic(oracle_law(), np.linspace(1.0, 2.0, samples // 5),
+                                    [0.1, 0.3, 0.5, 0.7, 0.9])
+        transients, update = [], cal._adam_update
+
+        def traced(*args, **kwargs):
+            current, peak = tracemalloc.get_traced_memory()
+            transients.append(peak - current)
+            update(*args, **kwargs)
+            tracemalloc.reset_peak()
+
+        monkeypatch.setattr(cal, "_adam_update", traced)
+        tracemalloc.start()
+        try:
+            cal.calibrate(ds, cal.TrainConfig(epochs=5, restarts=restarts, seed=3), arch, nodes)
+        finally:
+            tracemalloc.stop()
+        # the first covers the run's set-up as well
+        assert len(transients) == 5
+        assert max(transients[1:]) < 128 * 1024
+
+    @pytest.mark.parametrize("arch", list(nets.Architecture))
+    def test_adam_reads_the_buffer_the_vjp_writes(self, arch, monkeypatch):
+        """Every epoch's VJP writes views of one (R, P) buffer, and that
+        buffer is what the ADAM update reads."""
+        epochs, loss, update = [], cal._loss_and_gradient, cal._adam_update
+
+        def traced_loss(*args):
+            losses, grads = loss(*args)
+            epochs.append([grads])
+            return losses, grads
+
+        def traced_update(params, grad, *rest):
+            epochs[-1].append(grad)
+            update(params, grad, *rest)
+
+        monkeypatch.setattr(cal, "_loss_and_gradient", traced_loss)
+        monkeypatch.setattr(cal, "_adam_update", traced_update)
+        cal.calibrate(neo_hookean_dataset(), cal.TrainConfig(epochs=3, restarts=2, seed=1),
+                      arch, 4)
+        buffer = epochs[0][1]
+        assert len(epochs) == 3
+        assert buffer.shape == (2, nets.expected_parameter_count(arch, 4, 1))
+        for grads, grad in epochs:
+            assert grad is buffer
+            assert all(np.shares_memory(g, buffer) for g in grads)
+            np.testing.assert_array_equal(
+                grad, np.concatenate([g.reshape(2, -1) for g in grads], axis=-1))
 
 
 class TestEvaluate:

@@ -61,6 +61,13 @@ def random_states(rng, count, param_dim=1, spread=3.0):
     return inv, par
 
 
+def stress_vjp(model, zinv, par, cot, work=None):
+    """Stress coefficients and their VJP along ``cot``, traced in ``work`` or
+    a fresh workspace, with the gradient written into fresh arrays."""
+    coefficients, vjp = nets._stress_vjp(model, work or nets._Workspace(model, zinv, par))
+    return coefficients, vjp(cot, [np.empty(a.shape) for a in nets.parameter_arrays(model)])
+
+
 class TestForward:
     @pytest.mark.parametrize("arch", ALL_ARCHITECTURES)
     def test_zero_weights_give_zero(self, arch, rng):
@@ -239,10 +246,17 @@ class TestActivation:
     GRID = np.concatenate([[-800.0, -40.0, -0.0, 0.0, 40.0, 800.0],
                            np.linspace(-20.0, 20.0, 401)])
 
-    def activate(self, kind, a):
+    @staticmethod
+    def activate(kind, a, output=True, in_place=False):
+        """``_activate`` into fresh arrays, or with the value written over
+        (a copy of) ``a``; returns the value (None if skipped) and both slopes."""
+        a = a.copy()
+        x, d1, d2, *spare = (np.empty_like(a) for _ in range(5))
+        x = a if in_place else x if output else None
         # underflow of exp(-|a|) to 0 is the stable forms' intended result
         with np.errstate(all="raise", under="ignore"):
-            return nets._activate(kind, a)
+            nets._activate(kind, a, x, d1, d2, spare)
+        return x, d1, d2
 
     @staticmethod
     def assert_bits_equal(got, want):
@@ -250,19 +264,21 @@ class TestActivation:
 
     def test_tanh_bit_identical_to_textbook_forms(self):
         a = self.GRID
-        x, d1, d2 = self.activate(nets.Activation.TANH, a)
-        self.assert_bits_equal(x, np.tanh(a))
-        self.assert_bits_equal(d1, 1.0 - np.tanh(a) ** 2)
-        self.assert_bits_equal(d2, -2.0 * np.tanh(a) * (1.0 - np.tanh(a) ** 2))
+        for in_place in (False, True):
+            x, d1, d2 = self.activate(nets.Activation.TANH, a, in_place=in_place)
+            self.assert_bits_equal(x, np.tanh(a))
+            self.assert_bits_equal(d1, 1.0 - np.tanh(a) ** 2)
+            self.assert_bits_equal(d2, -2.0 * np.tanh(a) * (1.0 - np.tanh(a) ** 2))
 
     def test_softplus_bit_identical_to_textbook_forms(self):
         a = self.GRID
-        x, d1, d2 = self.activate(nets.Activation.SOFTPLUS, a)
         s = stable_sigmoid(a)
-        self.assert_bits_equal(x, np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a))))
-        self.assert_bits_equal(d1, s)
-        self.assert_bits_equal(d2, s * (1.0 - s))
-        np.testing.assert_allclose(x, np.logaddexp(0.0, a), rtol=1e-15, atol=0.0)
+        for in_place in (False, True):
+            x, d1, d2 = self.activate(nets.Activation.SOFTPLUS, a, in_place=in_place)
+            self.assert_bits_equal(x, np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a))))
+            self.assert_bits_equal(d1, s)
+            self.assert_bits_equal(d2, s * (1.0 - s))
+            np.testing.assert_allclose(x, np.logaddexp(0.0, a), rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("kind", [nets.Activation.TANH, nets.Activation.SOFTPLUS])
     def test_derivatives_match_central_differences(self, kind):
@@ -275,13 +291,13 @@ class TestActivation:
 
     def test_softplus_can_skip_its_value(self):
         a = self.GRID
-        x, d1, d2 = nets._activate(nets.Activation.SOFTPLUS, a, output=False)
+        x, d1, d2 = self.activate(nets.Activation.SOFTPLUS, a, output=False)
         assert x is None
         self.assert_bits_equal(d1, stable_sigmoid(a))
 
     def test_linear_is_not_a_hidden_activation(self):
         with pytest.raises(ValueError, match="linear"):
-            nets._activate(nets.Activation.LINEAR, self.GRID)
+            self.activate(nets.Activation.LINEAR, self.GRID)
 
     @pytest.mark.parametrize("arch", ALL_ARCHITECTURES)
     def test_one_transcendental_call_per_hidden_layer(self, arch, rng, monkeypatch):
@@ -295,8 +311,7 @@ class TestActivation:
                 calls[_name] += 1
                 return _ufunc(*args, **kwargs)
             monkeypatch.setattr(np, name, counted)
-        _, vjp = nets._stress_vjp(model, inv - 3.0, par)
-        vjp(rng.standard_normal((7, 2)))
+        stress_vjp(model, inv - 3.0, par, rng.standard_normal((7, 2)))
         kinds = [layer.activation for layer in model.layers[:-1]]
         assert calls == {"tanh": kinds.count(nets.Activation.TANH),
                          "exp": kinds.count(nets.Activation.SOFTPLUS)}
@@ -352,16 +367,15 @@ class TestFactoredTwoHidden:
         inv, par = random_states(rng, samples)
         zinv = inv - 3.0
         cot = rng.standard_normal((restarts, samples, 2))
-        coefficients, vjp = nets._stress_vjp(stacked, zinv, par)
-        grads = vjp(cot)
+        coefficients, grads = stress_vjp(stacked, zinv, par, cot)
         ref_coefficients, ref_grads = explicit_u_two_hidden(stacked, zinv, par, cot)
         for got, want in zip([coefficients, *grads], [ref_coefficients, *ref_grads]):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         for r, model in enumerate(models):
-            one, one_vjp = nets._stress_vjp(model, zinv, par)
+            one, one_grads = stress_vjp(model, zinv, par, cot[r])
             np.testing.assert_array_equal(coefficients[r], one)
-            for got, want in zip(grads, one_vjp(cot[r])):
+            for got, want in zip(grads, one_grads):
                 np.testing.assert_array_equal(got[r], want)
 
 
@@ -383,6 +397,37 @@ class TestStackedRestarts:
         for r, model in enumerate(models):
             np.testing.assert_array_equal(h[r], nets.invariant_hessians_batch(model, inv, par))
             np.testing.assert_array_equal(g[r], nets.parameter_gradients_batch(model, inv, par))
+
+
+class TestWorkspace:
+    """A calibration traces every epoch through one workspace: what its
+    trace and VJP write must not depend on what an earlier call left there."""
+
+    @pytest.mark.parametrize("arch", DERIVATIVE_CASES)
+    def test_reused_workspace_matches_fresh_ones_bit_for_bit(self, arch, rng):
+        inv, par = random_states(rng, 9, param_dim=2)
+        zinv = inv - 3.0
+        stacks = []
+        for _ in range(3):
+            models = [make_model(arch, rng, nodes=5, param_dim=2) for _ in range(2)]
+            for model in models:
+                for layer in model.layers[:-1]:
+                    layer.bias[...] = rng.uniform(-0.5, 0.5, layer.bias.shape)
+            stacks.append(_stack(models))
+        # NaN weights fill every array the first call writes with NaN, which
+        # a later call would carry into its results if it read one unwritten
+        for a in nets.parameter_arrays(stacks[0]):
+            a[...] = np.nan
+        shared = nets._Workspace(stacks[0], zinv, par)
+        for stack in stacks:
+            cot = rng.standard_normal((2, 9, 2))
+            coefficients, grads = stress_vjp(stack, zinv, par, cot, shared)
+            if stack is stacks[0]:
+                continue
+            fresh, fresh_grads = stress_vjp(stack, zinv, par, cot)
+            assert coefficients.tobytes() == fresh.tobytes()
+            for got, want in zip(grads, fresh_grads, strict=True):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestCountsAndSparsity:
