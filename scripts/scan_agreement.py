@@ -13,10 +13,13 @@ are compared as each checkout's ``stability.write_report_json`` writes
 them.  It prints the worst deviation of the condition minima (absolute, or
 relative above 1) and of the invariants i1, i2 (relative).
 
-Each checkout also runs the two ``scan`` commands of the benchmark's
-scan-grid workload (a seeded monotonic network with n = 8, then the
-Mooney-Rivlin law, over 3 parameter rows, a 10x10 grid over [0.5, 3] and
-200 directions), and the sha256 of every artifact they write is compared.
+Each checkout also runs four ``scan`` commands (:func:`cli_scans`), and the
+sha256 of every artifact they write is compared: the two of the
+benchmark's scan-grid workload (a seeded monotonic network with n = 8,
+then the Mooney-Rivlin law, over 3 parameter rows, a 10x10 grid over
+[0.5, 3] and 200 directions), both laws in one command, which also writes
+``comparison.csv``, and the network on a 4x4 grid over [1e-200, 3], whose
+failed points write null values and error texts.
 
 It exits 1 if any verdict, ``error`` or ``per_parameter`` entry differs, if
 a minimum differs by more than ``MINIMUM_TOLERANCE``, or if any CLI
@@ -43,15 +46,28 @@ MINIMA = ("min_value", "compressible_min_value")
 # the scan-grid workload of bench/run.py
 CLI_SEED = 1
 CLI_NODES = 8
-CLI_ARGS = [
-    "--t-values", "0,0.5,1", "--lambda1", "0.5,3,10", "--lambda2", "0.5,3,10",
-    "--directions", "200", "--seed", str(CLI_SEED),
-]
+CLI_GRID = ["--lambda1", "0.5,3,10", "--lambda2", "0.5,3,10"]
+CLI_ARGS = ["--t-values", "0,0.5,1", "--directions", "200", "--seed", str(CLI_SEED)]
 CLI_ORACLE = [
+    "--law", "mooney-rivlin",
     "--c10-cubic", "0,0,0.25,0.15",
     "--c01-cubic", "0,0,0.05,0.03",
     "--c11-cubic", "0,0,0.02,0",
 ]
+
+
+def cli_scans(model: str) -> dict:
+    """The arguments of each ``scan`` command, by the name of the directory
+    it writes into: the scan-grid workload's two, both laws in one command
+    (which writes ``comparison.csv``), and a grid whose stretch products
+    under- and overflow, so that points fail."""
+    return {
+        "model": ["--model", model, *CLI_GRID, *CLI_ARGS],
+        "oracle": [*CLI_ORACLE, *CLI_GRID, *CLI_ARGS],
+        "both": ["--model", model, *CLI_ORACLE, *CLI_GRID, *CLI_ARGS],
+        "failing": ["--model", model, "--lambda1", "1e-200,3,4",
+                    "--lambda2", "1e-200,3,4", *CLI_ARGS],
+    }
 
 
 def scan_all(src: Path, work: Path) -> dict:
@@ -82,8 +98,8 @@ def scan_all(src: Path, work: Path) -> dict:
 
 
 def cli_artifacts(src: Path, work: Path) -> dict:
-    """The sha256 of every file that the scan-grid commands write with
-    ``src``, by name."""
+    """The sha256 of every file that the :func:`cli_scans` commands write
+    with ``src``, by its path under ``work``."""
     sys.path.insert(0, str(src))
     import numpy as np
 
@@ -92,13 +108,11 @@ def cli_artifacts(src: Path, work: Path) -> dict:
     model = networks.build_model(networks.Architecture.MONOTONIC, CLI_NODES, 1,
                                  np.random.default_rng(CLI_SEED))
     networks.save_model(model, work / "scan_model.json")
-    out = work / "out"
-    for law in (["--model", str(work / "scan_model.json")],
-                ["--law", "mooney-rivlin", *CLI_ORACLE]):
-        if cli.main(["scan", *law, *CLI_ARGS, "--out", str(out)]) != 0:
-            raise SystemExit(f"scan {law[:2]} failed")
-    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(out.iterdir())}
+    for name, args in cli_scans(str(work / "scan_model.json")).items():
+        if cli.main(["scan", *args, "--out", str(work / name)]) != 0:
+            raise SystemExit(f"scan {name} failed")
+    return {path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(work.glob("*/*"))}
 
 
 def run_child(src: Path) -> dict:

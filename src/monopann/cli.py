@@ -330,38 +330,35 @@ def cmd_report(args) -> int:
 # parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with default option values")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", default="out", help="output directory")
+def _common(p) -> None:
+    p.add_argument("--config", help="JSON file with default option values")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default="out", help="output directory")
 
-    split = argparse.ArgumentParser(add_help=False)
-    split.add_argument("--holdout-params", default=None,
-                       help="raw parameter values moved to the test split")
-    split.add_argument("--max-calibration-stretch", type=float, default=None)
 
-    train = argparse.ArgumentParser(add_help=False)
-    train.add_argument("--epochs", type=int, default=20000)
-    train.add_argument("--restarts", type=int, default=5)
-    train.add_argument("--lr", type=float, default=2e-3)
+def _split(p) -> None:
+    p.add_argument("--holdout-params", default=None,
+                   help="raw parameter values moved to the test split")
+    p.add_argument("--max-calibration-stretch", type=float, default=None)
 
-    coefficients = argparse.ArgumentParser(add_help=False)
-    coefficients.add_argument("--c", type=float, default=0.5,
-                              help="neo-hookean coefficient")
-    coefficients.add_argument("--c10-cubic", default=DEFAULT_C10,
-                              help="a,b,c,d for a*G^3+b*G^2+c*G+d in MPa")
-    coefficients.add_argument("--c01-cubic", default=DEFAULT_C01)
-    coefficients.add_argument("--c11-cubic", default=DEFAULT_C11)
 
-    parser = argparse.ArgumentParser(
-        prog="monopann",
-        description="parametrized hyperelastic potentials: calibration and stability",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _train(p) -> None:
+    p.add_argument("--epochs", type=int, default=20000)
+    p.add_argument("--restarts", type=int, default=5)
+    p.add_argument("--lr", type=float, default=2e-3)
 
-    p = sub.add_parser("gendata", parents=[common, coefficients],
-                       help="synthesize datasets")
+
+def _coefficients(p) -> None:
+    p.add_argument("--c", type=float, default=0.5, help="neo-hookean coefficient")
+    p.add_argument("--c10-cubic", default=DEFAULT_C10,
+                   help="a,b,c,d for a*G^3+b*G^2+c*G+d in MPa")
+    p.add_argument("--c01-cubic", default=DEFAULT_C01)
+    p.add_argument("--c11-cubic", default=DEFAULT_C11)
+
+
+def _gendata_arguments(p) -> None:
+    _common(p)
+    _coefficients(p)
     p.add_argument("--oracle", choices=["mooney-rivlin", "neo-hookean"],
                    default="mooney-rivlin")
     p.add_argument("--grid", default="1.0,2.0,20", help="lambda_min,lambda_max,n")
@@ -371,8 +368,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default="dataset", help="output file stem")
     p.set_defaults(handler=cmd_gendata)
 
-    p = sub.add_parser("calibrate", parents=[common, split, train],
-                       help="fit a potential")
+
+def _calibrate_arguments(p) -> None:
+    _common(p)
+    _split(p)
+    _train(p)
     p.add_argument("--data", required=True, help="dataset CSV path(s), comma separated")
     p.add_argument("--arch", default="monotonic",
                    choices=[a.value for a in networks.Architecture])
@@ -380,14 +380,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tag", default=None, help="output file prefix")
     p.set_defaults(handler=cmd_calibrate)
 
-    p = sub.add_parser("evaluate", parents=[common, split], help="residuals on a slice")
+
+def _evaluate_arguments(p) -> None:
+    _common(p)
+    _split(p)
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--slice", choices=["test", "calibration"], default="test")
     p.set_defaults(handler=cmd_evaluate)
 
-    p = sub.add_parser("scan", parents=[common, coefficients],
-                       help="material-stability scan")
+
+def _scan_arguments(p) -> None:
+    _common(p)
+    _coefficients(p)
     p.add_argument("--model", default=None, help="model JSON path(s), comma separated")
     p.add_argument("--law", choices=["neo-hookean", "mooney-rivlin"], default=None)
     p.add_argument("--t-values", default="0,0.5,1")
@@ -398,18 +403,62 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=[g.value for g in stability.DirectionGenerator])
     p.set_defaults(handler=cmd_scan)
 
-    p = sub.add_parser("hyperparam", parents=[common, split, train],
-                       help="node-count grid: error and sparsity tables")
+
+def _hyperparam_arguments(p) -> None:
+    _common(p)
+    _split(p)
+    _train(p)
     p.add_argument("--data", required=True)
     p.add_argument("--archs", default="monotonic,unrestricted_2hl,unrestricted_1hl")
     p.add_argument("--nodes", default="2,4,8,16,32,64")
     p.set_defaults(handler=cmd_hyperparam)
 
-    p = sub.add_parser("report", parents=[common, split], help="curve exports and plots")
+
+def _report_arguments(p) -> None:
+    _common(p)
+    _split(p)
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--points", type=int, default=101, help="dense curve resolution")
     p.set_defaults(handler=cmd_report)
+
+
+# every command, in the order of the usage line: its help and the function
+# that adds its arguments to its subparser
+_COMMANDS = {
+    "gendata": ("synthesize datasets", _gendata_arguments),
+    "calibrate": ("fit a potential", _calibrate_arguments),
+    "evaluate": ("residuals on a slice", _evaluate_arguments),
+    "scan": ("material-stability scan", _scan_arguments),
+    "hyperparam": ("node-count grid: error and sparsity tables", _hyperparam_arguments),
+    "report": ("curve exports and plots", _report_arguments),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command; given the name of one, the parser of
+    that command alone.
+
+    The one-command parser gets the metavar that ``argparse`` would write
+    for all six commands, so its usage line names every command.  Help,
+    usage and error output then do not depend on which parser ``main``
+    built: an argument list that starts with a command's name can fail only
+    in that command's subparser or with unrecognized arguments, whose
+    message shows the usage line.  The full parser keeps no metavar, since
+    its errors name the subcommand argument ``command``.
+    """
+    parser = argparse.ArgumentParser(
+        prog="monopann",
+        description="parametrized hyperelastic potentials: calibration and stability",
+    )
+    if command in _COMMANDS:
+        names, metavar = [command], "{" + ",".join(_COMMANDS) + "}"
+    else:
+        names, metavar = list(_COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -426,7 +475,8 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    # a parser for the named command only, since one main() runs one command
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if args.config is not None:

@@ -224,9 +224,11 @@ def _as_batch(model: PotentialModel, inv, par):
         raise ShapeMismatchError("invariants must have trailing shape (2,)")
     if par.shape[-1:] != (model.param_dim,):
         raise ShapeMismatchError(f"parameter vector must have trailing shape ({model.param_dim},)")
-    lead = np.broadcast_shapes(inv.shape[:-1], par.shape[:-1])
-    inv = np.broadcast_to(inv, lead + (2,))
-    par = np.broadcast_to(par, lead + (model.param_dim,))
+    lead = np.broadcast(inv[..., 0], par[..., 0]).shape
+    if inv.shape[:-1] != lead:
+        inv = np.broadcast_to(inv, lead + (2,))
+    if par.shape[:-1] != lead:
+        par = np.broadcast_to(par, lead + (model.param_dim,))
     return inv.reshape(-1, 2), par.reshape(-1, model.param_dim), lead
 
 

@@ -32,7 +32,6 @@ point (see ``_point_geometry``): outer products ``X o Y`` contract to
 derivatives vanish, because ``eps_IJK B_I B_K = 0``.
 """
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -771,17 +770,30 @@ def _flags(values: np.ndarray) -> list:
     return np.where(values, "true", "false").tolist()
 
 
+def _reprs(values: np.ndarray) -> list:
+    """``repr`` of each entry of the float64 array ``values`` along its first
+    axis, as a float or nested list, taken once per distinct entry.  The
+    entries are keyed by their exact bytes, so -0.0 and 0.0 are told apart;
+    a single float by its bits as an integer, which sorts faster."""
+    rows = np.ascontiguousarray(values).reshape(len(values), -1)
+    width = rows.shape[1]
+    keys = rows.view(np.uint64 if width == 1 else np.dtype((np.void, 8 * width)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    texts = np.array(list(map(repr, values[first].tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
 def _json_column(points: np.recarray, name: str) -> list:
     """The JSON text of the field ``name`` of each point.  Floats are written
-    as their ``repr``, which is their JSON form when finite; ``json`` encodes
-    the error strings and the entries with a value that is not finite,
-    except that those of ``_NULLABLE`` are null."""
+    as their ``repr`` (:func:`_reprs`), which is their JSON form when finite;
+    ``json`` encodes the error strings and the entries with a value that is
+    not finite, except that those of ``_NULLABLE`` are null."""
     values = points[name]
     if values.dtype == bool:
         return _flags(values)
     if values.dtype == object:
         return ["null" if e is None else json.dumps(e) for e in values.tolist()]
-    texts = list(map(repr, values.tolist()))
+    texts = _reprs(values)
     for k in np.flatnonzero(~np.isfinite(values.reshape(len(values), -1)).all(axis=-1)):
         texts[k] = "null" if name in _NULLABLE else json.dumps(values[k].tolist())
     return texts
@@ -791,8 +803,8 @@ def write_report_json(report: StabilityReport, path) -> None:
     """Write the report as JSON: the header fields ``direction_count``,
     ``law``, ``per_parameter`` and ``region`` indented, then ``points``
     last, one line per point, a compact object with sorted keys.  Each
-    point field is turned into text once, as a column (:func:`_json_column`),
-    and the lines are joined from one template.
+    point field is turned into text as a column (:func:`_json_column`), once
+    per distinct value, and the lines are joined from one template.
     """
     head = json.dumps({"law": report.law_label, "direction_count": report.direction_count,
                        "region": report.region, "per_parameter": report.per_parameter},
@@ -805,18 +817,20 @@ def write_report_json(report: StabilityReport, path) -> None:
 
 
 def write_summary_csv(report: StabilityReport, path) -> None:
-    """Per-point summary: ``t,lambda1,lambda2,i1,i2,elliptic,min_value,be_ok``."""
+    """Per-point summary: ``t,lambda1,lambda2,i1,i2,elliptic,min_value,be_ok``.
+
+    The lines are joined as text, with the ``\\r\\n`` ends that
+    ``csv.writer`` writes.  No field needs quoting: they are float
+    ``repr``s (:func:`_reprs`), ``true`` or ``false``, and ``t`` as
+    ``_format_params`` writes it, float ``repr``s joined by ``;``.
+    """
     points = report.points
     t = [text for entry in report.per_parameter
          for text in [_format_params(entry["t"])] * entry["points"]]
     lam1, lam2, i1, i2, min_value = (
-        map(repr, points[name].tolist())
-        for name in ("lambda1", "lambda2", "i1", "i2", "min_value")
+        _reprs(points[name]) for name in ("lambda1", "lambda2", "i1", "i2", "min_value")
     )
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t", "lambda1", "lambda2", "i1", "i2", "elliptic", "min_value", "be_ok"]
-        )
-        writer.writerows(zip(t, lam1, lam2, i1, i2, _flags(points.elliptic), min_value,
-                             _flags(points.be_ok)))
+    lines = map(",".join, zip(t, lam1, lam2, i1, i2, _flags(points.elliptic), min_value,
+                              _flags(points.be_ok)))
+    header = "t,lambda1,lambda2,i1,i2,elliptic,min_value,be_ok"
+    Path(path).write_text("\r\n".join([header, *lines, ""]), newline="")

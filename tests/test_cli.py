@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from monopann import cli
 from monopann.cli import main
 from monopann.networks import Architecture, build_model, save_model
 
@@ -430,3 +431,61 @@ class TestConfigAndDeterminism:
                 "--out", root / "report", "--seed", 5)
             digests.append(tree_digest(root))
         assert digests[0] == digests[1]
+
+
+COMMANDS = ("gendata", "calibrate", "evaluate", "scan", "hyperparam", "report")
+SCAN = ("scan", "--law", "neo-hookean", "--t-values", "0.5", "--lambda1", "0.8,1.6,2",
+        "--lambda2", "0.8,1.6,2", "--directions", "8")
+
+
+def outcome(argv, capsys):
+    """Exit code, stdout and stderr of ``main(argv)``."""
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestParser:
+    """``main`` builds only the invoked command's subparser; what it prints
+    and returns must be what the parser of every command gives."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": 3, "scan": {"directions": 12}}))
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        *([command, "--help"] for command in COMMANDS),
+        ["bogus"],
+        [*SCAN, "--bogus"],
+        ["scan", "--law", "neo-hookean", "--directions", "x"],
+        [*SCAN, "--config", "CONFIG"],
+    ], ids=" ".join)
+    def test_output_matches_full_parser(self, argv, config, tmp_path, capsys,
+                                        monkeypatch):
+        argv = [config if a == "CONFIG" else a for a in argv]
+        if argv[0] == "scan":
+            argv += ["--out", tmp_path / "scan"]
+        own = outcome(argv, capsys)
+        full = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
+        assert outcome(argv, capsys) == own
+
+    def test_config_sets_the_defaults(self, config, tmp_path):
+        out = tmp_path / "scan"
+        assert run(*SCAN[:-2], "--config", config, "--out", out) == 0
+        (path,) = out.glob("*_report.json")
+        assert json.loads(path.read_text())["direction_count"] == 12
+
+    def test_usage_line_names_every_command(self, tmp_path, capsys):
+        code, out, err = outcome([*SCAN, "--out", tmp_path, "--bogus"], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "usage: monopann [-h] {gendata,calibrate,evaluate,scan,hyperparam,report} ...",
+            "monopann: error: unrecognized arguments: --bogus",
+        ]

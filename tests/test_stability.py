@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -820,3 +822,98 @@ class TestScan:
                 WrappedLaw(cons.neo_hookean(0.5), broken), [[0.0]], [1.0], [1.0],
                 directions,
             )
+
+
+# ---------------------------------------------------------------------------
+# report writers against one repr per entry
+
+
+def reference_column(points, name):
+    """The JSON text of the field ``name`` of each point, one ``repr`` per
+    entry: the column text that the report writers are checked against."""
+    values = points[name]
+    if values.dtype == bool:
+        return np.where(values, "true", "false").tolist()
+    if values.dtype == object:
+        return ["null" if e is None else json.dumps(e) for e in values.tolist()]
+    texts = list(map(repr, values.tolist()))
+    for k in np.flatnonzero(~np.isfinite(values.reshape(len(values), -1)).all(axis=-1)):
+        texts[k] = "null" if name in stab._NULLABLE else json.dumps(values[k].tolist())
+    return texts
+
+
+def reference_summary_csv(report, path):
+    """The per-point summary, one ``repr`` per entry, through ``csv.writer``."""
+    points = report.points
+    t = [cons._format_params(entry["t"]) for entry in report.per_parameter
+         for _ in range(entry["points"])]
+    lam1, lam2, i1, i2, min_value = (
+        map(repr, points[name].tolist())
+        for name in ("lambda1", "lambda2", "i1", "i2", "min_value")
+    )
+    elliptic, be_ok = (np.where(points[name], "true", "false").tolist()
+                       for name in ("elliptic", "be_ok"))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "lambda1", "lambda2", "i1", "i2", "elliptic", "min_value",
+                         "be_ok"])
+        writer.writerows(zip(t, lam1, lam2, i1, i2, elliptic, min_value, be_ok))
+
+
+def law_failed_scan(directions):
+    # the row t = 0.5 fails at every point, so its fractions are None
+    lam = np.linspace(0.5, 3.0, 4)
+    return stab.scan_invariant_plane(RowFailingLaw(MR, 0.5, raise_out_of_range),
+                                     [[0.0], [0.5], [1.0]], lam, lam, directions)
+
+
+def overflowing_scan(directions):
+    # det F or the invariants overflow on the edges: null i1 and i2
+    return stab.scan_invariant_plane(cons.neo_hookean(0.5), [[0.0], [1.0]],
+                                     [1e-200, 1.0, 3.0], [1e-160, 0.5, 2.0], directions)
+
+
+def edited_scan(directions):
+    # rows that differ in lambda1 and f, -0.0 next to 0.0 in lambda1 and in f
+    # (point 1 and its twin 10 in the other row), an inf in f, a NaN lambda1
+    lam = np.linspace(0.5, 3.0, 3)
+    report = stab.scan_invariant_plane(MR, [[0.0], [1.0]], lam, lam, directions)
+    points = report.points.copy()
+    points.lambda1[15:18] += 0.25
+    points.lambda1[4:7] = -0.0, 0.0, np.nan
+    points.f[12] *= 1.5
+    points.f[1, 0, 1] = -0.0
+    points.f[3, 2, 2] = np.inf
+    return dataclasses.replace(report, points=points)
+
+
+def two_parameter_scan(directions):
+    model = nets.build_model(nets.Architecture.MONOTONIC, 4, 2, np.random.default_rng(5))
+    lam = np.linspace(0.5, 3.0, 3)
+    return stab.scan_invariant_plane(cons.NeuralLaw(model), [[0.0, 1.0], [0.5, 0.25]],
+                                     lam, lam, directions)
+
+
+class TestReportWriters:
+    @pytest.mark.parametrize("make", [law_failed_scan, overflowing_scan, edited_scan,
+                                      two_parameter_scan])
+    def test_text_matches_one_repr_per_entry(self, make, directions, tmp_path,
+                                             monkeypatch):
+        report = make(directions)
+        stab.write_report_json(report, tmp_path / "report.json")
+        stab.write_summary_csv(report, tmp_path / "summary.csv")
+        reference_summary_csv(report, tmp_path / "reference.csv")
+        monkeypatch.setattr(stab, "_json_column", reference_column)
+        stab.write_report_json(report, tmp_path / "reference.json")
+        assert (tmp_path / "report.json").read_bytes() == \
+            (tmp_path / "reference.json").read_bytes()
+        assert (tmp_path / "summary.csv").read_bytes() == \
+            (tmp_path / "reference.csv").read_bytes()
+
+    def test_reports_cover_the_text_paths(self, directions):
+        failed = law_failed_scan(directions)
+        assert failed.per_parameter[1]["elliptic_fraction"] is None
+        assert reference_column(overflowing_scan(directions).points, "i1").count("null") > 0
+        f = reference_column(edited_scan(directions).points, "f")
+        assert f[1] == f[10].replace("0.0", "-0.0", 1) and "Infinity" in f[3]
+        assert reference_column(two_parameter_scan(directions).points, "t")[0] == "[0.0, 1.0]"
