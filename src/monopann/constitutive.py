@@ -1,11 +1,12 @@
 """Incompressible hyperelastic material laws built on invariant potentials.
 
-A *law* exposes the potential and its first/second derivatives in the
-isochoric invariants, uniformly for the neural potentials and for the
-closed-form baseline.  On top of that the module assembles the analytic
-uniaxial tension stress, the full first Piola-Kirchhoff stress with its
-pressure term, and the full second derivative of the energy with respect
-to the deformation gradient.
+A *law* exposes, for the neural potentials and the closed-form baseline
+alike, the potential (``energy``) and its derivatives in the isochoric
+invariants: the first (``coefficients``), or the first and second from
+one evaluation (``derivatives``).  On top of that the module assembles
+the analytic uniaxial tension stress, the full first Piola-Kirchhoff
+stress with its pressure term, and the full second derivative of the
+energy with respect to the deformation gradient.
 
 Stresses are first Piola-Kirchhoff throughout, in MPa.
 """
@@ -19,12 +20,7 @@ import numpy as np
 
 from . import networks
 from .errors import InvalidStretchError, NotIsochoricError
-from .kinematics import (
-    _invariant_terms,
-    _isochoric,
-    invariant_derivatives,
-    isochoric_invariants,
-)
+from .kinematics import _invariant_terms, _invariant_derivatives, _isochoric
 
 __all__ = [
     "MaterialLaw",
@@ -48,7 +44,9 @@ class MaterialLaw(Protocol):
     """Uniform view of a parametrized invariant-based potential.
 
     ``i1`` and ``i2`` are arrays of matching shape; ``par`` broadcasts
-    against them with trailing parameter axis.
+    against them with trailing parameter axis.  ``energy`` gives psi,
+    ``coefficients`` the stress coefficients dpsi/dIi (..., 2), and
+    ``derivatives`` those and the Hessian (..., 2, 2) from one evaluation.
     """
 
     label: str
@@ -57,7 +55,7 @@ class MaterialLaw(Protocol):
 
     def coefficients(self, i1, i2, par) -> np.ndarray: ...
 
-    def hessian(self, i1, i2, par) -> np.ndarray: ...
+    def derivatives(self, i1, i2, par) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 @dataclass
@@ -76,7 +74,7 @@ class NeuralLaw:
     def coefficients(self, i1, i2, par):
         return networks.invariant_gradients_batch(self.model, self._inv(i1, i2), par)
 
-    def hessian(self, i1, i2, par):
+    def derivatives(self, i1, i2, par):
         return networks.invariant_hessians_batch(self.model, self._inv(i1, i2), par)
 
 
@@ -112,18 +110,16 @@ class MooneyRivlin:
         return a * j1 + b * j2 + c * j1 * j2
 
     def coefficients(self, i1, i2, par):
+        return self.derivatives(i1, i2, par)[0]
+
+    def derivatives(self, i1, i2, par):
         a, b, c = self._coeffs(par)
         j1 = np.asarray(i1, float) - 3.0
         j2 = np.asarray(i2, float) - 3.0
-        return np.stack(np.broadcast_arrays(a + c * j2, b + c * j1), axis=-1)
-
-    def hessian(self, i1, i2, par):
-        _, _, c = self._coeffs(par)
-        shape = np.broadcast_shapes(np.shape(i1), np.shape(i2), np.shape(c))
-        out = np.zeros(shape + (2, 2))
-        out[..., 0, 1] = c
-        out[..., 1, 0] = c
-        return out
+        coef = np.stack(np.broadcast_arrays(a + c * j2, b + c * j1), axis=-1)
+        hess = np.zeros(coef.shape[:-1] + (2, 2))
+        hess[..., 0, 1] = hess[..., 1, 0] = c
+        return coef, hess
 
 
 def neo_hookean(c: float, label: str | None = None) -> MooneyRivlin:
@@ -195,17 +191,16 @@ def _tangent_weights(coef: np.ndarray, hess: np.ndarray) -> np.ndarray:
     )
 
 
-def _tangent_terms(f) -> np.ndarray:
-    """The five law-independent terms of :func:`pk1_tangent`, (..., 5, 3, 3, 3, 3).
+def _tangent_terms(f, terms) -> np.ndarray:
+    """The five law-independent terms of :func:`pk1_tangent`, (..., 5, 3, 3, 3, 3),
+    of ``f`` with its ``kinematics._invariant_terms`` ``terms``.
 
     In the order of :func:`_tangent_weights` they are ``d1 o d1``,
     ``d1 o d2 + d2 o d1``, ``d2 o d2``, ``d2I1/dF2`` and ``d2I2/dF2``, with
     ``dk = dIk/dF``; each is major-symmetric.  The tangent is their sum
     weighted by the law's second and first derivatives in the invariants.
     """
-    f = np.asarray(f, dtype=float)
-    _check_isochoric(f)
-    d1, d2, dd1, dd2 = invariant_derivatives(f)
+    d1, d2, dd1, dd2 = _invariant_derivatives(f, terms)
 
     def outer(a, b):
         return np.einsum("...iI,...jJ->...iIjJ", a, b)
@@ -225,10 +220,12 @@ def pk1_tangent(law, f, par) -> np.ndarray:
     incompressible ellipticity conditions do not involve it.
     """
     law = as_law(law)
-    terms = _tangent_terms(f)
-    i1, i2 = isochoric_invariants(f)
-    w = _tangent_weights(law.coefficients(i1, i2, par), law.hessian(i1, i2, par))
-    tangent = w[..., None, :] @ terms.reshape(terms.shape[:-4] + (81,))
+    f = np.asarray(f, dtype=float)
+    terms = _invariant_terms(f)
+    _check_isochoric(f, terms[0])
+    w = _tangent_weights(*law.derivatives(*_isochoric(terms), par))
+    parts = _tangent_terms(f, terms)
+    tangent = w[..., None, :] @ parts.reshape(parts.shape[:-4] + (81,))
     return tangent.reshape(tangent.shape[:-2] + (3, 3, 3, 3))
 
 

@@ -165,8 +165,12 @@ def invariant_derivatives(
     construction.
     """
     f = np.asarray(f, dtype=float)
-    det, h, i1, i2, g2, d1, d2 = _invariant_terms(f)
+    return _invariant_derivatives(f, _invariant_terms(f))
 
+
+def _invariant_derivatives(f: np.ndarray, terms):
+    """:func:`invariant_derivatives` of ``f`` from its :func:`_invariant_terms`."""
+    det, h, i1, i2, g2, d1, d2 = terms
     x_f = cross_operator(f)  # second derivative of det
     d2_raw1 = 2.0 * np.broadcast_to(IDENTITY4, f.shape[:-2] + (3, 3, 3, 3))
     d2_raw2 = 2.0 * (

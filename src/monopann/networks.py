@@ -444,7 +444,7 @@ def invariant_gradients_batch(model: PotentialModel, inv, par) -> np.ndarray:
     """Stress coefficients (d psi / d I1, d psi / d I2), shape (..., 2)."""
     inv, par, lead = _as_batch(model, inv, par)
     g, _ = _stress_vjp(model, _Workspace(model, inv - 3.0, par))
-    return g.reshape(lead + (2,))
+    return g.reshape(g.shape[:-2] + lead + (2,))
 
 
 def parameter_gradients_batch(model: PotentialModel, inv, par) -> np.ndarray:
@@ -461,8 +461,9 @@ def _weighted_gram(c, w):
     return (c[..., None, :] * w.mT) @ w
 
 
-def invariant_hessians_batch(model: PotentialModel, inv, par) -> np.ndarray:
-    """Symmetric 2x2 Hessian in the invariants, shape (..., 2, 2).
+def invariant_hessians_batch(model: PotentialModel, inv, par):
+    """Stress coefficients (..., 2) and the symmetric 2x2 Hessian in the
+    invariants (..., 2, 2), from one trace and one reverse sweep.
 
     Each hidden layer from the entry layer on contributes one weighted Gram
     matrix ``A^T diag(c) A`` (see above): ``A`` maps the invariants into the
@@ -473,14 +474,14 @@ def invariant_hessians_batch(model: PotentialModel, inv, par) -> np.ndarray:
     entry, hidden = _entry(model), model.layers[:-1]
     work = _Workspace(model, inv - 3.0, par)
     _trace(model, work)
-    _reverse(model, work, entry)
+    g, _ = _reverse(model, work, entry)
     slopes, curvatures, adjoints = work.slopes, work.curvatures, work.adjoints
     jac = hidden[entry].weights[..., None, :, :2]
     h = _weighted_gram(curvatures[entry] * adjoints[entry], jac)
     for k in range(entry + 1, len(hidden)):
         jac = (slopes[k - 1][..., None, :] * hidden[k].weights[..., None, :, :]) @ jac
         h += _weighted_gram(curvatures[k] * adjoints[k], jac)
-    return h.reshape(h.shape[:-3] + lead + (2, 2))
+    return g.reshape(g.shape[:-2] + lead + (2,)), h.reshape(h.shape[:-3] + lead + (2, 2))
 
 
 def invariant_gradient_vjp(model: PotentialModel, inv, par, cotangent) -> list[np.ndarray]:

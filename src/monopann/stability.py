@@ -43,12 +43,7 @@ import numpy as np
 
 from .constitutive import _check_isochoric, _format_params, _tangent_weights, as_law
 from .errors import EmptyGridError, MonopannError
-from .kinematics import (
-    _invariant_terms,
-    _isochoric,
-    isochoric_invariants,
-    principal_stretch_gradient,
-)
+from .kinematics import _invariant_terms, _isochoric, principal_stretch_gradient
 
 __all__ = [
     "ELLIPTICITY_TOLERANCE",
@@ -282,9 +277,9 @@ def _normals(finv_t: np.ndarray, directions: np.ndarray, work: np.ndarray):
 
 def _law_values(law, par, i1, i2):
     """Stress coefficients (P, 2) and tangent weights (P, 5) of ``law`` at
-    the invariants ``i1``, ``i2`` (P,)."""
-    coef = law.coefficients(i1, i2, par)
-    return coef, _tangent_weights(coef, law.hessian(i1, i2, par))
+    the invariants ``i1``, ``i2`` (P,), from one law evaluation."""
+    coef, hess = law.derivatives(i1, i2, par)
+    return coef, _tangent_weights(coef, hess)
 
 
 def acoustic_tensor(law, f, par, b: np.ndarray) -> np.ndarray:
@@ -442,15 +437,15 @@ def hessian_decomposition(law, f, par):
     term ``2 (psi_1 |a|^2 |B|^2 + psi_2 |(a o B) x F|^2)``, with the tensor
     cross product's square
     ``(a.FB)^2 - |B|^2 |F^T a|^2 - |a|^2 |FB|^2 + |a|^2 |B|^2 |F|^2``.
+    Raises ``NotIsochoricError`` off det F = 1, where the sum is not the tangent's.
     """
     law = as_law(law)
     f = np.asarray(f, dtype=float)
     f_t = np.swapaxes(f, -1, -2)
     terms = _invariant_terms(f)
-    i1, i2 = _isochoric(terms)
-    _, _, f_sq, _, g2, _, _ = terms
-    coef = law.coefficients(i1, i2, par)
-    hess = law.hessian(i1, i2, par)
+    det, _, f_sq, _, g2, _, _ = terms
+    _check_isochoric(f, det)
+    coef, hess = law.derivatives(*_isochoric(terms), par)
     g = 0.5 * g2
 
     def apply(x, v):
@@ -503,12 +498,14 @@ def baker_ericksen_check(law, f, par) -> np.ndarray:
     """Sufficient monotonicity condition for the ordered-stress inequalities.
 
     True when ``dpsi/dI1 + lam_i^2 dpsi/dI2`` is non-negative for all three
-    principal stretches of f; broadcasts over leading axes of f.
+    principal stretches of f; broadcasts over leading axes of f, each of
+    which must satisfy det F = 1 (else ``NotIsochoricError``).
     """
     law = as_law(law)
     f = np.asarray(f, dtype=float)
-    i1, i2 = isochoric_invariants(f)
-    coef = law.coefficients(i1, i2, par)
+    terms = _invariant_terms(f)
+    _check_isochoric(f, terms[0])
+    coef = law.coefficients(*_isochoric(terms), par)
     return _baker_ericksen(coef, np.linalg.svd(f, compute_uv=False))
 
 

@@ -179,7 +179,7 @@ def test_derivative_correctness():
                     rtol=RTOL_DERIV, atol=ATOL_FLOOR,
                 )
                 np.testing.assert_allclose(
-                    nets.invariant_hessians_batch(model, inv, par),
+                    nets.invariant_hessians_batch(model, inv, par)[1],
                     fd_hessian(model, inv, par),
                     rtol=RTOL_DERIV, atol=ATOL_FLOOR,
                 )
@@ -237,7 +237,7 @@ def test_constraint_suite():
                 assert nets.parameter_gradients_batch(model, inv, par).min() >= 0.0
                 if arch is nets.Architecture.CONVEX_MONOTONIC:
                     eigs = np.linalg.eigvalsh(
-                        nets.invariant_hessians_batch(model, inv, par)
+                        nets.invariant_hessians_batch(model, inv, par)[1]
                     )
                     assert eigs.min() >= -1e-10
     except AssertionError:

@@ -4,6 +4,7 @@ import pytest
 from monopann import constitutive as cons
 from monopann import kinematics as kin
 from monopann import networks as nets
+from monopann.calibration import _stack
 from monopann.errors import InvalidStretchError, NotIsochoricError
 
 from conftest import central_difference
@@ -42,6 +43,63 @@ class TestStressCoefficients:
         i1, i2 = kin.isochoric_invariants(np.stack([f, q1 @ f @ q2.T]))
         a, b = law.coefficients(i1, i2, np.array([0.3]))
         np.testing.assert_allclose(a, b, rtol=1e-12)
+
+
+def separate_hessian(model, i1, i2, par):
+    """The neural Hessian in the invariants from a trace and reverse sweep of
+    its own, apart from the stress coefficients: the reference that the
+    Hessian of ``derivatives`` must equal bit for bit."""
+    inv, par, lead = nets._as_batch(model, np.stack([i1, i2], axis=-1), par)
+    entry, hidden = nets._entry(model), model.layers[:-1]
+    work = nets._Workspace(model, inv - 3.0, par)
+    nets._trace(model, work)
+    nets._reverse(model, work, entry)
+    jac = hidden[entry].weights[..., None, :, :2]
+    h = nets._weighted_gram(work.curvatures[entry] * work.adjoints[entry], jac)
+    for k in range(entry + 1, len(hidden)):
+        jac = (work.slopes[k - 1][..., None, :] * hidden[k].weights[..., None, :, :]) @ jac
+        h += nets._weighted_gram(work.curvatures[k] * work.adjoints[k], jac)
+    return h.reshape(h.shape[:-3] + lead + (2, 2))
+
+
+class TestDerivatives:
+    """``derivatives`` returns, bit for bit, what ``coefficients`` and a
+    separate Hessian evaluation give."""
+
+    @pytest.mark.parametrize("arch", list(nets.Architecture))
+    def test_neural_matches_separate_evaluations(self, arch, rng):
+        models = [nets.build_model(arch, 6, 2, rng) for _ in range(3)]
+        for model in models:
+            for layer in model.layers[:-1]:
+                layer.bias[...] = rng.uniform(-0.5, 0.5, layer.bias.shape)
+        i1, i2 = 3.0 + 3.0 * rng.random((2, 20))
+        par = rng.random((20, 2))
+        # with a leading restart axis, each slice is the model's own result
+        stacked = cons.as_law(_stack(models))
+        coef, hess = stacked.derivatives(i1, i2, par)
+        assert coef.shape == (3, 20, 2) and hess.shape == (3, 20, 2, 2)
+        np.testing.assert_array_equal(coef, stacked.coefficients(i1, i2, par))
+        for r, model in enumerate(models):
+            law = cons.as_law(model)
+            one_coef, one_hess = law.derivatives(i1, i2, par)
+            np.testing.assert_array_equal(one_coef, law.coefficients(i1, i2, par))
+            np.testing.assert_array_equal(one_hess, separate_hessian(model, i1, i2, par))
+            np.testing.assert_array_equal(coef[r], one_coef)
+            np.testing.assert_array_equal(hess[r], one_hess)
+
+    def test_mooney_rivlin_closed_forms(self, rng):
+        law = cons.MooneyRivlin([0.1, 0.3], [-0.05, 0.02], [0.01, -0.04])
+        i1, i2 = 3.0 + 3.0 * rng.random((2, 20))
+        # three parameter rows broadcast against the 20 invariant pairs
+        par = rng.random((3, 1, 1))
+        coef, hess = law.derivatives(i1, i2, par)
+        a, b, c = (np.polyval(k, par[..., 0]) for k in (law.c10, law.c01, law.c11))
+        np.testing.assert_array_equal(coef, law.coefficients(i1, i2, par))
+        np.testing.assert_array_equal(coef[..., 0], a + c * (i2 - 3.0))
+        np.testing.assert_array_equal(coef[..., 1], b + c * (i1 - 3.0))
+        expected = np.zeros((3, 20, 2, 2))
+        expected[..., 0, 1] = expected[..., 1, 0] = c
+        np.testing.assert_array_equal(hess, expected)
 
 
 class TestUniaxialStress:

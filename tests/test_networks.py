@@ -145,7 +145,7 @@ class TestDerivatives:
     def test_hessians_match_fd(self, arch, rng):
         model = make_model(arch, rng, nodes=5)
         inv, par = random_states(rng, 5)
-        h = nets.invariant_hessians_batch(model, inv, par)
+        _, h = nets.invariant_hessians_batch(model, inv, par)
         for s in range(5):
             fd = central_difference_tensor(
                 lambda x: nets.invariant_gradients_batch(model, x, par[s]), inv[s]
@@ -157,7 +157,7 @@ class TestDerivatives:
         # n = 8 and m = 1, the size of the trained models the scan probes
         model = make_model(arch, rng, nodes=8, param_dim=1)
         inv, par = random_states(rng, 6)
-        h = nets.invariant_hessians_batch(model, inv, par)
+        _, h = nets.invariant_hessians_batch(model, inv, par)
         assert h.shape == (6, 2, 2)
         for s in range(6):
             fd = central_difference_tensor(
@@ -173,7 +173,7 @@ class TestDerivatives:
         )
         np.testing.assert_array_equal(nets.parameter_gradients_batch(model, inv, par), [0.0])
         np.testing.assert_array_equal(
-            nets.invariant_hessians_batch(model, inv, par), np.zeros((2, 2))
+            nets.invariant_hessians_batch(model, inv, par)[1], np.zeros((2, 2))
         )
 
     def test_constrained_gradients_nonnegative_sweep(self, rng):
@@ -188,7 +188,7 @@ class TestDerivatives:
     def test_convex_monotonic_hessian_psd_sweep(self, rng):
         model = make_model(nets.Architecture.CONVEX_MONOTONIC, rng, nodes=6)
         inv, par = random_states(rng, 10_000)
-        h = nets.invariant_hessians_batch(model, inv, par)
+        _, h = nets.invariant_hessians_batch(model, inv, par)
         eigs = np.linalg.eigvalsh(h)
         assert eigs.min() >= -1e-10
 
@@ -196,7 +196,7 @@ class TestDerivatives:
         for arch in ALL_ARCHITECTURES:
             model = make_model(arch, rng)
             inv, par = random_states(rng, 50)
-            h = nets.invariant_hessians_batch(model, inv, par)
+            _, h = nets.invariant_hessians_batch(model, inv, par)
             np.testing.assert_allclose(h, np.swapaxes(h, -1, -2), atol=1e-14)
 
 
@@ -391,11 +391,11 @@ class TestStackedRestarts:
                 layer.bias[...] = rng.uniform(-0.5, 0.5, layer.bias.shape)
         stacked = _stack(models)
         inv, par = random_states(rng, 20, param_dim=2)
-        h = nets.invariant_hessians_batch(stacked, inv, par)
+        _, h = nets.invariant_hessians_batch(stacked, inv, par)
         g = nets.parameter_gradients_batch(stacked, inv, par)
         assert h.shape == (3, 20, 2, 2) and g.shape == (3, 20, 2)
         for r, model in enumerate(models):
-            np.testing.assert_array_equal(h[r], nets.invariant_hessians_batch(model, inv, par))
+            np.testing.assert_array_equal(h[r], nets.invariant_hessians_batch(model, inv, par)[1])
             np.testing.assert_array_equal(g[r], nets.parameter_gradients_batch(model, inv, par))
 
 

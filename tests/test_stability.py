@@ -27,8 +27,8 @@ MR = cons.MooneyRivlin([0.1, 0.3], [-0.05, 0.02], [0.01, -0.04])
 
 
 class RowFailingLaw:
-    """``law`` with its coefficients and Hessian passed through ``fail`` at
-    the parameter value ``bad_t`` only."""
+    """``law`` with its coefficients and derivatives passed through ``fail``
+    at the parameter value ``bad_t`` only."""
 
     def __init__(self, law, bad_t, fail):
         self.law, self.bad_t, self.fail, self.label = law, bad_t, fail, "row-failing"
@@ -39,8 +39,8 @@ class RowFailingLaw:
     def coefficients(self, i1, i2, par):
         return self._at(par, self.law.coefficients(i1, i2, par))
 
-    def hessian(self, i1, i2, par):
-        return self._at(par, self.law.hessian(i1, i2, par))
+    def derivatives(self, i1, i2, par):
+        return tuple(self._at(par, x) for x in self.law.derivatives(i1, i2, par))
 
     def _at(self, par, x):
         return self.fail(x) if np.asarray(par)[0] == self.bad_t else x
@@ -64,7 +64,7 @@ def outcome(point):
 
 
 class WrappedLaw:
-    """A law whose coefficients and Hessian pass through ``edit``."""
+    """A law whose coefficients and derivatives pass through ``edit``."""
 
     def __init__(self, law, edit, label="wrapped"):
         self.law, self.edit, self.label = cons.as_law(law), edit, label
@@ -75,8 +75,8 @@ class WrappedLaw:
     def coefficients(self, i1, i2, par):
         return self.edit(i1, self.law.coefficients(i1, i2, par))
 
-    def hessian(self, i1, i2, par):
-        return self.edit(i1, self.law.hessian(i1, i2, par))
+    def derivatives(self, i1, i2, par):
+        return tuple(self.edit(i1, x) for x in self.law.derivatives(i1, i2, par))
 
 
 def scaled(law, c):
@@ -246,6 +246,18 @@ class TestPerPointWrappers:
             with pytest.raises(error):
                 call(bad)
 
+    @pytest.mark.parametrize("evaluate", [
+        lambda f: stab.hessian_decomposition(MR, f, [0.2]),
+        lambda f: stab.baker_ericksen_check(MR, f, [0.2]),
+    ], ids=["hessian_decomposition", "baker_ericksen_check"])
+    def test_det_off_one_rejected_by_the_other_evaluators(self, evaluate):
+        # off det F = 1 the decomposition's sum is not the tangent's
+        # contraction; the isochoric rescaling of the same F is accepted
+        f = np.diag([1.3, 1.1, 1.0])
+        with pytest.raises(NotIsochoricError):
+            evaluate(f)
+        evaluate(f / np.cbrt(1.43))
+
 
 def unimodular_block(rng, count=12):
     """Non-diagonal unimodular gradients, two of them with det F off 1 by
@@ -254,6 +266,40 @@ def unimodular_block(rng, count=12):
     f[0] *= (1.0 + 1e-13) ** (1.0 / 3.0)
     f[1] *= (1.0 - 1e-13) ** (1.0 / 3.0)
     return f
+
+
+class TestOneLawEvaluation:
+    """A neural law's stress coefficients and Hessian come from one trace,
+    so each law evaluation builds one ``networks._Workspace``."""
+
+    def test_one_workspace_per_law_evaluation(self, rng, monkeypatch, directions):
+        builds = []
+
+        class Counting(nets._Workspace):
+            def __init__(self, *args):
+                builds.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(nets, "_Workspace", Counting)
+        law = cons.as_law(nets.build_model(nets.Architecture.MONOTONIC, 4, 1, rng))
+        f = unimodular_block(rng, count=3)
+        i1, i2 = kin.isochoric_invariants(f)
+        lam = np.linspace(0.5, 2.0, 4)
+        rows = [[0.2], [0.5], [0.7]]
+        calls = {
+            **{name: (call, 1)
+               for name, call in per_point_wrappers(law, directions).items()},
+            "derivatives": (lambda f: law.derivatives(i1, i2, T0), 1),
+            "pk1_tangent": (lambda f: cons.pk1_tangent(law, f, T0), 1),
+            "hessian_decomposition": (lambda f: stab.hessian_decomposition(law, f, T0), 1),
+            # one per parameter row
+            "scan_invariant_plane": (
+                lambda f: stab.scan_invariant_plane(law, rows, lam, lam, directions), 3),
+        }
+        for name, (call, expected) in calls.items():
+            builds.clear()
+            call(f)
+            assert len(builds) == expected, name
 
 
 class TestClosedFormGeometry:
@@ -267,7 +313,8 @@ class TestClosedFormGeometry:
         )
         terms = np.einsum("ptsIJ,dI,dJ->ptsd",
                           coefficients.reshape(len(f), 5, 6, 3, 3), b, b)
-        ref = np.einsum("ptiIjJ,dI,dJ->ptijd", cons._tangent_terms(f), b, b)
+        tangent_terms = cons._tangent_terms(f, kin._invariant_terms(f))
+        ref = np.einsum("ptiIjJ,dI,dJ->ptijd", tangent_terms, b, b)
         ref = ref[:, :, stab._ROW, stab._COL]
         for k in range(5):
             for p in range(len(f)):
@@ -524,8 +571,7 @@ def tensor_cross_decomposition(law, f, par):
     """The two parts of the rank-one quadratic form from their Levi-Civita
     definitions, through ``kinematics.tensor_cross``."""
     i1, i2 = kin.isochoric_invariants(f)
-    coef = law.coefficients(i1, i2, par)
-    hess = law.hessian(i1, i2, par)
+    coef, hess = law.derivatives(i1, i2, par)
     h_cof = kin.tensor_cross(f, f) / 2.0
 
     def constitutive_term(a, b):
