@@ -154,12 +154,30 @@ def uniaxial_stress(law, lam, par) -> np.ndarray:
     return 2.0 * (c[..., 0] + c[..., 1] / lam) * (lam - lam**-2.0)
 
 
-def _check_isochoric(f: np.ndarray, det=None) -> np.ndarray:
-    """det ``f`` (or the given ``det`` of ``f``), checked to be 1 within tolerance."""
-    det = np.linalg.det(f) if det is None else det
+def _check_isochoric(det: np.ndarray) -> None:
+    """Raise ``NotIsochoricError`` where ``|det F - 1|`` exceeds the tolerance."""
     if np.any(np.abs(det - 1.0) > ISOCHORIC_TOLERANCE):
         raise NotIsochoricError("deformation gradient must satisfy det F = 1")
-    return det
+
+
+def _isochoric_terms(f: np.ndarray):
+    """``kinematics._invariant_terms`` of ``f`` (..., 3, 3) on det F = 1.
+
+    The one det is checked before the invariant pass reuses it, so a
+    reflected F raises ``NotIsochoricError`` and a non-finite det
+    ``InvertedConfigurationError``.
+    """
+    f = np.asarray(f, dtype=float)
+    det = np.linalg.det(f)
+    _check_isochoric(det)
+    return _invariant_terms(f, det)
+
+
+def _stress(law, terms, par) -> np.ndarray:
+    """``dW/dF`` of ``law`` from the :func:`_isochoric_terms` of F."""
+    *_, d1, d2 = terms
+    c = law.coefficients(*_isochoric(terms), par)
+    return c[..., 0, None, None] * d1 + c[..., 1, None, None] * d2
 
 
 def pk1_stress(law, f, par, gamma: float = 0.0) -> np.ndarray:
@@ -168,16 +186,10 @@ def pk1_stress(law, f, par, gamma: float = 0.0) -> np.ndarray:
     ``gamma`` is the pressure-like multiplier enforcing incompressibility;
     it comes from boundary conditions, not from the law.
     """
-    law = as_law(law)
-    f = np.asarray(f, dtype=float)
-    det = _check_isochoric(f)
-    terms = _invariant_terms(f)
-    *_, d1, d2 = terms
-    c = law.coefficients(*_isochoric(terms), par)
-    p = c[..., 0, None, None] * d1 + c[..., 1, None, None] * d2
+    terms = _isochoric_terms(f)
+    p = _stress(as_law(law), terms, par)
     if np.any(gamma != 0.0):
-        finv_t = np.swapaxes(np.linalg.inv(f), -1, -2)
-        p = p - np.asarray(gamma)[..., None, None] * det[..., None, None] * finv_t
+        p = p - np.asarray(gamma)[..., None, None] * terms[1]
     return p
 
 
@@ -221,8 +233,7 @@ def pk1_tangent(law, f, par) -> np.ndarray:
     """
     law = as_law(law)
     f = np.asarray(f, dtype=float)
-    terms = _invariant_terms(f)
-    _check_isochoric(f, terms[0])
+    terms = _isochoric_terms(f)
     w = _tangent_weights(*law.derivatives(*_isochoric(terms), par))
     parts = _tangent_terms(f, terms)
     tangent = w[..., None, :] @ parts.reshape(parts.shape[:-4] + (81,))
@@ -235,12 +246,9 @@ def traction_free_gamma(law, f, par, axis: int = 1) -> np.ndarray:
     Solves ``P[axis, axis] = 0`` in closed form; for the homogeneous modes
     used here this is the traction-free lateral boundary condition.
     """
-    law = as_law(law)
-    f = np.asarray(f, dtype=float)
-    det = _check_isochoric(f)
-    dw = pk1_stress(law, f, par, gamma=0.0)
-    finv_t = np.swapaxes(np.linalg.inv(f), -1, -2)
-    return dw[..., axis, axis] / (det * finv_t[..., axis, axis])
+    terms = _isochoric_terms(f)
+    dw = _stress(as_law(law), terms, par)
+    return dw[..., axis, axis] / terms[1][..., axis, axis]
 
 
 def _format_params(par) -> str:

@@ -17,8 +17,6 @@ from .errors import (
 )
 
 __all__ = [
-    "LEVI_CIVITA",
-    "IDENTITY4",
     "ModeKind",
     "DeformationMode",
     "tensor_cross",
@@ -35,29 +33,28 @@ __all__ = [
 ]
 
 
-def _levi_civita() -> np.ndarray:
-    eps = np.zeros((3, 3, 3))
-    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
-    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
-    return eps
-
-
-LEVI_CIVITA = _levi_civita()
-
-# Pre-contracted pair of permutation tensors, indexed [i,I,j,J,k,K].
-_EE = np.einsum("ijk,IJK->iIjJkK", LEVI_CIVITA, LEVI_CIVITA)
-
-# Fourth-order identity, indexed [i,I,j,J] = delta_ij delta_IJ.
-IDENTITY4 = np.einsum("ij,IJ->iIjJ", np.eye(3), np.eye(3))
+def _tr(x: np.ndarray) -> np.ndarray:
+    return np.trace(x, axis1=-2, axis2=-1)
 
 
 def tensor_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor cross product (a x b)_iI = eps_ijk eps_IJK a_jJ b_kK.
 
+    Evaluated in the closed form, free of permutation tensors, of Bonet,
+    Gil & Ortigosa (CMAME 283, 2015)::
+
+        a x b = [(tr a tr b - tr ab) I - tr b a - tr a b + ab + ba]^T
+
     Symmetric in its arguments.  For any invertible f, the identity
     ``cofactor(f) == 0.5 * tensor_cross(f, f)`` holds.
     """
-    return np.einsum("iIjJkK,...jJ,...kK->...iI", _EE, a, b)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    tr_a, tr_b = _tr(a), _tr(b)
+    ab, ba = a @ b, b @ a
+    out = ab + ba - _bview(tr_b) * a - _bview(tr_a) * b
+    out += _bview(tr_a * tr_b - _tr(ab)) * np.eye(3)
+    return np.swapaxes(out, -1, -2)
 
 
 def cross_operator(m: np.ndarray) -> np.ndarray:
@@ -65,8 +62,21 @@ def cross_operator(m: np.ndarray) -> np.ndarray:
 
     Indexed [i,I,j,J]; it is major-symmetric.  ``cross_operator(f)`` is both
     the derivative of ``cofactor`` and the second derivative of ``det`` at f.
+    Expanding ``eps_ijk eps_IJK`` in Kronecker deltas (Bonet, Gil & Ortigosa,
+    CMAME 283, 2015) gives the closed form::
+
+        tr m (d_iI d_jJ - d_iJ d_jI) - d_iI m_Jj + d_iJ m_Ij + d_jI m_Ji - d_jJ m_Ii
     """
-    return np.einsum("iIjJkK,...jJ->...iIkK", _EE, m)
+    m = np.asarray(m, dtype=float)
+    eye = np.eye(3)
+    out = _bview(_tr(m), 4) * (
+        np.einsum("iI,jJ->iIjJ", eye, eye) - np.einsum("iJ,jI->iIjJ", eye, eye)
+    )
+    out -= np.einsum("iI,...Jj->...iIjJ", eye, m)
+    out += np.einsum("iJ,...Ij->...iIjJ", eye, m)
+    out += np.einsum("jI,...Ji->...iIjJ", eye, m)
+    out -= np.einsum("jJ,...Ii->...iIjJ", eye, m)
+    return out
 
 
 def _bview(x: np.ndarray, order: int = 2) -> np.ndarray:
@@ -90,15 +100,15 @@ def cofactor(f: np.ndarray) -> np.ndarray:
     return _bview(det) * inv_t
 
 
-def _invariant_terms(f: np.ndarray):
+def _invariant_terms(f: np.ndarray, det=None):
     """Closed forms of the isochoric invariants' first-order quantities.
 
-    Returns ``(det, h, i1, i2, g2, d1, d2)`` from one det and one inverse of
-    f (..., 3, 3): the cofactor ``h = det f^-T``, the raw invariants
-    ``i1 = |f|^2`` and ``i2 = |h|^2``, ``g2 = 2 (|f|^2 f - f C)`` with
-    ``C = f^T f``, the derivative of ``|h|^2``, and the derivatives ``d1``,
-    ``d2`` of the isochoric invariants ``det^(-2/3) i1`` and
-    ``det^(-4/3) i2``.
+    Returns ``(det, h, i1, i2, g2, d1, d2)`` from one det (the given ``det``
+    of f, if any) and one inverse of f (..., 3, 3): the cofactor
+    ``h = det f^-T``, the raw invariants ``i1 = |f|^2`` and ``i2 = |h|^2``,
+    ``g2 = 2 (|f|^2 f - f C)`` with ``C = f^T f``, the derivative of
+    ``|h|^2``, and the derivatives ``d1``, ``d2`` of the isochoric
+    invariants ``det^(-2/3) i1`` and ``det^(-4/3) i2``.
 
     Raises
     ------
@@ -106,7 +116,7 @@ def _invariant_terms(f: np.ndarray):
         If any input has non-positive or non-finite determinant.
     """
     f = np.asarray(f, dtype=float)
-    det = np.linalg.det(f)
+    det = np.linalg.det(f) if det is None else det
     if np.any(det <= 0.0) or not np.all(np.isfinite(det)):
         raise InvertedConfigurationError("invariant derivatives require det f > 0")
     h = _bview(det) * np.swapaxes(np.linalg.inv(f), -1, -2)
@@ -171,10 +181,18 @@ def invariant_derivatives(
 def _invariant_derivatives(f: np.ndarray, terms):
     """:func:`invariant_derivatives` of ``f`` from its :func:`_invariant_terms`."""
     det, h, i1, i2, g2, d1, d2 = terms
+    eye = np.eye(3)
+    delta = np.einsum("ij,IJ->iIjJ", eye, eye)
     x_f = cross_operator(f)  # second derivative of det
-    d2_raw1 = 2.0 * np.broadcast_to(IDENTITY4, f.shape[:-2] + (3, 3, 3, 3))
+    # second derivatives of |f|^2 and of |h|^2, the latter
+    # 2 [2 F_iI F_jJ + |F|^2 d_ij d_IJ - d_ij C_IJ - F_iJ F_jI - (F F^T)_ij d_IJ]
+    d2_raw1 = 2.0 * delta
     d2_raw2 = 2.0 * (
-        np.einsum("...iIaA,...aAjJ->...iIjJ", x_f, x_f) + cross_operator(h)
+        2.0 * np.einsum("...iI,...jJ->...iIjJ", f, f)
+        + _bview(i1, 4) * delta
+        - np.einsum("ij,...IJ->...iIjJ", eye, np.swapaxes(f, -1, -2) @ f)
+        - np.einsum("...iJ,...jI->...iIjJ", f, f)
+        - np.einsum("...ij,IJ->...iIjJ", f @ np.swapaxes(f, -1, -2), eye)
     )
 
     dd1 = _scaled_second(det, h, x_f, i1, 2.0 * f, d2_raw1, -2.0 / 3.0)

@@ -41,7 +41,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .constitutive import _check_isochoric, _format_params, _tangent_weights, as_law
+from .constitutive import (
+    _check_isochoric,
+    _format_params,
+    _isochoric_terms,
+    _tangent_weights,
+    as_law,
+)
 from .errors import EmptyGridError, MonopannError
 from .kinematics import _invariant_terms, _isochoric, principal_stretch_gradient
 
@@ -147,7 +153,8 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _point_geometry(f: np.ndarray, *terms):
     """The law- and direction-independent part of the acoustic tensors of
     the points ``f`` (P, 3, 3), built once per scan.  ``terms`` are the
-    points' ``kinematics._invariant_terms``, computed here if not given.
+    points' ``kinematics._invariant_terms``, computed here (after the det F = 1
+    check) if not given.
 
     Returns ``(coefficients, finv_t)``: ``coefficients`` (P, 5, 54) holds,
     for each of the five tangent terms (see ``constitutive._tangent_terms``),
@@ -169,10 +176,9 @@ def _point_geometry(f: np.ndarray, *terms):
     and ``InvertedConfigurationError`` where det F is not finite.
     """
     if terms:
-        _check_isochoric(f, terms[0])
+        _check_isochoric(terms[0])
     else:
-        _check_isochoric(f)
-        terms = _invariant_terms(f)
+        terms = _isochoric_terms(f)
     det, h, i1, i2, g2, d1, d2 = terms
     c = np.swapaxes(f, -1, -2) @ f
     f_ft = f @ np.swapaxes(f, -1, -2)
@@ -292,8 +298,7 @@ def acoustic_tensor(law, f, par, b: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     b = np.asarray(b, dtype=float)
     points, vectors = f.reshape(-1, 3, 3), b.reshape(-1, 3)
-    _check_isochoric(points)
-    terms = _invariant_terms(points)
+    terms = _isochoric_terms(points)
     coefficients, _ = _point_geometry(points, *terms)
     weights = _law_values(as_law(law), par, *_isochoric(terms))[1]
     q = (weights[:, None, :] @ coefficients).reshape(len(points), 6, 9)
@@ -386,8 +391,7 @@ def _condition_values(law, f, par, directions: np.ndarray):
     law = as_law(law)
     f = np.asarray(f, dtype=float).reshape(-1, 3, 3)
     directions = np.asarray(directions, dtype=float)
-    _check_isochoric(f)
-    terms = _invariant_terms(f)
+    terms = _isochoric_terms(f)
     coefficients, finv_t = _point_geometry(f, *terms)
     work = _workspace(len(f), len(directions))
     normals = _normals(finv_t, directions, work)
@@ -442,9 +446,8 @@ def hessian_decomposition(law, f, par):
     law = as_law(law)
     f = np.asarray(f, dtype=float)
     f_t = np.swapaxes(f, -1, -2)
-    terms = _invariant_terms(f)
-    det, _, f_sq, _, g2, _, _ = terms
-    _check_isochoric(f, det)
+    terms = _isochoric_terms(f)
+    _, _, f_sq, _, g2, _, _ = terms
     coef, hess = law.derivatives(*_isochoric(terms), par)
     g = 0.5 * g2
 
@@ -503,8 +506,7 @@ def baker_ericksen_check(law, f, par) -> np.ndarray:
     """
     law = as_law(law)
     f = np.asarray(f, dtype=float)
-    terms = _invariant_terms(f)
-    _check_isochoric(f, terms[0])
+    terms = _isochoric_terms(f)
     coef = law.coefficients(*_isochoric(terms), par)
     return _baker_ericksen(coef, np.linalg.svd(f, compute_uv=False))
 
@@ -632,7 +634,7 @@ def _scan_points(lam1, lam2, errors):
         f = principal_stretch_gradient(lam1, lam2)
         det = np.linalg.det(f)
         valid = np.isfinite(det) & (det > 0.0)
-        terms = _invariant_terms(f[valid])
+        terms = _invariant_terms(f[valid], det[valid])
         i1, i2 = np.full((2, len(f)), np.nan)
         i1[valid], i2[valid] = _isochoric(terms)
     finite = np.isfinite(i1) & np.isfinite(i2)

@@ -9,6 +9,7 @@ from monopann.errors import (
 )
 
 from conftest import central_difference, central_difference_tensor
+from levi_civita import cross_operator_ref, tensor_cross_ref
 
 
 class TestTensorCross:
@@ -35,8 +36,50 @@ class TestTensorCross:
         x = rng.standard_normal((3, 3))
         op = kin.cross_operator(m)
         np.testing.assert_allclose(
-            np.einsum("iIjJ,jJ->iI", op, x), kin.tensor_cross(m, x), atol=1e-14
+            np.einsum("iIjJ,jJ->iI", op, x), tensor_cross_ref(m, x), atol=1e-14
         )
+
+    def test_closed_forms_match_levi_civita_definitions(self, rng):
+        a = rng.standard_normal((4, 5, 3, 3))
+        b = rng.standard_normal((4, 5, 3, 3))
+        # well conditioned, with det f > 0 after flipping the first row
+        f = np.eye(3) + 0.2 * rng.standard_normal((4, 5, 3, 3))
+        f[..., 0, :] *= np.sign(np.linalg.det(f))[..., None]
+        pairs = [
+            (kin.tensor_cross(a, b), tensor_cross_ref(a, b)),
+            (kin.cross_operator(a), cross_operator_ref(a)),
+        ]
+        pairs += zip(kin.invariant_derivatives(f)[2:], second_derivatives_ref(f))
+        for got, ref in pairs:
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def second_derivatives_ref(f):
+    """Second derivatives of both isochoric invariants of f (..., 3, 3) from
+    the Levi-Civita definitions: with ``h = (f x f) / 2``, ``X_m`` the
+    cross operator of m and ``J = det f``, the raw second derivatives are
+    ``2 I`` for ``|f|^2`` and ``2 (X_f : X_f + X_h)`` for ``|h|^2``, and the
+    product rule scales them by ``J^-2/3`` and ``J^-4/3``."""
+    h = 0.5 * tensor_cross_ref(f, f)
+    x_f = cross_operator_ref(f)
+    j = (np.einsum("...iI,...iI->...", f, h) / 3.0)[..., None, None, None, None]
+
+    def outer(x, y):
+        return np.einsum("...iI,...jJ->...iIjJ", x, y)
+
+    raw_hess = (
+        2.0 * np.einsum("ij,IJ->iIjJ", np.eye(3), np.eye(3)),
+        2.0 * (np.einsum("...aAiI,...aAjJ->...iIjJ", x_f, x_f) + cross_operator_ref(h)),
+    )
+    raw_grad = 2.0 * f, 2.0 * np.einsum("...aA,...aAiI->...iI", h, x_f)
+    out = []
+    for x, grad, hess, p in zip((f, h), raw_grad, raw_hess, (-2.0 / 3.0, -4.0 / 3.0)):
+        raw = np.sum(x * x, axis=(-2, -1))[..., None, None, None, None]
+        out.append(p * (p - 1.0) * j ** (p - 2.0) * raw * outer(h, h)
+                   + p * j ** (p - 1.0) * (outer(h, grad) + outer(grad, h) + raw * x_f)
+                   + j**p * hess)
+    return out
 
 
 class TestCofactor:
