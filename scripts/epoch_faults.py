@@ -19,7 +19,16 @@ epochs:
 * ``transient_kib``: the largest tracemalloc peak of an epoch's loss and
   gradient above the memory still traced at its end, from a second
   calibration with tracemalloc on, so that tracing disturbs neither the
-  timing nor the heap of the first.
+  timing nor the heap of the first;
+* ``adam_us``: the median time of one ADAM update;
+* ``outside_us``: the median time of one loss and gradient evaluation
+  (``calibration._loss_and_gradient``) less the time spent in the
+  network's trace and VJP (``networks._stress_vjp`` and the VJP it
+  returns): the residual, the loss and the cotangent.
+
+The last two come from a third calibration with the three functions
+wrapped in timers; the wrappers take time of their own, so ``us`` is taken
+without them.
 
 Each checkout runs in its own process: two checkouts interleaved in one
 process share one C heap, and where that heap trims memory and faults it
@@ -51,18 +60,49 @@ def measure(src: Path, epochs: int, warmup: int) -> dict:
     from monopann import calibration, constitutive, networks
 
     law = constitutive.MooneyRivlin(*ORACLE)
-    update = calibration._adam_update
+    update, loss, stress_vjp = (calibration._adam_update, calibration._loss_and_gradient,
+                                networks._stress_vjp)
 
-    def calibrate(data, config, arch, nodes, record):
-        def wrapped(*args, **kwargs):
+    def calibrate(data, config, arch, nodes, record, timed=None):
+        """Calibrate with ``record()`` called before every ADAM update, and
+        with the phase timers of ``timed`` (adam, outside) if it is given."""
+        clock, network = time.perf_counter, [0.0]
+
+        def wrapped_update(*args, **kwargs):
             record()
+            start = clock()
             update(*args, **kwargs)
+            if timed:
+                timed[0].append(clock() - start)
 
-        calibration._adam_update = wrapped
+        def wrapped_loss(*args):
+            start = clock()
+            out = loss(*args)
+            timed[1].append(clock() - start - network[0])
+            return out
+
+        def wrapped_stress_vjp(*args):
+            start = clock()
+            coefficients, vjp = stress_vjp(*args)
+            network[0] = clock() - start
+
+            def wrapped_vjp(*args):
+                start = clock()
+                out = vjp(*args)
+                network[0] += clock() - start
+                return out
+
+            return coefficients, wrapped_vjp
+
+        calibration._adam_update = wrapped_update
+        if timed:
+            calibration._loss_and_gradient = wrapped_loss
+            networks._stress_vjp = wrapped_stress_vjp
         try:
             calibration.calibrate(data, config, networks.Architecture(arch), nodes)
         finally:
-            calibration._adam_update = update
+            calibration._adam_update, calibration._loss_and_gradient = update, loss
+            networks._stress_vjp = stress_vjp
 
     out = {}
     for nodes, restarts, stretches, params in SHAPES:
@@ -85,11 +125,15 @@ def measure(src: Path, epochs: int, warmup: int) -> dict:
                 calibrate(data, config, arch, nodes, trace)
             finally:
                 tracemalloc.stop()
+            timed = ([], [])
+            calibrate(data, config, arch, nodes, lambda: None, timed)
             steps = np.diff(clocks[warmup:])
             out[f"{arch}/{shape}"] = {
                 "us": 1e6 * float(np.median(steps)),
                 "faults": float(np.mean(np.diff(faults[warmup:]))),
                 "transient_kib": max(transients[warmup:]) / 1024,
+                "adam_us": 1e6 * float(np.median(timed[0][warmup:])),
+                "outside_us": 1e6 * float(np.median(timed[1][warmup:])),
                 "epochs": len(steps),
             }
     return out
@@ -118,10 +162,10 @@ def main(argv=None) -> int:
         result[str(src)] = json.loads(done.stdout.splitlines()[-1])
         print(src)
         print(f"  {'architecture/shape':36s} {'us/epoch':>9s} {'faults/epoch':>12s} "
-              f"{'transient KiB':>13s}")
+              f"{'transient KiB':>13s} {'adam us':>8s} {'outside us':>10s}")
         for key, row in result[str(src)].items():
             print(f"  {key:36s} {row['us']:9.1f} {row['faults']:12.2f} "
-                  f"{row['transient_kib']:13.1f}")
+                  f"{row['transient_kib']:13.1f} {row['adam_us']:8.1f} {row['outside_us']:10.1f}")
     print(json.dumps(result, sort_keys=True))
     return 0
 

@@ -5,7 +5,8 @@ tension stress over stretch-stress-parameter tuples, so the potential is
 fitted through its derivatives.  The restarts train as the rows of one
 (R, P) parameter buffer that every layer's arrays view, by plain full-batch
 ADAM followed by projection of the sign-constrained weights onto [0, inf):
-both elementwise, one pass over the buffer with one boolean (P,) mask.
+both elementwise, one pass over the buffer, the projection one maximum with
+a floor that is 0 at the constrained entries and -inf at the others.
 Projection is what lets constrained models develop exactly-zero weights.
 
 Datasets live in CSV files with header ``lambda,stress_mpa,param_raw`` and
@@ -332,22 +333,67 @@ def _uniaxial_terms(lam):
     return np.stack([i1, i2], axis=-1) - 3.0, lam - lam**-2.0
 
 
-def _loss_and_gradient(model, work, stretch, lam, stress, grads):
+class _Epoch:
+    """The arrays that a loss and gradient evaluation of ``model`` on the
+    stretches ``lam``, stresses ``stress`` and parameters ``t`` writes or
+    reads, built once; ``_train`` builds one per run, so that no epoch
+    allocates an array.
+
+    ``work`` is a ``networks._Workspace`` at the shifted invariants of
+    uniaxial tension.  ``lam``, ``stretch`` (``lam - lam^-2``, see
+    :func:`_uniaxial_terms`) and ``stress`` are repeated along the leading
+    axes of ``model``'s arrays, so that they have the shape of the stress
+    residual and of its square: numpy runs an operation between arrays of
+    one shape without an iteration buffer.  ``losses`` drops the sample
+    axis, and the cotangent ``cot`` of the stress coefficients adds a
+    trailing axis of 2.  The VJP writes the gradient into ``grads``, arrays
+    aligned with ``networks.parameter_arrays(model)``.
+    """
+
+    def __init__(self, model, lam, stress, t, grads):
+        zinv, stretch = _uniaxial_terms(lam)
+        self.work, self.grads = networks._Workspace(model, zinv, t), grads
+        lead, self.samples = model.layers[-1].weights.shape[:-2], lam.size
+        self.lam, self.stretch, self.stress, self.residual, self.square = np.empty(
+            (5, *lead, lam.size))
+        self.lam[...], self.stretch[...], self.stress[...] = lam, stretch, stress
+        self.losses = np.empty(lead)
+        self.cot = np.empty((*lead, lam.size, 2))
+
+
+def _losses(epoch: _Epoch, g):
+    """The mean squared stress error per row, from the stress coefficients
+    ``g``; the uniaxial stress and its mean take the operations of
+    ``constitutive.uniaxial_stress`` and ``np.mean``, so each row's loss
+    equals :func:`mse_loss` of that row's model.  Returns ``epoch.losses``."""
+    residual = np.divide(g[..., 1], epoch.lam, out=epoch.residual)
+    np.add(g[..., 0], residual, out=residual)
+    residual *= 2.0
+    residual *= epoch.stretch
+    residual -= epoch.stress
+    np.add.reduce(np.square(residual, out=epoch.square), axis=-1, out=epoch.losses)
+    epoch.losses /= epoch.samples
+    return epoch.losses
+
+
+def _loss_and_gradient(model, epoch: _Epoch):
     """Losses and gradients; the model's arrays may carry a leading restart axis.
 
-    ``work`` is a ``networks._Workspace`` of ``model`` at the shifted
-    invariants of uniaxial tension at the stretches ``lam`` and at the
-    samples' parameters, and ``stretch`` is ``lam - lam^-2`` (both from
-    :func:`_uniaxial_terms`).  One forward trace yields the stress and is
-    reused by the VJP, which writes the gradient into ``grads``, arrays
-    aligned with ``networks.parameter_arrays(model)``.  With a restart axis
-    R the losses have shape (R,) and every gradient array leads with R.
+    One forward trace in ``epoch.work`` yields the stress and is reused by
+    the VJP, which writes the gradient into ``epoch.grads``; the residual,
+    the losses and the cotangent go into the other arrays of ``epoch``
+    (an :class:`_Epoch` of ``model``), so no array is allocated.  With a
+    restart axis R the losses have shape (R,) and every gradient array
+    leads with R.  Both results view ``epoch``.
     """
-    g, vjp = networks._stress_vjp(model, work)
-    residual = 2.0 * (g[..., 0] + g[..., 1] / lam) * stretch - stress
-    losses = np.mean(residual**2, axis=-1)
-    scale = (2.0 / lam.size) * residual * 2.0 * stretch
-    return losses, vjp(np.stack([scale, scale / lam], axis=-1), grads)
+    g, vjp = networks._stress_vjp(model, epoch.work)
+    losses = _losses(epoch, g)
+    # d loss / d g: (2 / S) residual 2 stretch, and that over lam
+    scale = np.multiply(epoch.residual, 2.0 / epoch.samples, out=epoch.cot[..., 0])
+    scale *= 2.0
+    scale *= epoch.stretch
+    np.divide(scale, epoch.lam, out=epoch.cot[..., 1])
+    return losses, vjp(epoch.cot, epoch.grads)
 
 
 def loss_and_gradient(model, lam, stress, t):
@@ -358,20 +404,23 @@ def loss_and_gradient(model, lam, stress, t):
     """
     if lam.size == 0:
         raise EmptyDatasetError("calibration slice is empty")
-    zinv, stretch = _uniaxial_terms(lam)
     grads = [np.empty(a.shape) for a in networks.parameter_arrays(model)]
-    loss, grads = _loss_and_gradient(model, networks._Workspace(model, zinv, t), stretch,
-                                     lam, stress, grads)
+    loss, grads = _loss_and_gradient(model, _Epoch(model, lam, stress, t, grads))
     return float(loss), grads
 
 
 @dataclass
 class AdamState:
-    """Step count and moment estimates, shaped like the flat parameters."""
+    """Step count and moment estimates, shaped like the flat parameters,
+    and two arrays of that shape that hold the update's intermediates."""
 
     step: int
     m: np.ndarray
     v: np.ndarray
+    scratch: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = tuple(np.empty((2, *np.shape(self.m))))
 
 
 def init_adam(model) -> AdamState:
@@ -390,27 +439,40 @@ def adam_step(model, grads, state: AdamState, config: TrainConfig) -> AdamState:
     exactly on zero.  The model's layers are rebound to views of the updated
     parameters.  Returns the advanced optimizer state."""
     params = _flat(networks.parameter_arrays(model))
-    _adam_update(params, _flat(grads), networks.constraint_mask(model), state, config)
+    _adam_update(params, _flat(grads), _floor(model), state, config)
     model.layers = networks.with_buffer(model, params).layers
     return state
 
 
-def _adam_update(params, grad, mask, state: AdamState, config: TrainConfig, frozen=None):
-    """:func:`adam_step` on flat parameters (..., P) in place, with the (P,)
-    constraint ``mask``; the rows flagged in ``frozen`` keep their values."""
+def _floor(model):
+    """The (P,) projection floor of ``model``'s flat parameters: 0 at the
+    sign-constrained entries of ``networks.constraint_mask`` and -inf at the
+    others, where ``max(w, -inf)`` is ``w`` itself, NaN and -0.0 included."""
+    return np.where(networks.constraint_mask(model), 0.0, -np.inf)
+
+
+def _adam_update(params, grad, floor, state: AdamState, config: TrainConfig, frozen=None):
+    """:func:`adam_step` on flat parameters (..., P) in place, projected onto
+    ``floor`` (see :func:`_floor`), which broadcasts against them; the rows
+    flagged in ``frozen`` keep their values.  Every intermediate goes into
+    ``state.scratch``, so no array is allocated unless a row is frozen."""
     state.step += 1
     b1c = 1.0 - ADAM_BETA1**state.step
     b2c = 1.0 - ADAM_BETA2**state.step
-    m, v = state.m, state.v
+    m, v, (step, root) = state.m, state.v, state.scratch
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grad
+    m += np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grad**2
-    step = config.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+    v += np.multiply(np.square(grad, out=step), 1.0 - ADAM_BETA2, out=step)
+    # lr (m / b1c) / (sqrt(v / b2c) + eps)
+    np.multiply(np.divide(m, b1c, out=step), config.learning_rate, out=step)
+    step /= np.add(np.sqrt(np.divide(v, b2c, out=root), out=root), ADAM_EPS, out=root)
     if frozen is not None:
         step[frozen] = 0.0
     params -= step
-    np.maximum(params, 0.0, out=params, where=mask)
+    # a floor rather than where= over the constrained entries: numpy's masked
+    # loop took about 8 us at (R, P) = (5, 112), this maximum about 1 us
+    np.maximum(params, floor, out=params)
 
 
 def _stack(models):
@@ -419,32 +481,39 @@ def _stack(models):
     return networks.with_buffer(models[0], np.stack(rows))
 
 
-def _train(models, lam, stress, t, config: TrainConfig) -> np.ndarray:
+def _train(models, lam, stress, t, config: TrainConfig):
     """Train the restarts ``models`` together: an epoch is one forward trace,
-    one VJP and one ADAM update for all.  A restart whose loss turns
-    non-finite is frozen from that epoch on, keeping the arrays that gave
-    that loss.  Each model ends up viewing its row of the parameter buffer.
-    Returns the number of completed epochs per restart."""
+    one VJP and one ADAM update for all, and allocates no array while every
+    loss is finite.  A restart whose loss turns non-finite is frozen from
+    that epoch on, keeping the arrays that gave that loss.  Each model ends
+    up viewing its row of the parameter buffer.  Returns the number of
+    completed epochs per restart and the loss per restart after the last
+    update, from one more trace."""
     params = np.stack([_flat(networks.parameter_arrays(m)) for m in models])
-    stack, mask = networks.with_buffer(models[0], params), networks.constraint_mask(models[0])
+    stack = networks.with_buffer(models[0], params)
+    floor = np.broadcast_to(_floor(models[0]), params.shape).copy()
     state = AdamState(0, np.zeros_like(params), np.zeros_like(params))
-    active = np.ones(len(models), dtype=bool)
-    epochs_run = np.zeros(len(models), dtype=int)
-    zinv, stretch = _uniaxial_terms(lam)
-    # the epoch's arrays: one workspace, and the gradient as views of one
-    # (R, P) buffer that the ADAM update reads
-    work, grad = networks._Workspace(stack, zinv, t), np.empty_like(params)
-    grads = networks.parameter_arrays(networks.with_buffer(models[0], grad))
-    for _ in range(config.epochs):
-        losses, _ = _loss_and_gradient(stack, work, stretch, lam, stress, grads)
-        active &= np.isfinite(losses)
-        if not active.any():
-            break
-        _adam_update(params, grad, mask, state, config, None if active.all() else ~active)
-        epochs_run += active
+    # the epoch's arrays, the gradient as views of one (R, P) buffer that the
+    # ADAM update reads
+    grad = np.empty_like(params)
+    epoch = _Epoch(stack, lam, stress, t,
+                   networks.parameter_arrays(networks.with_buffer(models[0], grad)))
+    active, frozen = np.ones(len(models), dtype=bool), None
+    epochs_run = np.full(len(models), config.epochs)
+    for k in range(config.epochs):
+        losses, _ = _loss_and_gradient(stack, epoch)
+        # no loss is negative, so the largest is finite exactly when all are
+        if not math.isfinite(np.maximum.reduce(losses)):
+            finite = np.isfinite(losses)
+            epochs_run[active & ~finite] = k
+            active &= finite
+            if not active.any():
+                break
+            frozen = ~active
+        _adam_update(params, grad, floor, state, config, frozen)
     for model, row in zip(models, params):
         model.layers = networks.with_buffer(model, row).layers
-    return epochs_run
+    return epochs_run, _losses(epoch, networks._coefficients(stack, epoch.work))
 
 
 def calibrate(
@@ -467,11 +536,11 @@ def calibrate(
         networks.build_model(architecture, nodes, t.shape[1], np.random.default_rng(child))
         for child in children
     ]
-    epochs_run = _train(models, lam, stress, t, config)
+    epochs_run, losses = _train(models, lam, stress, t, config)
     results = []
-    for idx, (model, epochs) in enumerate(zip(models, epochs_run)):
-        # loss after the final step (or the initial loss when epochs == 0)
-        final = mse_loss(model, dataset)
+    for idx, (model, epochs, final) in enumerate(zip(models, epochs_run, losses.tolist())):
+        # final is mse_loss(model, dataset), after the final step (or the
+        # initial loss when epochs == 0)
         record = CalibrationRecord(
             final_mse=final,
             log10_mse=_log10(final),

@@ -346,15 +346,17 @@ def _activate(kind: Activation, a, x, d1, d2, spare):
         np.multiply(d1, np.subtract(1.0, d1, out=d2), out=d2)
 
 
-def _trace(model: PotentialModel, work: _Workspace, output=False):
-    """Write each hidden layer's slope s' and curvature s'' (see above) into
-    ``work``; returns the last hidden output if ``output`` is set (else None)."""
+def _trace(model: PotentialModel, work: _Workspace, output=False, curvatures=True):
+    """Write each hidden layer's slope s' and, if ``curvatures`` is set, its
+    curvature s'' (see above) into ``work``; returns the last hidden output
+    if ``output`` is set (else None)."""
     hidden = model.layers[:-1]
     for k, layer in enumerate(hidden):
         a = np.matmul(work.inputs[k], layer.weights.mT, out=work.pre[k])
         a += layer.bias[..., None, :]
         x = work.outputs[k] if output or k < len(hidden) - 1 else None
-        _activate(layer.activation, a, x, work.slopes[k], work.curvatures[k], work.spare)
+        _activate(layer.activation, a, x, work.slopes[k],
+                  work.curvatures[k] if curvatures else None, work.spare)
     return x
 
 
@@ -376,8 +378,15 @@ def _reverse(model: PotentialModel, work: _Workspace, stop: int):
 def forward_batch(model: PotentialModel, inv, par) -> np.ndarray:
     """Potential values for batched invariant/parameter inputs."""
     inv, par, lead = _as_batch(model, inv, par)
-    x = _trace(model, _Workspace(model, inv - 3.0, par), output=True)
+    x = _trace(model, _Workspace(model, inv - 3.0, par), output=True, curvatures=False)
     return (x @ model.layers[-1].weights[..., 0, :]).reshape(lead)
+
+
+def _coefficients(model: PotentialModel, work: _Workspace) -> np.ndarray:
+    """Stress coefficients d psi / d I, shape (..., S, 2), at the inputs of
+    ``work``, from a trace that skips the curvatures; they view ``work``."""
+    _trace(model, work, curvatures=False)
+    return _reverse(model, work, _entry(model))[0]
 
 
 def _stress_vjp(model: PotentialModel, work: _Workspace):
@@ -443,7 +452,7 @@ def _stress_vjp(model: PotentialModel, work: _Workspace):
 def invariant_gradients_batch(model: PotentialModel, inv, par) -> np.ndarray:
     """Stress coefficients (d psi / d I1, d psi / d I2), shape (..., 2)."""
     inv, par, lead = _as_batch(model, inv, par)
-    g, _ = _stress_vjp(model, _Workspace(model, inv - 3.0, par))
+    g = _coefficients(model, _Workspace(model, inv - 3.0, par))
     return g.reshape(g.shape[:-2] + lead + (2,))
 
 
@@ -451,7 +460,7 @@ def parameter_gradients_batch(model: PotentialModel, inv, par) -> np.ndarray:
     """d psi / d t, shape (..., m)."""
     inv, par, lead = _as_batch(model, inv, par)
     work = _Workspace(model, inv - 3.0, par)
-    _trace(model, work)
+    _trace(model, work, curvatures=False)
     g = _reverse(model, work, 0)[1]
     return g.reshape(g.shape[:-2] + lead + (model.param_dim,))
 

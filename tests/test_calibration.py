@@ -271,7 +271,7 @@ class TestAdam:
         before = params.copy()
         state = cal.AdamState(0, np.zeros_like(params), np.zeros_like(params))
         for grad in grads:
-            cal._adam_update(params, grad, nets.constraint_mask(models[0]), state,
+            cal._adam_update(params, grad, cal._floor(models[0]), state,
                              config, np.array([False, True, False]))
         np.testing.assert_array_equal(params[1], before[1])
         for r in (0, 2):
@@ -358,6 +358,24 @@ class TestCalibrate:
                 np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("arch", list(nets.Architecture))
+    def test_final_mse_equals_mse_loss_from_one_trace(self, arch, monkeypatch):
+        """The final MSEs of all restarts come from one trace of the stack,
+        and each equals ``mse_loss`` of its restart's model exactly."""
+        ds = cal.generate_synthetic(oracle_law(), np.linspace(1.0, 2.0, 10), [0.1, 0.9])
+        monkeypatch.setattr(nets, "build_model", poisoned_builder(1))
+        calls, mse_loss = [], cal.mse_loss
+        monkeypatch.setattr(cal, "mse_loss", lambda *a: calls.append(a) or mse_loss(*a))
+        with np.errstate(all="ignore"):
+            results = cal.calibrate(ds, cal.TrainConfig(epochs=100, restarts=3, seed=8),
+                                    arch, 4)
+            assert not calls
+            for model, record in results:
+                want = mse_loss(model, ds)
+                assert record.final_mse == want or np.isnan(record.final_mse) and np.isnan(want)
+        assert [r.restart_index for _, r in results if r.diverged] == [1]
+        assert not np.isfinite(results[-1][1].final_mse)
+
+    @pytest.mark.parametrize("arch", list(nets.Architecture))
     def test_diverged_restart_is_frozen_and_isolated(self, arch, monkeypatch):
         ds = cal.generate_synthetic(oracle_law(), np.linspace(1.0, 2.0, 10), [0.1, 0.9])
         config = cal.TrainConfig(epochs=200, restarts=3, seed=8)
@@ -382,6 +400,116 @@ class TestCalibrate:
             assert got == want
             for a, b in zip(nets.parameter_arrays(model), nets.parameter_arrays(clean_model)):
                 np.testing.assert_array_equal(a, b)
+
+
+def reference_train(models, lam, stress, t, config, poke=None):
+    """``calibration._train`` as it was written with fresh temporaries: the
+    stress residual, ``np.mean`` of its square and ``np.stack`` of the
+    cotangent, the ADAM update's expressions, and the divergence bookkeeping
+    on every epoch.  ``poke(epoch, params)`` runs after each update.
+    Returns the (R, P) parameters, the epochs run and each epoch's losses."""
+    params = np.stack([cal._flat(nets.parameter_arrays(m)) for m in models])
+    stack, mask = nets.with_buffer(models[0], params), nets.constraint_mask(models[0])
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    active = np.ones(len(models), dtype=bool)
+    epochs_run = np.zeros(len(models), dtype=int)
+    zinv, stretch = cal._uniaxial_terms(lam)
+    work, grad = nets._Workspace(stack, zinv, t), np.empty_like(params)
+    grads = nets.parameter_arrays(nets.with_buffer(models[0], grad))
+    history = []
+    for epoch in range(config.epochs):
+        g, vjp = nets._stress_vjp(stack, work)
+        residual = 2.0 * (g[..., 0] + g[..., 1] / lam) * stretch - stress
+        losses = np.mean(residual**2, axis=-1)
+        scale = (2.0 / lam.size) * residual * 2.0 * stretch
+        vjp(np.stack([scale, scale / lam], axis=-1), grads)
+        history.append(losses)
+        active &= np.isfinite(losses)
+        if not active.any():
+            break
+        b1c = 1.0 - cal.ADAM_BETA1 ** (epoch + 1)
+        b2c = 1.0 - cal.ADAM_BETA2 ** (epoch + 1)
+        m *= cal.ADAM_BETA1
+        m += (1.0 - cal.ADAM_BETA1) * grad
+        v *= cal.ADAM_BETA2
+        v += (1.0 - cal.ADAM_BETA2) * grad**2
+        step = config.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + cal.ADAM_EPS)
+        if not active.all():
+            step[~active] = 0.0
+        params -= step
+        np.maximum(params, 0.0, out=params, where=mask)
+        epochs_run += active
+        if poke is not None:
+            poke(epoch, params)
+    return params, epochs_run, history
+
+
+class TestEpochOracle:
+    """The epoch's residual, loss, cotangent and ADAM update write into
+    buffers built once per run; every element still sees the operations of
+    :func:`reference_train`, so weights, losses and epochs are bit-identical."""
+
+    @staticmethod
+    def poke(epoch, params):
+        # row 0 diverges after 20 epochs, and the last row from the start
+        # (see ``run``); at R = 2 that leaves no row to train
+        if epoch == 19:
+            params[0, 0] = np.nan
+
+    def run(self, arch, nodes, restarts, samples, diverge, monkeypatch):
+        ds = cal.generate_synthetic(oracle_law(), np.linspace(1.0, 2.0, samples // 5),
+                                    [0.1, 0.3, 0.5, 0.7, 0.9])
+        lam, stress, t = ds.calibration_arrays()
+        config = cal.TrainConfig(epochs=50, restarts=restarts, seed=13)
+
+        def build():
+            children = np.random.SeedSequence(config.seed).spawn(restarts)
+            models = [nets.build_model(arch, nodes, 1, np.random.default_rng(c))
+                      for c in children]
+            if diverge:
+                models[-1].layers[-1].weights *= 1e200
+            return models
+
+        poke = self.poke if diverge else None
+        history, loss, update = [], cal._loss_and_gradient, cal._adam_update
+
+        def traced_loss(*args):
+            losses, grads = loss(*args)
+            history.append(losses.copy())
+            return losses, grads
+
+        def poked_update(params, *rest):
+            update(params, *rest)
+            if poke is not None:
+                poke(len(history) - 1, params)
+
+        monkeypatch.setattr(cal, "_loss_and_gradient", traced_loss)
+        monkeypatch.setattr(cal, "_adam_update", poked_update)
+        with np.errstate(all="ignore"):
+            models = build()
+            epochs_run, _ = cal._train(models, lam, stress, t, config)
+            want, want_epochs, want_history = reference_train(build(), lam, stress, t,
+                                                              config, poke)
+        got = np.stack([cal._flat(nets.parameter_arrays(m)) for m in models])
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(epochs_run, want_epochs)
+        assert len(history) == len(want_history)
+        for a, b in zip(history, want_history):
+            assert a.tobytes() == b.tobytes()
+        return epochs_run
+
+    @pytest.mark.parametrize("arch", list(nets.Architecture))
+    @pytest.mark.parametrize("nodes,restarts,samples", [(8, 5, 60), (32, 2, 200)])
+    def test_fifty_epochs_bit_identical(self, arch, nodes, restarts, samples, monkeypatch):
+        epochs_run = self.run(arch, nodes, restarts, samples, False, monkeypatch)
+        assert (epochs_run == 50).all()
+
+    @pytest.mark.parametrize("arch", list(nets.Architecture))
+    @pytest.mark.parametrize("nodes,restarts,samples", [(8, 5, 60), (32, 2, 200)])
+    def test_frozen_rows_bit_identical(self, arch, nodes, restarts, samples, monkeypatch):
+        epochs_run = self.run(arch, nodes, restarts, samples, True, monkeypatch)
+        assert epochs_run[0] == 20 and epochs_run[-1] == 0
+        assert (epochs_run[1:-1] == 50).all()
 
 
 class TestEpochAllocation:
@@ -412,6 +540,37 @@ class TestEpochAllocation:
         # the first covers the run's set-up as well
         assert len(transients) == 5
         assert max(transients[1:]) < 128 * 1024
+
+    @pytest.mark.parametrize("arch", list(nets.Architecture))
+    def test_no_array_around_the_network(self, arch, monkeypatch):
+        """Around the network's trace and VJP an epoch allocates no array.
+        At (n, R, S) = (8, 5, 60) what an epoch still takes is numpy's
+        iteration buffers, the largest about 19 KiB for a broadcast
+        (R, S, n) operation inside the network, and the update takes under
+        1 KiB, less than any (R, P) array (1.6 KiB with one hidden layer).
+        With a fresh residual, square, cotangent and ADAM temporaries, an
+        epoch took about 30 KiB and the update 5 to 14 KiB."""
+        ds = cal.generate_synthetic(oracle_law(), np.linspace(1.0, 2.0, 12),
+                                    [0.1, 0.3, 0.5, 0.7, 0.9])
+        epochs, updates, update = [], [], cal._adam_update
+
+        def traced(*args, **kwargs):
+            current, peak = tracemalloc.get_traced_memory()
+            epochs.append(peak - current)
+            tracemalloc.reset_peak()
+            update(*args, **kwargs)
+            updates.append(tracemalloc.get_traced_memory()[1] - current)
+            tracemalloc.reset_peak()
+
+        monkeypatch.setattr(cal, "_adam_update", traced)
+        tracemalloc.start()
+        try:
+            cal.calibrate(ds, cal.TrainConfig(epochs=5, restarts=5, seed=3), arch, 8)
+        finally:
+            tracemalloc.stop()
+        assert len(epochs) == 5
+        assert max(epochs[1:]) < 24 * 1024
+        assert max(updates[1:]) < 1024
 
     @pytest.mark.parametrize("arch", list(nets.Architecture))
     def test_adam_reads_the_buffer_the_vjp_writes(self, arch, monkeypatch):

@@ -399,6 +399,55 @@ class TestStackedRestarts:
             np.testing.assert_array_equal(g[r], nets.parameter_gradients_batch(model, inv, par))
 
 
+class TestCurvatures:
+    """Only the Hessian and the VJP read the curvatures s'', each from the
+    entry layer up, so no other entry point takes one."""
+
+    @pytest.mark.parametrize("arch", DERIVATIVE_CASES)
+    def test_taken_only_where_read(self, arch, rng, monkeypatch):
+        model = make_model(arch, rng, nodes=5)
+        inv, par = random_states(rng, 7)
+        cot = rng.standard_normal((7, 2))
+        taken, activate = [], nets._activate
+
+        def recorded(kind, a, x, d1, d2, spare):
+            taken.append(d2 is not None)
+            activate(kind, a, x, d1, d2, spare)
+
+        monkeypatch.setattr(nets, "_activate", recorded)
+        depth, entry = len(model.layers) - 1, nets._entry(model)
+        none, from_entry = [False] * depth, [k >= entry for k in range(depth)]
+        for call, want in [(nets.forward_batch, none),
+                           (nets.invariant_gradients_batch, none),
+                           (nets.parameter_gradients_batch, none),
+                           (nets.invariant_hessians_batch, from_entry),
+                           (lambda m, i, p: stress_vjp(m, i - 3.0, p, cot), from_entry)]:
+            taken.clear()
+            call(model, inv, par)
+            assert taken == want
+
+    @pytest.mark.parametrize("arch", DERIVATIVE_CASES)
+    def test_coefficients_match_the_traces_that_take_them(self, arch, rng):
+        """The stress coefficients of a trace without curvatures equal, bit
+        for bit, those of the VJP's and the Hessian's traces, stacked and
+        per model."""
+        models = [make_model(arch, rng, nodes=8, param_dim=2) for _ in range(3)]
+        for model in models:
+            for layer in model.layers[:-1]:
+                layer.bias[...] = rng.uniform(-0.5, 0.5, layer.bias.shape)
+        inv, par = random_states(rng, 100, param_dim=2)
+        cot = rng.standard_normal((3, 100, 2))
+        stacked = _stack(models)
+        g = nets.invariant_gradients_batch(stacked, inv, par)
+        for want in (nets.invariant_hessians_batch(stacked, inv, par)[0],
+                     stress_vjp(stacked, inv - 3.0, par, cot)[0]):
+            assert g.tobytes() == want.tobytes()
+        for r, model in enumerate(models):
+            one = nets.invariant_gradients_batch(model, inv, par)
+            assert one.tobytes() == g[r].tobytes()
+            assert one.tobytes() == nets.invariant_hessians_batch(model, inv, par)[0].tobytes()
+
+
 class TestWorkspace:
     """A calibration traces every epoch through one workspace: what its
     trace and VJP write must not depend on what an earlier call left there."""
