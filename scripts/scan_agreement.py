@@ -87,7 +87,10 @@ def scan_all(src: Path, work: Path) -> dict:
     ]
     laws.append(constitutive.MooneyRivlin([0.1, 0.3], [-0.05, 0.02], [0.01, -0.04]))
     lam = np.linspace(*GRID[:2], GRID[2])
-    directions = stability.direction_set(count=DIRECTIONS)
+    # direction_set returned a DirectionSet in older checkouts, which the
+    # scan takes as it takes the array of fibonacci_directions
+    directions = getattr(stability, "direction_set", stability.fibonacci_directions)(
+        count=DIRECTIONS)
     reports = {}
     for k, law in enumerate(laws):
         path = work / f"law{k}_report.json"

@@ -49,14 +49,12 @@ from .networks import (
     sparsity,
 )
 from .stability import (
-    DirectionGenerator,
-    DirectionSet,
     StabilityReport,
     acoustic_tensor,
     baker_ericksen_check,
-    direction_set,
     ellipticity_compressible,
     ellipticity_incompressible,
+    fibonacci_directions,
     hessian_decomposition,
     scan_invariant_plane,
 )

@@ -141,25 +141,8 @@ def _train_config(args) -> calibration.TrainConfig:
     )
 
 
-def _records_rows(records) -> list:
-    return [
-        [
-            r.rank,
-            r.restart_index,
-            r.seed,
-            repr(r.final_mse),
-            repr(r.log10_mse),
-            r.epochs_run,
-            r.diverged,
-            repr(r.learning_rate),
-            repr(r.beta1),
-            repr(r.beta2),
-            repr(r.eps),
-        ]
-        for r in records
-    ]
-
-
+# the CalibrationRecord fields of a records CSV, in column order; csv
+# writes a float as its repr
 RECORD_HEADER = [
     "rank", "restart_index", "seed", "final_mse", "log10_mse", "epochs_run",
     "diverged", "learning_rate", "beta1", "beta2", "eps",
@@ -178,7 +161,7 @@ def cmd_calibrate(args) -> int:
         networks.save_model(model, path)
         print(f"wrote {path}")
     _write_rows(out / f"{tag}_records.csv", RECORD_HEADER,
-                _records_rows([r for _, r in results]))
+                [[getattr(r, k) for k in RECORD_HEADER] for _, r in results])
     best = results[0][1]
     print(f"best log10 MSE: {best.log10_mse:.4f} (restart {best.restart_index})")
     return 0
@@ -238,9 +221,7 @@ def _scan_laws(args) -> dict:
 def cmd_scan(args) -> int:
     out = _out_dir(args)
     laws = _scan_laws(args)
-    directions = stability.direction_set(
-        stability.DirectionGenerator(args.generator), args.directions
-    )
+    directions = stability.fibonacci_directions(args.directions)
     t_grid = [[v] for v in _floats(args.t_values)]
     lam1 = _grid(args.lambda1)
     lam2 = _grid(args.lambda2)
@@ -399,8 +380,6 @@ def _scan_arguments(p) -> None:
     p.add_argument("--lambda1", default="0.5,3.0,8")
     p.add_argument("--lambda2", default="0.5,3.0,8")
     p.add_argument("--directions", type=int, default=200)
-    p.add_argument("--generator", default="fibonacci_lattice",
-                   choices=[g.value for g in stability.DirectionGenerator])
     p.set_defaults(handler=cmd_scan)
 
 

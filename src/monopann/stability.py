@@ -13,8 +13,9 @@ compressible counterpart adds a third condition,
 
     (Q x Q) : Q >= 0,   (Q x Q) : I >= 0,   (Q x I) : I >= 0,
 
-and is strictly stronger; it is provided as a diagnostic.  Directions are
-sampled deterministically on the unit sphere.
+and is strictly stronger; it is provided as a diagnostic.  A direction
+set is a (D, 3) array of probing directions B, by default the
+deterministic, near-uniform unit vectors of ``fibonacci_directions``.
 
 Each condition value is homogeneous of degree k in Q (k = 2, 1 for the
 incompressible pair, k = 3, 2, 1 for the compressible triple) and is
@@ -35,7 +36,6 @@ derivatives vanish, because ``eps_IJK B_I B_K = 0``.
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import partial
 from pathlib import Path
 
@@ -48,16 +48,12 @@ from .constitutive import (
     _tangent_weights,
     as_law,
 )
-from .errors import EmptyGridError, MonopannError
+from .errors import EmptyGridError, MonopannError, ShapeMismatchError
 from .kinematics import _invariant_terms, _isochoric, principal_stretch_gradient
 
 __all__ = [
     "ELLIPTICITY_TOLERANCE",
-    "DirectionGenerator",
-    "DirectionSet",
     "fibonacci_directions",
-    "spherical_grid_directions",
-    "direction_set",
     "acoustic_tensor",
     "ellipticity_incompressible",
     "ellipticity_compressible",
@@ -75,20 +71,11 @@ BAKER_ERICKSEN_TOLERANCE = 1e-12
 _TINY = np.finfo(float).tiny
 
 
-class DirectionGenerator(Enum):
-    FIBONACCI_LATTICE = "fibonacci_lattice"
-    SPHERICAL_GRID = "spherical_grid"
-
-
-@dataclass(frozen=True)
-class DirectionSet:
-    vectors: np.ndarray
-    generator: DirectionGenerator
-    count: int
-
-
 def fibonacci_directions(count: int = 200) -> np.ndarray:
-    """Deterministic, near-uniform unit vectors from the Fibonacci lattice."""
+    """``count`` deterministic, near-uniform unit vectors (count, 3) from the
+    Fibonacci lattice; ``EmptyGridError`` for a count below 1."""
+    if count < 1:
+        raise EmptyGridError(f"direction count must be at least 1, got {count}")
     i = np.arange(count)
     z = 1.0 - (2.0 * i + 1.0) / count
     phi = np.pi * (1.0 + np.sqrt(5.0)) * i
@@ -97,37 +84,25 @@ def fibonacci_directions(count: int = 200) -> np.ndarray:
     return vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
 
 
-def spherical_grid_directions(count: int = 200) -> np.ndarray:
-    """Latitude-longitude grid; kept as an alternative parametrization."""
-    n_theta = max(int(np.sqrt(count / 2.0)), 2)
-    n_phi = 2 * n_theta
-    theta = (np.arange(n_theta) + 0.5) / n_theta * np.pi
-    phi = np.arange(n_phi) / n_phi * 2.0 * np.pi
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    vecs = np.stack(
-        [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
-    ).reshape(-1, 3)
-    return vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
-
-
-def direction_set(
-    generator: DirectionGenerator = DirectionGenerator.FIBONACCI_LATTICE,
-    count: int = 200,
-) -> DirectionSet:
-    """About ``count`` directions from ``generator`` (the spherical grid
-    rounds the count to its lattice); ``EmptyGridError`` for a count below 1."""
-    if count < 1:
-        raise EmptyGridError(f"direction count must be at least 1, got {count}")
-    if generator is DirectionGenerator.FIBONACCI_LATTICE:
-        vectors = fibonacci_directions(count)
-    else:
-        vectors = spherical_grid_directions(count)
-    return DirectionSet(vectors, generator, vectors.shape[0])
-
-
 def _vectors(directions) -> np.ndarray:
-    vectors = directions.vectors if isinstance(directions, DirectionSet) else directions
-    return np.atleast_2d(np.asarray(vectors, dtype=float))
+    """The probing directions as a float array (D, 3).
+
+    Raises ``EmptyGridError`` for D = 0, and ``ShapeMismatchError`` for
+    another shape or for a row that is not finite or has zero length, whose
+    normals ``F^-T B / |F^-T B|`` would be NaN at every point.
+    """
+    vectors = np.asarray(directions, dtype=float)
+    if vectors.ndim != 2 or vectors.shape[1] != 3:
+        raise ShapeMismatchError(f"directions must have shape (D, 3), got {vectors.shape}")
+    if len(vectors) == 0:
+        raise EmptyGridError("direction set is empty")
+    bad = ~np.isfinite(vectors).all(axis=-1) | ~vectors.any(axis=-1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ShapeMismatchError(
+            f"direction {k} is not finite and nonzero: {vectors[k].tolist()}"
+        )
+    return vectors
 
 
 # the six independent components of a symmetric 3x3 tensor, in the order
@@ -153,8 +128,7 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _point_geometry(f: np.ndarray, *terms):
     """The law- and direction-independent part of the acoustic tensors of
     the points ``f`` (P, 3, 3), built once per scan.  ``terms`` are the
-    points' ``kinematics._invariant_terms``, computed here (after the det F = 1
-    check) if not given.
+    points' ``kinematics._invariant_terms``, whose det is checked here.
 
     Returns ``(coefficients, finv_t)``: ``coefficients`` (P, 5, 54) holds,
     for each of the five tangent terms (see ``constitutive._tangent_terms``),
@@ -175,10 +149,7 @@ def _point_geometry(f: np.ndarray, *terms):
     Raises ``NotIsochoricError`` where ``|det F - 1|`` exceeds the tolerance
     and ``InvertedConfigurationError`` where det F is not finite.
     """
-    if terms:
-        _check_isochoric(terms[0])
-    else:
-        terms = _isochoric_terms(f)
+    _check_isochoric(terms[0])
     det, h, i1, i2, g2, d1, d2 = terms
     c = np.swapaxes(f, -1, -2) @ f
     f_ft = f @ np.swapaxes(f, -1, -2)
@@ -288,6 +259,15 @@ def _law_values(law, par, i1, i2):
     return coef, _tangent_weights(coef, hess)
 
 
+def _point_terms(law, f, par):
+    """The point geometry ``(coefficients, finv_t)`` of the points ``f``
+    (P, 3, 3) (see :func:`_point_geometry`) and the tangent weights (P, 5)
+    of ``law`` there, from one invariant pass after the det F = 1 check."""
+    terms = _isochoric_terms(f)
+    coefficients, finv_t = _point_geometry(f, *terms)
+    return coefficients, finv_t, _law_values(as_law(law), par, *_isochoric(terms))[1]
+
+
 def acoustic_tensor(law, f, par, b: np.ndarray) -> np.ndarray:
     """Contract the full tangent twice with probing directions.
 
@@ -298,9 +278,7 @@ def acoustic_tensor(law, f, par, b: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     b = np.asarray(b, dtype=float)
     points, vectors = f.reshape(-1, 3, 3), b.reshape(-1, 3)
-    terms = _isochoric_terms(points)
-    coefficients, _ = _point_geometry(points, *terms)
-    weights = _law_values(as_law(law), par, *_isochoric(terms))[1]
+    coefficients, _, weights = _point_terms(law, points, par)
     q = (weights[:, None, :] @ coefficients).reshape(len(points), 6, 9)
     q = q @ _dyads(vectors)
     q = np.moveaxis(q[:, _FULL], -1, 1)
@@ -381,33 +359,25 @@ def _conditions(coefficients, dyads, normals, weights: np.ndarray, work: np.ndar
     return (c1, c2), (d1, d2, d3)
 
 
-def _condition_values(law, f, par, directions: np.ndarray):
-    """Normalized condition values of every point-direction pair.
-
-    ``f`` is (P, 3, 3), or (3, 3) for P = 1, and ``directions`` (D, 3);
-    returns ``(c1, c2)`` and ``(d1, d2, d3)``, each of shape (P, D), from
-    :func:`_point_geometry`, :func:`_normals` and :func:`_conditions`.
-    """
-    law = as_law(law)
+def _point_minima(law, f, par, directions) -> np.ndarray:
+    """Smallest incompressible and compressible condition values (P, 2) of
+    the points ``f`` (P, 3, 3), or (3, 3) for P = 1, over ``directions``
+    (D, 3), taken as the scan takes them (:func:`_minima`)."""
+    vectors = _vectors(directions)
     f = np.asarray(f, dtype=float).reshape(-1, 3, 3)
-    directions = np.asarray(directions, dtype=float)
-    terms = _isochoric_terms(f)
-    coefficients, finv_t = _point_geometry(f, *terms)
-    work = _workspace(len(f), len(directions))
-    normals = _normals(finv_t, directions, work)
-    weights = _law_values(law, par, *_isochoric(terms))[1]
-    return _conditions(coefficients, _dyads(directions), normals, weights, work)
+    coefficients, finv_t, weights = _point_terms(law, f, par)
+    return _minima(coefficients, finv_t, vectors, weights[None])[0]
 
 
 def ellipticity_incompressible(law, f, par, directions) -> tuple[bool, float]:
-    """Evaluate both unit-determinant ellipticity conditions over a direction set.
+    """Evaluate both unit-determinant ellipticity conditions over the
+    directions (D, 3) at the points ``f`` (3, 3) or (P, 3, 3).
 
     Returns ``(elliptic, min_value)`` where ``min_value`` is the smallest
-    normalized condition value; the point counts as elliptic when it stays
-    above ``-ELLIPTICITY_TOLERANCE``.
+    normalized condition value over every point and direction; the points
+    count as elliptic when it stays above ``-ELLIPTICITY_TOLERANCE``.
     """
-    (c1, c2), _ = _condition_values(law, f, par, _vectors(directions))
-    min_value = float(min(c1.min(), c2.min()))
+    min_value = float(_point_minima(law, f, par, directions)[:, 0].min())
     return min_value >= -ELLIPTICITY_TOLERANCE, min_value
 
 
@@ -417,8 +387,7 @@ def ellipticity_compressible(law, f, par, directions) -> tuple[bool, float]:
     Strictly stronger than the unit-determinant form: a pass here implies a
     pass of :func:`ellipticity_incompressible` at the same point.
     """
-    _, (d1, d2, d3) = _condition_values(law, f, par, _vectors(directions))
-    min_value = float(min(d1.min(), d2.min(), d3.min()))
+    min_value = float(_point_minima(law, f, par, directions)[:, 1].min())
     return min_value >= -ELLIPTICITY_TOLERANCE, min_value
 
 
@@ -559,10 +528,11 @@ class StabilityReport:
 
 
 # Upper bound on the point-direction pairs evaluated together; it caps the
-# scan's scratch memory per block independently of the grid size: one
-# workspace of 25 floats per pair and 108 per point, 0.8 MB at 200
-# directions, made once per scan.  The point geometry is built once per scan
-# for the whole grid and adds 2.2 kB of coefficients per point.
+# scratch memory of a scan or an ellipticity check independently of its
+# point count: one workspace of 25 floats per pair and 108 per point, 0.8 MB
+# at 200 directions, made once per call of _minima.  The point geometry is
+# built once per call for all the points and adds 2.2 kB of coefficients
+# per point.
 _BLOCK_PAIRS = 4096
 # errors that fail a scan point instead of the scan
 _POINT_ERRORS = (MonopannError, np.linalg.LinAlgError)
@@ -604,12 +574,12 @@ def _scan_block(coefficients, finv_t, directions, dyads, weights, minima, work) 
     of points in every parameter row.
 
     ``coefficients`` and ``finv_t`` are the block's rows of
-    :func:`_point_geometry`, ``directions`` (D, 3) and ``dyads`` the scan's
+    :func:`_point_geometry`, ``directions`` (D, 3) and ``dyads`` the
     directions and their :func:`_dyads`, and ``weights`` (R, P, 5) the
     rows' tangent weights; the results go to ``minima`` (R, P, 2).
-    ``work`` is the scan's :func:`_workspace`.  Only the direction-dependent
-    normals are built per block, once, and serve every row.  A point whose
-    geometry or weights are NaN gets NaN minima.
+    ``work`` is the :func:`_workspace` of :func:`_minima`.  Only the
+    direction-dependent normals are built per block, once, and serve every
+    row.  A point whose geometry or weights are NaN gets NaN minima.
     """
     normals = _normals(finv_t, directions, work)
     for row, out in zip(weights, minima):
@@ -646,6 +616,26 @@ def _scan_points(lam1, lam2, errors):
     return f, i1, i2, live, [term[finite[valid]] for term in terms]
 
 
+def _minima(coefficients, finv_t, vectors, weights) -> np.ndarray:
+    """Smallest incompressible and compressible condition values (R, P, 2)
+    over the directions ``vectors`` (D, 3) of the points with the geometry
+    ``coefficients``, ``finv_t`` (:func:`_point_geometry`) in each parameter
+    row of ``weights`` (R, P, 5).
+
+    The points are taken in blocks of at most ``_BLOCK_PAIRS``
+    point-direction pairs (:func:`_scan_block`), all in one workspace.
+    """
+    dyads = _dyads(vectors)
+    minima = np.full(weights.shape[:-1] + (2,), np.nan)
+    block = max(_BLOCK_PAIRS // len(vectors), 1)
+    work = _workspace(min(block, len(finv_t)), len(vectors))
+    for start in range(0, len(finv_t), block):
+        part = slice(start, start + block)
+        _scan_block(coefficients[part], finv_t[part], vectors, dyads,
+                    weights[:, part], minima[:, part], work)
+    return minima
+
+
 def _scan_minima(law, param_grid, f, i1, i2, terms, vectors):
     """Stress coefficients (R, P, 2), smallest incompressible and
     compressible condition values (R, P, 2) and point errors (R, P) of the
@@ -661,15 +651,7 @@ def _scan_minima(law, param_grid, f, i1, i2, terms, vectors):
     coefficients = np.full((len(f), 5, 54), np.nan)
     finv_t = np.full((len(f), 3, 3), np.nan)
     _pointwise(_point_geometry, (f, *terms), (coefficients, finv_t), errors)
-    dyads = _dyads(vectors)
-    minima = np.full((len(param_grid), len(f), 2), np.nan)
-    block = max(_BLOCK_PAIRS // len(vectors), 1)
-    work = _workspace(min(block, len(f)), len(vectors))
-    for start in range(0, len(f), block):
-        part = slice(start, start + block)
-        _scan_block(coefficients[part], finv_t[part], vectors, dyads,
-                    weights[:, part], minima[:, part], work)
-    return coef, minima, errors
+    return coef, _minima(coefficients, finv_t, vectors, weights), errors
 
 
 def _span(values: np.ndarray):
@@ -681,15 +663,17 @@ def scan_invariant_plane(
     param_grid,
     lambda1_values,
     lambda2_values,
-    directions: DirectionSet | None = None,
+    directions=None,
 ) -> StabilityReport:
     """Sweep ``F = diag(l1, l2, 1/(l1 l2))`` over a stretch grid per parameter.
 
     Records ellipticity (both forms), the monotonicity spot check on the
     stress coefficients, and the ordered-stress check at every point.
-    The law is evaluated once per parameter row and the point geometry once
-    per scan; the points are then taken in blocks of at most
-    ``_BLOCK_PAIRS`` point-direction pairs, and each block's normals serve
+    ``directions`` (D, 3) are the probing directions, by default
+    :func:`fibonacci_directions`; ``direction_count`` reports D.  The law
+    is evaluated once per parameter row and the point geometry once per
+    scan; the points are then taken in blocks of at most ``_BLOCK_PAIRS``
+    point-direction pairs (:func:`_minima`), and each block's normals serve
     every row.  Points stay independent: a point whose det F or invariants
     are not finite, that raises a package or linear-algebra error, or whose
     condition values are not finite, records the reason and the scan
@@ -706,11 +690,7 @@ def scan_invariant_plane(
         raise EmptyGridError("parameter grid is empty")
     if lambda1_values.size == 0 or lambda2_values.size == 0:
         raise EmptyGridError("stretch grid is empty")
-    if directions is None:
-        directions = direction_set()
-    vectors = directions.vectors
-    if len(vectors) == 0:
-        raise EmptyGridError("direction set is empty")
+    vectors = _vectors(fibonacci_directions() if directions is None else directions)
 
     lam1, lam2 = np.meshgrid(lambda1_values, lambda2_values, indexing="ij")
     lam1, lam2 = lam1.ravel(), lam2.ravel()
@@ -745,7 +725,7 @@ def scan_invariant_plane(
     region = {"lambda1": _span(lambda1_values), "lambda2": _span(lambda2_values),
               "i1": _span(i1[live]), "i2": _span(i2[live])}
     return StabilityReport(
-        points.ravel(), _per_parameter(points), region, directions.count, law.label
+        points.ravel(), _per_parameter(points), region, len(vectors), law.label
     )
 
 

@@ -306,7 +306,7 @@ def test_oracle_recovery(oracle_dataset, trained):
 
 def test_ellipticity_ground_truth():
     """Known-elliptic and known-non-elliptic laws, and the relaxation order."""
-    directions = stab.direction_set()
+    directions = stab.fibonacci_directions()
     lam = np.linspace(0.5, 3.0, 8)
     passed = True
     try:
@@ -332,7 +332,7 @@ def test_ellipticity_ground_truth():
 
 def test_comparative_stability(trained):
     """Constrained vs free potentials, trained identically and scanned identically."""
-    directions = stab.direction_set()
+    directions = stab.fibonacci_directions()
     lam = np.linspace(0.5, 3.0, 10)
     mono = stab.scan_invariant_plane(
         trained["mono"][0][0], SCAN_T, lam, lam, directions

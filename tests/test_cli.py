@@ -410,6 +410,14 @@ class TestConfigAndDeterminism:
         assert run("scan", "--law", "neo-hookean", "--out", tmp_path, "--config=") == 2
         assert "FileNotFound" in capsys.readouterr().err
 
+    def test_generator_option_is_gone(self, tmp_path, capsys):
+        # the directions are Fibonacci lattice points, and no option picks others
+        with pytest.raises(SystemExit) as exc:
+            run("scan", "--law", "neo-hookean", "--generator", "spherical_grid",
+                "--out", tmp_path)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --generator" in capsys.readouterr().err
+
     def test_rerun_byte_identical(self, tmp_path, small_dataset):
         digests = []
         for tag in ("a", "b"):

@@ -14,6 +14,7 @@ from monopann.errors import (
     InvalidStretchError,
     InvertedConfigurationError,
     NotIsochoricError,
+    ShapeMismatchError,
 )
 
 from levi_civita import tensor_cross_ref
@@ -21,7 +22,7 @@ from levi_civita import tensor_cross_ref
 
 @pytest.fixture(scope="module")
 def directions():
-    return stab.direction_set()
+    return stab.fibonacci_directions()
 
 
 T0 = np.array([0.0])
@@ -102,32 +103,56 @@ def reference_conditions(law, f, par, b):
     )
 
 
+def condition_values(law, f, par, directions):
+    """Normalized condition values ``(c1, c2), (d1, d2, d3)``, each (P, D),
+    of every point-direction pair, from one workspace for all of them."""
+    f = np.asarray(f, dtype=float).reshape(-1, 3, 3)
+    directions = np.asarray(directions, dtype=float)
+    coefficients, finv_t, weights = stab._point_terms(law, f, par)
+    work = stab._workspace(len(f), len(directions))
+    normals = stab._normals(finv_t, directions, work)
+    return stab._conditions(coefficients, stab._dyads(directions), normals, weights, work)
+
+
 def random_laws():
     laws = [cons.as_law(nets.build_model(arch, 5, 1, np.random.default_rng(3)))
             for arch in nets.Architecture]
     return laws + [MR]
 
 
-class TestDirectionSets:
+class TestFibonacciDirections:
     def test_unit_norm(self, directions):
-        norms = np.linalg.norm(directions.vectors, axis=-1)
+        norms = np.linalg.norm(directions, axis=-1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-        assert directions.count == 200
+        assert directions.shape == (200, 3)
 
     def test_deterministic(self):
         a = stab.fibonacci_directions(64)
         b = stab.fibonacci_directions(64)
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("generator", list(stab.DirectionGenerator))
     @pytest.mark.parametrize("count", [0, -3])
-    def test_count_below_one_rejected(self, generator, count):
+    def test_count_below_one_rejected(self, count):
         with pytest.raises(EmptyGridError, match="at least 1"):
-            stab.direction_set(generator, count)
+            stab.fibonacci_directions(count)
 
-    def test_spherical_grid_unit_norm(self):
-        vecs = stab.spherical_grid_directions(128)
-        np.testing.assert_allclose(np.linalg.norm(vecs, axis=-1), 1.0, atol=1e-12)
+    @pytest.mark.parametrize("bad", [
+        [0.0, 0.0, 1.0],
+        np.ones((4, 2)),
+        np.ones((4, 3, 1)),
+        [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+        [[0.0, 0.0, 1.0], [np.nan, 0.0, 1.0]],
+        [[np.inf, 0.0, 1.0], [0.0, 1.0, 0.0]],
+    ], ids=["one-vector", "two-columns", "three-axes", "zero-row", "nan-row", "inf-row"])
+    def test_bad_direction_array_rejected(self, bad):
+        # a zero or non-finite row would make every normal F^-T B / |F^-T B|
+        # of its column NaN; the scan and both checks reject it up front
+        law, f = cons.neo_hookean(0.5), kin.uniaxial_gradient(1.5)
+        with pytest.raises(ShapeMismatchError):
+            stab.scan_invariant_plane(law, [[0.0]], [1.5], [1.0], bad)
+        for check in (stab.ellipticity_incompressible, stab.ellipticity_compressible):
+            with pytest.raises(ShapeMismatchError):
+                check(law, f, T0, bad)
 
 
 class TestAcousticTensor:
@@ -312,7 +337,7 @@ class TestClosedFormGeometry:
     def test_each_term_matches_fourth_order_contraction(self, rng):
         f = unimodular_block(rng)
         b = rng.standard_normal((9, 3)) * rng.uniform(0.2, 5.0, (9, 1))
-        coefficients, _ = stab._point_geometry(f)
+        coefficients, _ = stab._point_geometry(f, *kin._invariant_terms(f))
         dyads = stab._dyads(b)
         np.testing.assert_array_equal(
             dyads, np.einsum("dI,dJ->IJd", b, b).reshape(9, len(b))
@@ -330,7 +355,7 @@ class TestClosedFormGeometry:
     def test_runtime_path_builds_no_fourth_order_tangent(self, rng, monkeypatch):
         law = random_laws()[1]
         lam = np.linspace(0.4, 3.5, 5)
-        directions = stab.direction_set(count=40)
+        directions = stab.fibonacci_directions(40)
         f = unimodular_block(rng, count=3)
         b = rng.standard_normal((4, 3))
         scan = stab.scan_invariant_plane(law, [[0.2], [0.7]], lam, lam, directions)
@@ -360,11 +385,11 @@ class TestClosedFormGeometry:
         bad = f.copy()
         bad[1, 0, 0] = np.nan
         with pytest.raises(InvertedConfigurationError):
-            stab._point_geometry(bad)
+            stab._point_terms(MR, bad, T0)
         off = f.copy()
         off[1] *= 1.01
         with pytest.raises(NotIsochoricError):
-            stab._point_geometry(off)
+            stab._point_geometry(off, *kin._invariant_terms(off))
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
     def test_nan_point_fails_alone_in_every_row(self, rng):
@@ -373,9 +398,10 @@ class TestClosedFormGeometry:
         weights = rng.uniform(0.1, 1.0, (2, 3, 5))
         minima = np.full((2, 3, 2), np.nan)
         errors = np.full((2, 3), None, dtype=object)
-        vectors = stab.direction_set(count=20).vectors
+        vectors = stab.fibonacci_directions(20)
         geometry = np.full((3, 5, 54), np.nan), np.full((3, 3, 3), np.nan)
-        stab._pointwise(stab._point_geometry, (f,), geometry, errors)
+        stab._pointwise(lambda f: stab._point_terms(MR, f, T0), (f,),
+                        (*geometry, np.full((3, 5), np.nan)), errors)
         stab._scan_block(*geometry, vectors, stab._dyads(vectors), weights, minima,
                          stab._workspace(len(f), len(vectors)))
         assert errors[:, 1].tolist() == [
@@ -411,8 +437,8 @@ class TestEllipticity:
     def test_direction_sign_invariance(self, directions):
         law = cons.neo_hookean(0.5)
         f = kin.uniaxial_gradient(1.7)
-        plus = stab._condition_values(law, f, T0, directions.vectors)
-        minus = stab._condition_values(law, f, T0, -directions.vectors)
+        plus = condition_values(law, f, T0, directions)
+        minus = condition_values(law, f, T0, -directions)
         for a, b in zip(plus[0] + plus[1], minus[0] + minus[1]):
             np.testing.assert_array_equal(a, b)
 
@@ -444,7 +470,7 @@ class TestBatchedConditions:
         for law in random_laws():
             t = rng.uniform(0.0, 1.0, 1)
             f = np.stack([kin.random_unimodular(rng) for _ in range(4)])
-            inc, comp = stab._condition_values(law, f, t, b)
+            inc, comp = condition_values(law, f, t, b)
             got = np.stack(inc + comp)
             for p in range(len(f)):
                 for d in range(len(b)):
@@ -484,7 +510,7 @@ class TestBatchedConditions:
     def test_scale_invariance(self, law_index):
         law = random_laws()[law_index]
         lam = np.linspace(0.3, 4.0, 6)
-        directions = stab.direction_set(count=50)
+        directions = stab.fibonacci_directions(50)
         ref = stab.scan_invariant_plane(law, [[0.5]], lam, lam, directions)
         for c in (1e-6, 1e-3, 1.0, 1e3, 1e6):
             got = stab.scan_invariant_plane(scaled(law, c), [[0.5]], lam, lam, directions)
@@ -512,7 +538,7 @@ class TestBatchedConditions:
 
     def test_scan_over_several_blocks_matches_per_point_calls(self, monkeypatch):
         law = random_laws()[3]
-        directions = stab.direction_set(count=64)
+        directions = stab.fibonacci_directions(64)
         lam = np.linspace(0.4, 3.5, 9)  # 81 points, 64 per block
         points, pairs = [], []
         point_geometry, normals = stab._point_geometry, stab._normals
@@ -549,7 +575,7 @@ class TestBatchedConditions:
     def test_scan_reads_no_unwritten_workspace_entry(self, monkeypatch, tmp_path,
                                                      law_index):
         law = random_laws()[law_index]
-        directions = stab.direction_set(count=64)
+        directions = stab.fibonacci_directions(64)
         lam = np.linspace(0.4, 3.5, 9)  # 81 points: blocks of 64 and 17
         grid = [[0.3], [0.8]]
         ref = stab.scan_invariant_plane(law, grid, lam, lam, directions)
@@ -571,6 +597,30 @@ class TestBatchedConditions:
             stab.write_report_json(report, tmp_path / f"{name}.json")
             docs.append(json.loads((tmp_path / f"{name}.json").read_text()))
         assert docs[0] == docs[1]
+
+    def test_checks_take_the_scan_blocks(self, rng, monkeypatch, directions):
+        # many points at once stay within one block's workspace, and give
+        # the minima of every point-direction pair
+        f = unimodular_block(rng, count=300)
+        workspace, sizes = stab._workspace, []
+
+        def recording(count, dirs):
+            sizes.append(count * dirs)
+            return workspace(count, dirs)
+
+        for law in random_laws():
+            t = rng.uniform(0.0, 1.0, 1)
+            inc, comp = condition_values(law, f, t, directions)
+            monkeypatch.setattr(stab, "_workspace", recording)
+            sizes.clear()
+            low = min(values.min() for values in inc)
+            assert stab.ellipticity_incompressible(law, f, t, directions) == (
+                low >= -stab.ELLIPTICITY_TOLERANCE, low)
+            low = min(values.min() for values in comp)
+            assert stab.ellipticity_compressible(law, f, t, directions) == (
+                low >= -stab.ELLIPTICITY_TOLERANCE, low)
+            assert len(sizes) == 2 and max(sizes) <= stab._BLOCK_PAIRS
+            monkeypatch.undo()
 
 
 def tensor_cross_decomposition(law, f, par):
@@ -722,7 +772,7 @@ class TestScan:
     def test_empty_direction_set_raises(self):
         with pytest.raises(EmptyGridError):
             stab.scan_invariant_plane(
-                cons.neo_hookean(1.0), [[0.0]], [1.0], [1.0], stab.direction_set(count=0)
+                cons.neo_hookean(1.0), [[0.0]], [1.0], [1.0], np.empty((0, 3))
             )
 
     def test_invariant_coordinates_recorded(self, directions):
