@@ -346,19 +346,20 @@ class _Epoch:
     residual and of its square: numpy runs an operation between arrays of
     one shape without an iteration buffer.  ``losses`` drops the sample
     axis, and the cotangent ``cot`` of the stress coefficients adds a
-    trailing axis of 2.  The VJP writes the gradient into ``grads``, arrays
-    aligned with ``networks.parameter_arrays(model)``.
+    trailing axis of 2.  These seven arrays are the views of one
+    ``networks._arena``, each starting at a 64-byte boundary.  The VJP
+    writes the gradient into ``grads``, arrays aligned with
+    ``networks.parameter_arrays(model)``.
     """
 
     def __init__(self, model, lam, stress, t, grads):
         zinv, stretch = _uniaxial_terms(lam)
         self.work, self.grads = networks._Workspace(model, zinv, t), grads
         lead, self.samples = model.layers[-1].weights.shape[:-2], lam.size
-        self.lam, self.stretch, self.stress, self.residual, self.square = np.empty(
-            (5, *lead, lam.size))
+        (self.lam, self.stretch, self.stress, self.residual, self.square, self.losses,
+         self.cot) = networks._arena([(5, (*lead, lam.size)), (1, lead),
+                                      (1, (*lead, lam.size, 2))])
         self.lam[...], self.stretch[...], self.stress[...] = lam, stretch, stress
-        self.losses = np.empty(lead)
-        self.cot = np.empty((*lead, lam.size, 2))
 
 
 def _losses(epoch: _Epoch, g):
@@ -412,7 +413,10 @@ def loss_and_gradient(model, lam, stress, t):
 @dataclass
 class AdamState:
     """Step count and moment estimates, shaped like the flat parameters,
-    and two arrays of that shape that hold the update's intermediates."""
+    and two arrays of that shape that hold the update's intermediates, the
+    views of one ``networks._arena``.  :func:`init_adam` and the training
+    run take the moments from an arena as well, so every array the update
+    reads or writes starts at a 64-byte boundary."""
 
     step: int
     m: np.ndarray
@@ -420,12 +424,13 @@ class AdamState:
     scratch: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.scratch = tuple(np.empty((2, *np.shape(self.m))))
+        self.scratch = tuple(networks._arena([(2, np.shape(self.m))]))
 
 
 def init_adam(model) -> AdamState:
-    size = networks.parameter_count(model)
-    return AdamState(0, np.zeros(size), np.zeros(size))
+    m, v = networks._arena([(2, (networks.parameter_count(model),))])
+    m[...], v[...] = 0.0, 0.0
+    return AdamState(0, m, v)
 
 
 def _flat(arrays):
@@ -489,13 +494,18 @@ def _train(models, lam, stress, t, config: TrainConfig):
     up viewing its row of the parameter buffer.  Returns the number of
     completed epochs per restart and the loss per restart after the last
     update, from one more trace."""
-    params = np.stack([_flat(networks.parameter_arrays(m)) for m in models])
+    # (R, P) views: the parameters, in an arena of their own, since the
+    # trained models go on viewing them; the projection floor, the gradient
+    # that the ADAM update reads and the ADAM moments share another
+    rows = (len(models), networks.parameter_count(models[0]))
+    (params,) = networks._arena([(1, rows)])
+    floor, grad, m, v = networks._arena([(4, rows)])
+    params[...] = [_flat(networks.parameter_arrays(model)) for model in models]
+    floor[...] = _floor(models[0])
+    m[...], v[...] = 0.0, 0.0
     stack = networks.with_buffer(models[0], params)
-    floor = np.broadcast_to(_floor(models[0]), params.shape).copy()
-    state = AdamState(0, np.zeros_like(params), np.zeros_like(params))
-    # the epoch's arrays, the gradient as views of one (R, P) buffer that the
-    # ADAM update reads
-    grad = np.empty_like(params)
+    state = AdamState(0, m, v)
+    # the epoch's arrays, the gradient as views of grad
     epoch = _Epoch(stack, lam, stress, t,
                    networks.parameter_arrays(networks.with_buffer(models[0], grad)))
     active, frozen = np.ones(len(models), dtype=bool), None

@@ -442,14 +442,23 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Make the values in the ``--config`` file the defaults of the command."""
+    """Make the values in the ``--config`` file the defaults of the command.
+
+    A value for an option with a ``type`` becomes a string default, which
+    ``argparse`` converts with that type as it converts a flag's value:
+    ``directions: 7.5`` fails as ``--directions 7.5`` does, where a number
+    default would be taken as it is.  A null value stays None, the default
+    of no value, and a value for an option without a type stays as it is,
+    so that a JSON list can give ``params``, ``t_values`` or ``archs``.
+    """
     config = json.loads(_require(args.config).read_text())
     merged = {k: v for k, v in config.items() if not isinstance(v, dict)}
     merged.update(config.get(args.command, {}))
     for action in parser._subparsers._group_actions:
         sub = action.choices[args.command]
-        known = {a.dest for a in sub._actions}
-        sub.set_defaults(**{k: v for k, v in merged.items() if k in known})
+        types = {a.dest: a.type for a in sub._actions}
+        sub.set_defaults(**{k: v if v is None or types[k] is None else str(v)
+                            for k, v in merged.items() if k in types})
 
 
 def main(argv=None) -> int:

@@ -34,7 +34,6 @@ derivatives vanish, because ``eps_IJK B_I B_K = 0``.
 """
 
 import json
-import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -50,6 +49,7 @@ from .constitutive import (
 )
 from .errors import EmptyGridError, MonopannError, ShapeMismatchError
 from .kinematics import _invariant_terms, _isochoric, principal_stretch_gradient
+from .networks import _arena
 
 __all__ = [
     "ELLIPTICITY_TOLERANCE",
@@ -182,66 +182,46 @@ def _dyads(directions: np.ndarray) -> np.ndarray:
     return (b_t[:, None] * b_t[None, :]).reshape(9, len(directions))
 
 
-def _normal_shapes(count: int, dirs: int):
-    """Shapes of the normals of a block of ``count`` points and ``dirs``
-    directions, then of their intermediates ``n = F^-T B`` and ``|n|``."""
-    return (6, count, dirs), (3, count, dirs), (count, dirs)
+def _block_runs(count: int, dirs: int):
+    """The ``networks._arena`` runs of the scratch arrays of a block of
+    ``count`` points and ``dirs`` directions: the normals, Q and cof Q,
+    each (6, P, D), then one row's coefficients of ``B_I B_J``, point-major
+    (P, 1, 54) and component-major (6, P, 9), then seven (P, D) planes."""
+    return [(3, (6, count, dirs)), (1, (count, 1, 54)), (1, (6, count, 9)),
+            (7, (count, dirs))]
 
 
-def _condition_shapes(count: int, dirs: int):
-    """Shapes of the intermediates of _conditions: one row's coefficients of
-    ``B_I B_J``, point-major and component-major, Q, cof Q, then seven
-    (P, D) planes."""
-    planes = ((count, dirs),) * 7
-    return ((count, 1, 54), (6, count, 9), (6, count, dirs), (6, count, dirs)) + planes
+def _workspace(count: int, dirs: int) -> list[np.ndarray]:
+    """Scratch arrays for a block of ``count`` points and ``dirs``
+    directions: the views of one ``networks._arena`` of
+    :func:`_block_runs`.  A shorter block takes the views of its own runs
+    from the same buffer.
 
-
-def _size(shapes) -> int:
-    return sum(math.prod(shape) for shape in shapes)
-
-
-def _workspace(count: int, dirs: int) -> np.ndarray:
-    """Scratch memory for blocks of up to ``count`` points and ``dirs``
-    directions: one flat buffer that _normals and _conditions split into
-    views with _carve.
-
-    The normals come first and are kept for every parameter row; behind
-    them, the normals' intermediates and then those of the conditions share
-    the rest.  Every intermediate of size (P, D) or larger is written into a
-    view with ``out=``, so that a scan allocates almost nothing per block:
-    large temporaries freed and taken again per block made the C heap return
-    memory to the system and fault it back in.  Nothing is read from the
-    buffer before it is written in the same block.
+    The normals are kept for every parameter row of the block.  Their
+    intermediates ``n = F^-T B`` (3, P, D) and ``|n|`` (P, D) take the
+    first half of Q and the last plane, which the conditions then
+    overwrite.  Every intermediate of size (P, D) or larger is written into
+    a view with ``out=``, so that a scan allocates almost nothing per block:
+    large temporaries freed and taken again per block made the C heap
+    return memory to the system and fault it back in.  Nothing is read from
+    a view before it is written in the same block.
     """
-    normals, *scratch = _normal_shapes(count, dirs)
-    rest = max(_size(scratch), _size(_condition_shapes(count, dirs)))
-    return np.empty(math.prod(normals) + rest)
+    return _arena(_block_runs(count, dirs))
 
 
-def _carve(work: np.ndarray, shapes):
-    """Consecutive views of the flat buffer ``work`` with the given shapes,
-    and the rest of the buffer."""
-    views = []
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(work[:size].reshape(shape))
-        work = work[size:]
-    return views, work
-
-
-def _normals(finv_t: np.ndarray, directions: np.ndarray, work: np.ndarray):
+def _normals(finv_t: np.ndarray, directions: np.ndarray, work):
     """The direction-dependent part of the acoustic geometry of a block.
 
     ``finv_t`` is the block's ``F^-T`` (P, 3, 3), ``directions`` (D, 3) and
-    ``work`` a :func:`_workspace` for at least P points and D directions.
-    Returns the components (6, P, D) of ``m o m`` for the unit normals
+    ``work`` the :func:`_workspace` of P points and D directions.  Returns
+    the components (6, P, D) of ``m o m`` for the unit normals
     ``m = n / |n|``, ``n = F^-T B``, with the off-diagonal ones doubled, so
     that ``m.Sm`` is the dot product with the components of a symmetric S.
     They are the first view of ``work``; they and every intermediate are
     written into it with ``out=``, ``n`` component-major (3, P, D).
     """
     count, dirs = len(finv_t), len(directions)
-    (normals, n, norm), _ = _carve(work, _normal_shapes(count, dirs))
+    normals, n, norm = work[0], work[1][:3], work[-1]
     rows = np.ascontiguousarray(finv_t.transpose(1, 0, 2)).reshape(3 * count, 3)
     np.matmul(rows, directions.T, out=n.reshape(3 * count, dirs))
     np.sqrt(np.einsum("ipd,ipd->pd", n, n, out=norm), out=norm)
@@ -297,7 +277,7 @@ def _conditions(coefficients, dyads, normals, weights: np.ndarray, work: np.ndar
 
     ``coefficients`` (P, 5, 54) are the block's rows of
     :func:`_point_geometry`, ``dyads`` (9, D) are :func:`_dyads`,
-    ``normals`` (6, P, D) are :func:`_normals`, built at the start of
+    ``normals`` (6, P, D) are :func:`_normals`, the first view of
     ``work``, and ``weights`` (P, 5) are the row's
     ``constitutive._tangent_weights``.  The values are views of ``work``
     behind the normals, and the next call overwrites them; every
@@ -317,10 +297,7 @@ def _conditions(coefficients, dyads, normals, weights: np.ndarray, work: np.ndar
     divided by ``|n|^2``.
     """
     count, dirs = len(weights), dyads.shape[1]
-    rest = work[normals.size:]
-    (row, tensor, q, cof, c1, c2, d1, d2, d3, tr_q, tmp), _ = _carve(
-        rest, _condition_shapes(count, dirs)
-    )
+    _, q, cof, row, tensor, c1, c2, d1, d2, d3, tr_q, tmp = work
     np.matmul(weights[:, None, :], coefficients, out=row)
     np.copyto(tensor, row.reshape(count, 6, 9).transpose(1, 0, 2))
     np.matmul(tensor.reshape(6 * count, 9), dyads, out=q.reshape(6 * count, dirs))
@@ -529,10 +506,11 @@ class StabilityReport:
 
 # Upper bound on the point-direction pairs evaluated together; it caps the
 # scratch memory of a scan or an ellipticity check independently of its
-# point count: one workspace of 25 floats per pair and 108 per point, 0.8 MB
-# at 200 directions, made once per call of _minima.  The point geometry is
-# built once per call for all the points and adds 2.2 kB of coefficients
-# per point.
+# point count: one workspace of 25 floats per pair and 108 per point, each of
+# its 12 views padded to a multiple of 8 floats and the whole to a 64-byte
+# start (at most 92 floats more), 817.3 kB at 200 directions, made once per
+# call of _minima.  The point geometry is built once per call for all the
+# points and adds 2.2 kB of coefficients per point.
 _BLOCK_PAIRS = 4096
 # errors that fail a scan point instead of the scan
 _POINT_ERRORS = (MonopannError, np.linalg.LinAlgError)
@@ -631,6 +609,10 @@ def _minima(coefficients, finv_t, vectors, weights) -> np.ndarray:
     work = _workspace(min(block, len(finv_t)), len(vectors))
     for start in range(0, len(finv_t), block):
         part = slice(start, start + block)
+        count = len(finv_t[part])
+        if count < len(work[-1]):
+            # a shorter last block: its views of the same buffer
+            work = _arena(_block_runs(count, len(vectors)), work[0].base)
         _scan_block(coefficients[part], finv_t[part], vectors, dyads,
                     weights[:, part], minima[:, part], work)
     return minima

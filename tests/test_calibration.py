@@ -601,6 +601,77 @@ class TestEpochAllocation:
                 grad, np.concatenate([g.reshape(2, -1) for g in grads], axis=-1))
 
 
+def aligned(view) -> bool:
+    """Whether ``view`` is C-contiguous and starts at a 64-byte boundary."""
+    return view.flags.c_contiguous and view.ctypes.data % 64 == 0
+
+
+def workspace_views(model, work):
+    """The arena views of a ``networks._Workspace`` of ``model``: its slots,
+    the entry layer's input, its product and the adjoint of that input."""
+    entry = nets._entry(model)
+    held = [out for k, out in enumerate(work.outputs) if k + 1 != entry]
+    views = [*work.scratch, *work.slopes, *work.curvatures, *work.a_hats, *held,
+             *work.products, work.inputs[entry], work.entry_bar]
+    return [view for view in views if view is not None]
+
+
+class TestArena:
+    """Every buffer a training run writes is a view of an arena that starts
+    on a 64-byte boundary; at another start phase an AVX-512 load of such a
+    buffer splits across two cache lines."""
+
+    @pytest.mark.parametrize("arch", list(nets.Architecture))
+    @pytest.mark.parametrize("nodes,restarts,samples", [(8, 5, 60), (32, 2, 200)])
+    def test_every_training_buffer_is_aligned(self, arch, nodes, restarts, samples,
+                                              monkeypatch):
+        ds = cal.generate_synthetic(oracle_law(), np.linspace(1.0, 2.0, samples // 5),
+                                    [0.1, 0.3, 0.5, 0.7, 0.9])
+        seen, loss, update = {}, cal._loss_and_gradient, cal._adam_update
+
+        def traced_loss(model, epoch):
+            seen["model"], seen["epoch"] = model, epoch
+            return loss(model, epoch)
+
+        def traced_update(params, grad, floor, state, *rest):
+            seen["update"] = params, grad, floor, state
+            update(params, grad, floor, state, *rest)
+
+        monkeypatch.setattr(cal, "_loss_and_gradient", traced_loss)
+        monkeypatch.setattr(cal, "_adam_update", traced_update)
+        cal.calibrate(ds, cal.TrainConfig(epochs=2, restarts=restarts, seed=3), arch, nodes)
+        epoch, (params, grad, floor, state) = seen["epoch"], seen["update"]
+        work = workspace_views(seen["model"], epoch.work)
+        rows = [epoch.lam, epoch.stretch, epoch.stress, epoch.residual, epoch.square,
+                epoch.losses, epoch.cot]
+        optimizer = [params, grad, floor, state.m, state.v, *state.scratch]
+        assert len(work) >= 8 and {view.shape[0] for view in rows[:-2]} == {restarts}
+        assert {view.shape for view in optimizer} == {
+            (restarts, nets.expected_parameter_count(arch, nodes, 1))}
+        assert all(aligned(view) for view in work + rows + optimizer)
+        # the trained models view the parameters, whose arena holds nothing
+        # else (at most 7 entries of padding and 8 of slack): the rest of the
+        # run's buffers are freed with it
+        assert params.base.size < params.size + 16
+        assert all(view.base is not params.base for view in optimizer[1:])
+
+    @pytest.mark.parametrize("arch", list(nets.Architecture))
+    def test_public_evaluations_are_aligned(self, arch, rng):
+        # an unstacked model: the losses are 0-d, the parameter count may
+        # not be a multiple of 8 doubles
+        model = nets.build_model(arch, 3, 1, rng)
+        lam = np.linspace(1.0, 2.0, 7)
+        grads = [np.empty(a.shape) for a in nets.parameter_arrays(model)]
+        epoch = cal._Epoch(model, lam, np.ones(7), np.full((7, 1), 0.5), grads)
+        assert epoch.losses.shape == () and isinstance(epoch.losses, np.ndarray)
+        state = cal.init_adam(model)
+        views = [epoch.lam, epoch.stretch, epoch.stress, epoch.residual, epoch.square,
+                 epoch.losses, epoch.cot, state.m, state.v, *state.scratch,
+                 *workspace_views(model, epoch.work)]
+        assert all(aligned(view) for view in views)
+        assert not state.m.any() and not state.v.any()
+
+
 class TestEvaluate:
     def test_perfect_model_zero_residuals(self):
         law = oracle_law()

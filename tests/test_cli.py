@@ -402,6 +402,46 @@ class TestConfigAndDeterminism:
         (path,) = out.glob("*_report.json")
         assert json.loads(path.read_text())["direction_count"] == 7
 
+    @pytest.mark.parametrize("argv, option, value", [
+        (("scan", "--law", "neo-hookean"), "directions", 7.5),
+        (("calibrate", "--data", "data.csv"), "epochs", 10.5),
+        (("calibrate", "--data", "data.csv"), "restarts", 2.5),
+        (("calibrate", "--data", "data.csv"), "nodes", 4.5),
+        (("report", "--model", "model.json", "--data", "data.csv"), "points", 50.5),
+    ])
+    def test_config_value_fails_as_the_flag_does(self, argv, option, value, tmp_path,
+                                                 capsys):
+        # a non-integral number for an integer option: the parser rejects it
+        # with exit code 2, from the config file as from the flag
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({argv[0]: {option: value}}))
+        out = ["--out", tmp_path / "out"]
+        flag = outcome([*argv, f"--{option}", str(value), *out], capsys)
+        assert flag[0] == 2 and f"invalid int value: '{value}'" in flag[2]
+        assert outcome([*argv, "--config", config, *out], capsys) == flag
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, lists", [
+        (("gendata", "--grid", "1.0,2.0,5"), {"params": [0.1, 0.5, 0.9]}),
+        (("scan", "--law", "neo-hookean", "--lambda1", "0.8,1.6,2",
+          "--lambda2", "0.8,1.6,2", "--directions", 16), {"t_values": [0, 0.5, 1]}),
+        (("hyperparam", "--epochs", 20, "--restarts", 1),
+         {"archs": ["monotonic"], "nodes": [2, 4]}),
+    ])
+    def test_config_list_matches_the_comma_flag(self, argv, lists, tmp_path, small_dataset):
+        # an option without a type takes a JSON list from the config file as
+        # it takes the comma-separated flag
+        if argv[0] == "hyperparam":
+            argv += ("--data", data_arg(small_dataset))
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({argv[0]: lists}))
+        flags = [a for k, v in lists.items()
+                 for a in (f"--{k.replace('_', '-')}", ",".join(map(str, v)))]
+        assert run(*argv, *flags, "--out", tmp_path / "flag") == 0
+        assert run(*argv, "--config", config, "--out", tmp_path / "config") == 0
+        digest = tree_digest(tmp_path / "flag")
+        assert digest and tree_digest(tmp_path / "config") == digest
+
     def test_config_without_path_is_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run("scan", "--law", "neo-hookean", "--out", tmp_path, "--config")

@@ -479,6 +479,37 @@ class TestWorkspace:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+class TestArena:
+    RUNS = [(2, (3,)), (1, ()), (2, (2, 7, 3)), (1, (5,)), (1, ()), (1, ()), (1, (4, 2))]
+
+    def check(self, runs, views):
+        shapes = [shape for count, shape in runs for _ in range(count)]
+        assert [view.shape for view in views] == shapes
+        for k, view in enumerate(views):
+            assert isinstance(view, np.ndarray) and view.dtype == np.float64
+            assert view.flags.c_contiguous and view.ctypes.data % 64 == 0
+            view[...] = k
+        # every view keeps what was written into it
+        for k, view in enumerate(views):
+            assert (view == k).all()
+
+    def test_views_are_aligned_contiguous_and_disjoint(self):
+        views = nets._arena(self.RUNS)
+        self.check(self.RUNS, views)
+        # one buffer, with at most 7 entries of padding per view, plus 8
+        base = views[0].base
+        assert all(view.base is base for view in views)
+        assert base.size <= sum(view.size + 7 for view in views) + 8
+
+    def test_smaller_runs_share_the_buffer(self):
+        base = nets._arena(self.RUNS)[0].base
+        smaller = [(2, (1,)), (1, ()), (2, (2, 5, 3)), (1, (5,)), (1, ()), (1, ()),
+                   (1, (1, 2))]
+        views = nets._arena(smaller, base)
+        self.check(smaller, views)
+        assert all(view.base is base for view in views)
+
+
 class TestCountsAndSparsity:
     def test_two_hidden_layer_count(self, rng):
         # n = 8, m = 1: n^2 + n(m + 5) = 112

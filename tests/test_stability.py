@@ -585,7 +585,8 @@ class TestBatchedConditions:
         def nan_filled(count, dirs):
             sizes.append((count, dirs))
             work = workspace(count, dirs)
-            work.fill(np.nan)
+            # the buffer behind the views, padding included
+            work[0].base.fill(np.nan)
             return work
 
         monkeypatch.setattr(stab, "_workspace", nan_filled)
@@ -621,6 +622,30 @@ class TestBatchedConditions:
                 low >= -stab.ELLIPTICITY_TOLERANCE, low)
             assert len(sizes) == 2 and max(sizes) <= stab._BLOCK_PAIRS
             monkeypatch.undo()
+
+
+class TestScanArena:
+    def test_block_workspaces_are_aligned(self, rng, monkeypatch):
+        # 7 directions: blocks of 585 points, 4095 pairs, then 15; neither
+        # product is a multiple of 8
+        directions = stab.fibonacci_directions(7)
+        f = unimodular_block(rng, count=600)
+        scan_block, built = stab._scan_block, []
+
+        def recording(coefficients, finv_t, vectors, dyads, weights, minima, work):
+            built.append((len(finv_t), work))
+            scan_block(coefficients, finv_t, vectors, dyads, weights, minima, work)
+
+        ref = stab.ellipticity_incompressible(MR, f, T0, directions)
+        monkeypatch.setattr(stab, "_scan_block", recording)
+        assert stab.ellipticity_incompressible(MR, f, T0, directions) == ref
+        assert [count for count, _ in built] == [585, 15]
+        # the shorter last block takes its views from the same buffer
+        base = built[0][1][0].base
+        for count, work in built:
+            assert len(work) == 12 and work[0].shape == (6, count, 7)
+            assert all(view.flags.c_contiguous and view.ctypes.data % 64 == 0
+                       and view.base is base for view in work)
 
 
 def tensor_cross_decomposition(law, f, par):
