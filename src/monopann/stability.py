@@ -34,6 +34,7 @@ derivatives vanish, because ``eps_IJK B_I B_K = 0``.
 """
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -58,7 +59,6 @@ __all__ = [
     "ellipticity_incompressible",
     "ellipticity_compressible",
     "hessian_decomposition",
-    "tangent_plane_basis",
     "baker_ericksen_check",
     "StabilityReport",
     "scan_invariant_plane",
@@ -73,7 +73,18 @@ _TINY = np.finfo(float).tiny
 
 def fibonacci_directions(count: int = 200) -> np.ndarray:
     """``count`` deterministic, near-uniform unit vectors (count, 3) from the
-    Fibonacci lattice; ``EmptyGridError`` for a count below 1."""
+    Fibonacci lattice.
+
+    Raises ``ShapeMismatchError`` for a count that is not an integer (a
+    Python or numpy integer; a float, even NaN or infinite, is not) and
+    ``EmptyGridError`` for a count below 1.
+    """
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise ShapeMismatchError(
+            f"direction count must be an integer, got {count!r}"
+        ) from None
     if count < 1:
         raise EmptyGridError(f"direction count must be at least 1, got {count}")
     i = np.arange(count)
@@ -112,17 +123,18 @@ _ROW = np.array([0, 1, 2, 0, 0, 1])
 _COL = np.array([0, 1, 2, 1, 2, 2])
 _FULL = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 _SYMMETRIC = list(zip(_ROW.tolist(), _COL.tolist()))
-# delta_ij at each symmetric component, and delta_ij delta_IJ laid out as
-# in _outer
-_DIAGONAL = np.eye(3)[_ROW, _COL]
-_DELTA = _DIAGONAL[:, None, None] * np.eye(3)
-
-
-def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficients (P, 6, 3, 3) of ``B_I B_J`` in the symmetric components
-    (i, j) of ``(xB) o (yB)``, for (P, 3, 3) tensors x and y: the entries
-    ``x[i, I] y[j, J]``."""
-    return x[:, _ROW, :, None] * y[:, _COL, None, :]
+# A term's coefficients of B_I B_J in the symmetric components (i, j) are
+# laid out flat, entry 9 s + 3 I + J for the component s = (i, j).  At each
+# entry: the index of x[i, I], y[j, J], C[I, J] and (F F^T)[i, j] in a tensor
+# flattened to 9, and delta_IJ, delta_ij and delta_ij delta_IJ
+_S, _I, _J = np.indices((6, 3, 3)).reshape(3, 54)
+_LEFT = 3 * _ROW[_S] + _I
+_RIGHT = 3 * _COL[_S] + _J
+_PAIR = 3 * _I + _J
+_COMPONENT = 3 * _ROW[_S] + _COL[_S]
+_EYE = np.eye(3).ravel()[_PAIR]
+_DIAGONAL = np.eye(3).ravel()[_COMPONENT]
+_DELTA = _DIAGONAL * _EYE
 
 
 def _point_geometry(f: np.ndarray, *terms):
@@ -137,43 +149,71 @@ def _point_geometry(f: np.ndarray, *terms):
     are the terms' acoustic tensors; ``finv_t`` is ``F^-T`` (P, 3, 3).
 
     Contracted with ``B o B``, an outer product ``X o Y`` gives
-    ``(XB) o (YB)`` (:func:`_outer`), and every ``kinematics.cross_operator``
-    part of the second invariant derivatives gives 0.  With the cofactor
-    ``h``, ``C = F^T F`` and ``g2``, the raw gradient of ``|h|^2`` (see
+    ``(XB) o (YB)``, and every ``kinematics.cross_operator`` part of the
+    second invariant derivatives gives 0.  With the cofactor ``h``,
+    ``C = F^T F`` and ``g2``, the raw gradient of ``|h|^2`` (see
     ``kinematics._invariant_terms``), each term is a weighted sum of outer
     products of ``d1, d2, h, F, g2``, plus two parts: ``2 J^-2/3 |B|^2 I``
     in the second derivative of I1, and in that of I2 the contraction of
     its ``x_f o x_f`` part, ``2 J^-4/3 [(FB) o (FB) - |B|^2 F F^T
     - (|FB|^2 - |B|^2 |F|^2) I]``.
 
+    Every part is built in the flat (P, 54) layout: the coefficients
+    ``x[i, I] y[j, J]`` of ``(XB) o (YB)`` are the product of two gathers,
+    ``x`` by ``_LEFT`` and ``y`` by ``_RIGHT``, of the tensors flattened to
+    (P, 9), so that each product is one contiguous multiply.  Each term is
+    written into its slot of the result.
+
     Raises ``NotIsochoricError`` where ``|det F - 1|`` exceeds the tolerance
     and ``InvertedConfigurationError`` where det F is not finite.
     """
     _check_isochoric(terms[0])
     det, h, i1, i2, g2, d1, d2 = terms
+    count = len(f)
     c = np.swapaxes(f, -1, -2) @ f
     f_ft = f @ np.swapaxes(f, -1, -2)
     finv_t = h / det[:, None, None]
-    # J, |F|^2 and |h|^2 shaped to scale the (P, 6, 3, 3) outer products
-    det, i1, i2 = (x[:, None, None, None] for x in (det, i1, i2))
+    # each tensor's factors x[i, I] and y[j, J] of the (P, 54) outer products
+    left, right = {}, {}
+    for name, x in (("d1", d1), ("d2", d2), ("h", h), ("f", f), ("g2", g2)):
+        flat = x.reshape(count, 9)
+        left[name], right[name] = flat[:, _LEFT], flat[:, _RIGHT]
+
+    def outer(x, y, out=None):
+        return np.multiply(left[x], right[y], out=out)
+
+    # J, |F|^2 and |h|^2 shaped to scale the (P, 54) outer products
+    det, i1, i2 = (x[:, None] for x in (det, i1, i2))
     # J^p and p J^(p-1) for the exponents p = -2/3 (I1) and -4/3 (I2)
     j1, j2 = det ** (-2.0 / 3.0), det ** (-4.0 / 3.0)
     dj1, dj2 = -2.0 / 3.0 * j1 / det, -4.0 / 3.0 * j2 / det
-    hh = _outer(h, h)
+    hh = outer("h", "h")
+    coefficients = np.empty((count, 5, 54))
+    first, mixed, second, iso1, iso2 = coefficients.transpose(1, 0, 2)
+    outer("d1", "d1", first)
+    np.add(outer("d1", "d2"), outer("d2", "d1"), out=mixed)
+    outer("d2", "d2", second)
     # per invariant: p (p - 1) J^(p-2) |.|^2 for h o h, p J^(p-1) times the
     # raw gradient's factor (2F, g2) for the mixed pairs with h, and J^p
     # times the contraction of the raw second derivative
-    terms = np.stack([
-        _outer(d1, d1),
-        _outer(d1, d2) + _outer(d2, d1),
-        _outer(d2, d2),
-        -5.0 / 3.0 * dj1 / det * i1 * hh + 2.0 * dj1 * (_outer(h, f) + _outer(f, h))
-        + 2.0 * j1 * _DELTA,
-        -7.0 / 3.0 * dj2 / det * i2 * hh + dj2 * (_outer(h, g2) + _outer(g2, h))
-        + 2.0 * j2 * (_outer(f, f) - f_ft[:, _ROW, _COL, None, None] * np.eye(3)
-                      - _DIAGONAL[:, None, None] * c[:, None] + i1 * _DELTA),
-    ], axis=1)
-    return terms.reshape(len(f), 5, 54), finv_t
+    part = np.multiply(-5.0 / 3.0 * dj1 / det * i1, hh)
+    pair = outer("h", "f")
+    pair += outer("f", "h")
+    pair *= 2.0 * dj1
+    part += pair
+    np.add(part, 2.0 * j1 * _DELTA, out=iso1)
+    part = np.multiply(-7.0 / 3.0 * dj2 / det * i2, hh)
+    pair = outer("h", "g2")
+    pair += outer("g2", "h")
+    pair *= dj2
+    part += pair
+    raw = outer("f", "f")
+    raw -= f_ft.reshape(count, 9)[:, _COMPONENT] * _EYE
+    raw -= _DIAGONAL * c.reshape(count, 9)[:, _PAIR]
+    raw += i1 * _DELTA
+    raw *= 2.0 * j2
+    np.add(part, raw, out=iso2)
+    return coefficients, finv_t
 
 
 def _dyads(directions: np.ndarray) -> np.ndarray:
@@ -423,21 +463,6 @@ def hessian_decomposition(law, f, par):
     return constitutive_term, geometric_term
 
 
-def tangent_plane_basis(f: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Orthonormal pair spanning the admissible first vectors for direction b.
-
-    Rank-one increments ``a o b`` stay in the unit-determinant tangent space
-    exactly when ``a`` is orthogonal to ``F^-T b``.
-    """
-    n = np.linalg.inv(f).T @ np.asarray(b, dtype=float)
-    n = n / np.linalg.norm(n)
-    pick = np.eye(3)[np.argmin(np.abs(n))]
-    e1 = pick - (pick @ n) * n
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
-    return np.stack([e1, e2])
-
-
 def _baker_ericksen(coef: np.ndarray, stretches: np.ndarray) -> np.ndarray:
     values = coef[..., :1] + stretches**2 * coef[..., 1:]
     return np.all(values >= -BAKER_ERICKSEN_TOLERANCE, axis=-1)
@@ -684,13 +709,17 @@ def scan_invariant_plane(
     coef[:, live], minima[:, live], errors[:, live] = _scan_minima(
         law, param_grid, f[live], i1[live], i2[live], terms, vectors
     )
-    stretches[live] = np.linalg.svd(f[live], compute_uv=False)
+    # F is diagonal with positive entries, so its diagonal holds the principal
+    # stretches; _baker_ericksen does not depend on their order
+    stretches[live] = np.diagonal(f, axis1=-2, axis2=-1)[live]
 
     finite = np.isfinite(minima).all(axis=-1)
     errors[np.equal(errors, None) & ~finite] = "non-finite condition values"
     ok = np.equal(errors, None)
-    # the points as (R, P) fields; a failed point gets False verdicts and NaN minima
-    points = np.recarray(errors.shape, _point_dtype(param_grid.shape[1]))
+    # the points as (R, P) fields; a failed point gets False verdicts and NaN
+    # minima.  Every field is written, so the zero fill is never read; it is
+    # far cheaper than np.recarray's, which fills the object field slot by slot
+    points = np.zeros(errors.shape, _point_dtype(param_grid.shape[1]))
     columns = {
         "lambda1": lam1, "lambda2": lam2, "f": f, "i1": i1, "i2": i2,
         "t": param_grid[:, None],
@@ -706,6 +735,7 @@ def scan_invariant_plane(
         points[name] = column
     region = {"lambda1": _span(lambda1_values), "lambda2": _span(lambda2_values),
               "i1": _span(i1[live]), "i2": _span(i2[live])}
+    points = points.view(np.recarray)
     return StabilityReport(
         points.ravel(), _per_parameter(points), region, len(vectors), law.label
     )

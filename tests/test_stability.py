@@ -18,6 +18,7 @@ from monopann.errors import (
 )
 
 from levi_civita import tensor_cross_ref
+from scan_oracle import outer_point_geometry, tangent_plane_basis
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +137,17 @@ class TestFibonacciDirections:
         with pytest.raises(EmptyGridError, match="at least 1"):
             stab.fibonacci_directions(count)
 
+    @pytest.mark.parametrize("count", [7.5, np.nan, np.inf, 8.0])
+    def test_count_not_an_integer_rejected(self, count):
+        # a float count once built a lattice spaced for it, rounded up
+        with pytest.raises(ShapeMismatchError, match=f"integer, got {count!r}"):
+            stab.fibonacci_directions(count)
+
+    def test_numpy_integer_count(self):
+        np.testing.assert_array_equal(
+            stab.fibonacci_directions(np.int32(64)), stab.fibonacci_directions(64)
+        )
+
     @pytest.mark.parametrize("bad", [
         [0.0, 0.0, 1.0],
         np.ones((4, 2)),
@@ -175,7 +187,7 @@ class TestAcousticTensor:
         for _ in range(20):
             b = rng.standard_normal(3)
             q = stab.acoustic_tensor(law, np.eye(3), T0, b)
-            for a in stab.tangent_plane_basis(np.eye(3), b):
+            for a in tangent_plane_basis(np.eye(3), b):
                 assert a @ q @ a >= -1e-12
 
     def test_matches_pk1_tangent_contraction(self, rng):
@@ -352,6 +364,22 @@ class TestClosedFormGeometry:
                 scale = np.abs(ref[p, k]).max()
                 assert np.abs(terms[p, k] - ref[p, k]).max() <= 1e-13 * scale
 
+    def test_flat_layout_matches_outer_reference(self, rng):
+        lam = np.linspace(0.5, 3.0, 10)
+        lam1, lam2 = np.meshgrid(lam, lam, indexing="ij")
+        point_sets = {
+            "scan grid": kin.principal_stretch_gradient(lam1.ravel(), lam2.ravel()),
+            "random unimodular": np.stack([kin.random_unimodular(rng) for _ in range(50)]),
+            "near-tolerance determinants": unimodular_block(rng),
+        }
+        for name, f in point_sets.items():
+            terms = kin._invariant_terms(f)
+            flat = stab._point_geometry(f, *terms)
+            for new, ref in zip(flat, outer_point_geometry(f, *terms)):
+                assert np.array_equal(new, ref), name
+                # bit for bit, signed zeros included
+                assert new.tobytes() == ref.tobytes(), name
+
     def test_runtime_path_builds_no_fourth_order_tangent(self, rng, monkeypatch):
         law = random_laws()[1]
         lam = np.linspace(0.4, 3.5, 5)
@@ -487,7 +515,7 @@ class TestBatchedConditions:
                 f = kin.random_unimodular(rng, spread=0.8)
                 b = rng.standard_normal(3)
                 q = stab.acoustic_tensor(law, f, t, b)
-                basis = stab.tangent_plane_basis(f, b)
+                basis = tangent_plane_basis(f, b)
                 lowest = np.linalg.eigvalsh(basis @ q @ basis.T)[0]
                 if abs(lowest) < 1e-6 * np.linalg.norm(q):
                     continue
@@ -713,7 +741,7 @@ class TestHessianDecomposition:
             con, geo = stab.hessian_decomposition(law, f, t)
             tangent = cons.pk1_tangent(law, f, t)
             b = rng.standard_normal(3)
-            for a in stab.tangent_plane_basis(f, b):
+            for a in tangent_plane_basis(f, b):
                 full = np.einsum("iIjJ,i,I,j,J->", tangent, a, b, a, b)
                 split = con(a, b) + geo(a, b)
                 assert split == pytest.approx(full, rel=1e-10, abs=1e-12)
@@ -741,7 +769,7 @@ class TestHessianDecomposition:
     def test_tangent_plane_basis_is_admissible(self, rng):
         f = kin.random_unimodular(rng)
         b = rng.standard_normal(3)
-        for a in stab.tangent_plane_basis(f, b):
+        for a in tangent_plane_basis(f, b):
             incr = np.outer(a, b)
             assert abs(np.sum(incr * np.linalg.inv(f).T)) < 1e-12
 
@@ -799,6 +827,30 @@ class TestScan:
             stab.scan_invariant_plane(
                 cons.neo_hookean(1.0), [[0.0]], [1.0], [1.0], np.empty((0, 3))
             )
+
+    @pytest.mark.parametrize("law", [MR, cons.MooneyRivlin([1.0], [-0.2], [0.0])])
+    def test_baker_ericksen_matches_svd_check(self, law):
+        # the scan reads the stretches off F's diagonal; the public check
+        # takes them from an SVD.  Stretches from 1e-3 to 1e3, and 1e200,
+        # whose points fail on an overflowing det F or invariants
+        lam = np.concatenate([np.geomspace(1e-3, 1e3, 13), np.linspace(0.5, 3.0, 11),
+                              [1e200]])
+        rows = [[0.0], [0.5], [1.0]]
+        report = stab.scan_invariant_plane(law, rows, lam, lam,
+                                           stab.fibonacci_directions(20))
+        points = report.points.reshape(len(rows), -1)
+        ok = np.equal(points.error, None)
+        assert ok.any(axis=-1).all() and not ok.all(axis=-1).any()
+        for row, t, evaluated in zip(points, rows, ok):
+            expected = stab.baker_ericksen_check(law, row.f[evaluated], np.array(t))
+            assert row.be_ok[evaluated].tolist() == expected.tolist()
+            assert len(set(expected.tolist())) == 2
+            assert not row.be_ok[~evaluated].any()
+        # the report's array is built without a fill of its object field:
+        # every entry is written
+        assert all(e is None or isinstance(e, str) for e in report.points.error.tolist())
+        reasons = {e.split()[0] for e in report.points.error.tolist() if e is not None}
+        assert {"det", "isochoric"} <= reasons
 
     def test_invariant_coordinates_recorded(self, directions):
         report = stab.scan_invariant_plane(
