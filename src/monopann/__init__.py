@@ -32,10 +32,6 @@ from .constitutive import (
     uniaxial_stress,
 )
 from .kinematics import (
-    DeformationMode,
-    ModeKind,
-    cofactor,
-    generate_mode,
     invariant_derivatives,
     isochoric_invariants,
     tensor_cross,

@@ -148,13 +148,21 @@ def load_dataset(csv_path) -> Dataset:
             if len(row) < 3:
                 raise ValueError(f"{csv_path} line {reader.line_num}: "
                                  f"expected 3 fields, got {len(row)}")
-            values.append([float(v) for v in row[:3]])
+            try:
+                values.append([float(v) for v in row[:3]])
+            except ValueError as exc:
+                raise ValueError(f"{csv_path} line {reader.line_num}: {exc}") from None
         rows = np.array(values)
     if rows.size == 0:
         raise EmptyDatasetError(f"no samples in {csv_path}")
     sidecar_path = csv_path.with_suffix(".json")
     if sidecar_path.exists():
         sidecar = json.loads(sidecar_path.read_text())
+        if not isinstance(sidecar, dict):
+            raise ValueError(f"{sidecar_path}: sidecar is not a JSON object")
+        missing = [key for key in ("param_min", "param_max") if key not in sidecar]
+        if missing:
+            raise ValueError(f"{sidecar_path}: sidecar has no {', '.join(missing)}")
         pmin, pmax = sidecar["param_min"], sidecar["param_max"]
         label = sidecar.get("material_label", "")
         source = sidecar.get("source", "")
@@ -478,12 +486,6 @@ def _adam_update(params, grad, floor, state: AdamState, config: TrainConfig, fro
     # a floor rather than where= over the constrained entries: numpy's masked
     # loop took about 8 us at (R, P) = (5, 112), this maximum about 1 us
     np.maximum(params, floor, out=params)
-
-
-def _stack(models):
-    """One model whose arrays view one (R, P) buffer, row r from ``models[r]``."""
-    rows = [_flat(networks.parameter_arrays(m)) for m in models]
-    return networks.with_buffer(models[0], np.stack(rows))
 
 
 def _train(models, lam, stress, t, config: TrainConfig):

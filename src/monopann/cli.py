@@ -237,8 +237,7 @@ def cmd_scan(args) -> int:
         print(f"{law.label}: elliptic fraction {report.elliptic_fraction():.4f}")
     if len(laws) > 1:
         # a row whose points all failed has no fractions (None), written nan
-        fractions = ("elliptic_fraction", "compressible_fraction", "be_fraction",
-                     "mono_fraction")
+        fractions = list(stability._FRACTIONS)
         rows = [
             [
                 label,
@@ -282,6 +281,8 @@ def cmd_hyperparam(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.points < 2:
+        raise ValueError(f"--points must be at least 2, got {args.points}")
     out = _out_dir(args)
     model = networks.load_model(_require(args.model))
     dataset = _load_data(args)
@@ -450,8 +451,15 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     default would be taken as it is.  A null value stays None, the default
     of no value, and a value for an option without a type stays as it is,
     so that a JSON list can give ``params``, ``t_values`` or ``archs``.
+    A config, or a command's entry in it, that is not a JSON object raises
+    ``ValueError`` naming the file.
     """
     config = json.loads(_require(args.config).read_text())
+    if not isinstance(config, dict):
+        raise ValueError(f"{args.config}: config is not a JSON object")
+    for name in _COMMANDS:
+        if not isinstance(config.get(name, {}), dict):
+            raise ValueError(f"{args.config}: config entry '{name}' is not a JSON object")
     merged = {k: v for k, v in config.items() if not isinstance(v, dict)}
     merged.update(config.get(args.command, {}))
     for action in parser._subparsers._group_actions:

@@ -5,10 +5,6 @@ class MonopannError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class SingularTensorError(MonopannError):
-    """A 3x3 tensor that must be invertible has zero determinant."""
-
-
 class InvertedConfigurationError(MonopannError):
     """Deformation gradient with non-positive determinant."""
 

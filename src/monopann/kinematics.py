@@ -1,35 +1,19 @@
 """3x3 tensor algebra for isochoric finite-strain kinematics.
 
 All routines operate on numpy arrays of shape (..., 3, 3) and broadcast
-over leading dimensions.  Deformation gradients are dimensionless; the
-generated deformation modes all live on the unit-determinant manifold.
+over leading dimensions.  Deformation gradients are dimensionless.
 """
-
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    InvalidStretchError,
-    InvertedConfigurationError,
-    SingularTensorError,
-)
+from .errors import InvalidStretchError, InvertedConfigurationError
 
 __all__ = [
-    "ModeKind",
-    "DeformationMode",
     "tensor_cross",
     "cross_operator",
-    "cofactor",
     "isochoric_invariants",
-    "invariant_first_derivatives",
     "invariant_derivatives",
-    "generate_mode",
-    "uniaxial_gradient",
     "principal_stretch_gradient",
-    "random_rotation",
-    "random_unimodular",
 ]
 
 
@@ -45,8 +29,8 @@ def tensor_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
         a x b = [(tr a tr b - tr ab) I - tr b a - tr a b + ab + ba]^T
 
-    Symmetric in its arguments.  For any invertible f, the identity
-    ``cofactor(f) == 0.5 * tensor_cross(f, f)`` holds.
+    Symmetric in its arguments.  For any invertible f, the cofactor
+    ``(det f) f^-T`` equals ``0.5 * tensor_cross(f, f)``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -61,7 +45,7 @@ def cross_operator(m: np.ndarray) -> np.ndarray:
     """Fourth-order tensor of the linear map ``x -> tensor_cross(m, x)``.
 
     Indexed [i,I,j,J]; it is major-symmetric.  ``cross_operator(f)`` is both
-    the derivative of ``cofactor`` and the second derivative of ``det`` at f.
+    the derivative of the cofactor and the second derivative of ``det`` at f.
     Expanding ``eps_ijk eps_IJK`` in Kronecker deltas (Bonet, Gil & Ortigosa,
     CMAME 283, 2015) gives the closed form::
 
@@ -82,22 +66,6 @@ def cross_operator(m: np.ndarray) -> np.ndarray:
 def _bview(x: np.ndarray, order: int = 2) -> np.ndarray:
     """Append singleton axes so a (...) scalar field broadcasts over tensors."""
     return x[(...,) + (None,) * order]
-
-
-def cofactor(f: np.ndarray) -> np.ndarray:
-    """Cofactor ``(det f) f^-T`` of an invertible 3x3 tensor.
-
-    Raises
-    ------
-    SingularTensorError
-        If any input has zero (or non-finite) determinant.
-    """
-    f = np.asarray(f, dtype=float)
-    det = np.linalg.det(f)
-    if not np.all(np.isfinite(det)) or np.any(det == 0.0):
-        raise SingularTensorError("cofactor requires det f != 0")
-    inv_t = np.swapaxes(np.linalg.inv(f), -1, -2)
-    return _bview(det) * inv_t
 
 
 def _invariant_terms(f: np.ndarray, det=None):
@@ -155,16 +123,6 @@ def _isochoric(terms) -> tuple[np.ndarray, np.ndarray]:
     return det ** (-2.0 / 3.0) * i1, det ** (-4.0 / 3.0) * i2
 
 
-def invariant_first_derivatives(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic first derivatives of the isochoric invariants w.r.t. f.
-
-    Both vanish identically at any rotation, which is what makes the
-    reference configuration stress-free regardless of the potential.
-    """
-    *_, d1, d2 = _invariant_terms(f)
-    return d1, d2
-
-
 def invariant_derivatives(
     f: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -212,43 +170,11 @@ def _scaled_second(det, h, x_f, raw, raw_grad, raw_hess, p):
     return out
 
 
-class ModeKind(Enum):
-    UNIAXIAL_TENSION = "uniaxial_tension"
-    EQUIBIAXIAL_TENSION = "equibiaxial_tension"
-    PURE_SHEAR = "pure_shear"
-    SIMPLE_SHEAR = "simple_shear"
-    PRINCIPAL_STRETCH_GRID = "principal_stretch_grid"
-
-
-@dataclass(frozen=True)
-class DeformationMode:
-    """A family of unit-determinant deformation gradients.
-
-    ``parameters`` holds the stretch (or shear) values; for
-    PRINCIPAL_STRETCH_GRID it is a pair ``(lambda1_values, lambda2_values)``
-    whose Cartesian product is swept.
-    """
-
-    kind: ModeKind
-    parameters: tuple
-
-
 def _check_positive(values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
         raise InvalidStretchError("stretch values must be positive and finite")
     return values
-
-
-def uniaxial_gradient(lam) -> np.ndarray:
-    """diag(lam, lam^-1/2, lam^-1/2); broadcasts over an array of stretches."""
-    lam = _check_positive(lam)
-    out = np.zeros(lam.shape + (3, 3))
-    lat = lam**-0.5
-    out[..., 0, 0] = lam
-    out[..., 1, 1] = lat
-    out[..., 2, 2] = lat
-    return out
 
 
 def principal_stretch_gradient(lam1, lam2) -> np.ndarray:
@@ -259,58 +185,3 @@ def principal_stretch_gradient(lam1, lam2) -> np.ndarray:
     out[..., 1, 1] = lam2
     out[..., 2, 2] = 1.0 / (lam1 * lam2)
     return out
-
-
-def generate_mode(mode: DeformationMode) -> np.ndarray:
-    """Generate the deformation gradients of a mode, stacked as (N, 3, 3).
-
-    Every returned gradient satisfies ``|det F - 1| < 1e-12``.
-    """
-    kind = mode.kind
-    if kind is ModeKind.PRINCIPAL_STRETCH_GRID:
-        lam1, lam2 = np.meshgrid(*mode.parameters, indexing="ij")
-        return principal_stretch_gradient(lam1.ravel(), lam2.ravel())
-
-    values = np.atleast_1d(_check_positive(mode.parameters))
-    if kind is ModeKind.UNIAXIAL_TENSION:
-        return uniaxial_gradient(values)
-    if kind is ModeKind.EQUIBIAXIAL_TENSION:
-        out = np.zeros(values.shape + (3, 3))
-        out[..., 0, 0] = values
-        out[..., 1, 1] = values
-        out[..., 2, 2] = values**-2.0
-        return out
-    if kind is ModeKind.PURE_SHEAR:
-        out = np.zeros(values.shape + (3, 3))
-        out[..., 0, 0] = values
-        out[..., 1, 1] = 1.0
-        out[..., 2, 2] = 1.0 / values
-        return out
-    if kind is ModeKind.SIMPLE_SHEAR:
-        out = np.broadcast_to(np.eye(3), values.shape + (3, 3)).copy()
-        out[..., 0, 1] = values
-        return out
-    raise ValueError(f"unknown deformation mode kind: {kind}")
-
-
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Uniform random rotation from a normalized quaternion."""
-    q = rng.standard_normal(4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
-def random_unimodular(rng: np.random.Generator, spread: float = 0.4) -> np.ndarray:
-    """Well-conditioned random deformation gradient with det F = 1."""
-    while True:
-        f = np.eye(3) + spread * rng.standard_normal((3, 3))
-        det = np.linalg.det(f)
-        if det > 0.3:  # keep the inverse well scaled
-            return f * det ** (-1.0 / 3.0)

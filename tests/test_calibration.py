@@ -8,6 +8,8 @@ from monopann import constitutive as cons
 from monopann import networks as nets
 from monopann.errors import EmptyDatasetError
 
+from conftest import stack_models
+
 
 def oracle_law():
     # gentle positive cubics keep the data representable by monotone models
@@ -85,6 +87,13 @@ class TestDataset:
         path.write_text("lambda,stress_mpa,param_raw\n1.0,0.0,0.5\n1.5,0.2\n")
         with pytest.raises(ValueError, match="line 3: expected 3 fields, got 2"):
             cal.load_dataset(path)
+
+    def test_non_numeric_field_names_its_line(self, tmp_path):
+        path = tmp_path / "text.csv"
+        path.write_text("lambda,stress_mpa,param_raw\n1.0,0.0,0.5\n1.0,abc,0.1\n")
+        with pytest.raises(ValueError) as exc:
+            cal.load_dataset(path)
+        assert str(exc.value) == f"{path} line 3: could not convert string to float: 'abc'"
 
     def test_normalization_bounds(self):
         ds = cal.Dataset([1.0, 1.5], [0.0, 1.0], [10.0, 30.0], 10.0, 30.0)
@@ -259,7 +268,7 @@ class TestAdam:
     @pytest.mark.parametrize("arch", list(nets.Architecture))
     def test_flat_update_freezes_a_row_and_matches_per_model_steps(self, arch, rng):
         models = [nets.build_model(arch, 3, 1, rng) for _ in range(3)]
-        stack = cal._stack(models)
+        stack = stack_models(models)
         arrays = nets.parameter_arrays(stack)
         params = arrays[0].base
         size = nets.parameter_count(models[0])

@@ -105,6 +105,22 @@ class TestCalibrate:
         assert header[0] == "rank" and len(rows) == 1
         assert rows[0][6] == "False"  # not diverged
 
+    @pytest.mark.parametrize("sidecar, message", [
+        ({"material_label": "x"}, "sidecar has no param_min, param_max"),
+        ({"param_min": 0.1}, "sidecar has no param_max"),
+        ([0.1, 0.9], "sidecar is not a JSON object"),
+    ], ids=["no-bounds", "no-max", "list"])
+    def test_bad_sidecar_rejected(self, tmp_path, small_dataset, capsys, sidecar,
+                                  message):
+        data = tmp_path / "data.csv"
+        data.write_text(small_dataset[0].read_text())
+        data.with_suffix(".json").write_text(json.dumps(sidecar))
+        out = tmp_path / "models"
+        assert run("calibrate", "--data", data, "--epochs", 0, "--restarts", 1,
+                   "--out", out) == 1
+        assert f"error: {data.with_suffix('.json')}: {message}" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_learning_rate_rejected(self, tmp_path, small_dataset, lr,
                                                capsys):
@@ -376,6 +392,17 @@ class TestReport:
         svg = (out / "monotonic_rank0_curves.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_fewer_than_two_points_rejected(self, tmp_path, small_dataset, capsys,
+                                            points):
+        out = tmp_path / "report"
+        assert run(
+            "report", "--model", tmp_path / "model.json",
+            "--data", data_arg(small_dataset), "--points", points, "--out", out,
+        ) == 1
+        assert f"--points must be at least 2, got {points}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigAndDeterminism:
     def test_config_defaults_with_cli_override(self, tmp_path):
@@ -441,6 +468,18 @@ class TestConfigAndDeterminism:
         assert run(*argv, "--config", config, "--out", tmp_path / "config") == 0
         digest = tree_digest(tmp_path / "flag")
         assert digest and tree_digest(tmp_path / "config") == digest
+
+    @pytest.mark.parametrize("config, message", [
+        ([1, 2], "config is not a JSON object"),
+        ({"calibrate": 3}, "config entry 'calibrate' is not a JSON object"),
+    ], ids=["list", "number-entry"])
+    def test_config_not_an_object_rejected(self, config, message, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run("calibrate", "--data", "data.csv", "--config", path, "--out", out) == 1
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_without_path_is_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

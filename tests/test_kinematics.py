@@ -1,15 +1,27 @@
 import numpy as np
 import pytest
 
+from monopann import constitutive as cons
 from monopann import kinematics as kin
-from monopann.errors import (
-    InvalidStretchError,
-    InvertedConfigurationError,
-    SingularTensorError,
-)
+from monopann.errors import InvalidStretchError, InvertedConfigurationError
 
-from conftest import central_difference, central_difference_tensor
+from conftest import (
+    central_difference,
+    central_difference_tensor,
+    random_rotation,
+    random_unimodular,
+)
 from levi_civita import cross_operator_ref, tensor_cross_ref
+
+
+def cofactor(f):
+    """The cofactor ``(det f) f^-T`` that the invariant pass computes."""
+    return kin._invariant_terms(f)[1]
+
+
+def first_derivatives(f):
+    """The isochoric invariants' first derivatives that the stress reads."""
+    return kin._invariant_terms(f)[5:]
 
 
 class TestTensorCross:
@@ -84,32 +96,30 @@ def second_derivatives_ref(f):
 
 class TestCofactor:
     def test_identity(self):
-        np.testing.assert_array_equal(kin.cofactor(np.eye(3)), np.eye(3))
+        np.testing.assert_array_equal(cofactor(np.eye(3)), np.eye(3))
 
     def test_diagonal(self):
         np.testing.assert_allclose(
-            kin.cofactor(np.diag([2.0, 0.5, 1.0])), np.diag([0.5, 2.0, 1.0]),
+            cofactor(np.diag([2.0, 0.5, 1.0])), np.diag([0.5, 2.0, 1.0]),
             atol=1e-15,
         )
 
     def test_cross_product_identity_random(self, rng):
         for _ in range(1000):
             f = rng.standard_normal((3, 3))
-            if abs(np.linalg.det(f)) < 1e-2:
+            det = np.linalg.det(f)
+            if abs(det) < 1e-2:
                 continue
-            cof = kin.cofactor(f)
+            # the invariant pass takes det f > 0 only, and cof(-f) = cof f
+            cof = cofactor(np.sign(det) * f)
             alt = 0.5 * kin.tensor_cross(f, f)
             np.testing.assert_allclose(cof, alt, rtol=1e-12, atol=1e-12)
 
-    def test_singular_raises(self):
-        with pytest.raises(SingularTensorError):
-            kin.cofactor(np.diag([1.0, 1.0, 0.0]))
-
     def test_batched(self, rng):
-        fs = np.stack([kin.random_unimodular(rng) for _ in range(5)])
-        batch = kin.cofactor(fs)
+        fs = np.stack([random_unimodular(rng) for _ in range(5)])
+        batch = cofactor(fs)
         for k in range(5):
-            np.testing.assert_array_equal(batch[k], kin.cofactor(fs[k]))
+            np.testing.assert_array_equal(batch[k], cofactor(fs[k]))
 
 
 class TestIsochoricInvariants:
@@ -120,7 +130,7 @@ class TestIsochoricInvariants:
 
     def test_uniaxial_stretch_two(self):
         # incompressible uniaxial: I1 = lam^2 + 2/lam, I2 = 2 lam + lam^-2
-        f = kin.uniaxial_gradient(2.0)
+        f = kin.principal_stretch_gradient(2.0, 2.0**-0.5)
         i1, i2 = kin.isochoric_invariants(f)
         assert i1 == pytest.approx(5.0, rel=1e-13)
         assert i2 == pytest.approx(4.25, rel=1e-13)
@@ -135,19 +145,18 @@ class TestIsochoricInvariants:
 
     def test_objectivity_and_isotropy(self, rng):
         for _ in range(1000):
-            f = kin.random_unimodular(rng)
-            q1 = kin.random_rotation(rng)
-            q2 = kin.random_rotation(rng)
+            f = random_unimodular(rng)
+            q1 = random_rotation(rng)
+            q2 = random_rotation(rng)
             ref = kin.isochoric_invariants(f)
             rot = kin.isochoric_invariants(q1 @ f @ q2.T)
             np.testing.assert_allclose(rot, ref, rtol=1e-12, atol=1e-12)
 
-    def test_lower_bound_on_modes(self, rng):
-        mode = kin.DeformationMode(
-            kin.ModeKind.PRINCIPAL_STRETCH_GRID,
-            (np.linspace(0.5, 3.0, 7), np.linspace(0.5, 3.0, 7)),
+    def test_lower_bound_on_stretch_grid(self):
+        lam1, lam2 = np.meshgrid(
+            np.linspace(0.5, 3.0, 7), np.linspace(0.5, 3.0, 7), indexing="ij"
         )
-        i1, i2 = kin.isochoric_invariants(kin.generate_mode(mode))
+        i1, i2 = kin.isochoric_invariants(kin.principal_stretch_gradient(lam1, lam2))
         assert np.all(i1 >= 3.0 - 1e-12)
         assert np.all(i2 >= 3.0 - 1e-12)
 
@@ -158,14 +167,14 @@ class TestIsochoricInvariants:
 
 class TestInvariantDerivatives:
     def test_vanish_at_identity(self):
-        d1, d2 = kin.invariant_first_derivatives(np.eye(3))
+        d1, d2 = first_derivatives(np.eye(3))
         np.testing.assert_allclose(d1, 0.0, atol=1e-14)
         np.testing.assert_allclose(d2, 0.0, atol=1e-14)
 
     def test_first_derivatives_match_fd(self, rng):
         for _ in range(20):
-            f = kin.random_unimodular(rng)
-            d1, d2 = kin.invariant_first_derivatives(f)
+            f = random_unimodular(rng)
+            d1, d2 = first_derivatives(f)
             fd1 = central_difference(lambda x: kin.isochoric_invariants(x)[0], f)
             fd2 = central_difference(lambda x: kin.isochoric_invariants(x)[1], f)
             np.testing.assert_allclose(d1, fd1, rtol=1e-6, atol=1e-8)
@@ -173,19 +182,15 @@ class TestInvariantDerivatives:
 
     def test_second_derivatives_match_fd(self, rng):
         for _ in range(5):
-            f = kin.random_unimodular(rng)
+            f = random_unimodular(rng)
             _, _, dd1, dd2 = kin.invariant_derivatives(f)
-            fd1 = central_difference_tensor(
-                lambda x: kin.invariant_first_derivatives(x)[0], f
-            )
-            fd2 = central_difference_tensor(
-                lambda x: kin.invariant_first_derivatives(x)[1], f
-            )
+            fd1 = central_difference_tensor(lambda x: first_derivatives(x)[0], f)
+            fd2 = central_difference_tensor(lambda x: first_derivatives(x)[1], f)
             np.testing.assert_allclose(dd1, fd1, rtol=1e-6, atol=1e-7)
             np.testing.assert_allclose(dd2, fd2, rtol=1e-6, atol=1e-7)
 
     def test_major_symmetry(self, rng):
-        f = kin.random_unimodular(rng)
+        f = random_unimodular(rng)
         _, _, dd1, dd2 = kin.invariant_derivatives(f)
         for dd in (dd1, dd2):
             swapped = np.einsum("iIjJ->jJiI", dd)
@@ -193,63 +198,49 @@ class TestInvariantDerivatives:
             assert err < 1e-10
 
     def test_consistent_with_full_variant(self, rng):
-        f = kin.random_unimodular(rng)
-        d1a, d2a = kin.invariant_first_derivatives(f)
+        f = random_unimodular(rng)
+        d1a, d2a = first_derivatives(f)
         d1b, d2b, _, _ = kin.invariant_derivatives(f)
         np.testing.assert_array_equal(d1a, d1b)
         np.testing.assert_array_equal(d2a, d2b)
 
     def test_second_invariant_algebraic_identity(self, rng):
         # tr cof C == ((tr C)^2 - tr C^2) / 2
-        f = kin.random_unimodular(rng)
+        f = random_unimodular(rng)
         c = f.T @ f
-        direct = np.trace(kin.cofactor(c))
+        direct = np.trace(cofactor(c))
         alt = 0.5 * (np.trace(c) ** 2 - np.trace(c @ c))
         assert direct == pytest.approx(alt, rel=1e-12)
 
 
-class TestGenerateMode:
-    def test_uniaxial_identity_at_one(self):
-        mode = kin.DeformationMode(kin.ModeKind.UNIAXIAL_TENSION, (1.0,))
-        np.testing.assert_allclose(kin.generate_mode(mode)[0], np.eye(3))
+class TestPrincipalStretchGradient:
+    def test_identity_at_unit_stretch(self):
+        np.testing.assert_allclose(kin.principal_stretch_gradient(1.0, 1.0), np.eye(3))
 
     def test_uniaxial_invariants(self):
-        mode = kin.DeformationMode(kin.ModeKind.UNIAXIAL_TENSION, (2.0,))
-        i1, i2 = kin.isochoric_invariants(kin.generate_mode(mode))
-        np.testing.assert_allclose([i1[0], i2[0]], [5.0, 4.25], rtol=1e-13)
+        lam = 2.0
+        f = kin.principal_stretch_gradient(lam, lam**-0.5)
+        i1, i2 = kin.isochoric_invariants(f)
+        np.testing.assert_allclose([i1, i2], cons.uniaxial_invariants(lam), rtol=1e-13)
 
     @pytest.mark.parametrize(
-        "kind",
-        [
-            kin.ModeKind.UNIAXIAL_TENSION,
-            kin.ModeKind.EQUIBIAXIAL_TENSION,
-            kin.ModeKind.PURE_SHEAR,
-            kin.ModeKind.SIMPLE_SHEAR,
-        ],
+        "second",
+        [lambda lam: lam**-0.5, lambda lam: lam, np.ones_like],
+        ids=["uniaxial", "equibiaxial", "pure-shear"],
     )
-    def test_unit_determinant(self, kind):
-        mode = kin.DeformationMode(kind, tuple(np.linspace(0.4, 3.0, 9)))
-        fs = kin.generate_mode(mode)
+    def test_unit_determinant(self, second):
+        lam = np.linspace(0.4, 3.0, 9)
+        fs = kin.principal_stretch_gradient(lam, second(lam))
         np.testing.assert_allclose(np.linalg.det(fs), 1.0, atol=1e-12)
 
-    def test_grid_unit_determinant(self):
-        mode = kin.DeformationMode(
-            kin.ModeKind.PRINCIPAL_STRETCH_GRID, ((1.5,), (1.2,))
-        )
-        fs = kin.generate_mode(mode)
-        assert fs.shape == (1, 3, 3)
+    def test_broadcast_unit_determinant(self):
+        fs = kin.principal_stretch_gradient([[1.5], [0.7]], [1.2, 2.0, 0.9])
+        assert fs.shape == (2, 3, 3, 3)
         np.testing.assert_allclose(np.linalg.det(fs), 1.0, atol=1e-12)
 
     def test_nonpositive_stretch_raises(self):
-        mode = kin.DeformationMode(kin.ModeKind.UNIAXIAL_TENSION, (0.0,))
         with pytest.raises(InvalidStretchError):
-            kin.generate_mode(mode)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, [1.5, np.inf]])
-    def test_uniaxial_gradient_rejects_non_finite_stretch(self, bad):
-        with pytest.raises(InvalidStretchError, match="finite"):
-            kin.uniaxial_gradient(bad)
-        assert kin.uniaxial_gradient(2.0).shape == (3, 3)
+            kin.principal_stretch_gradient(0.0, 1.0)
 
     @pytest.mark.parametrize("lam1, lam2", [(np.nan, 1.0), (1.0, np.inf),
                                             ([0.5, 1.0], [np.inf, 2.0])])
@@ -262,11 +253,11 @@ class TestGenerateMode:
 class TestRandomGenerators:
     def test_rotation_is_orthogonal(self, rng):
         for _ in range(50):
-            q = kin.random_rotation(rng)
+            q = random_rotation(rng)
             np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-12)
             assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-12)
 
     def test_unimodular_determinant(self, rng):
         for _ in range(50):
-            f = kin.random_unimodular(rng)
+            f = random_unimodular(rng)
             assert np.linalg.det(f) == pytest.approx(1.0, abs=1e-12)

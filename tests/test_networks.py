@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from monopann import networks as nets
-from monopann.calibration import _stack
 from monopann.errors import ConstraintViolationError, ShapeMismatchError
 
-from conftest import central_difference, central_difference_tensor
+from conftest import central_difference, central_difference_tensor, stack_models
 
 ALL_ARCHITECTURES = list(nets.Architecture)
 CONSTRAINED = [nets.Architecture.MONOTONIC, nets.Architecture.CONVEX_MONOTONIC]
@@ -363,7 +362,7 @@ class TestFactoredTwoHidden:
         for model in models:
             for layer in model.layers[:-1]:
                 layer.bias[...] = rng.uniform(-0.5, 0.5, layer.bias.shape)
-        stacked = _stack(models)
+        stacked = stack_models(models)
         inv, par = random_states(rng, samples)
         zinv = inv - 3.0
         cot = rng.standard_normal((restarts, samples, 2))
@@ -380,8 +379,8 @@ class TestFactoredTwoHidden:
 
 
 class TestStackedRestarts:
-    """With a leading restart axis (``calibration._stack``), every slice equals
-    the per-model result exactly."""
+    """With a leading restart axis (``conftest.stack_models``), every slice
+    equals the per-model result exactly."""
 
     @pytest.mark.parametrize("arch", ALL_ARCHITECTURES)
     def test_hessians_and_parameter_gradients_match_per_model(self, arch, rng):
@@ -389,7 +388,7 @@ class TestStackedRestarts:
         for model in models:
             for layer in model.layers[:-1]:
                 layer.bias[...] = rng.uniform(-0.5, 0.5, layer.bias.shape)
-        stacked = _stack(models)
+        stacked = stack_models(models)
         inv, par = random_states(rng, 20, param_dim=2)
         _, h = nets.invariant_hessians_batch(stacked, inv, par)
         g = nets.parameter_gradients_batch(stacked, inv, par)
@@ -437,7 +436,7 @@ class TestCurvatures:
                 layer.bias[...] = rng.uniform(-0.5, 0.5, layer.bias.shape)
         inv, par = random_states(rng, 100, param_dim=2)
         cot = rng.standard_normal((3, 100, 2))
-        stacked = _stack(models)
+        stacked = stack_models(models)
         g = nets.invariant_gradients_batch(stacked, inv, par)
         for want in (nets.invariant_hessians_batch(stacked, inv, par)[0],
                      stress_vjp(stacked, inv - 3.0, par, cot)[0]):
@@ -462,7 +461,7 @@ class TestWorkspace:
             for model in models:
                 for layer in model.layers[:-1]:
                     layer.bias[...] = rng.uniform(-0.5, 0.5, layer.bias.shape)
-            stacks.append(_stack(models))
+            stacks.append(stack_models(models))
         # NaN weights fill every array the first call writes with NaN, which
         # a later call would carry into its results if it read one unwritten
         for a in nets.parameter_arrays(stacks[0]):

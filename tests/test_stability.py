@@ -17,6 +17,7 @@ from monopann.errors import (
     ShapeMismatchError,
 )
 
+from conftest import random_rotation, random_unimodular, uniaxial_gradient
 from levi_civita import tensor_cross_ref
 from scan_oracle import outer_point_geometry, tangent_plane_basis
 
@@ -159,7 +160,7 @@ class TestFibonacciDirections:
     def test_bad_direction_array_rejected(self, bad):
         # a zero or non-finite row would make every normal F^-T B / |F^-T B|
         # of its column NaN; the scan and both checks reject it up front
-        law, f = cons.neo_hookean(0.5), kin.uniaxial_gradient(1.5)
+        law, f = cons.neo_hookean(0.5), uniaxial_gradient(1.5)
         with pytest.raises(ShapeMismatchError):
             stab.scan_invariant_plane(law, [[0.0]], [1.5], [1.0], bad)
         for check in (stab.ellipticity_incompressible, stab.ellipticity_compressible):
@@ -172,12 +173,12 @@ class TestAcousticTensor:
         model = nets.build_model(nets.Architecture.MONOTONIC, 4, 1, rng)
         for layer in model.layers:
             layer.weights[...] = 0.0
-        q = stab.acoustic_tensor(model, kin.random_unimodular(rng), T0, [0.0, 0.0, 1.0])
+        q = stab.acoustic_tensor(model, random_unimodular(rng), T0, [0.0, 0.0, 1.0])
         np.testing.assert_array_equal(q, np.zeros((3, 3)))
 
     def test_symmetric(self, rng):
         model = nets.build_model(nets.Architecture.UNRESTRICTED_2HL, 4, 1, rng)
-        f = kin.random_unimodular(rng)
+        f = random_unimodular(rng)
         b = rng.standard_normal(3)
         q = stab.acoustic_tensor(model, f, T0, b)
         np.testing.assert_allclose(q, q.T, atol=1e-12)
@@ -193,7 +194,7 @@ class TestAcousticTensor:
     def test_matches_pk1_tangent_contraction(self, rng):
         for law in random_laws():
             t = rng.uniform(0.0, 1.0, 1)
-            f = np.stack([kin.random_unimodular(rng) for _ in range(4)])
+            f = np.stack([random_unimodular(rng) for _ in range(4)])
             b = rng.standard_normal((6, 3)) * rng.uniform(0.2, 5.0, (6, 1))
             q = stab.acoustic_tensor(law, f, t, b)
             tangent = cons.pk1_tangent(law, f, t)
@@ -206,7 +207,7 @@ class TestAcousticTensor:
     def test_matches_second_differences_of_energy(self, rng):
         model = nets.build_model(nets.Architecture.MONOTONIC, 4, 1, rng)
         law = cons.as_law(model)
-        f = kin.random_unimodular(rng)
+        f = random_unimodular(rng)
         b = rng.standard_normal(3)
         a = rng.standard_normal(3)
         q = stab.acoustic_tensor(law, f, T0, b)
@@ -305,7 +306,7 @@ class TestPerPointWrappers:
 def unimodular_block(rng, count=12):
     """Non-diagonal unimodular gradients, two of them with det F off 1 by
     +-1e-13, inside the isochoric tolerance."""
-    f = np.stack([kin.random_unimodular(rng, spread=0.8) for _ in range(count)])
+    f = np.stack([random_unimodular(rng, spread=0.8) for _ in range(count)])
     f[0] *= (1.0 + 1e-13) ** (1.0 / 3.0)
     f[1] *= (1.0 - 1e-13) ** (1.0 / 3.0)
     return f
@@ -369,7 +370,7 @@ class TestClosedFormGeometry:
         lam1, lam2 = np.meshgrid(lam, lam, indexing="ij")
         point_sets = {
             "scan grid": kin.principal_stretch_gradient(lam1.ravel(), lam2.ravel()),
-            "random unimodular": np.stack([kin.random_unimodular(rng) for _ in range(50)]),
+            "random unimodular": np.stack([random_unimodular(rng) for _ in range(50)]),
             "near-tolerance determinants": unimodular_block(rng),
         }
         for name, f in point_sets.items():
@@ -448,14 +449,14 @@ class TestEllipticity:
 
     def test_sign_flipped_fails(self, directions):
         law = cons.neo_hookean(-0.5)
-        f = kin.uniaxial_gradient(1.5)
+        f = uniaxial_gradient(1.5)
         elliptic, min_value = stab.ellipticity_incompressible(law, f, T0, directions)
         assert not elliptic
         assert min_value < -1e-3
 
     def test_zero_potential_degenerate_pass(self, directions):
         law = cons.MooneyRivlin([0.0], [0.0], [0.0])
-        f = kin.uniaxial_gradient(1.5)
+        f = uniaxial_gradient(1.5)
         elliptic, min_value = stab.ellipticity_incompressible(law, f, T0, directions)
         assert elliptic
         assert min_value == 0.0
@@ -464,7 +465,7 @@ class TestEllipticity:
 
     def test_direction_sign_invariance(self, directions):
         law = cons.neo_hookean(0.5)
-        f = kin.uniaxial_gradient(1.7)
+        f = uniaxial_gradient(1.7)
         plus = condition_values(law, f, T0, directions)
         minus = condition_values(law, f, T0, -directions)
         for a, b in zip(plus[0] + plus[1], minus[0] + minus[1]):
@@ -497,7 +498,7 @@ class TestBatchedConditions:
         b = rng.standard_normal((12, 3))
         for law in random_laws():
             t = rng.uniform(0.0, 1.0, 1)
-            f = np.stack([kin.random_unimodular(rng) for _ in range(4)])
+            f = np.stack([random_unimodular(rng) for _ in range(4)])
             inc, comp = condition_values(law, f, t, b)
             got = np.stack(inc + comp)
             for p in range(len(f)):
@@ -512,7 +513,7 @@ class TestBatchedConditions:
         for law in random_laws():
             t = rng.uniform(0.0, 1.0, 1)
             for _ in range(20):
-                f = kin.random_unimodular(rng, spread=0.8)
+                f = random_unimodular(rng, spread=0.8)
                 b = rng.standard_normal(3)
                 q = stab.acoustic_tensor(law, f, t, b)
                 basis = tangent_plane_basis(f, b)
@@ -526,7 +527,7 @@ class TestBatchedConditions:
 
     def test_acoustic_tensor_batched_shape(self, rng):
         law = random_laws()[0]
-        f = np.stack([kin.random_unimodular(rng) for _ in range(3)])
+        f = np.stack([random_unimodular(rng) for _ in range(3)])
         b = rng.standard_normal((5, 3))
         q = stab.acoustic_tensor(law, f, T0, b)
         assert q.shape == (3, 5, 3, 3)
@@ -555,8 +556,8 @@ class TestBatchedConditions:
         for law in random_laws():
             t = rng.uniform(0.0, 1.0, 1)
             for _ in range(5):
-                f = kin.random_unimodular(rng, spread=0.8)
-                rf = kin.random_rotation(rng) @ f
+                f = random_unimodular(rng, spread=0.8)
+                rf = random_rotation(rng) @ f
                 for check in (stab.ellipticity_incompressible,
                               stab.ellipticity_compressible):
                     ok, low = check(law, f, t, directions)
@@ -705,7 +706,7 @@ class TestHessianDecomposition:
         for law in random_laws():
             t = rng.uniform(0.0, 1.0, 1)
             for _ in range(10):
-                f = kin.random_unimodular(rng, spread=0.8)
+                f = random_unimodular(rng, spread=0.8)
                 got = stab.hessian_decomposition(law, f, t)
                 ref = tensor_cross_decomposition(law, f, t)
                 a = rng.standard_normal(3)
@@ -718,7 +719,7 @@ class TestHessianDecomposition:
     def test_batched_matches_per_point(self, rng):
         for law in random_laws():
             t = rng.uniform(0.0, 1.0, 1)
-            f = np.stack([kin.random_unimodular(rng, spread=0.8) for _ in range(6)])
+            f = np.stack([random_unimodular(rng, spread=0.8) for _ in range(6)])
             # a carries an extra leading axis, which broadcasts against F and B
             a = rng.standard_normal((4, 6, 3))
             b = rng.standard_normal((6, 3)) * rng.uniform(0.2, 5.0, (6, 1))
@@ -737,7 +738,7 @@ class TestHessianDecomposition:
         law = cons.as_law(model)
         t = np.array([0.4])
         for _ in range(30):
-            f = kin.random_unimodular(rng)
+            f = random_unimodular(rng)
             con, geo = stab.hessian_decomposition(law, f, t)
             tangent = cons.pk1_tangent(law, f, t)
             b = rng.standard_normal(3)
@@ -760,14 +761,14 @@ class TestHessianDecomposition:
         law = cons.as_law(model)
         t = np.array([0.6])
         for _ in range(100):
-            f = kin.random_unimodular(rng)
+            f = random_unimodular(rng)
             _, geo = stab.hessian_decomposition(law, f, t)
             b = rng.standard_normal(3)
             a = rng.standard_normal(3)
             assert geo(a, b) >= 0.0
 
     def test_tangent_plane_basis_is_admissible(self, rng):
-        f = kin.random_unimodular(rng)
+        f = random_unimodular(rng)
         b = rng.standard_normal(3)
         for a in tangent_plane_basis(f, b):
             incr = np.outer(a, b)
@@ -781,16 +782,16 @@ class TestBakerEricksen:
     def test_constrained_model_everywhere(self, arch, rng):
         model = nets.build_model(arch, 5, 1, rng)
         for _ in range(100):
-            f = kin.random_unimodular(rng)
+            f = random_unimodular(rng)
             assert stab.baker_ericksen_check(model, f, np.array([0.3]))
 
     def test_negative_first_coefficient_fails(self):
         law = cons.neo_hookean(-1.0)
-        assert not stab.baker_ericksen_check(law, kin.uniaxial_gradient(1.4), T0)
+        assert not stab.baker_ericksen_check(law, uniaxial_gradient(1.4), T0)
 
     def test_batched_matches_per_point(self, rng):
         law = MR
-        f = np.stack([kin.random_unimodular(rng, spread=0.8) for _ in range(40)])
+        f = np.stack([random_unimodular(rng, spread=0.8) for _ in range(40)])
         batched = stab.baker_ericksen_check(law, f, T0)
         assert batched.shape == (40,)
         assert batched.tolist() == [
@@ -802,12 +803,12 @@ class TestBakerEricksen:
     def test_squared_largest_stretch_decides(self, lam, expected):
         # 1 - 0.2 lam^2 changes sign at lam = sqrt(5)
         law = cons.MooneyRivlin([1.0], [-0.2], [0.0])
-        f = kin.uniaxial_gradient(lam)
+        f = uniaxial_gradient(lam)
         assert stab.baker_ericksen_check(law, f, T0) == expected
 
     def test_neo_hookean_passes(self):
         assert stab.baker_ericksen_check(
-            cons.neo_hookean(0.5), kin.uniaxial_gradient(2.5), T0
+            cons.neo_hookean(0.5), uniaxial_gradient(2.5), T0
         )
 
 
