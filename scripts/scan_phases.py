@@ -16,18 +16,21 @@ in ``stability`` with timers and reports the median per scan of:
 * ``points``: ``_scan_points``, the deformation gradients, their invariants
   and invariant terms;
 * ``law``: ``_law_values``, the law's stress coefficients and tangent
-  weights, summed over the parameter rows;
+  weights of every parameter row;
 * ``geometry``: ``_point_geometry``, the law- and direction-independent
   coefficients of the acoustic tensors;
 * ``minima``: ``_minima``, the blocked condition values and their minima;
 * ``report``: the rest of ``scan_invariant_plane``: argument checks, the
   stretches, the verdict fields and the report's record array;
-* ``total``: ``scan_invariant_plane`` as a whole.
+* ``total``: ``scan_invariant_plane`` as a whole;
+* ``peak_kb``: the tracemalloc peak of one more scan of the law, in kB,
+  taken after the timed scans and without their timers, so that tracing
+  slows none of them.
 
 Writing the report files is not timed.  The timers cost about a
-microsecond per call, and every phase is called once per scan except
-``law``, once per row.  Each checkout runs in its own process, so that the
-two do not share a C heap.  A shared host's speed drifts between
+microsecond per call, and every phase is called once per scan of this
+size.  Each checkout runs in its own process, so that the two do not
+share a C heap.  A shared host's speed drifts between
 processes, so ``--rounds`` processes per checkout run in turn (A, B, A,
 B, ...), and each figure is the median over the rounds.  Compare the
 phases of two checkouts against the spread of a phase whose code they
@@ -41,11 +44,12 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 PHASES = ("_scan_points", "_law_values", "_point_geometry", "_minima")
 NAMES = ("points", "law", "geometry", "minima")
-COLUMNS = (*NAMES, "report", "total")
+COLUMNS = (*NAMES, "report", "total", "peak_kb")
 # the scan-grid workload of bench/run.py
 ROWS = [[0.0], [0.5], [1.0]]
 GRID = (0.5, 3.0, 10)
@@ -56,7 +60,8 @@ ORACLE = ([0.0, 0.0, 0.25, 0.15], [0.0, 0.0, 0.05, 0.03], [0.0, 0.0, 0.02, 0.0])
 
 
 def measure(src: Path, scans: int, warmup: int) -> dict:
-    """Median microseconds per scan of each phase, by law, computed with ``src``."""
+    """Median microseconds per scan of each phase and the tracemalloc peak
+    of one scan in kB, by law, computed with ``src``."""
     sys.path.insert(0, str(src))
     import numpy as np
 
@@ -75,8 +80,9 @@ def measure(src: Path, scans: int, warmup: int) -> dict:
 
         return wrapper
 
+    originals = {phase: getattr(stability, phase) for phase in PHASES}
     for phase, name in zip(PHASES, NAMES):
-        setattr(stability, phase, timed(name, getattr(stability, phase)))
+        setattr(stability, phase, timed(name, originals[phase]))
     model = networks.build_model(networks.Architecture.MONOTONIC, NODES, 1,
                                  np.random.default_rng(SEED))
     laws = {"network": constitutive.NeuralLaw(model, label="scan_model"),
@@ -94,8 +100,16 @@ def measure(src: Path, scans: int, warmup: int) -> dict:
             if k >= warmup:
                 samples[label].append(
                     [*(spent[name] for name in NAMES), total - sum(spent.values()), total])
+    for phase, function in originals.items():
+        setattr(stability, phase, function)
+    peaks = {}
+    for label, law in laws.items():
+        tracemalloc.start()
+        stability.scan_invariant_plane(law, ROWS, lam, lam, directions)
+        peaks[label] = tracemalloc.get_traced_memory()[1] / 1e3
+        tracemalloc.stop()
     return {
-        label: dict(zip(COLUMNS, (1e6 * np.median(rows, axis=0)).tolist()))
+        label: dict(zip(COLUMNS, [*(1e6 * np.median(rows, axis=0)).tolist(), peaks[label]]))
         for label, rows in samples.items()
     }
 

@@ -134,7 +134,12 @@ def save_dataset(dataset: Dataset, csv_path) -> None:
 
 
 def load_dataset(csv_path) -> Dataset:
-    """Read a dataset CSV; bounds come from the sidecar, or the data itself."""
+    """Read a dataset CSV; bounds come from the sidecar, or the data itself.
+
+    Raises ``ValueError`` naming the file for a sidecar that is not valid
+    JSON, not an object, or whose ``param_min`` or ``param_max`` is missing
+    or not a finite number.
+    """
     csv_path = Path(csv_path)
     with csv_path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -157,12 +162,21 @@ def load_dataset(csv_path) -> Dataset:
         raise EmptyDatasetError(f"no samples in {csv_path}")
     sidecar_path = csv_path.with_suffix(".json")
     if sidecar_path.exists():
-        sidecar = json.loads(sidecar_path.read_text())
+        try:
+            sidecar = json.loads(sidecar_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{sidecar_path}: {exc}") from None
         if not isinstance(sidecar, dict):
             raise ValueError(f"{sidecar_path}: sidecar is not a JSON object")
         missing = [key for key in ("param_min", "param_max") if key not in sidecar]
         if missing:
             raise ValueError(f"{sidecar_path}: sidecar has no {', '.join(missing)}")
+        for key in ("param_min", "param_max"):
+            value = sidecar[key]
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ValueError(f"{sidecar_path}: {key} is not a finite number: "
+                                 f"{json.dumps(value)}")
         pmin, pmax = sidecar["param_min"], sidecar["param_max"]
         label = sidecar.get("material_label", "")
         source = sidecar.get("source", "")

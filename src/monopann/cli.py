@@ -451,10 +451,13 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     default would be taken as it is.  A null value stays None, the default
     of no value, and a value for an option without a type stays as it is,
     so that a JSON list can give ``params``, ``t_values`` or ``archs``.
-    A config, or a command's entry in it, that is not a JSON object raises
-    ``ValueError`` naming the file.
+    A config that is not valid JSON or not a JSON object, or whose entry for
+    a command is not a JSON object, raises ``ValueError`` naming the file.
     """
-    config = json.loads(_require(args.config).read_text())
+    try:
+        config = json.loads(_require(args.config).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
     if not isinstance(config, dict):
         raise ValueError(f"{args.config}: config is not a JSON object")
     for name in _COMMANDS:

@@ -68,15 +68,16 @@ def _bview(x: np.ndarray, order: int = 2) -> np.ndarray:
     return x[(...,) + (None,) * order]
 
 
-def _invariant_terms(f: np.ndarray, det=None):
+def _invariant_terms(f: np.ndarray, det=None, inverse=None):
     """Closed forms of the isochoric invariants' first-order quantities.
 
-    Returns ``(det, h, i1, i2, g2, d1, d2)`` from one det (the given ``det``
-    of f, if any) and one inverse of f (..., 3, 3): the cofactor
-    ``h = det f^-T``, the raw invariants ``i1 = |f|^2`` and ``i2 = |h|^2``,
-    ``g2 = 2 (|f|^2 f - f C)`` with ``C = f^T f``, the derivative of
-    ``|h|^2``, and the derivatives ``d1``, ``d2`` of the isochoric
-    invariants ``det^(-2/3) i1`` and ``det^(-4/3) i2``.
+    Returns ``(det, h, i1, i2, g2, d1, d2)`` of f (..., 3, 3) from one det
+    and one inverse of f: ``det`` and ``inverse`` where given, else
+    LAPACK's.  They are the cofactor ``h = det f^-T``, the raw invariants
+    ``i1 = |f|^2`` and ``i2 = |h|^2``, ``g2 = 2 (|f|^2 f - f C)`` with
+    ``C = f^T f``, the derivative of ``|h|^2``, and the derivatives ``d1``,
+    ``d2`` of the isochoric invariants ``det^(-2/3) i1`` and
+    ``det^(-4/3) i2``.
 
     Raises
     ------
@@ -87,13 +88,25 @@ def _invariant_terms(f: np.ndarray, det=None):
     det = np.linalg.det(f) if det is None else det
     if np.any(det <= 0.0) or not np.all(np.isfinite(det)):
         raise InvertedConfigurationError("invariant derivatives require det f > 0")
-    h = _bview(det) * np.swapaxes(np.linalg.inv(f), -1, -2)
+    inverse = np.linalg.inv(f) if inverse is None else inverse
+    h = _bview(det) * np.swapaxes(inverse, -1, -2)
     i1 = np.einsum("...iI,...iI->...", f, f)
     i2 = np.einsum("...iI,...iI->...", h, h)
     g2 = 2.0 * (_bview(i1) * f - f @ (np.swapaxes(f, -1, -2) @ f))
     d1 = _scaled_first(det, h, i1, 2.0 * f, -2.0 / 3.0)
     d2 = _scaled_first(det, h, i2, g2, -4.0 / 3.0)
     return det, h, i1, i2, g2, d1, d2
+
+
+def _diagonal_inverse(f: np.ndarray) -> np.ndarray:
+    """The inverse of the diagonal tensors ``f`` (P, 3, 3): the reciprocals
+    of their diagonals, which equal ``np.linalg.inv`` bit for bit wherever
+    they are finite (where a reciprocal overflows, LAPACK writes NaN off
+    the diagonal and this keeps 0)."""
+    inverse = np.zeros_like(f)
+    # entries 0, 4 and 8 of a flattened 3x3 tensor are its diagonal
+    np.divide(1.0, f.reshape(-1, 9)[:, ::4], out=inverse.reshape(-1, 9)[:, ::4])
+    return inverse
 
 
 def _scaled_first(det, h, raw, raw_grad, p):

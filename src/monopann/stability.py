@@ -49,7 +49,12 @@ from .constitutive import (
     as_law,
 )
 from .errors import EmptyGridError, MonopannError, ShapeMismatchError
-from .kinematics import _invariant_terms, _isochoric, principal_stretch_gradient
+from .kinematics import (
+    _diagonal_inverse,
+    _invariant_terms,
+    _isochoric,
+    principal_stretch_gradient,
+)
 from .networks import _arena
 
 __all__ = [
@@ -533,10 +538,19 @@ class StabilityReport:
 # scratch memory of a scan or an ellipticity check independently of its
 # point count: one workspace of 25 floats per pair and 108 per point, each of
 # its 12 views padded to a multiple of 8 floats and the whole to a 64-byte
-# start (at most 92 floats more), 817.3 kB at 200 directions, made once per
-# call of _minima.  The point geometry is built once per call for all the
-# points and adds 2.2 kB of coefficients per point.
-_BLOCK_PAIRS = 4096
+# start (at most 92 floats more), 1.63 MB at 200 directions (40 points),
+# made once per call of _minima.  The point geometry is built once per call
+# for all the points and adds 2.2 kB of coefficients per point.  Fewer
+# pairs pay numpy's fixed cost per call on more blocks; more pairs make a
+# workspace larger than a 2 MiB L2 cache, and both ran slower.
+_BLOCK_PAIRS = 8192
+# Upper bound on the points (parameter rows x stretch pairs) of one law
+# evaluation in a scan, which takes at least one row.  A network's Hessian
+# holds (S, n, n) products, about 12 kB per point at n = 32: a scan of 20
+# rows of 3600 points peaked at 861 MB (tracemalloc) with one call for all
+# rows and at 52 MB with one row per call.  The benchmark's scan-grid, 3
+# rows of 100 points, takes one call.
+_LAW_POINTS = 4096
 # errors that fail a scan point instead of the scan
 _POINT_ERRORS = (MonopannError, np.linalg.LinAlgError)
 
@@ -602,12 +616,18 @@ def _scan_points(lam1, lam2, errors):
     in every row of ``errors`` (R, P) with a reason that names the value; its
     invariants are NaN or infinite.  The floating-point warnings of these
     points are ignored, because the check reports them point by point.
+
+    F is diagonal, so its inverse is the reciprocals of its diagonal
+    (``kinematics._diagonal_inverse``); a point with a subnormal stretch,
+    whose reciprocal overflows, fails either way, as its I2 is not finite.
+    det F stays LAPACK's, which the diagonal's product does not equal bit
+    for bit.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         f = principal_stretch_gradient(lam1, lam2)
         det = np.linalg.det(f)
         valid = np.isfinite(det) & (det > 0.0)
-        terms = _invariant_terms(f[valid], det[valid])
+        terms = _invariant_terms(f[valid], det[valid], _diagonal_inverse(f[valid]))
         i1, i2 = np.full((2, len(f)), np.nan)
         i1[valid], i2[valid] = _isochoric(terms)
     finite = np.isfinite(i1) & np.isfinite(i2)
@@ -643,18 +663,44 @@ def _minima(coefficients, finv_t, vectors, weights) -> np.ndarray:
     return minima
 
 
+def _stacked_law_values(law, param_grid, i1, i2, coef, weights) -> None:
+    """Write the stress coefficients and tangent weights of ``law`` in every
+    row of ``param_grid`` (R, m) at the invariants ``i1``, ``i2`` (P,) into
+    ``coef`` (R, P, 2) and ``weights`` (R, P, 5), from one law evaluation
+    with the rows as a leading axis (R, 1, m) that broadcasts against the
+    points.  The values may view the law's scratch memory (a network's
+    workspace), which is freed on return.  Raises ``ShapeMismatchError``
+    for values without that leading axis."""
+    values = _law_values(law, param_grid[:, None, :], i1, i2)
+    if values[0].shape != coef.shape:
+        raise ShapeMismatchError("the law takes one parameter vector at a time")
+    coef[...], weights[...] = values
+
+
 def _scan_minima(law, param_grid, f, i1, i2, terms, vectors):
     """Stress coefficients (R, P, 2), smallest incompressible and
     compressible condition values (R, P, 2) and point errors (R, P) of the
     points ``f`` (P, 3, 3) with invariants ``i1``, ``i2`` and invariant
     terms ``terms`` in every parameter row; see
-    :func:`scan_invariant_plane`."""
+    :func:`scan_invariant_plane`.  The law is evaluated once for as many
+    rows as keep a call within ``_LAW_POINTS`` points, at least one
+    (:func:`_stacked_law_values`).  Where that raises a point error, those
+    rows are evaluated one by one (:func:`_pointwise`)."""
     errors = np.full((len(param_grid), len(f)), None, dtype=object)
     coef = np.full((len(param_grid), len(f), 2), np.nan)
     weights = np.full((len(param_grid), len(f), 5), np.nan)
-    for t, row_coef, row_weights, row_errors in zip(param_grid, coef, weights, errors):
-        _pointwise(partial(_law_values, law, t), (i1, i2), (row_coef, row_weights),
-                   row_errors)
+    step = max(_LAW_POINTS // max(len(f), 1), 1)
+    for start in range(0, len(param_grid), step):
+        rows = slice(start, start + step)
+        try:
+            _stacked_law_values(law, param_grid[rows], i1, i2, coef[rows], weights[rows])
+        except _POINT_ERRORS:
+            # row by row, so that an error fails only its own point in its own row
+            for t, row_coef, row_weights, row_errors in zip(
+                param_grid[rows], coef[rows], weights[rows], errors[rows]
+            ):
+                _pointwise(partial(_law_values, law, t), (i1, i2),
+                           (row_coef, row_weights), row_errors)
     coefficients = np.full((len(f), 5, 54), np.nan)
     finv_t = np.full((len(f), 3, 3), np.nan)
     _pointwise(_point_geometry, (f, *terms), (coefficients, finv_t), errors)
@@ -678,8 +724,9 @@ def scan_invariant_plane(
     stress coefficients, and the ordered-stress check at every point.
     ``directions`` (D, 3) are the probing directions, by default
     :func:`fibonacci_directions`; ``direction_count`` reports D.  The law
-    is evaluated once per parameter row and the point geometry once per
-    scan; the points are then taken in blocks of at most ``_BLOCK_PAIRS``
+    is evaluated once for all parameter rows (in groups of rows when they
+    exceed ``_LAW_POINTS`` points) and the point geometry once per scan;
+    the points are then taken in blocks of at most ``_BLOCK_PAIRS``
     point-direction pairs (:func:`_minima`), and each block's normals serve
     every row.  Points stay independent: a point whose det F or invariants
     are not finite, that raises a package or linear-algebra error, or whose

@@ -109,7 +109,14 @@ class TestCalibrate:
         ({"material_label": "x"}, "sidecar has no param_min, param_max"),
         ({"param_min": 0.1}, "sidecar has no param_max"),
         ([0.1, 0.9], "sidecar is not a JSON object"),
-    ], ids=["no-bounds", "no-max", "list"])
+        ({"param_min": "a", "param_max": 1}, 'param_min is not a finite number: "a"'),
+        ({"param_min": None, "param_max": 1}, "param_min is not a finite number: null"),
+        ({"param_min": 0, "param_max": True}, "param_max is not a finite number: true"),
+        ({"param_min": 0, "param_max": [1]}, "param_max is not a finite number: [1]"),
+        ({"param_min": float("nan"), "param_max": 1},
+         "param_min is not a finite number: NaN"),
+    ], ids=["no-bounds", "no-max", "list", "string-min", "null-min", "bool-max",
+            "list-max", "nan-min"])
     def test_bad_sidecar_rejected(self, tmp_path, small_dataset, capsys, sidecar,
                                   message):
         data = tmp_path / "data.csv"
@@ -119,6 +126,17 @@ class TestCalibrate:
         assert run("calibrate", "--data", data, "--epochs", 0, "--restarts", 1,
                    "--out", out) == 1
         assert f"error: {data.with_suffix('.json')}: {message}" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
+    def test_sidecar_not_json_rejected(self, tmp_path, small_dataset, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text(small_dataset[0].read_text())
+        data.with_suffix(".json").write_text("{")
+        out = tmp_path / "models"
+        assert run("calibrate", "--data", data, "--epochs", 0, "--restarts", 1,
+                   "--out", out) == 1
+        assert (f"error: {data.with_suffix('.json')}: Expecting property name"
+                in capsys.readouterr().err)
         assert not list(out.glob("*"))
 
     @pytest.mark.parametrize("lr", ["nan", "inf"])
@@ -479,6 +497,14 @@ class TestConfigAndDeterminism:
         out = tmp_path / "out"
         assert run("calibrate", "--data", "data.csv", "--config", path, "--out", out) == 1
         assert f"error: {path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_not_json_rejected(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text("{")
+        out = tmp_path / "out"
+        assert run("calibrate", "--data", "data.csv", "--config", path, "--out", out) == 1
+        assert f"error: {path}: Expecting property name" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_without_path_is_rejected(self, tmp_path, capsys):

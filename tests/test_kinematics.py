@@ -250,6 +250,29 @@ class TestPrincipalStretchGradient:
         assert kin.principal_stretch_gradient(1.5, 1.2).shape == (3, 3)
 
 
+class TestDiagonalInverse:
+    """The scan gives ``_invariant_terms`` its diagonal F's reciprocals as
+    the inverse, in place of LAPACK's."""
+
+    @pytest.mark.parametrize("low, high", [(0.5, 3.0), (1e-300, 1e300)],
+                             ids=["scan-grid", "extremes"])
+    def test_invariant_terms_match_lapack_bit_for_bit(self, low, high):
+        draws = np.random.default_rng(24).uniform(np.log(low), np.log(high), (2, 20000))
+        with np.errstate(all="ignore"):
+            f = kin.principal_stretch_gradient(*np.exp(draws))
+            inverse, det = kin._diagonal_inverse(f), np.linalg.det(f)
+            # the pairs whose 1/(l1 l2), det F and reciprocals are finite and
+            # nonzero; the invariants may still overflow at the extremes
+            kept = np.all(np.isfinite(inverse), axis=(1, 2)) & np.isfinite(det) & (det > 0)
+            f, inverse, det = f[kept], inverse[kept], det[kept]
+            assert len(f) > 10000
+            assert inverse.tobytes() == np.linalg.inv(f).tobytes()
+            got = kin._invariant_terms(f, det, inverse)
+            ref = kin._invariant_terms(f, det)
+        for new, old in zip(got, ref):
+            assert new.tobytes() == old.tobytes()
+
+
 class TestRandomGenerators:
     def test_rotation_is_orthogonal(self, rng):
         for _ in range(50):

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import json
+import math
+import weakref
 
 import numpy as np
 import pytest
@@ -33,10 +35,11 @@ MR = cons.MooneyRivlin([0.1, 0.3], [-0.05, 0.02], [0.01, -0.04])
 
 class RowFailingLaw:
     """``law`` with its coefficients and derivatives passed through ``fail``
-    at the parameter value ``bad_t`` only."""
+    at the entries whose parameter ``par[..., 0]`` is ``bad_t`` only."""
 
     def __init__(self, law, bad_t, fail):
         self.law, self.bad_t, self.fail, self.label = law, bad_t, fail, "row-failing"
+        self.par_shapes = []  # of every derivatives call
 
     def energy(self, i1, i2, par):
         return self.law.energy(i1, i2, par)
@@ -45,10 +48,16 @@ class RowFailingLaw:
         return self._at(par, self.law.coefficients(i1, i2, par))
 
     def derivatives(self, i1, i2, par):
+        self.par_shapes.append(np.shape(par))
         return tuple(self._at(par, x) for x in self.law.derivatives(i1, i2, par))
 
     def _at(self, par, x):
-        return self.fail(x) if np.asarray(par)[0] == self.bad_t else x
+        bad = np.asarray(par)[..., 0] == self.bad_t
+        if not bad.any():
+            return x
+        # par's leading axes are x's, which ends in one or two value axes
+        bad = bad.reshape(bad.shape + (1,) * (x.ndim - bad.ndim))
+        return np.where(bad, self.fail(x), x)
 
 
 def nan_values(x):
@@ -69,7 +78,8 @@ def outcome(point):
 
 
 class WrappedLaw:
-    """A law whose coefficients and derivatives pass through ``edit``."""
+    """A law whose coefficients and derivatives pass through ``edit``, which
+    takes ``i1`` broadcast to their leading axes with ``par``'s."""
 
     def __init__(self, law, edit, label="wrapped"):
         self.law, self.edit, self.label = cons.as_law(law), edit, label
@@ -78,10 +88,13 @@ class WrappedLaw:
         return self.law.energy(i1, i2, par)
 
     def coefficients(self, i1, i2, par):
-        return self.edit(i1, self.law.coefficients(i1, i2, par))
+        coef = self.law.coefficients(i1, i2, par)
+        return self.edit(np.broadcast_to(i1, coef.shape[:-1]), coef)
 
     def derivatives(self, i1, i2, par):
-        return tuple(self.edit(i1, x) for x in self.law.derivatives(i1, i2, par))
+        coef, hess = self.law.derivatives(i1, i2, par)
+        i1 = np.broadcast_to(i1, coef.shape[:-1])
+        return self.edit(i1, coef), self.edit(i1, hess)
 
 
 def scaled(law, c):
@@ -114,6 +127,15 @@ def condition_values(law, f, par, directions):
     work = stab._workspace(len(f), len(directions))
     normals = stab._normals(finv_t, directions, work)
     return stab._conditions(coefficients, stab._dyads(directions), normals, weights, work)
+
+
+def two_block_grid(dirs):
+    """The points of a block of ``dirs`` directions, and stretches whose
+    square grid fills one such block and part of a second."""
+    block = stab._BLOCK_PAIRS // dirs
+    side = math.isqrt(block) + 1
+    assert block < side**2 < 2 * block
+    return block, np.linspace(0.4, 3.5, side)
 
 
 def random_laws():
@@ -314,7 +336,8 @@ def unimodular_block(rng, count=12):
 
 class TestOneLawEvaluation:
     """A neural law's stress coefficients and Hessian come from one trace,
-    so each law evaluation builds one ``networks._Workspace``."""
+    so each law evaluation builds one ``networks._Workspace``; a scan
+    evaluates the law once for all its parameter rows."""
 
     def test_one_workspace_per_law_evaluation(self, rng, monkeypatch, directions):
         builds = []
@@ -336,14 +359,97 @@ class TestOneLawEvaluation:
             "derivatives": (lambda f: law.derivatives(i1, i2, T0), 1),
             "pk1_tangent": (lambda f: cons.pk1_tangent(law, f, T0), 1),
             "hessian_decomposition": (lambda f: stab.hessian_decomposition(law, f, T0), 1),
-            # one per parameter row
+            # one for all three parameter rows
             "scan_invariant_plane": (
-                lambda f: stab.scan_invariant_plane(law, rows, lam, lam, directions), 3),
+                lambda f: stab.scan_invariant_plane(law, rows, lam, lam, directions), 1),
         }
         for name, (call, expected) in calls.items():
             builds.clear()
             call(f)
             assert len(builds) == expected, name
+
+
+class TestStackedLawCall:
+    """A scan evaluates the law once for all its parameter rows, up to
+    ``_LAW_POINTS`` points per call."""
+
+    def test_one_call_equals_per_row_calls_bit_for_bit(self, monkeypatch, directions):
+        law_values, calls = stab._law_values, []
+
+        def recording(law, par, i1, i2):
+            values = law_values(law, par, i1, i2)
+            calls.append((par, i1, i2, values))
+            return values
+
+        monkeypatch.setattr(stab, "_law_values", recording)
+        lam = np.linspace(0.5, 3.0, 10)
+        rows = [[0.0], [0.35], [0.5], [1.0]]
+        for law in random_laws():
+            calls.clear()
+            stab.scan_invariant_plane(law, rows, lam, lam, directions)
+            [(par, i1, i2, (coef, weights))] = calls
+            assert par.shape == (4, 1, 1) and coef.shape == (4, 100, 2)
+            for t, row_coef, row_weights in zip(par[:, 0], coef, weights):
+                ref_coef, ref_weights = law_values(law, t, i1, i2)
+                assert row_coef.tobytes() == ref_coef.tobytes()
+                assert row_weights.tobytes() == ref_weights.tobytes()
+
+    @pytest.mark.parametrize("budget, rows_per_call", [(250, [2, 2, 1]), (50, [1] * 5)])
+    def test_rows_beyond_the_point_budget_take_several_calls(
+        self, monkeypatch, directions, budget, rows_per_call
+    ):
+        law = random_laws()[1]
+        lam = np.linspace(0.5, 3.0, 10)  # 100 points
+        rows = [[0.0], [0.2], [0.35], [0.5], [1.0]]
+        ref = stab.scan_invariant_plane(law, rows, lam, lam, directions)
+        law_values, shapes = stab._law_values, []
+
+        def recording(law, par, i1, i2):
+            shapes.append(np.shape(par))
+            return law_values(law, par, i1, i2)
+
+        monkeypatch.setattr(stab, "_law_values", recording)
+        monkeypatch.setattr(stab, "_LAW_POINTS", budget)
+        got = stab.scan_invariant_plane(law, rows, lam, lam, directions)
+        assert shapes == [(k, 1, 1) for k in rows_per_call]
+        assert [outcome(p) for p in got.points] == [outcome(p) for p in ref.points]
+        assert got.per_parameter == ref.per_parameter
+
+    def test_law_values_are_released_before_the_next_call(self, monkeypatch, directions):
+        # a network's values view its workspace: holding them would keep one
+        # workspace per call alive
+        law = random_laws()[0]
+        lam = np.linspace(0.5, 3.0, 10)
+        law_values, held = stab._law_values, []
+
+        def recording(law, par, i1, i2):
+            assert all(ref() is None for ref in held)
+            values = law_values(law, par, i1, i2)
+            held.extend(weakref.ref(x) for x in values)
+            return values
+
+        monkeypatch.setattr(stab, "_law_values", recording)
+        monkeypatch.setattr(stab, "_LAW_POINTS", 100)
+        stab.scan_invariant_plane(law, [[0.0], [0.5], [1.0]], lam, lam, directions)
+        assert len(held) == 6
+
+    def test_law_of_one_parameter_vector_is_evaluated_row_by_row(self, directions):
+        par_shapes = []
+
+        class OneVector:
+            """Reads par as one parameter vector, whatever its leading axes."""
+
+            label = "one-vector"
+
+            def derivatives(self, i1, i2, par):
+                par_shapes.append(np.shape(par))
+                return MR.derivatives(i1, i2, np.ravel(par)[:1])
+
+        rows, lam = [[0.0], [0.5], [1.0]], np.linspace(0.5, 3.0, 4)
+        report = stab.scan_invariant_plane(OneVector(), rows, lam, lam, directions)
+        assert par_shapes == [(3, 1, 1)] + [(1,)] * 3
+        ref = stab.scan_invariant_plane(MR, rows, lam, lam, directions)
+        assert [outcome(p) for p in report.points] == [outcome(p) for p in ref.points]
 
 
 class TestClosedFormGeometry:
@@ -568,7 +674,7 @@ class TestBatchedConditions:
     def test_scan_over_several_blocks_matches_per_point_calls(self, monkeypatch):
         law = random_laws()[3]
         directions = stab.fibonacci_directions(64)
-        lam = np.linspace(0.4, 3.5, 9)  # 81 points, 64 per block
+        _, lam = two_block_grid(64)
         points, pairs = [], []
         point_geometry, normals = stab._point_geometry, stab._normals
 
@@ -585,7 +691,7 @@ class TestBatchedConditions:
         report = stab.scan_invariant_plane(law, [[0.3], [0.8]], lam, lam, directions)
         # the point geometry is built once per scan, and each block's
         # normals once, serving both rows
-        assert points == [81]
+        assert points == [len(lam) ** 2]
         assert len(pairs) == 2 and max(pairs) <= stab._BLOCK_PAIRS
         monkeypatch.undo()
         for p in report.points:
@@ -605,7 +711,7 @@ class TestBatchedConditions:
                                                      law_index):
         law = random_laws()[law_index]
         directions = stab.fibonacci_directions(64)
-        lam = np.linspace(0.4, 3.5, 9)  # 81 points: blocks of 64 and 17
+        block, lam = two_block_grid(64)
         grid = [[0.3], [0.8]]
         ref = stab.scan_invariant_plane(law, grid, lam, lam, directions)
         workspace = stab._workspace
@@ -620,7 +726,7 @@ class TestBatchedConditions:
 
         monkeypatch.setattr(stab, "_workspace", nan_filled)
         got = stab.scan_invariant_plane(law, grid, lam, lam, directions)
-        assert sizes == [(64, 64)]
+        assert sizes == [(block, 64)]
         assert [outcome(p) for p in got.points] == [outcome(p) for p in ref.points]
         docs = []
         for name, report in (("got", got), ("ref", ref)):
@@ -630,8 +736,9 @@ class TestBatchedConditions:
 
     def test_checks_take_the_scan_blocks(self, rng, monkeypatch, directions):
         # many points at once stay within one block's workspace, and give
-        # the minima of every point-direction pair
-        f = unimodular_block(rng, count=300)
+        # the minima of every point-direction pair: seven and a half blocks
+        block = stab._BLOCK_PAIRS // len(directions)
+        f = unimodular_block(rng, count=7 * block + block // 2)
         workspace, sizes = stab._workspace, []
 
         def recording(count, dirs):
@@ -655,10 +762,12 @@ class TestBatchedConditions:
 
 class TestScanArena:
     def test_block_workspaces_are_aligned(self, rng, monkeypatch):
-        # 7 directions: blocks of 585 points, 4095 pairs, then 15; neither
-        # product is a multiple of 8
+        # 7 directions: a full block, then 15 points; neither block's pair
+        # count is a multiple of 8
         directions = stab.fibonacci_directions(7)
-        f = unimodular_block(rng, count=600)
+        block = stab._BLOCK_PAIRS // 7
+        assert block * 7 % 8 and 15 * 7 % 8
+        f = unimodular_block(rng, count=block + 15)
         scan_block, built = stab._scan_block, []
 
         def recording(coefficients, finv_t, vectors, dyads, weights, minima, work):
@@ -668,7 +777,7 @@ class TestScanArena:
         ref = stab.ellipticity_incompressible(MR, f, T0, directions)
         monkeypatch.setattr(stab, "_scan_block", recording)
         assert stab.ellipticity_incompressible(MR, f, T0, directions) == ref
-        assert [count for count, _ in built] == [585, 15]
+        assert [count for count, _ in built] == [block, 15]
         # the shorter last block takes its views from the same buffer
         base = built[0][1][0].base
         for count, work in built:
@@ -946,9 +1055,12 @@ class TestScan:
         grid = [[0.0], [0.5], [1.0]]
         lam = np.linspace(0.5, 3.0, 5)
         clean = stab.scan_invariant_plane(MR, grid, lam, lam, directions)
-        report = stab.scan_invariant_plane(
-            RowFailingLaw(MR, 0.5, fail), grid, lam, lam, directions
-        )
+        law = RowFailingLaw(MR, 0.5, fail)
+        report = stab.scan_invariant_plane(law, grid, lam, lam, directions)
+        # NaN values come from the one call for every row; an error makes
+        # the scan evaluate each row, then each point of the failing row
+        row_calls = 0 if fail is nan_values else 3 + len(lam) ** 2
+        assert law.par_shapes == [(3, 1, 1)] + [(1,)] * row_calls
         for p, c in zip(report.points, clean.points):
             if p.t[0] == 0.5:
                 assert p.error == error
