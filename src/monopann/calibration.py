@@ -178,6 +178,8 @@ def load_dataset(csv_path) -> Dataset:
                 raise ValueError(f"{sidecar_path}: {key} is not a finite number: "
                                  f"{json.dumps(value)}")
         pmin, pmax = sidecar["param_min"], sidecar["param_max"]
+        if pmin > pmax:
+            raise ValueError(f"{sidecar_path}: param_min {pmin} exceeds param_max {pmax}")
         label = sidecar.get("material_label", "")
         source = sidecar.get("source", "")
     else:
@@ -213,8 +215,8 @@ def load_datasets(paths) -> Dataset:
     return merge_datasets([load_dataset(p) for p in paths])
 
 
-def split_by_parameter(dataset: Dataset, holdout_raw_values, atol=1e-12) -> Dataset:
-    """Move samples whose raw parameter matches any holdout value to the test set.
+def split_by_parameter(dataset: Dataset, holdout_raw_values) -> Dataset:
+    """Move samples whose raw parameter is within 1e-12 of a holdout value to the test set.
 
     Raises ``ValueError`` for a holdout value that is not finite or that
     matches no sample, either of which would silently hold out nothing.
@@ -224,7 +226,7 @@ def split_by_parameter(dataset: Dataset, holdout_raw_values, atol=1e-12) -> Data
         raise ValueError(
             f"holdout parameter values must be finite, got {holdout.tolist()}"
         )
-    matches = np.abs(dataset.param_raw[:, None] - holdout[None, :]) <= atol
+    matches = np.abs(dataset.param_raw[:, None] - holdout[None, :]) <= 1e-12
     unmatched = holdout[~matches.any(axis=0)]
     if unmatched.size:
         raise ValueError(

@@ -10,7 +10,6 @@ from .errors import InvalidStretchError, InvertedConfigurationError
 
 __all__ = [
     "tensor_cross",
-    "cross_operator",
     "isochoric_invariants",
     "invariant_derivatives",
     "principal_stretch_gradient",
@@ -39,28 +38,6 @@ def tensor_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = ab + ba - _bview(tr_b) * a - _bview(tr_a) * b
     out += _bview(tr_a * tr_b - _tr(ab)) * np.eye(3)
     return np.swapaxes(out, -1, -2)
-
-
-def cross_operator(m: np.ndarray) -> np.ndarray:
-    """Fourth-order tensor of the linear map ``x -> tensor_cross(m, x)``.
-
-    Indexed [i,I,j,J]; it is major-symmetric.  ``cross_operator(f)`` is both
-    the derivative of the cofactor and the second derivative of ``det`` at f.
-    Expanding ``eps_ijk eps_IJK`` in Kronecker deltas (Bonet, Gil & Ortigosa,
-    CMAME 283, 2015) gives the closed form::
-
-        tr m (d_iI d_jJ - d_iJ d_jI) - d_iI m_Jj + d_iJ m_Ij + d_jI m_Ji - d_jJ m_Ii
-    """
-    m = np.asarray(m, dtype=float)
-    eye = np.eye(3)
-    out = _bview(_tr(m), 4) * (
-        np.einsum("iI,jJ->iIjJ", eye, eye) - np.einsum("iJ,jI->iIjJ", eye, eye)
-    )
-    out -= np.einsum("iI,...Jj->...iIjJ", eye, m)
-    out += np.einsum("iJ,...Ij->...iIjJ", eye, m)
-    out += np.einsum("jI,...Ji->...iIjJ", eye, m)
-    out -= np.einsum("jJ,...Ii->...iIjJ", eye, m)
-    return out
 
 
 def _bview(x: np.ndarray, order: int = 2) -> np.ndarray:
@@ -154,7 +131,9 @@ def _invariant_derivatives(f: np.ndarray, terms):
     det, h, i1, i2, g2, d1, d2 = terms
     eye = np.eye(3)
     delta = np.einsum("ij,IJ->iIjJ", eye, eye)
-    x_f = cross_operator(f)  # second derivative of det
+    # second derivative of det: f x e_jJ over the unit tensors e_jJ = delta[j, J],
+    # indexed [j, J, i, I], which major symmetry makes the same as [i, I, j, J]
+    x_f = tensor_cross(f[..., None, None, :, :], delta)
     # second derivatives of |f|^2 and of |h|^2, the latter
     # 2 [2 F_iI F_jJ + |F|^2 d_ij d_IJ - d_ij C_IJ - F_iJ F_jI - (F F^T)_ij d_IJ]
     d2_raw1 = 2.0 * delta

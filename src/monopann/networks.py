@@ -50,7 +50,6 @@ __all__ = [
     "build_model",
     "forward_batch",
     "invariant_gradients_batch",
-    "parameter_gradients_batch",
     "invariant_hessians_batch",
     "invariant_gradient_vjp",
     "parameter_arrays",
@@ -203,14 +202,14 @@ def constraint_mask(model: PotentialModel) -> np.ndarray:
     return mask
 
 
-def sparsity(model: PotentialModel, threshold: float = ZERO_WEIGHT_THRESHOLD):
-    """Count parameters with magnitude above ``threshold``.
+def sparsity(model: PotentialModel):
+    """Count parameters with magnitude above ``ZERO_WEIGHT_THRESHOLD``.
 
     Returns ``(nonzero_count, total_count)``.  Projection during training
     produces exact zeros, so the threshold is only a safety margin.
     """
     arrays = parameter_arrays(model)
-    nonzero = sum(int(np.count_nonzero(np.abs(a) > threshold)) for a in arrays)
+    nonzero = sum(int(np.count_nonzero(np.abs(a) > ZERO_WEIGHT_THRESHOLD)) for a in arrays)
     return nonzero, parameter_count(model)
 
 
@@ -312,9 +311,8 @@ class _Workspace:
     the outputs that feed the next layer and the adjoints below the top
     layer.  The ``scratch`` slots are taken in turn by the trace (the
     pre-activation of the last layer, which then holds its output, and of a
-    layer feeding the entry layer, and softplus intermediates), by the
-    reverse rule (``ahat`` below the entry layer) and by the VJP (see
-    :func:`_stress_vjp`).
+    layer feeding the entry layer, and softplus intermediates) and by the
+    VJP (see :func:`_stress_vjp`).
 
     The entry layer's input has ``zinv`` in its first two columns, filled
     here with ``par`` behind it when the entry layer is the first; else the
@@ -334,10 +332,10 @@ class _Workspace:
         # layer from a slot of their own
         above, own = depth - entry, depth - 1 - (entry > 0)
         softplus = any(layer.activation is Activation.SOFTPLUS for layer in hidden)
-        # the trace's pre-activation and softplus pair; the reverse rule's
-        # ahat below the entry layer; the VJP's a' and s' o a' from the entry
-        # layer up, abar below it and abar W between layers below it
-        spare = max(1 + 2 * softplus, entry, 2 * above + max(2 * entry - 1, 0))
+        # the trace's pre-activation and softplus pair; the VJP's a' and
+        # s' o a' from the entry layer up, abar below it and abar W between
+        # layers below it
+        spare = max(1 + 2 * softplus, 2 * above + max(2 * entry - 1, 0))
         slots = spare + depth + 3 * above - 1 + own
         # the slots, then the entry layer's input, its product ahat W and,
         # when a layer feeds it, the adjoint of that input
@@ -348,7 +346,7 @@ class _Workspace:
         self.spare = tuple(self.scratch[1:3]) if softplus else None
         self.slopes = list(islice(views, depth))
         self.curvatures = [None] * entry + list(islice(views, above))
-        self.a_hats = self.scratch[:entry] + list(islice(views, above))
+        self.a_hats = [None] * entry + list(islice(views, above))
         held = list(islice(views, own))
         # the reverse rule's products ahat_k W_k: above the entry layer the
         # adjoint r_{k-1}
@@ -410,19 +408,17 @@ def _trace(model: PotentialModel, work: _Workspace, output=False, curvatures=Tru
     return x
 
 
-def _reverse(model: PotentialModel, work: _Workspace, stop: int):
-    """The reverse rule down to layer ``stop``, after :func:`_trace`: writes
-    per layer the adjoint ``r_k`` of its output and ``r_k o s'_k`` into
-    ``work``, and returns d psi / d I and the adjoint of the input of layer
-    ``stop`` past the invariant columns."""
-    entry, r = _entry(model), model.layers[-1].weights
-    for k in range(len(work.slopes) - 1, stop - 1, -1):
+def _reverse(model: PotentialModel, work: _Workspace):
+    """The reverse rule from the top layer down to the entry layer, after
+    :func:`_trace`: writes per layer the adjoint ``r_k`` of its output,
+    ``r_k o s'_k`` and its product with ``W_k`` into ``work``, and returns
+    d psi / d I, the first two columns of the entry layer's product."""
+    r = model.layers[-1].weights
+    for k in range(len(work.slopes) - 1, _entry(model) - 1, -1):
         work.adjoints[k] = r
         a_hat = np.multiply(r, work.slopes[k], out=work.a_hats[k])
         r = np.matmul(a_hat, model.layers[k].weights, out=work.products[k])
-        if k == entry:
-            grad, r = r[..., :2], r[..., 2:]
-    return grad, r
+    return r[..., :2]
 
 
 def forward_batch(model: PotentialModel, inv, par) -> np.ndarray:
@@ -436,7 +432,7 @@ def _coefficients(model: PotentialModel, work: _Workspace) -> np.ndarray:
     """Stress coefficients d psi / d I, shape (..., S, 2), at the inputs of
     ``work``, from a trace that skips the curvatures; they view ``work``."""
     _trace(model, work, curvatures=False)
-    return _reverse(model, work, _entry(model))[0]
+    return _reverse(model, work)
 
 
 def _stress_vjp(model: PotentialModel, work: _Workspace):
@@ -456,7 +452,7 @@ def _stress_vjp(model: PotentialModel, work: _Workspace):
     """
     entry, hidden = _entry(model), model.layers[:-1]
     _trace(model, work)
-    grad, _ = _reverse(model, work, entry)
+    grad = _reverse(model, work)
     above, slopes, scratch = len(hidden) - entry, work.slopes, work.scratch
     a_dots = [None] * entry + scratch[0:2 * above:2]
     x_dots = [None] * entry + scratch[1:2 * above:2]
@@ -506,15 +502,6 @@ def invariant_gradients_batch(model: PotentialModel, inv, par) -> np.ndarray:
     return g.reshape(g.shape[:-2] + lead + (2,))
 
 
-def parameter_gradients_batch(model: PotentialModel, inv, par) -> np.ndarray:
-    """d psi / d t, shape (..., m)."""
-    inv, par, lead = _as_batch(model, inv, par)
-    work = _Workspace(model, inv - 3.0, par)
-    _trace(model, work, curvatures=False)
-    g = _reverse(model, work, 0)[1]
-    return g.reshape(g.shape[:-2] + lead + (model.param_dim,))
-
-
 def _weighted_gram(c, w):
     """``sum_i c_i w_ia w_ib``, shape (..., 2, 2), for ``c`` (..., n), ``w`` (..., n, 2)."""
     return (c[..., None, :] * w.mT) @ w
@@ -533,7 +520,7 @@ def invariant_hessians_batch(model: PotentialModel, inv, par):
     entry, hidden = _entry(model), model.layers[:-1]
     work = _Workspace(model, inv - 3.0, par)
     _trace(model, work)
-    g, _ = _reverse(model, work, entry)
+    g = _reverse(model, work)
     slopes, curvatures, adjoints = work.slopes, work.curvatures, work.adjoints
     jac = hidden[entry].weights[..., None, :, :2]
     h = _weighted_gram(curvatures[entry] * adjoints[entry], jac)

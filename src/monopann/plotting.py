@@ -30,15 +30,20 @@ class Series:
     markers: bool = False
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5):
+# the chart's size in pixels, and the most ticks an axis gets
+_WIDTH, _HEIGHT = 640, 420
+_TICKS = 5
+
+
+def _nice_ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    raw = span / target
+    raw = span / _TICKS
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
-        if span / step <= target:
+        if span / step <= _TICKS:
             break
     first = np.ceil(lo / step) * step
     ticks = np.arange(first, hi + 0.5 * step, step)
@@ -56,18 +61,11 @@ def _fmt(value: float) -> str:
     return "0" if text == "-0" else text
 
 
-def line_chart(
-    series: list,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-    width: int = 640,
-    height: int = 420,
-) -> str:
-    """Render series as an SVG document string."""
+def line_chart(series: list, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
+    """Render series as an SVG document string, 640 x 420 pixels."""
     margin_l, margin_r, margin_t, margin_b = 62, 16, 34, 46
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = _WIDTH - margin_l - margin_r
+    plot_h = _HEIGHT - margin_t - margin_b
 
     xs = np.concatenate([np.asarray(s.x, dtype=float) for s in series])
     ys = np.concatenate([np.asarray(s.y, dtype=float) for s in series])
@@ -87,9 +85,9 @@ def line_chart(
         return margin_t + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     # grid and ticks
     for tx in _nice_ticks(x_lo, x_hi):
@@ -152,12 +150,12 @@ def line_chart(
     # labels
     if title:
         parts.append(
-            f'<text x="{width / 2:.0f}" y="20" font-size="14" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.0f}" y="20" font-size="14" text-anchor="middle" '
             f'font-family="sans-serif" font-weight="bold">{_escape(title)}</text>'
         )
     if xlabel:
         parts.append(
-            f'<text x="{margin_l + plot_w / 2:.0f}" y="{height - 10}" font-size="13" '
+            f'<text x="{margin_l + plot_w / 2:.0f}" y="{_HEIGHT - 10}" font-size="13" '
             f'text-anchor="middle" font-family="sans-serif">{_escape(xlabel)}</text>'
         )
     if ylabel:

@@ -154,8 +154,9 @@ def _point_geometry(f: np.ndarray, *terms):
     are the terms' acoustic tensors; ``finv_t`` is ``F^-T`` (P, 3, 3).
 
     Contracted with ``B o B``, an outer product ``X o Y`` gives
-    ``(XB) o (YB)``, and every ``kinematics.cross_operator`` part of the
-    second invariant derivatives gives 0.  With the cofactor ``h``,
+    ``(XB) o (YB)``, and every part of the second invariant derivatives
+    that is the second derivative of det, the map ``X -> F x X`` of
+    ``kinematics.tensor_cross``, gives 0.  With the cofactor ``h``,
     ``C = F^T F`` and ``g2``, the raw gradient of ``|h|^2`` (see
     ``kinematics._invariant_terms``), each term is a weighted sum of outer
     products of ``d1, d2, h, F, g2``, plus two parts: ``2 J^-2/3 |B|^2 I``

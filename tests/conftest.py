@@ -73,6 +73,21 @@ def uniaxial_gradient(lam) -> np.ndarray:
     return kinematics.principal_stretch_gradient(lam, lam**-0.5)
 
 
+def parameter_gradients(model, inv, par):
+    """d psi / d t, shape (..., m), from the engine's reverse rule: past its
+    invariant columns, the entry layer's product ``ahat W`` is the adjoint of
+    that layer's other inputs, which the rule sweeps down through every
+    layer below the entry layer to the parameters."""
+    inv, par, lead = networks._as_batch(model, inv, par)
+    work = networks._Workspace(model, inv - 3.0, par)
+    networks._coefficients(model, work)
+    entry = networks._entry(model)
+    g = work.products[entry][..., 2:]
+    for k in range(entry - 1, -1, -1):
+        g = (g * work.slopes[k]) @ model.layers[k].weights
+    return g.reshape(g.shape[:-2] + lead + (model.param_dim,))
+
+
 def stack_models(models):
     """One model whose arrays view one (R, P) buffer, row r from ``models[r]``."""
     rows = [calibration._flat(networks.parameter_arrays(m)) for m in models]

@@ -20,7 +20,7 @@ from monopann import networks as nets
 from monopann import stability as stab
 from monopann.cli import main as cli_main
 
-from conftest import random_rotation, random_unimodular
+from conftest import parameter_gradients, random_rotation, random_unimodular
 from levi_civita import tensor_cross_ref
 from scan_oracle import tangent_plane_basis
 
@@ -178,7 +178,7 @@ def test_derivative_correctness():
                     rtol=RTOL_DERIV, atol=ATOL_FLOOR,
                 )
                 np.testing.assert_allclose(
-                    nets.parameter_gradients_batch(model, inv, par),
+                    parameter_gradients(model, inv, par),
                     fd_param_gradients(model, inv, par),
                     rtol=RTOL_DERIV, atol=ATOL_FLOOR,
                 )
@@ -238,7 +238,7 @@ def test_constraint_suite():
                 inv = 3.0 + 6.0 * rng.random((10_000, 2))
                 par = rng.random((10_000, 1))
                 assert nets.invariant_gradients_batch(model, inv, par).min() >= 0.0
-                assert nets.parameter_gradients_batch(model, inv, par).min() >= 0.0
+                assert parameter_gradients(model, inv, par).min() >= 0.0
                 if arch is nets.Architecture.CONVEX_MONOTONIC:
                     eigs = np.linalg.eigvalsh(
                         nets.invariant_hessians_batch(model, inv, par)[1]

@@ -115,8 +115,9 @@ class TestCalibrate:
         ({"param_min": 0, "param_max": [1]}, "param_max is not a finite number: [1]"),
         ({"param_min": float("nan"), "param_max": 1},
          "param_min is not a finite number: NaN"),
+        ({"param_min": 0.8, "param_max": 0.2}, "param_min 0.8 exceeds param_max 0.2"),
     ], ids=["no-bounds", "no-max", "list", "string-min", "null-min", "bool-max",
-            "list-max", "nan-min"])
+            "list-max", "nan-min", "swapped"])
     def test_bad_sidecar_rejected(self, tmp_path, small_dataset, capsys, sidecar,
                                   message):
         data = tmp_path / "data.csv"

@@ -58,7 +58,7 @@ def separate_hessian(model, i1, i2, par):
     entry, hidden = nets._entry(model), model.layers[:-1]
     work = nets._Workspace(model, inv - 3.0, par)
     nets._trace(model, work)
-    nets._reverse(model, work, entry)
+    nets._reverse(model, work)
     jac = hidden[entry].weights[..., None, :, :2]
     h = nets._weighted_gram(work.curvatures[entry] * work.adjoints[entry], jac)
     for k in range(entry + 1, len(hidden)):

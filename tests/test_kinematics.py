@@ -43,24 +43,13 @@ class TestTensorCross:
             0.5 * kin.tensor_cross(f, f), np.diag([0.5, 2.0, 1.0]), atol=1e-14
         )
 
-    def test_operator_matches_product(self, rng):
-        m = rng.standard_normal((3, 3))
-        x = rng.standard_normal((3, 3))
-        op = kin.cross_operator(m)
-        np.testing.assert_allclose(
-            np.einsum("iIjJ,jJ->iI", op, x), tensor_cross_ref(m, x), atol=1e-14
-        )
-
     def test_closed_forms_match_levi_civita_definitions(self, rng):
         a = rng.standard_normal((4, 5, 3, 3))
         b = rng.standard_normal((4, 5, 3, 3))
         # well conditioned, with det f > 0 after flipping the first row
         f = np.eye(3) + 0.2 * rng.standard_normal((4, 5, 3, 3))
         f[..., 0, :] *= np.sign(np.linalg.det(f))[..., None]
-        pairs = [
-            (kin.tensor_cross(a, b), tensor_cross_ref(a, b)),
-            (kin.cross_operator(a), cross_operator_ref(a)),
-        ]
+        pairs = [(kin.tensor_cross(a, b), tensor_cross_ref(a, b))]
         pairs += zip(kin.invariant_derivatives(f)[2:], second_derivatives_ref(f))
         for got, ref in pairs:
             assert got.shape == ref.shape

@@ -6,7 +6,8 @@ import pytest
 from monopann import networks as nets
 from monopann.errors import ConstraintViolationError, ShapeMismatchError
 
-from conftest import central_difference, central_difference_tensor, stack_models
+from conftest import (central_difference, central_difference_tensor, parameter_gradients,
+                      stack_models)
 
 ALL_ARCHITECTURES = list(nets.Architecture)
 CONSTRAINED = [nets.Architecture.MONOTONIC, nets.Architecture.CONVEX_MONOTONIC]
@@ -133,7 +134,7 @@ class TestDerivatives:
     def test_parameter_gradients_match_fd(self, arch, rng):
         model = make_model(arch, rng, nodes=5, param_dim=2)
         inv, par = random_states(rng, 10, param_dim=2)
-        g = nets.parameter_gradients_batch(model, inv, par)
+        g = parameter_gradients(model, inv, par)
         for s in range(10):
             fd = central_difference(
                 lambda x: nets.forward_batch(model, inv[s], x), par[s]
@@ -170,7 +171,7 @@ class TestDerivatives:
         np.testing.assert_array_equal(
             nets.invariant_gradients_batch(model, inv, par), [0.0, 0.0]
         )
-        np.testing.assert_array_equal(nets.parameter_gradients_batch(model, inv, par), [0.0])
+        np.testing.assert_array_equal(parameter_gradients(model, inv, par), [0.0])
         np.testing.assert_array_equal(
             nets.invariant_hessians_batch(model, inv, par)[1], np.zeros((2, 2))
         )
@@ -180,7 +181,7 @@ class TestDerivatives:
             model = make_model(arch, rng, nodes=6)
             inv, par = random_states(rng, 10_000)
             g = nets.invariant_gradients_batch(model, inv, par)
-            gp = nets.parameter_gradients_batch(model, inv, par)
+            gp = parameter_gradients(model, inv, par)
             assert g.min() >= 0.0
             assert gp.min() >= 0.0
 
@@ -391,11 +392,11 @@ class TestStackedRestarts:
         stacked = stack_models(models)
         inv, par = random_states(rng, 20, param_dim=2)
         _, h = nets.invariant_hessians_batch(stacked, inv, par)
-        g = nets.parameter_gradients_batch(stacked, inv, par)
+        g = parameter_gradients(stacked, inv, par)
         assert h.shape == (3, 20, 2, 2) and g.shape == (3, 20, 2)
         for r, model in enumerate(models):
             np.testing.assert_array_equal(h[r], nets.invariant_hessians_batch(model, inv, par)[1])
-            np.testing.assert_array_equal(g[r], nets.parameter_gradients_batch(model, inv, par))
+            np.testing.assert_array_equal(g[r], parameter_gradients(model, inv, par))
 
 
 class TestCurvatures:
@@ -418,7 +419,6 @@ class TestCurvatures:
         none, from_entry = [False] * depth, [k >= entry for k in range(depth)]
         for call, want in [(nets.forward_batch, none),
                            (nets.invariant_gradients_batch, none),
-                           (nets.parameter_gradients_batch, none),
                            (nets.invariant_hessians_batch, from_entry),
                            (lambda m, i, p: stress_vjp(m, i - 3.0, p, cot), from_entry)]:
             taken.clear()

@@ -501,8 +501,7 @@ class TestClosedFormGeometry:
 
         # replace each function in every module that holds it, including
         # modules that imported it by name
-        for original in (cons._tangent_terms, kin.invariant_derivatives,
-                         kin.cross_operator, kin.tensor_cross):
+        for original in (cons._tangent_terms, kin.invariant_derivatives, kin.tensor_cross):
             for module in (cons, kin, nets, stab):
                 for name, value in list(vars(module).items()):
                     if value is original:
