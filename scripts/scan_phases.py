@@ -19,6 +19,8 @@ in ``stability`` with timers and reports the median per scan of:
   weights of every parameter row;
 * ``geometry``: ``_point_geometry``, the law- and direction-independent
   coefficients of the acoustic tensors;
+* ``polynomials``: ``_polynomials``, the coefficients of the condition
+  polynomials of every parameter row (0 for a checkout without them);
 * ``minima``: ``_minima``, the blocked condition values and their minima;
 * ``report``: the rest of ``scan_invariant_plane``: argument checks, the
   stretches, the verdict fields and the report's record array;
@@ -47,8 +49,8 @@ import time
 import tracemalloc
 from pathlib import Path
 
-PHASES = ("_scan_points", "_law_values", "_point_geometry", "_minima")
-NAMES = ("points", "law", "geometry", "minima")
+PHASES = ("_scan_points", "_law_values", "_point_geometry", "_polynomials", "_minima")
+NAMES = ("points", "law", "geometry", "polynomials", "minima")
 COLUMNS = (*NAMES, "report", "total", "peak_kb")
 # the scan-grid workload of bench/run.py
 ROWS = [[0.0], [0.5], [1.0]]
@@ -80,9 +82,11 @@ def measure(src: Path, scans: int, warmup: int) -> dict:
 
         return wrapper
 
-    originals = {phase: getattr(stability, phase) for phase in PHASES}
+    originals = {phase: getattr(stability, phase) for phase in PHASES
+                 if hasattr(stability, phase)}
     for phase, name in zip(PHASES, NAMES):
-        setattr(stability, phase, timed(name, originals[phase]))
+        if phase in originals:
+            setattr(stability, phase, timed(name, originals[phase]))
     model = networks.build_model(networks.Architecture.MONOTONIC, NODES, 1,
                                  np.random.default_rng(SEED))
     laws = {"network": constitutive.NeuralLaw(model, label="scan_model"),

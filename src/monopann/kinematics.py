@@ -63,8 +63,7 @@ def _invariant_terms(f: np.ndarray, det=None, inverse=None):
     """
     f = np.asarray(f, dtype=float)
     det = np.linalg.det(f) if det is None else det
-    if np.any(det <= 0.0) or not np.all(np.isfinite(det)):
-        raise InvertedConfigurationError("invariant derivatives require det f > 0")
+    _check_determinant(det)
     inverse = np.linalg.inv(f) if inverse is None else inverse
     h = _bview(det) * np.swapaxes(inverse, -1, -2)
     i1 = np.einsum("...iI,...iI->...", f, f)
@@ -73,6 +72,12 @@ def _invariant_terms(f: np.ndarray, det=None, inverse=None):
     d1 = _scaled_first(det, h, i1, 2.0 * f, -2.0 / 3.0)
     d2 = _scaled_first(det, h, i2, g2, -4.0 / 3.0)
     return det, h, i1, i2, g2, d1, d2
+
+
+def _check_determinant(det: np.ndarray) -> None:
+    """Raise ``InvertedConfigurationError`` where det f is not finite and positive."""
+    if np.any(det <= 0.0) or not np.all(np.isfinite(det)):
+        raise InvertedConfigurationError("invariant derivatives require det f > 0")
 
 
 def _diagonal_inverse(f: np.ndarray) -> np.ndarray:

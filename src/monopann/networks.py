@@ -502,6 +502,12 @@ def invariant_gradients_batch(model: PotentialModel, inv, par) -> np.ndarray:
     return g.reshape(g.shape[:-2] + lead + (2,))
 
 
+# the distinct entries (00, 01, 11) of a symmetric 2x2 matrix, and the
+# entry at each place of the full matrix
+_GRAM_ROW, _GRAM_COL = [0, 0, 1], [0, 1, 1]
+_GRAM_FULL = [[0, 1], [1, 2]]
+
+
 def _weighted_gram(c, w):
     """``sum_i c_i w_ia w_ib``, shape (..., 2, 2), for ``c`` (..., n), ``w`` (..., n, 2)."""
     return (c[..., None, :] * w.mT) @ w
@@ -522,8 +528,12 @@ def invariant_hessians_batch(model: PotentialModel, inv, par):
     _trace(model, work)
     g = _reverse(model, work)
     slopes, curvatures, adjoints = work.slopes, work.curvatures, work.adjoints
-    jac = hidden[entry].weights[..., None, :, :2]
-    h = _weighted_gram(curvatures[entry] * adjoints[entry], jac)
+    # the entry layer's A is the same for every sample: one (S, n) @ (n, 3)
+    # product for the entries (00, 01, 11) of its weighted Gram matrix
+    jac = hidden[entry].weights[..., :2]
+    pairs = jac[..., _GRAM_ROW] * jac[..., _GRAM_COL]
+    h = ((curvatures[entry] * adjoints[entry]) @ pairs)[..., _GRAM_FULL]
+    jac = jac[..., None, :, :]
     for k in range(entry + 1, len(hidden)):
         jac = (slopes[k - 1][..., None, :] * hidden[k].weights[..., None, :, :]) @ jac
         h += _weighted_gram(curvatures[k] * adjoints[k], jac)

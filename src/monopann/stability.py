@@ -25,18 +25,26 @@ verdicts, do not change when the potential is scaled by c > 0 or the
 deformation is rotated.  Where Q = 0 exactly every value is 0, a
 degenerate pass.
 
-The acoustic tensors are computed without the fourth-order tangent.  Q is
-the tangent's weighted sum of five law-independent terms, and each term
-contracted with ``B o B`` is a rank-one closed form in 3x3 quantities of the
-point (see ``_point_geometry``): outer products ``X o Y`` contract to
-``(XB) o (YB)``, and the tensor-cross parts of the second invariant
-derivatives vanish, because ``eps_IJK B_I B_K = 0``.
+The conditions are evaluated in the principal frame, without the
+fourth-order tangent.  A scan point is ``F = diag(l)``; any other F is
+``U diag(s) V^T`` with U and V rotations, and the law is isotropic, so its
+values in direction B are those of ``diag(s)`` in direction ``V^T B``
+(Simpson & Spector, ARMA 1983).  Q is the tangent's weighted sum of five
+law-independent terms, and at a diagonal F each term contracted with
+``B o B`` has the same sparse form: ``Q_jk = O_jk B_j B_k`` off the
+diagonal and ``Q_ii = sum_J N_iJ B_J^2`` on it (see ``_point_geometry``).
+Every numerator and denominator of the normalized values is then a
+polynomial of degree 1 to 3 in the squares ``x = (B_J^2)``, whose
+coefficients are built once per parameter row and point
+(``_polynomials``); the values at D directions are one product per degree
+with the directions' monomials, and a few elementwise steps.
 """
 
 import json
 import operator
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +58,7 @@ from .constitutive import (
 )
 from .errors import EmptyGridError, MonopannError, ShapeMismatchError
 from .kinematics import (
+    _check_determinant,
     _diagonal_inverse,
     _invariant_terms,
     _isochoric,
@@ -121,120 +130,207 @@ def _vectors(directions) -> np.ndarray:
     return vectors
 
 
-# the six independent components of a symmetric 3x3 tensor, in the order
-# (00, 11, 22, 01, 02, 12), and the component at each entry of the full
-# tensor
-_ROW = np.array([0, 1, 2, 0, 0, 1])
-_COL = np.array([0, 1, 2, 1, 2, 2])
-_FULL = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
-_SYMMETRIC = list(zip(_ROW.tolist(), _COL.tolist()))
-# A term's coefficients of B_I B_J in the symmetric components (i, j) are
-# laid out flat, entry 9 s + 3 I + J for the component s = (i, j).  At each
-# entry: the index of x[i, I], y[j, J], C[I, J] and (F F^T)[i, j] in a tensor
-# flattened to 9, and delta_IJ, delta_ij and delta_ij delta_IJ
-_S, _I, _J = np.indices((6, 3, 3)).reshape(3, 54)
-_LEFT = 3 * _ROW[_S] + _I
-_RIGHT = 3 * _COL[_S] + _J
-_PAIR = 3 * _I + _J
-_COMPONENT = 3 * _ROW[_S] + _COL[_S]
-_EYE = np.eye(3).ravel()[_PAIR]
-_DIAGONAL = np.eye(3).ravel()[_COMPONENT]
-_DELTA = _DIAGONAL * _EYE
+# the off-diagonal components (j, k) = (m + 1, m + 2) mod 3 of a symmetric
+# 3x3 tensor, indexed by the third index m: (1, 2), (2, 0) and (0, 1)
+_NEXT = np.array([1, 2, 0])
+_LAST = np.array([2, 0, 1])
+# the monomials of x = (B_0^2, B_1^2, B_2^2) of degrees 1, 2 and 3, as
+# sorted index tuples (K = 3, 6 and 10), in the order of the condition
+# polynomials' coefficients and of the direction features; and those of
+# degrees 2 and 3 as the product of one of the degree below and an x_J
+_MONOMIALS = [list(combinations_with_replacement(range(3), d)) for d in (1, 2, 3)]
+_FACTORS = [(np.array([lower.index(m[:-1]) for m in monomials]),
+             np.array([m[-1] for m in monomials]))
+            for lower, monomials in zip(_MONOMIALS, _MONOMIALS[1:])]
+
+
+def _symmetrizer(entries) -> np.ndarray:
+    """The map (E, K) from the coefficients of the E products ``x_J x_K ..``
+    of the index tuples ``entries``, all of one degree, to the coefficients
+    of the monomials of that degree."""
+    index = {m: k for k, m in enumerate(_MONOMIALS[len(entries[0]) - 1])}
+    out = np.zeros((len(entries), len(index)))
+    for row, entry in enumerate(entries):
+        out[row, index[tuple(sorted(entry))]] = 1.0
+    return out
+
+
+# the products that the quadratic and cubic forms of _polynomials hold: the
+# entries of a 3x3 table and a 3x3x3 tensor, then x_j x_k at the three
+# off-diagonal components, then x_j x_k x_L at each of them and x_0 x_1 x_2
+_CROSS = list(zip(_NEXT.tolist(), _LAST.tolist()))
+_QUADRATIC = _symmetrizer([*product(range(3), repeat=2), *_CROSS])
+_CUBIC = _symmetrizer([*product(range(3), repeat=3),
+                       *((j, k, last) for j, k in _CROSS for last in range(3)), (0, 1, 2)])
 
 
 def _point_geometry(f: np.ndarray, *terms):
-    """The law- and direction-independent part of the acoustic tensors of
-    the points ``f`` (P, 3, 3), built once per scan.  ``terms`` are the
+    """The law- and direction-independent part of the acoustic tensors at
+    the diagonal deformation gradients ``f`` (P, 3, 3).  ``terms`` are the
     points' ``kinematics._invariant_terms``, whose det is checked here.
 
-    Returns ``(coefficients, finv_t)``: ``coefficients`` (P, 5, 54) holds,
-    for each of the five tangent terms (see ``constitutive._tangent_terms``),
-    the coefficients of ``B_I B_J`` in the six symmetric components of its
-    acoustic tensor, laid out as (6, 9), so that ``coefficients @ dyads``
-    are the terms' acoustic tensors; ``finv_t`` is ``F^-T`` (P, 3, 3).
+    Returns ``(geometry, inverse)``.  ``geometry`` (P, 5, 12) holds, for
+    each of the five tangent terms (see ``constitutive._tangent_terms``),
+    the coefficients of its acoustic tensor Q in the squares ``B_J^2``: the
+    off-diagonal multiples ``Q_jk = O_jk B_j B_k`` at the three components
+    ``(j, k) = (_NEXT, _LAST)``, then the 3x3 table of ``Q_ii = sum_J N_iJ
+    B_J^2``, flattened.  ``inverse`` (P, 3) is the diagonal of ``F^-T``,
+    which maps B to the normal ``n = F^-T B``, scaled by a power of two per
+    point so that its largest entry lies in [0.5, 1); the conditions are
+    homogeneous in n, so the scaling changes no bit of them.
 
-    Contracted with ``B o B``, an outer product ``X o Y`` gives
-    ``(XB) o (YB)``, and every part of the second invariant derivatives
-    that is the second derivative of det, the map ``X -> F x X`` of
-    ``kinematics.tensor_cross``, gives 0.  With the cofactor ``h``,
-    ``C = F^T F`` and ``g2``, the raw gradient of ``|h|^2`` (see
-    ``kinematics._invariant_terms``), each term is a weighted sum of outer
-    products of ``d1, d2, h, F, g2``, plus two parts: ``2 J^-2/3 |B|^2 I``
-    in the second derivative of I1, and in that of I2 the contraction of
+    At a diagonal F the invariant terms are diagonal, so each outer product
+    ``X o Y`` contracts with ``B o B`` to ``(X_j Y_k) B_j B_k`` and the
+    second derivative of det to 0.  With ``g2``, the raw gradient of
+    ``|h|^2`` (see ``kinematics._invariant_terms``), each term is a weighted
+    sum of such products of ``d1, d2, h, F, g2``, plus ``2 J^-2/3 |B|^2 I``
+    in the second derivative of I1 and, in that of I2, the contraction of
     its ``x_f o x_f`` part, ``2 J^-4/3 [(FB) o (FB) - |B|^2 F F^T
     - (|FB|^2 - |B|^2 |F|^2) I]``.
-
-    Every part is built in the flat (P, 54) layout: the coefficients
-    ``x[i, I] y[j, J]`` of ``(XB) o (YB)`` are the product of two gathers,
-    ``x`` by ``_LEFT`` and ``y`` by ``_RIGHT``, of the tensors flattened to
-    (P, 9), so that each product is one contiguous multiply.  Each term is
-    written into its slot of the result.
 
     Raises ``NotIsochoricError`` where ``|det F - 1|`` exceeds the tolerance
     and ``InvertedConfigurationError`` where det F is not finite.
     """
     _check_isochoric(terms[0])
     det, h, i1, i2, g2, d1, d2 = terms
-    count = len(f)
-    c = np.swapaxes(f, -1, -2) @ f
-    f_ft = f @ np.swapaxes(f, -1, -2)
-    finv_t = h / det[:, None, None]
-    # each tensor's factors x[i, I] and y[j, J] of the (P, 54) outer products
-    left, right = {}, {}
-    for name, x in (("d1", d1), ("d2", d2), ("h", h), ("f", f), ("g2", g2)):
-        flat = x.reshape(count, 9)
-        left[name], right[name] = flat[:, _LEFT], flat[:, _RIGHT]
-
-    def outer(x, y, out=None):
-        return np.multiply(left[x], right[y], out=out)
-
-    # J, |F|^2 and |h|^2 shaped to scale the (P, 54) outer products
+    v = np.stack([np.diagonal(x, axis1=-2, axis2=-1) for x in (d1, d2, h, f, g2)])
+    inverse = v[2] / det[:, None]
+    inverse = np.ldexp(inverse, -np.frexp(inverse.max(axis=-1, keepdims=True))[1])
+    # the coefficients x_j y_k at the off-diagonal components and x_i y_i at
+    # the diagonal ones of (XB) o (YB), for every pair of the diagonals of
+    # (d1, d2, h, F, g2), and of (XB) o (YB) + (YB) o (XB)
+    products = (np.concatenate([v[..., _NEXT], v], axis=-1)[:, None]
+                * np.concatenate([v[..., _LAST], v], axis=-1)[None])
+    pairs = products + products.swapaxes(0, 1)
+    # J, |F|^2 and |h|^2 shaped to scale the (P, 6) products
     det, i1, i2 = (x[:, None] for x in (det, i1, i2))
     # J^p and p J^(p-1) for the exponents p = -2/3 (I1) and -4/3 (I2)
     j1, j2 = det ** (-2.0 / 3.0), det ** (-4.0 / 3.0)
     dj1, dj2 = -2.0 / 3.0 * j1 / det, -4.0 / 3.0 * j2 / det
-    hh = outer("h", "h")
-    coefficients = np.empty((count, 5, 54))
-    first, mixed, second, iso1, iso2 = coefficients.transpose(1, 0, 2)
-    outer("d1", "d1", first)
-    np.add(outer("d1", "d2"), outer("d2", "d1"), out=mixed)
-    outer("d2", "d2", second)
+    geometry = np.zeros((len(det), 5, 12))
+    # the entries of the products: O at the off-diagonal components, N_ii
+    at = [0, 1, 2, 3, 7, 11]
+    geometry[:, 0, at], geometry[:, 1, at], geometry[:, 2, at] = (
+        products[0, 0], pairs[0, 1], products[1, 1])
     # per invariant: p (p - 1) J^(p-2) |.|^2 for h o h, p J^(p-1) times the
     # raw gradient's factor (2F, g2) for the mixed pairs with h, and J^p
-    # times the contraction of the raw second derivative
-    part = np.multiply(-5.0 / 3.0 * dj1 / det * i1, hh)
-    pair = outer("h", "f")
-    pair += outer("f", "h")
-    pair *= 2.0 * dj1
-    part += pair
-    np.add(part, 2.0 * j1 * _DELTA, out=iso1)
-    part = np.multiply(-7.0 / 3.0 * dj2 / det * i2, hh)
-    pair = outer("h", "g2")
-    pair += outer("g2", "h")
-    pair *= dj2
-    part += pair
-    raw = outer("f", "f")
-    raw -= f_ft.reshape(count, 9)[:, _COMPONENT] * _EYE
-    raw -= _DIAGONAL * c.reshape(count, 9)[:, _PAIR]
-    raw += i1 * _DELTA
-    raw *= 2.0 * j2
-    np.add(part, raw, out=iso2)
-    return coefficients, finv_t
+    # times the contraction of the raw second derivative: 2 I for I1, and
+    # for I2 F_j F_k off the diagonal and, at row i and column J,
+    # delta_iJ F_i^2 - (F F^T)_ii - C_JJ + |F|^2
+    geometry[:, 3, 3:] = 2.0 * j1
+    geometry[:, 3, at] += -5.0 / 3.0 * dj1 / det * i1 * products[2, 2] + pairs[2, 3] * (2.0 * dj1)
+    square = products[3, 3, :, 3:]
+    raw = np.where(np.eye(3, dtype=bool), square[:, :, None], 0.0)
+    raw -= square[:, :, None]
+    raw -= square[:, None, :]
+    raw += i1[:, :, None]
+    geometry[:, 4, :3] = products[3, 3, :, :3] * (2.0 * j2)
+    geometry[:, 4, 3:] = (raw * (2.0 * j2[:, :, None])).reshape(-1, 9)
+    geometry[:, 4, at] += -7.0 / 3.0 * dj2 / det * i2 * products[2, 2] + pairs[2, 4] * dj2
+    return geometry, inverse
 
 
-def _dyads(directions: np.ndarray) -> np.ndarray:
-    """The products ``B_I B_J`` (9, D) of the directions (D, 3)."""
-    b_t = directions.T
-    return (b_t[:, None] * b_t[None, :]).reshape(9, len(directions))
+def _polynomials(weights: np.ndarray, geometry: np.ndarray, inverse: np.ndarray):
+    """Coefficients of the condition polynomials in ``x = (B_J^2)`` of the
+    points with the :func:`_point_geometry` ``geometry`` (P, 5, 12) and
+    ``inverse`` (P, 3) in each row of the tangent weights ``weights`` (R, P,
+    5).
+
+    Returns ``(linear, quadratic, cubic)``, shaped (R, 2, P, 3), (R, 3, P, 6)
+    and (R, 2, P, 10), in the monomials ``_MONOMIALS`` of ``x``:
+
+    * linear: ``|n|^2`` and ``2 tr Q``;
+    * quadratic: ``|Q|^2``, ``tr Q |n|^2 - n.Qn`` and ``2 tr cof Q``;
+    * cubic: ``2 n.cof(Q)n`` and ``6 det Q``.
+
+    Per (row, point), the weighted terms give ``Q_jk = O_jk B_j B_k`` and
+    ``Q_ii = a_i = N_i.x``, which are first scaled by the power of two that
+    puts their largest coefficient in [0.5, 1): every normalized value is
+    homogeneous of degree 0 in Q, so that changes none of its bits, and the
+    numerators then over- or underflow no sooner than a Q of norm 1 would.
+    With the columns ``t`` of tr Q, the squares ``k`` of ``inverse`` (so
+    that ``|n|^2 = k.x``) and ``o_m = O_jk`` at ``(j, k) = (m + 1, m + 2)``,
+    the quadratics are the forms ``x^T A x`` of
+
+        |Q|^2 = N^T N,  tr Q |n|^2 - n.Qn = t k^T - diag(k) N,
+        2 tr cof Q = 2 sum_m N_{m+1} N_{m+2}^T,
+
+    plus ``2 o_m^2``, ``-2 o_m g_j g_k`` and ``-2 o_m^2`` at ``(j, k)``, and
+    the cubics are the forms ``T_JKL x_J x_K x_L`` of
+
+        det Q = N_0 o N_1 o N_2 - sum_m o_m^2 e_j o e_k o N_m + 2 o_0 o_1 o_2 x_0 x_1 x_2,
+        n.cof(Q)n = sum_i k_i e_i o N_{i+1} o N_{i+2} - 2 sum_m g_j g_k o_m e_j o e_k o N_m
+                    + sum_m (2 g_j g_k o_j o_k - k_m o_m^2) x_0 x_1 x_2,
+
+    from ``cof(Q)_ii = a_j a_k - Q_jk^2`` and ``cof(Q)_jk = B_j B_k (o_j o_k
+    x_m - o_m a_m)``, with ``g`` the entries of ``inverse``.
+    """
+    rows, count = weights.shape[:2]
+    # every intermediate is laid out (..., M) over the M = R P row-points,
+    # so that each step is a few passes over contiguous memory
+    c = np.ascontiguousarray((weights[..., None, :] @ geometry).reshape(-1, 12).T)
+    c = np.ldexp(c, -np.frexp(np.abs(c).max(axis=0))[1])
+    o, n = c[:3], c[3:].reshape(3, 3, -1)
+    n1, n2 = n[_NEXT], n[_LAST]
+    g = np.tile(inverse.T, rows)
+    k, gg = g * g, g[_NEXT] * g[_LAST]
+    ggo, oo = gg * o, o * o
+    t = n[0] + n[1] + n[2]
+    linear = np.stack([k, 2.0 * t])
+    forms = np.empty((3, 12) + k.shape[1:])
+    np.einsum("ijm,ikm->jkm", n, n, out=forms[0, :9].reshape(3, 3, -1))
+    np.subtract(t[:, None] * k, k[:, None] * n, out=forms[1, :9].reshape(3, 3, -1))
+    np.einsum("ijm,ikm->jkm", n1, n2, out=forms[2, :9].reshape(3, 3, -1))
+    forms[2, :9] *= 2.0
+    np.multiply(oo, 2.0, out=forms[0, 9:])
+    np.multiply(ggo, -2.0, out=forms[1, 9:])
+    np.negative(forms[0, 9:], out=forms[2, 9:])
+    tensors = np.empty((2, 37) + k.shape[1:])
+    np.einsum("im,ikm,ilm->iklm", k, n1, n2, out=tensors[0, :27].reshape(3, 3, 3, -1))
+    np.einsum("jm,km,lm->jklm", n[0], n[1], n[2], out=tensors[1, :27].reshape(3, 3, 3, -1))
+    np.multiply(np.stack([-2.0 * ggo, -oo])[:, :, None], n,
+                out=tensors[:, 27:36].reshape(2, 3, 3, -1))
+    tensors[0, 36] = (2.0 * gg * o[_NEXT] * o[_LAST] - k * oo).sum(axis=0)
+    tensors[1, 36] = 2.0 * o[0] * o[1] * o[2]
+    cubic = _CUBIC.T @ tensors
+    cubic *= [[[2.0]], [[6.0]]]
+    return [np.ascontiguousarray(x.reshape(x.shape[:2] + (rows, count)).transpose(2, 0, 3, 1))
+            for x in (linear, _QUADRATIC.T @ forms, cubic)]
+
+
+def _features(vectors: np.ndarray) -> list[np.ndarray]:
+    """The monomials of ``x = (B_J^2)`` of degrees 1, 2 and 3, each (...,
+    K, D) in the order of ``_MONOMIALS``, for the directions ``vectors``
+    (..., D, 3).  Each direction is first scaled by the power of two that
+    puts its largest entry in [0.5, 1); the conditions are homogeneous in B,
+    so that changes none of their bits, and the cubics stay finite for any
+    finite direction."""
+    scaled = np.ldexp(vectors, -np.frexp(np.abs(vectors).max(axis=-1, keepdims=True))[1])
+    features = [np.swapaxes(scaled * scaled, -1, -2)]
+    for lower, last in _FACTORS:
+        features.append(features[-1][..., lower, :] * features[0][..., last, :])
+    return features
+
+
+def _contract(coefficients: np.ndarray, features: np.ndarray, out: np.ndarray) -> None:
+    """Write the values (q, P, D) of ``q`` polynomials per point with the
+    ``coefficients`` (q, P, K) at the :func:`_features` ``features``,
+    shared (K, D) or per point (P, K, D), into ``out``: shared ones as one
+    ``(q P, K) @ (K, D)`` product."""
+    if features.ndim == 2:
+        np.matmul(coefficients.reshape(-1, len(features)), features,
+                  out=out.reshape(-1, out.shape[-1]))
+    else:
+        np.matmul(coefficients.swapaxes(0, 1), features, out=out.swapaxes(0, 1))
 
 
 def _block_runs(count: int, dirs: int):
     """The ``networks._arena`` runs of the scratch arrays of a block of
-    ``count`` points and ``dirs`` directions: the normals, Q and cof Q,
-    each (6, P, D), then one row's coefficients of ``B_I B_J``, point-major
-    (P, 1, 54) and component-major (6, P, 9), then seven (P, D) planes."""
-    return [(3, (6, count, dirs)), (1, (count, 1, 54)), (1, (6, count, 9)),
-            (7, (count, dirs))]
+    ``count`` points and ``dirs`` directions: the values of one row's
+    linear, quadratic and cubic polynomials (2, P, D), (3, P, D) and (2, P,
+    D), then two (P, D) planes."""
+    return [(1, (2, count, dirs)), (1, (3, count, dirs)), (1, (2, count, dirs)),
+            (2, (count, dirs))]
 
 
 def _workspace(count: int, dirs: int) -> list[np.ndarray]:
@@ -243,39 +339,13 @@ def _workspace(count: int, dirs: int) -> list[np.ndarray]:
     :func:`_block_runs`.  A shorter block takes the views of its own runs
     from the same buffer.
 
-    The normals are kept for every parameter row of the block.  Their
-    intermediates ``n = F^-T B`` (3, P, D) and ``|n|`` (P, D) take the
-    first half of Q and the last plane, which the conditions then
-    overwrite.  Every intermediate of size (P, D) or larger is written into
-    a view with ``out=``, so that a scan allocates almost nothing per block:
-    large temporaries freed and taken again per block made the C heap
-    return memory to the system and fault it back in.  Nothing is read from
-    a view before it is written in the same block.
+    Every intermediate of size (P, D) or larger is written into a view with
+    ``out=``, so that a scan allocates almost nothing per block: large
+    temporaries freed and taken again per block made the C heap return
+    memory to the system and fault it back in.  Nothing is read from a view
+    before it is written in the same block.
     """
     return _arena(_block_runs(count, dirs))
-
-
-def _normals(finv_t: np.ndarray, directions: np.ndarray, work):
-    """The direction-dependent part of the acoustic geometry of a block.
-
-    ``finv_t`` is the block's ``F^-T`` (P, 3, 3), ``directions`` (D, 3) and
-    ``work`` the :func:`_workspace` of P points and D directions.  Returns
-    the components (6, P, D) of ``m o m`` for the unit normals
-    ``m = n / |n|``, ``n = F^-T B``, with the off-diagonal ones doubled, so
-    that ``m.Sm`` is the dot product with the components of a symmetric S.
-    They are the first view of ``work``; they and every intermediate are
-    written into it with ``out=``, ``n`` component-major (3, P, D).
-    """
-    count, dirs = len(finv_t), len(directions)
-    normals, n, norm = work[0], work[1][:3], work[-1]
-    rows = np.ascontiguousarray(finv_t.transpose(1, 0, 2)).reshape(3 * count, 3)
-    np.matmul(rows, directions.T, out=n.reshape(3 * count, dirs))
-    np.sqrt(np.einsum("ipd,ipd->pd", n, n, out=norm), out=norm)
-    m = np.divide(n, norm, out=n)
-    for s, (i, j) in enumerate(_SYMMETRIC):
-        np.multiply(m[i], m[j], out=normals[s])
-    normals[3:] *= 2.0
-    return normals
 
 
 def _law_values(law, par, i1, i2):
@@ -286,12 +356,29 @@ def _law_values(law, par, i1, i2):
 
 
 def _point_terms(law, f, par):
-    """The point geometry ``(coefficients, finv_t)`` of the points ``f``
-    (P, 3, 3) (see :func:`_point_geometry`) and the tangent weights (P, 5)
-    of ``law`` there, from one invariant pass after the det F = 1 check."""
-    terms = _isochoric_terms(f)
-    coefficients, finv_t = _point_geometry(f, *terms)
-    return coefficients, finv_t, _law_values(as_law(law), par, *_isochoric(terms))[1]
+    """The principal-frame terms of the points ``f`` (P, 3, 3) on det F = 1.
+
+    With the SVD ``F = U diag(s) V^T``, the law is isotropic, so every
+    acoustic tensor at F is ``Q(F, B) = U Q(diag(s), V^T B) U^T`` and every
+    condition value at F in direction B is the one at ``diag(s)`` in
+    direction ``V^T B``.  U and V need not be proper: det F > 0 makes them
+    both proper or both improper, and either way ``X -> U^T X V`` keeps
+    ``X^T X`` up to a rotation and det X, and so the isochoric invariants
+    that the law reads.  Returns the :func:`_point_geometry` ``(geometry,
+    inverse)`` at ``diag(s)``, the tangent weights (P, 5) of ``law`` there,
+    and U and ``V^T`` (P, 3, 3), from one det and one invariant pass.
+
+    Raises ``NotIsochoricError`` off det F = 1 and
+    ``InvertedConfigurationError`` where det F is not finite, before the SVD.
+    """
+    det = np.linalg.det(f)
+    _check_isochoric(det)
+    _check_determinant(det)
+    u, s, vh = np.linalg.svd(f)
+    principal = s[:, :, None] * np.eye(3)
+    terms = _invariant_terms(principal, det, _diagonal_inverse(principal))
+    geometry, inverse = _point_geometry(principal, *terms)
+    return geometry, inverse, _law_values(as_law(law), par, *_isochoric(terms))[1], u, vh
 
 
 def acoustic_tensor(law, f, par, b: np.ndarray) -> np.ndarray:
@@ -299,97 +386,69 @@ def acoustic_tensor(law, f, par, b: np.ndarray) -> np.ndarray:
 
     ``f`` is (3, 3) or (P, 3, 3) and ``b`` is (3,) or (D, 3); the result has
     shape ``f.shape[:-2] + b.shape[:-1] + (3, 3)``.  It is built from the
-    scan's own geometry and weights.
+    scan's own geometry and weights in the principal frame of each point
+    (:func:`_point_terms`).
     """
     f = np.asarray(f, dtype=float)
     b = np.asarray(b, dtype=float)
     points, vectors = f.reshape(-1, 3, 3), b.reshape(-1, 3)
-    coefficients, _, weights = _point_terms(law, points, par)
-    q = (weights[:, None, :] @ coefficients).reshape(len(points), 6, 9)
-    q = q @ _dyads(vectors)
-    q = np.moveaxis(q[:, _FULL], -1, 1)
+    geometry, _, weights, u, vh = _point_terms(law, points, par)
+    c = (weights[:, None, :] @ geometry)[:, 0]
+    rotated = vectors @ vh.mT
+    q = np.zeros(rotated.shape + (3,))
+    q[..., [0, 1, 2], [0, 1, 2]] = (rotated * rotated) @ c[:, 3:].reshape(-1, 3, 3).mT
+    q[..., _NEXT, _LAST] = c[:, None, :3] * rotated[..., _NEXT] * rotated[..., _LAST]
+    q[..., _LAST, _NEXT] = q[..., _NEXT, _LAST]
+    q = u[:, None] @ q @ u[:, None].mT
     return q.reshape(f.shape[:-2] + b.shape[:-1] + (3, 3))
 
 
-def _sub_products(out, x, y, u, v, scratch):
-    """``out = x y - u v``, elementwise and in place."""
-    np.multiply(x, y, out=out)
-    out -= np.multiply(u, v, out=scratch)
-
-
-def _conditions(coefficients, dyads, normals, weights: np.ndarray, work: np.ndarray):
+def _conditions(polynomials, features, work: list[np.ndarray]):
     """Normalized condition values ``(c1, c2), (d1, d2, d3)``, each (P, D),
     of one parameter row of a block of P points and D directions.
 
-    ``coefficients`` (P, 5, 54) are the block's rows of
-    :func:`_point_geometry`, ``dyads`` (9, D) are :func:`_dyads`,
-    ``normals`` (6, P, D) are :func:`_normals`, the first view of
-    ``work``, and ``weights`` (P, 5) are the row's
-    ``constitutive._tangent_weights``.  The values are views of ``work``
-    behind the normals, and the next call overwrites them; every
-    intermediate is written into ``work`` with ``out=``.  The row's
-    (6, P, 9) coefficients make one ``(6 P, 9) @ (9, D)`` product, which
-    writes Q component-major (6, P, D), so that each component is
-    contiguous.  Q is divided by its Frobenius norm ``|Q|`` first, which
-    normalizes every value at once (see the module docstring).  With the
-    components ``(a, b, c, d, e, f)`` of the symmetric, normalized acoustic
-    tensor Q and the closed forms ``Q x Q = 2 cof Q`` and
-    ``Q x I = (tr Q) I - Q``, the values are
+    ``polynomials`` are the row's (q, P, K) slices of :func:`_polynomials`,
+    ``features`` their :func:`_features`, shared (K, D) or per point (P, K,
+    D), and ``work`` the :func:`_workspace` of the block.  The values are
+    views of ``work``, and the next call overwrites them; every
+    intermediate is written into ``work`` with ``out=``.  With the closed
+    forms ``Q x Q = 2 cof Q`` and ``Q x I = (tr Q) I - Q`` and the
+    Frobenius norm ``|Q|``, they are
 
-        c1 = 2 m.cof(Q)m,  c2 = tr Q - m.Qm,
-        d1 = 2 cof(Q):Q = 6 det Q,  d2 = 2 tr cof Q,  d3 = 2 tr Q,
+        c1 = 2 n.cof(Q)n / (|Q|^2 |n|^2),  c2 = (tr Q |n|^2 - n.Qn) / (|Q| |n|^2),
+        d1 = 6 det Q / |Q|^3,  d2 = 2 tr cof Q / |Q|^2,  d3 = 2 tr Q / |Q|.
 
-    with the unit normal m; the incompressible pair is thereby already
-    divided by ``|n|^2``.
+    ``|Q|^2`` is raised to the smallest normal float first, so that the
+    reciprocals of ``|Q|`` and ``|Q|^2`` are finite: where Q = 0 every
+    numerator is exactly 0, and so is every value.
     """
-    count, dirs = len(weights), dyads.shape[1]
-    _, q, cof, row, tensor, c1, c2, d1, d2, d3, tr_q, tmp = work
-    np.matmul(weights[:, None, :], coefficients, out=row)
-    np.copyto(tensor, row.reshape(count, 6, 9).transpose(1, 0, 2))
-    np.matmul(tensor.reshape(6 * count, 9), dyads, out=q.reshape(6 * count, dirs))
-    # |Q|, with the off-diagonal components counted twice.  Every value is
-    # homogeneous in Q, so where Q = 0 all of them are exactly 0; raising
-    # that norm to the smallest normal float keeps its reciprocal finite
-    # (a nonzero |Q| is at least 1e-162, the root of the least subnormal)
-    norm = np.einsum("spd,spd->pd", q, q, out=tmp)
-    norm += np.einsum("spd,spd->pd", q[3:], q[3:], out=tr_q)
-    np.sqrt(norm, out=norm)
-    np.maximum(norm, _TINY, out=norm)
-    q *= np.divide(1.0, norm, out=norm)
-    a, b, c, d, e, f = q
-    _sub_products(cof[0], b, c, f, f, tmp)
-    _sub_products(cof[1], a, c, e, e, tmp)
-    _sub_products(cof[2], a, b, d, d, tmp)
-    _sub_products(cof[3], e, f, c, d, tmp)
-    _sub_products(cof[4], d, f, b, e, tmp)
-    _sub_products(cof[5], d, e, a, f, tmp)
-    np.add(a, b, out=tr_q)
-    tr_q += c
-
-    np.einsum("spd,spd->pd", normals, cof, out=c1)
-    c1 *= 2.0
-    np.einsum("spd,spd->pd", normals, q, out=c2)
-    np.subtract(tr_q, c2, out=c2)
-    # 6 det Q, expanded along the first row
-    np.multiply(a, cof[0], out=d1)
-    d1 += np.multiply(d, cof[3], out=tmp)
-    d1 += np.multiply(e, cof[4], out=tmp)
-    d1 *= 6.0
-    np.add(cof[0], cof[1], out=d2)
-    d2 += cof[2]
-    d2 *= 2.0
-    np.multiply(tr_q, 2.0, out=d3)
+    linear, quadratic, cubic, inverse, inverse_sq = work
+    for coefficients, monomials, out in zip(polynomials, features, work):
+        _contract(coefficients, monomials, out)
+    (nn, d3), (qq, c2, d2), (c1, d1) = linear, quadratic, cubic
+    np.maximum(qq, _TINY, out=qq)
+    np.divide(1.0, np.sqrt(qq, out=inverse), out=inverse)
+    np.divide(1.0, qq, out=inverse_sq)
+    c1 *= inverse_sq
+    c1 /= nn
+    c2 *= inverse
+    c2 /= nn
+    d1 *= inverse_sq
+    d1 *= inverse
+    d2 *= inverse_sq
+    d3 *= inverse
     return (c1, c2), (d1, d2, d3)
 
 
 def _point_minima(law, f, par, directions) -> np.ndarray:
     """Smallest incompressible and compressible condition values (P, 2) of
     the points ``f`` (P, 3, 3), or (3, 3) for P = 1, over ``directions``
-    (D, 3), taken as the scan takes them (:func:`_minima`)."""
+    (D, 3), taken as the scan takes them (:func:`_minima`) in the principal
+    frame of each point (:func:`_point_terms`)."""
     vectors = _vectors(directions)
     f = np.asarray(f, dtype=float).reshape(-1, 3, 3)
-    coefficients, finv_t, weights = _point_terms(law, f, par)
-    return _minima(coefficients, finv_t, vectors, weights[None])[0]
+    geometry, inverse, weights, _, vh = _point_terms(law, f, par)
+    return _minima(_polynomials(weights[None], geometry, inverse), vectors, vh)[0]
 
 
 def ellipticity_incompressible(law, f, par, directions) -> tuple[bool, float]:
@@ -537,20 +596,20 @@ class StabilityReport:
 
 # Upper bound on the point-direction pairs evaluated together; it caps the
 # scratch memory of a scan or an ellipticity check independently of its
-# point count: one workspace of 25 floats per pair and 108 per point, each of
-# its 12 views padded to a multiple of 8 floats and the whole to a 64-byte
-# start (at most 92 floats more), 1.63 MB at 200 directions (40 points),
-# made once per call of _minima.  The point geometry is built once per call
-# for all the points and adds 2.2 kB of coefficients per point.  Fewer
+# point count: one workspace of 9 floats per pair, each of its 5 views
+# padded to a multiple of 8 floats and the whole to a 64-byte start, 1.44 MB
+# at 200 directions (100 points), made once per call of _minima.  Fewer
 # pairs pay numpy's fixed cost per call on more blocks; more pairs make a
-# workspace larger than a 2 MiB L2 cache, and both ran slower.
-_BLOCK_PAIRS = 8192
-# Upper bound on the points (parameter rows x stretch pairs) of one law
-# evaluation in a scan, which takes at least one row.  A network's Hessian
-# holds (S, n, n) products, about 12 kB per point at n = 32: a scan of 20
-# rows of 3600 points peaked at 861 MB (tracemalloc) with one call for all
-# rows and at 52 MB with one row per call.  The benchmark's scan-grid, 3
-# rows of 100 points, takes one call.
+# workspace larger than a 2 MiB L2 cache, and both ran slower (3 rows of 100
+# and of 400 points, 200 directions).
+_BLOCK_PAIRS = 20000
+# Upper bound on the row-points (parameter rows x stretch pairs) of one law
+# evaluation in a scan, and so of the condition polynomials built from it
+# (44 coefficients per row-point).  A network's Hessian holds (S, n, n)
+# products, about 12 kB per point at n = 32: one row of 10000 points peaked
+# at 125 MB (tracemalloc) in one call, and at 62 MB in calls of at most
+# 4096 points.  The benchmark's scan-grid, 3 rows of 100 points, takes one
+# call.
 _LAW_POINTS = 4096
 # errors that fail a scan point instead of the scan
 _POINT_ERRORS = (MonopannError, np.linalg.LinAlgError)
@@ -587,21 +646,18 @@ def _pointwise(evaluate, args, outs, errors) -> None:
             out[k] = result[0]
 
 
-def _scan_block(coefficients, finv_t, directions, dyads, weights, minima, work) -> None:
+def _scan_block(polynomials, features, minima, work) -> None:
     """Smallest incompressible and compressible condition values of a block
     of points in every parameter row.
 
-    ``coefficients`` and ``finv_t`` are the block's rows of
-    :func:`_point_geometry`, ``directions`` (D, 3) and ``dyads`` the
-    directions and their :func:`_dyads`, and ``weights`` (R, P, 5) the
-    rows' tangent weights; the results go to ``minima`` (R, P, 2).
-    ``work`` is the :func:`_workspace` of :func:`_minima`.  Only the
-    direction-dependent normals are built per block, once, and serve every
-    row.  A point whose geometry or weights are NaN gets NaN minima.
+    ``polynomials`` are the block's (R, q, P, K) slices of
+    :func:`_polynomials`, ``features`` their :func:`_features`, shared or
+    per point, and the results go to ``minima`` (R, P, 2).  ``work`` is the
+    :func:`_workspace` of :func:`_minima`.  A point whose geometry or
+    weights are NaN gets NaN minima.
     """
-    normals = _normals(finv_t, directions, work)
-    for row, out in zip(weights, minima):
-        (c1, c2), (d1, d2, d3) = _conditions(coefficients, dyads, normals, row, work)
+    for row, out in zip(zip(*polynomials), minima):
+        (c1, c2), (d1, d2, d3) = _conditions(row, features, work)
         np.minimum(c1, c2, out=c1).min(axis=-1, out=out[:, 0])
         np.minimum(d1, d2, out=d1)
         np.minimum(d1, d3, out=d1).min(axis=-1, out=out[:, 1])
@@ -640,27 +696,31 @@ def _scan_points(lam1, lam2, errors):
     return f, i1, i2, live, [term[finite[valid]] for term in terms]
 
 
-def _minima(coefficients, finv_t, vectors, weights) -> np.ndarray:
+def _minima(polynomials, vectors: np.ndarray, frames=None) -> np.ndarray:
     """Smallest incompressible and compressible condition values (R, P, 2)
-    over the directions ``vectors`` (D, 3) of the points with the geometry
-    ``coefficients``, ``finv_t`` (:func:`_point_geometry`) in each parameter
-    row of ``weights`` (R, P, 5).
+    over the directions ``vectors`` (D, 3) of the points with the condition
+    polynomials ``polynomials`` (:func:`_polynomials`) in each parameter
+    row.  With ``frames``, the points' ``V^T`` (P, 3, 3) of
+    :func:`_point_terms`, each point takes the directions ``V^T B``.
 
     The points are taken in blocks of at most ``_BLOCK_PAIRS``
-    point-direction pairs (:func:`_scan_block`), all in one workspace.
+    point-direction pairs (:func:`_scan_block`), all in one workspace; the
+    direction features are built once, or per block for ``frames``.
     """
-    dyads = _dyads(vectors)
-    minima = np.full(weights.shape[:-1] + (2,), np.nan)
+    rows, _, count, _ = polynomials[0].shape
+    minima = np.full((rows, count, 2), np.nan)
     block = max(_BLOCK_PAIRS // len(vectors), 1)
-    work = _workspace(min(block, len(finv_t)), len(vectors))
-    for start in range(0, len(finv_t), block):
+    work = _workspace(min(block, count), len(vectors))
+    features = _features(vectors) if frames is None else None
+    for start in range(0, count, block):
         part = slice(start, start + block)
-        count = len(finv_t[part])
-        if count < len(work[-1]):
+        size = len(minima[0, part])
+        if size < len(work[-1]):
             # a shorter last block: its views of the same buffer
-            work = _arena(_block_runs(count, len(vectors)), work[0].base)
-        _scan_block(coefficients[part], finv_t[part], vectors, dyads,
-                    weights[:, part], minima[:, part], work)
+            work = _arena(_block_runs(size, len(vectors)), work[0].base)
+        if frames is not None:
+            features = _features(vectors @ frames[part].mT)
+        _scan_block([x[:, :, part] for x in polynomials], features, minima[:, part], work)
     return minima
 
 
@@ -678,34 +738,55 @@ def _stacked_law_values(law, param_grid, i1, i2, coef, weights) -> None:
     coef[...], weights[...] = values
 
 
+def _groups(rows: int, points: int):
+    """Slices ``(rows, points)`` that cover R parameter rows and P points
+    with groups of at most ``_LAW_POINTS`` row-points and at least one:
+    rows in steps with every point while a row fits, else one row at a time
+    with its points in steps."""
+    span = max(min(points, _LAW_POINTS), 1)
+    step = _LAW_POINTS // span
+    for start in range(0, rows, step):
+        for first in range(0, points, span):
+            yield slice(start, start + step), slice(first, first + span)
+
+
 def _scan_minima(law, param_grid, f, i1, i2, terms, vectors):
     """Stress coefficients (R, P, 2), smallest incompressible and
     compressible condition values (R, P, 2) and point errors (R, P) of the
     points ``f`` (P, 3, 3) with invariants ``i1``, ``i2`` and invariant
     terms ``terms`` in every parameter row; see
-    :func:`scan_invariant_plane`.  The law is evaluated once for as many
-    rows as keep a call within ``_LAW_POINTS`` points, at least one
-    (:func:`_stacked_law_values`).  Where that raises a point error, those
-    rows are evaluated one by one (:func:`_pointwise`)."""
-    errors = np.full((len(param_grid), len(f)), None, dtype=object)
-    coef = np.full((len(param_grid), len(f), 2), np.nan)
-    weights = np.full((len(param_grid), len(f), 5), np.nan)
-    step = max(_LAW_POINTS // max(len(f), 1), 1)
-    for start in range(0, len(param_grid), step):
-        rows = slice(start, start + step)
+    :func:`scan_invariant_plane`.
+
+    The point geometry is built once.  Then the law is evaluated once per
+    group of :func:`_groups` (:func:`_stacked_law_values`), and the group's
+    condition polynomials and minima follow from its weights.  Where the law
+    raises a point error, the group's rows are evaluated one by one
+    (:func:`_pointwise`).  A geometry error fails its point in every row,
+    where it overrides an error of the law."""
+    rows, count = len(param_grid), len(f)
+    errors = np.full((rows, count), None, dtype=object)
+    coef = np.full((rows, count, 2), np.nan)
+    minima = np.full((rows, count, 2), np.nan)
+    geometry, inverse = np.full((count, 5, 12), np.nan), np.full((count, 3), np.nan)
+    failed = np.full(count, None, dtype=object)
+    _pointwise(_point_geometry, (f, *terms), (geometry, inverse), failed)
+    for group, part in _groups(rows, count):
+        weights = np.full((len(param_grid[group]), len(f[part]), 5), np.nan)
         try:
-            _stacked_law_values(law, param_grid[rows], i1, i2, coef[rows], weights[rows])
+            _stacked_law_values(law, param_grid[group], i1[part], i2[part],
+                                coef[group, part], weights)
         except _POINT_ERRORS:
             # row by row, so that an error fails only its own point in its own row
             for t, row_coef, row_weights, row_errors in zip(
-                param_grid[rows], coef[rows], weights[rows], errors[rows]
+                param_grid[group], coef[group, part], weights, errors[group, part]
             ):
-                _pointwise(partial(_law_values, law, t), (i1, i2),
+                _pointwise(partial(_law_values, law, t), (i1[part], i2[part]),
                            (row_coef, row_weights), row_errors)
-    coefficients = np.full((len(f), 5, 54), np.nan)
-    finv_t = np.full((len(f), 3, 3), np.nan)
-    _pointwise(_point_geometry, (f, *terms), (coefficients, finv_t), errors)
-    return coef, _minima(coefficients, finv_t, vectors, weights), errors
+        polynomials = _polynomials(weights, geometry[part], inverse[part])
+        minima[group, part] = _minima(polynomials, vectors)
+    geometric = np.not_equal(failed, None)
+    errors[:, geometric] = failed[geometric]
+    return coef, minima, errors
 
 
 def _span(values: np.ndarray):
@@ -724,12 +805,13 @@ def scan_invariant_plane(
     Records ellipticity (both forms), the monotonicity spot check on the
     stress coefficients, and the ordered-stress check at every point.
     ``directions`` (D, 3) are the probing directions, by default
-    :func:`fibonacci_directions`; ``direction_count`` reports D.  The law
-    is evaluated once for all parameter rows (in groups of rows when they
-    exceed ``_LAW_POINTS`` points) and the point geometry once per scan;
-    the points are then taken in blocks of at most ``_BLOCK_PAIRS``
-    point-direction pairs (:func:`_minima`), and each block's normals serve
-    every row.  Points stay independent: a point whose det F or invariants
+    :func:`fibonacci_directions`; ``direction_count`` reports D.  The
+    point geometry is built once per scan, and the law is evaluated once
+    for all parameter rows, in groups of at most ``_LAW_POINTS``
+    row-points (:func:`_groups`).  Each group's condition polynomials
+    follow from its weights, and its points are then taken in blocks of at
+    most ``_BLOCK_PAIRS`` point-direction pairs (:func:`_minima`), against
+    direction features built once.  Points stay independent: a point whose det F or invariants
     are not finite, that raises a package or linear-algebra error, or whose
     condition values are not finite, records the reason and the scan
     continues.  An error of the law fails the point in its row only, an

@@ -1,10 +1,11 @@
 """Reference forms of the stability scan's geometry, kept for the tests.
 
-``outer_point_geometry`` builds the point geometry of
-``stability._point_geometry`` from (P, 6, 3, 3) outer products, as the
-package did before it moved to a flat layout; the tests require the two to
-agree bit for bit.  ``tangent_plane_basis`` spans the rank-one increments
-admissible on det F = 1.
+``outer_point_geometry`` builds the acoustic geometry of any F from (P, 6,
+3, 3) outer products: the coefficients of ``B_I B_J`` in the six symmetric
+components of each tangent term's acoustic tensor.  At a diagonal F only
+the entries ``PRINCIPAL_ENTRIES`` can be nonzero, and the tests require
+them to equal ``stability._point_geometry``.  ``tangent_plane_basis`` spans
+the rank-one increments admissible on det F = 1.
 """
 
 import numpy as np
@@ -17,6 +18,15 @@ _COL = np.array([0, 1, 2, 1, 2, 2])
 # in _outer
 _DIAGONAL = np.eye(3)[_ROW, _COL]
 _DELTA = _DIAGONAL[:, None, None] * np.eye(3)
+_COMPONENTS = list(zip(_ROW.tolist(), _COL.tolist()))
+# the entries 9 s + 3 I + J of the (6, 3, 3) layout in the order of the
+# principal geometry: the coefficient of B_j B_k in the component (j, k) for
+# (j, k) = (1, 2), (2, 0), (0, 1), then that of B_J^2 in the component (i, i)
+PRINCIPAL_ENTRIES = np.array(
+    [9 * _COMPONENTS.index((min(j, k), max(j, k))) + 3 * min(j, k) + max(j, k)
+     for j, k in ((1, 2), (2, 0), (0, 1))]
+    + [9 * i + 4 * J for i in range(3) for J in range(3)]
+)
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -28,8 +38,10 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def outer_point_geometry(f: np.ndarray, *terms):
     """``(coefficients (P, 5, 54), finv_t (P, 3, 3))`` of the points ``f``
-    from their ``kinematics._invariant_terms``, as
-    ``stability._point_geometry`` defines them."""
+    from their ``kinematics._invariant_terms``: per tangent term (see
+    ``constitutive._tangent_terms``), the coefficients of ``B_I B_J`` in the
+    symmetric components (i, j) of its acoustic tensor, entry 9 s + 3 I + J
+    for the component s = (i, j), and ``F^-T``."""
     _check_isochoric(terms[0])
     det, h, i1, i2, g2, d1, d2 = terms
     c = np.swapaxes(f, -1, -2) @ f

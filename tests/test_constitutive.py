@@ -59,8 +59,10 @@ def separate_hessian(model, i1, i2, par):
     work = nets._Workspace(model, inv - 3.0, par)
     nets._trace(model, work)
     nets._reverse(model, work)
-    jac = hidden[entry].weights[..., None, :, :2]
-    h = nets._weighted_gram(work.curvatures[entry] * work.adjoints[entry], jac)
+    jac = hidden[entry].weights[..., :2]
+    pairs = jac[..., nets._GRAM_ROW] * jac[..., nets._GRAM_COL]
+    h = ((work.curvatures[entry] * work.adjoints[entry]) @ pairs)[..., nets._GRAM_FULL]
+    jac = jac[..., None, :, :]
     for k in range(entry + 1, len(hidden)):
         jac = (work.slopes[k - 1][..., None, :] * hidden[k].weights[..., None, :, :]) @ jac
         h += nets._weighted_gram(work.curvatures[k] * work.adjoints[k], jac)

@@ -21,7 +21,7 @@ from monopann.errors import (
 
 from conftest import random_rotation, random_unimodular, uniaxial_gradient
 from levi_civita import tensor_cross_ref
-from scan_oracle import outer_point_geometry, tangent_plane_basis
+from scan_oracle import PRINCIPAL_ENTRIES, outer_point_geometry, tangent_plane_basis
 
 
 @pytest.fixture(scope="module")
@@ -120,13 +120,14 @@ def reference_conditions(law, f, par, b):
 
 def condition_values(law, f, par, directions):
     """Normalized condition values ``(c1, c2), (d1, d2, d3)``, each (P, D),
-    of every point-direction pair, from one workspace for all of them."""
+    of every point-direction pair, from one workspace for all of them, in
+    the principal frame of each point."""
     f = np.asarray(f, dtype=float).reshape(-1, 3, 3)
     directions = np.asarray(directions, dtype=float)
-    coefficients, finv_t, weights = stab._point_terms(law, f, par)
+    geometry, inverse, weights, _, vh = stab._point_terms(law, f, par)
+    polynomials = [x[0] for x in stab._polynomials(weights[None], geometry, inverse)]
     work = stab._workspace(len(f), len(directions))
-    normals = stab._normals(finv_t, directions, work)
-    return stab._conditions(coefficients, stab._dyads(directions), normals, weights, work)
+    return stab._conditions(polynomials, stab._features(directions @ vh.mT), work)
 
 
 def two_block_grid(dirs):
@@ -136,6 +137,24 @@ def two_block_grid(dirs):
     side = math.isqrt(block) + 1
     assert block < side**2 < 2 * block
     return block, np.linspace(0.4, 3.5, side)
+
+
+def general_block(rng, count=4):
+    """``count`` random unimodular gradients, then ``count`` rotated
+    stretches ``R diag(1, a, 1/a)`` whose SVD ``U diag(s) V^T`` by LAPACK
+    takes U and V both improper (most of them do), which the checks'
+    principal frames must take as they take proper ones."""
+    stretched = []
+    while len(stretched) < count:
+        a = rng.uniform(1.5, 2.5)
+        f = random_rotation(rng) * [1.0, a, 1.0 / a]
+        if np.linalg.det(np.linalg.svd(f)[0]) < 0.0:
+            stretched.append(f)
+    f = np.stack([random_unimodular(rng) for _ in range(count)] + stretched)
+    improper = np.linalg.det(np.linalg.svd(f)[0]) < 0.0
+    assert improper.any() and not improper.all()
+    assert (improper == (np.linalg.det(np.linalg.svd(f)[2]) < 0.0)).all()
+    return f
 
 
 def random_laws():
@@ -216,7 +235,7 @@ class TestAcousticTensor:
     def test_matches_pk1_tangent_contraction(self, rng):
         for law in random_laws():
             t = rng.uniform(0.0, 1.0, 1)
-            f = np.stack([random_unimodular(rng) for _ in range(4)])
+            f = general_block(rng)
             b = rng.standard_normal((6, 3)) * rng.uniform(0.2, 5.0, (6, 1))
             q = stab.acoustic_tensor(law, f, t, b)
             tangent = cons.pk1_tangent(law, f, t)
@@ -371,7 +390,7 @@ class TestOneLawEvaluation:
 
 class TestStackedLawCall:
     """A scan evaluates the law once for all its parameter rows, up to
-    ``_LAW_POINTS`` points per call."""
+    ``_LAW_POINTS`` points per call, splitting a row's points beyond that."""
 
     def test_one_call_equals_per_row_calls_bit_for_bit(self, monkeypatch, directions):
         law_values, calls = stab._law_values, []
@@ -394,10 +413,16 @@ class TestStackedLawCall:
                 assert row_coef.tobytes() == ref_coef.tobytes()
                 assert row_weights.tobytes() == ref_weights.tobytes()
 
-    @pytest.mark.parametrize("budget, rows_per_call", [(250, [2, 2, 1]), (50, [1] * 5)])
-    def test_rows_beyond_the_point_budget_take_several_calls(
-        self, monkeypatch, directions, budget, rows_per_call
+    @pytest.mark.parametrize("budget, calls", [
+        (250, [(2, 100)] * 2 + [(1, 100)]),
+        (50, [(1, 50)] * 10),
+        (30, [(1, 30), (1, 30), (1, 30), (1, 10)] * 5),
+    ])
+    def test_rows_and_points_beyond_the_point_budget_take_several_calls(
+        self, monkeypatch, directions, budget, calls
     ):
+        # rows that fit go together; a row that does not fit is split by
+        # points, and every call stays within the budget
         law = random_laws()[1]
         lam = np.linspace(0.5, 3.0, 10)  # 100 points
         rows = [[0.0], [0.2], [0.35], [0.5], [1.0]]
@@ -405,13 +430,14 @@ class TestStackedLawCall:
         law_values, shapes = stab._law_values, []
 
         def recording(law, par, i1, i2):
-            shapes.append(np.shape(par))
+            shapes.append((len(par), len(i1)))
             return law_values(law, par, i1, i2)
 
         monkeypatch.setattr(stab, "_law_values", recording)
         monkeypatch.setattr(stab, "_LAW_POINTS", budget)
         got = stab.scan_invariant_plane(law, rows, lam, lam, directions)
-        assert shapes == [(k, 1, 1) for k in rows_per_call]
+        assert shapes == calls
+        assert all(k * points <= budget for k, points in shapes)
         assert [outcome(p) for p in got.points] == [outcome(p) for p in ref.points]
         assert got.per_parameter == ref.per_parameter
 
@@ -452,40 +478,63 @@ class TestStackedLawCall:
         assert [outcome(p) for p in report.points] == [outcome(p) for p in ref.points]
 
 
+def diagonal_block(rng, count=12):
+    """Diagonal unimodular gradients with stretches in [0.3, 4], two of them
+    with det F off 1 by +-1e-13, inside the isochoric tolerance."""
+    lam1, lam2 = rng.uniform(0.3, 4.0, (2, count))
+    f = kin.principal_stretch_gradient(lam1, lam2)
+    f[0] *= (1.0 + 1e-13) ** (1.0 / 3.0)
+    f[1] *= (1.0 - 1e-13) ** (1.0 / 3.0)
+    return f
+
+
+def principal_acoustic_terms(geometry, b):
+    """The acoustic tensors (P, 5, D, 3, 3) of the five terms of the
+    principal geometry (P, 5, 12) in the directions b (D, 3)."""
+    o, n = geometry[..., None, :3], geometry[..., 3:].reshape(geometry.shape[:2] + (3, 3))
+    q = np.zeros(geometry.shape[:2] + (len(b), 3, 3))
+    q[..., [0, 1, 2], [0, 1, 2]] = np.einsum("ptiJ,dJ->ptdi", n, b * b)
+    for m, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        q[..., j, k] = q[..., k, j] = o[..., m] * b[:, j] * b[:, k]
+    return q
+
+
 class TestClosedFormGeometry:
     def test_each_term_matches_fourth_order_contraction(self, rng):
-        f = unimodular_block(rng)
+        f = diagonal_block(rng)
         b = rng.standard_normal((9, 3)) * rng.uniform(0.2, 5.0, (9, 1))
-        coefficients, _ = stab._point_geometry(f, *kin._invariant_terms(f))
-        dyads = stab._dyads(b)
-        np.testing.assert_array_equal(
-            dyads, np.einsum("dI,dJ->IJd", b, b).reshape(9, len(b))
-        )
-        terms = np.einsum("ptsIJ,dI,dJ->ptsd",
-                          coefficients.reshape(len(f), 5, 6, 3, 3), b, b)
-        tangent_terms = cons._tangent_terms(f, kin._invariant_terms(f))
-        ref = np.einsum("ptiIjJ,dI,dJ->ptijd", tangent_terms, b, b)
-        ref = ref[:, :, stab._ROW, stab._COL]
+        terms = kin._invariant_terms(f)
+        geometry, inverse = stab._point_geometry(f, *terms)
+        got = principal_acoustic_terms(geometry, b)
+        tangent_terms = cons._tangent_terms(f, terms)
+        ref = np.einsum("ptiIjJ,dI,dJ->ptdij", tangent_terms, b, b)
         for k in range(5):
             for p in range(len(f)):
                 scale = np.abs(ref[p, k]).max()
-                assert np.abs(terms[p, k] - ref[p, k]).max() <= 1e-13 * scale
+                assert np.abs(got[p, k] - ref[p, k]).max() <= 1e-13 * scale
+        # the diagonal of F^-T, scaled by a power of two per point
+        ratio = inverse / np.diagonal(np.linalg.inv(f), axis1=-2, axis2=-1)
+        assert (np.frexp(ratio)[0] == 0.5).all() and (ratio == ratio[:, :1]).all()
+        assert ((inverse.max(axis=-1) >= 0.5) & (inverse.max(axis=-1) < 1.0)).all()
 
-    def test_flat_layout_matches_outer_reference(self, rng):
+    def test_principal_geometry_matches_outer_reference(self, rng):
+        # at a diagonal F the general-F geometry is zero but at the principal
+        # entries, which equal the principal geometry bit for bit
         lam = np.linspace(0.5, 3.0, 10)
         lam1, lam2 = np.meshgrid(lam, lam, indexing="ij")
         point_sets = {
             "scan grid": kin.principal_stretch_gradient(lam1.ravel(), lam2.ravel()),
-            "random unimodular": np.stack([random_unimodular(rng) for _ in range(50)]),
-            "near-tolerance determinants": unimodular_block(rng),
+            "near-tolerance determinants": diagonal_block(rng),
+            "wide stretches": kin.principal_stretch_gradient(
+                *np.geomspace(1e-3, 1e3, 14).reshape(2, 7)),
         }
         for name, f in point_sets.items():
             terms = kin._invariant_terms(f)
-            flat = stab._point_geometry(f, *terms)
-            for new, ref in zip(flat, outer_point_geometry(f, *terms)):
-                assert np.array_equal(new, ref), name
-                # bit for bit, signed zeros included
-                assert new.tobytes() == ref.tobytes(), name
+            geometry, _ = stab._point_geometry(f, *terms)
+            ref, _ = outer_point_geometry(f, *terms)
+            assert np.array_equal(geometry, ref[..., PRINCIPAL_ENTRIES]), name
+            rest = np.delete(ref, PRINCIPAL_ENTRIES, axis=-1)
+            assert not rest.any(), name
 
     def test_runtime_path_builds_no_fourth_order_tangent(self, rng, monkeypatch):
         law = random_laws()[1]
@@ -530,14 +579,14 @@ class TestClosedFormGeometry:
         f = unimodular_block(rng, count=3)
         f[1, 0, 0] = np.nan
         weights = rng.uniform(0.1, 1.0, (2, 3, 5))
-        minima = np.full((2, 3, 2), np.nan)
         errors = np.full((2, 3), None, dtype=object)
         vectors = stab.fibonacci_directions(20)
-        geometry = np.full((3, 5, 54), np.nan), np.full((3, 3, 3), np.nan)
+        geometry = np.full((3, 5, 12), np.nan), np.full((3, 3), np.nan)
+        frames = np.full((3, 3, 3), np.nan)
         stab._pointwise(lambda f: stab._point_terms(MR, f, T0), (f,),
-                        (*geometry, np.full((3, 5), np.nan)), errors)
-        stab._scan_block(*geometry, vectors, stab._dyads(vectors), weights, minima,
-                         stab._workspace(len(f), len(vectors)))
+                        (*geometry, np.full((3, 5), np.nan), np.full((3, 3, 3), np.nan), frames),
+                        errors)
+        minima = stab._minima(stab._polynomials(weights, *geometry), vectors, frames)
         assert errors[:, 1].tolist() == [
             "InvertedConfigurationError: invariant derivatives require det f > 0"
         ] * 2
@@ -568,13 +617,16 @@ class TestEllipticity:
         comp, comp_min = stab.ellipticity_compressible(law, f, T0, directions)
         assert comp and comp_min == 0.0
 
-    def test_direction_sign_invariance(self, directions):
+    def test_direction_sign_and_scale_invariance(self, directions):
+        # bit for bit under a sign or a power of two, even where the squares
+        # of the directions' entries would overflow
         law = cons.neo_hookean(0.5)
         f = uniaxial_gradient(1.7)
         plus = condition_values(law, f, T0, directions)
-        minus = condition_values(law, f, T0, -directions)
-        for a, b in zip(plus[0] + plus[1], minus[0] + minus[1]):
-            np.testing.assert_array_equal(a, b)
+        for factor in (-1.0, 2.0**-600, -(2.0**600)):
+            other = condition_values(law, f, T0, factor * directions)
+            for a, b in zip(plus[0] + plus[1], other[0] + other[1]):
+                np.testing.assert_array_equal(a, b)
 
     def test_second_invariant_relaxation_gap(self, directions):
         # psi linear in the second invariant: elliptic under the
@@ -603,7 +655,7 @@ class TestBatchedConditions:
         b = rng.standard_normal((12, 3))
         for law in random_laws():
             t = rng.uniform(0.0, 1.0, 1)
-            f = np.stack([random_unimodular(rng) for _ in range(4)])
+            f = general_block(rng)
             inc, comp = condition_values(law, f, t, b)
             got = np.stack(inc + comp)
             for p in range(len(f)):
@@ -656,6 +708,16 @@ class TestBatchedConditions:
                 assert b.compressible_min_value == pytest.approx(
                     a.compressible_min_value, rel=1e-9, abs=1e-12
                 )
+        # a power of two changes no bit of the minima, even where the cubes
+        # of the scaled law's acoustic tensors would under- or overflow
+        def minima(report):
+            return np.stack([report.points.min_value, report.points.compressible_min_value])
+
+        assert np.equal(ref.points.error, None).all()
+        for c in (2.0**-500, 2.0**-300, 2.0**300, 2.0**500):
+            got = stab.scan_invariant_plane(scaled(law, c), [[0.5]], lam, lam, directions)
+            assert got.points.elliptic.tolist() == ref.points.elliptic.tolist()
+            assert minima(got).tobytes() == minima(ref).tobytes()
 
     def test_rotation_invariance(self, rng, directions):
         for law in random_laws():
@@ -674,24 +736,26 @@ class TestBatchedConditions:
         law = random_laws()[3]
         directions = stab.fibonacci_directions(64)
         _, lam = two_block_grid(64)
-        points, pairs = [], []
-        point_geometry, normals = stab._point_geometry, stab._normals
+        points, pairs, features = [], [], []
+        point_geometry, scan_block = stab._point_geometry, stab._scan_block
 
         def recording_points(f, *terms):
             points.append(len(f))
             return point_geometry(f, *terms)
 
-        def recording_normals(finv_t, vectors, work):
-            pairs.append(len(finv_t) * len(vectors))
-            return normals(finv_t, vectors, work)
+        def recording_blocks(polynomials, block_features, minima, work):
+            pairs.append(minima.shape[1] * len(directions))
+            features.append(block_features)
+            scan_block(polynomials, block_features, minima, work)
 
         monkeypatch.setattr(stab, "_point_geometry", recording_points)
-        monkeypatch.setattr(stab, "_normals", recording_normals)
+        monkeypatch.setattr(stab, "_scan_block", recording_blocks)
         report = stab.scan_invariant_plane(law, [[0.3], [0.8]], lam, lam, directions)
-        # the point geometry is built once per scan, and each block's
-        # normals once, serving both rows
+        # the point geometry and the direction features are built once per
+        # scan, and each block serves both rows
         assert points == [len(lam) ** 2]
         assert len(pairs) == 2 and max(pairs) <= stab._BLOCK_PAIRS
+        assert features[0] is features[1] and features[0][0].shape == (3, len(directions))
         monkeypatch.undo()
         for p in report.points:
             ok, low = stab.ellipticity_incompressible(law, p.f, p.t, directions)
@@ -769,9 +833,9 @@ class TestScanArena:
         f = unimodular_block(rng, count=block + 15)
         scan_block, built = stab._scan_block, []
 
-        def recording(coefficients, finv_t, vectors, dyads, weights, minima, work):
-            built.append((len(finv_t), work))
-            scan_block(coefficients, finv_t, vectors, dyads, weights, minima, work)
+        def recording(polynomials, features, minima, work):
+            built.append((minima.shape[1], work))
+            scan_block(polynomials, features, minima, work)
 
         ref = stab.ellipticity_incompressible(MR, f, T0, directions)
         monkeypatch.setattr(stab, "_scan_block", recording)
@@ -780,7 +844,7 @@ class TestScanArena:
         # the shorter last block takes its views from the same buffer
         base = built[0][1][0].base
         for count, work in built:
-            assert len(work) == 12 and work[0].shape == (6, count, 7)
+            assert len(work) == 5 and work[0].shape == (2, count, 7)
             assert all(view.flags.c_contiguous and view.ctypes.data % 64 == 0
                        and view.base is base for view in work)
 
