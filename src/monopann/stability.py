@@ -811,13 +811,14 @@ def scan_invariant_plane(
     row-points (:func:`_groups`).  Each group's condition polynomials
     follow from its weights, and its points are then taken in blocks of at
     most ``_BLOCK_PAIRS`` point-direction pairs (:func:`_minima`), against
-    direction features built once.  Points stay independent: a point whose det F or invariants
-    are not finite, that raises a package or linear-algebra error, or whose
-    condition values are not finite, records the reason and the scan
-    continues.  An error of the law fails the point in its row only, an
-    error of the geometry in every row, where it overrides an error of the
-    law.  Each verdict is computed as one (R, P) array over the R parameter
-    rows and P stretch pairs, which fills a field of the report's ``points``.
+    direction features built once per group.  Points stay independent: a
+    point whose det F or invariants are not finite, that raises a package
+    or linear-algebra error, or whose condition values are not finite,
+    records the reason and the scan continues.  An error of the law fails
+    the point in its row only, an error of the geometry in every row, where
+    it overrides an error of the law.  Each verdict is computed as one (R,
+    P) array over the R parameter rows and P stretch pairs, which fills a
+    field of the report's ``points``.
     """
     law = as_law(law)
     param_grid = np.atleast_2d(np.asarray(param_grid, dtype=float))
