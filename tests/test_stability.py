@@ -533,6 +533,8 @@ class TestClosedFormGeometry:
             geometry, _ = stab._point_geometry(f, *terms)
             ref, _ = outer_point_geometry(f, *terms)
             assert np.array_equal(geometry, ref[..., PRINCIPAL_ENTRIES]), name
+            # bit for bit, signed zeros included
+            assert geometry.tobytes() == ref[..., PRINCIPAL_ENTRIES].tobytes(), name
             rest = np.delete(ref, PRINCIPAL_ENTRIES, axis=-1)
             assert not rest.any(), name
 
