@@ -25,14 +25,16 @@ in ``stability`` with timers and reports the median per scan of:
 * ``report``: the rest of ``scan_invariant_plane``: argument checks, the
   stretches, the verdict fields and the report's record array;
 * ``total``: ``scan_invariant_plane`` as a whole;
+* ``write``: ``write_report_json`` and ``write_summary_csv`` of the scan's
+  report, into a temporary directory, after the scan and outside
+  ``total``;
 * ``peak_kb``: the tracemalloc peak of one more scan of the law, in kB,
   taken after the timed scans and without their timers, so that tracing
   slows none of them.
 
-Writing the report files is not timed.  The timers cost about a
-microsecond per call, and every phase is called once per scan of this
-size.  Each checkout runs in its own process, so that the two do not
-share a C heap.  A shared host's speed drifts between
+The timers cost about a microsecond per call, and every phase is called
+once per scan of this size.  Each checkout runs in its own process, so
+that the two do not share a C heap.  A shared host's speed drifts between
 processes, so ``--rounds`` processes per checkout run in turn (A, B, A,
 B, ...), and each figure is the median over the rounds.  Compare the
 phases of two checkouts against the spread of a phase whose code they
@@ -45,13 +47,14 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
 PHASES = ("_scan_points", "_law_values", "_point_geometry", "_polynomials", "_minima")
 NAMES = ("points", "law", "geometry", "polynomials", "minima")
-COLUMNS = (*NAMES, "report", "total", "peak_kb")
+COLUMNS = (*NAMES, "report", "total", "write", "peak_kb")
 # the scan-grid workload of bench/run.py
 ROWS = [[0.0], [0.5], [1.0]]
 GRID = (0.5, 3.0, 10)
@@ -94,16 +97,22 @@ def measure(src: Path, scans: int, warmup: int) -> dict:
     lam = np.linspace(*GRID[:2], GRID[2])
     directions = stability.fibonacci_directions(DIRECTIONS)
     samples = {label: [] for label in laws}
-    for k in range(warmup + scans):
-        for label, law in laws.items():
-            for name in spent:
-                spent[name] = 0.0
-            start = clock()
-            stability.scan_invariant_plane(law, ROWS, lam, lam, directions)
-            total = clock() - start
-            if k >= warmup:
-                samples[label].append(
-                    [*(spent[name] for name in NAMES), total - sum(spent.values()), total])
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for k in range(warmup + scans):
+            for label, law in laws.items():
+                for name in spent:
+                    spent[name] = 0.0
+                start = clock()
+                report = stability.scan_invariant_plane(law, ROWS, lam, lam, directions)
+                total = clock() - start
+                start = clock()
+                stability.write_report_json(report, out / "report.json")
+                stability.write_summary_csv(report, out / "summary.csv")
+                write = clock() - start
+                if k >= warmup:
+                    samples[label].append([*(spent[name] for name in NAMES),
+                                           total - sum(spent.values()), total, write])
     for phase, function in originals.items():
         setattr(stability, phase, function)
     peaks = {}
@@ -150,9 +159,9 @@ def main(argv=None) -> int:
             for label in runs[0]
         }
         print(src)
-        print(f"  {'law (median us per scan)':26s}" + "".join(f"{c:>10s}" for c in COLUMNS))
+        print(f"  {'law (median us per scan)':26s}" + "".join(f"{c:>12s}" for c in COLUMNS))
         for label, row in result[str(src)].items():
-            print(f"  {label:26s}" + "".join(f"{row[c]:10.1f}" for c in COLUMNS))
+            print(f"  {label:26s}" + "".join(f"{row[c]:12.1f}" for c in COLUMNS))
     print(json.dumps(result, sort_keys=True))
     return 0
 

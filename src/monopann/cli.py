@@ -241,7 +241,7 @@ def cmd_scan(args) -> int:
         rows = [
             [
                 label,
-                ";".join(repr(v) for v in entry["t"]),
+                constitutive._format_params(entry["t"]),
                 *("nan" if entry[key] is None else repr(entry[key]) for key in fractions),
             ]
             for label, entry in summaries

@@ -41,9 +41,10 @@ with the directions' monomials, and a few elementwise steps.
 """
 
 import json
+import math
 import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 
@@ -579,6 +580,10 @@ class StabilityReport:
     holds one dict per parameter row: its ``t``, ``points``,
     ``failed_points`` and the fractions of its evaluated points that pass
     each check (``_FRACTIONS``), None for a row whose points all failed.
+
+    The writers' text of the points is built once, at the first write, and
+    kept: edit a copy of ``points`` and ``dataclasses.replace`` it in, which
+    makes a report with fresh text, rather than edit a written report.
     """
 
     points: np.recarray
@@ -592,6 +597,11 @@ class StabilityReport:
         point failed."""
         passed = np.count_nonzero(np.equal(self.points.error, None))
         return np.count_nonzero(self.points.elliptic) / passed if passed else float("nan")
+
+    @cached_property
+    def _text(self) -> tuple:
+        """The :func:`_text_table` of the points, built at the first write."""
+        return _text_table(self.points)
 
 
 # Upper bound on the point-direction pairs evaluated together; it caps the
@@ -609,7 +619,8 @@ _BLOCK_PAIRS = 20000
 # products, about 12 kB per point at n = 32: one row of 10000 points peaked
 # at 125 MB (tracemalloc) in one call, and at 62 MB in calls of at most
 # 4096 points.  The benchmark's scan-grid, 3 rows of 100 points, takes one
-# call.
+# call.  The point geometry is built for as many points at a time; its
+# temporaries take about 3 kB per point.
 _LAW_POINTS = 4096
 # errors that fail a scan point instead of the scan
 _POINT_ERRORS = (MonopannError, np.linalg.LinAlgError)
@@ -757,19 +768,23 @@ def _scan_minima(law, param_grid, f, i1, i2, terms, vectors):
     terms ``terms`` in every parameter row; see
     :func:`scan_invariant_plane`.
 
-    The point geometry is built once.  Then the law is evaluated once per
-    group of :func:`_groups` (:func:`_stacked_law_values`), and the group's
-    condition polynomials and minima follow from its weights.  Where the law
-    raises a point error, the group's rows are evaluated one by one
-    (:func:`_pointwise`).  A geometry error fails its point in every row,
-    where it overrides an error of the law."""
+    The point geometry is built once, for at most ``_LAW_POINTS`` points
+    at a time.  Then the law is evaluated once per group of :func:`_groups`
+    (:func:`_stacked_law_values`), and the group's condition polynomials
+    and minima follow from its weights.  Where the law raises a point
+    error, the group's rows are evaluated one by one (:func:`_pointwise`).
+    A geometry error fails its point in every row, where it overrides an
+    error of the law."""
     rows, count = len(param_grid), len(f)
     errors = np.full((rows, count), None, dtype=object)
     coef = np.full((rows, count, 2), np.nan)
     minima = np.full((rows, count, 2), np.nan)
     geometry, inverse = np.full((count, 5, 12), np.nan), np.full((count, 3), np.nan)
     failed = np.full(count, None, dtype=object)
-    _pointwise(_point_geometry, (f, *terms), (geometry, inverse), failed)
+    for start in range(0, count, _LAW_POINTS):
+        part = slice(start, start + _LAW_POINTS)
+        _pointwise(_point_geometry, (f[part], *(term[part] for term in terms)),
+                   (geometry[part], inverse[part]), failed[part])
     for group, part in _groups(rows, count):
         weights = np.full((len(param_grid[group]), len(f[part]), 5), np.nan)
         try:
@@ -819,6 +834,11 @@ def scan_invariant_plane(
     it overrides an error of the law.  Each verdict is computed as one (R,
     P) array over the R parameter rows and P stretch pairs, which fills a
     field of the report's ``points``.
+
+    Raises ``EmptyGridError`` for an empty parameter or stretch grid and
+    ``ShapeMismatchError`` for a parameter row that is not finite, whose
+    points would all fail and whose ``t`` has no JSON form; both before the
+    law is called.
     """
     law = as_law(law)
     param_grid = np.atleast_2d(np.asarray(param_grid, dtype=float))
@@ -828,6 +848,10 @@ def scan_invariant_plane(
         raise EmptyGridError("parameter grid is empty")
     if lambda1_values.size == 0 or lambda2_values.size == 0:
         raise EmptyGridError("stretch grid is empty")
+    bad = ~np.isfinite(param_grid).all(axis=-1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ShapeMismatchError(f"parameter row {k} is not finite: {param_grid[k].tolist()}")
     vectors = _vectors(fibonacci_directions() if directions is None else directions)
 
     lam1, lam2 = np.meshgrid(lambda1_values, lambda2_values, indexing="ij")
@@ -848,19 +872,23 @@ def scan_invariant_plane(
     errors[np.equal(errors, None) & ~finite] = "non-finite condition values"
     ok = np.equal(errors, None)
     # the points as (R, P) fields; a failed point gets False verdicts and NaN
-    # minima.  Every field is written, so the zero fill is never read; it is
+    # minima.  The coefficients' verdicts come first and the minima are
+    # masked in place, so that no (R, P) float temporary is alive beside the
+    # points.  Every field is written, so the zero fill is never read; it is
     # far cheaper than np.recarray's, which fills the object field slot by slot
+    be_ok = ok & _baker_ericksen(coef, stretches)
+    mono_ok = ok & np.all(coef >= -BAKER_ERICKSEN_TOLERANCE, axis=-1)
+    del coef
+    minima[~ok] = np.nan
     points = np.zeros(errors.shape, _point_dtype(param_grid.shape[1]))
     columns = {
         "lambda1": lam1, "lambda2": lam2, "f": f, "i1": i1, "i2": i2,
         "t": param_grid[:, None],
         "elliptic": ok & (minima[..., 0] >= -ELLIPTICITY_TOLERANCE),
-        "min_value": np.where(ok, minima[..., 0], np.nan),
+        "min_value": minima[..., 0],
         "compressible_elliptic": ok & (minima[..., 1] >= -ELLIPTICITY_TOLERANCE),
-        "compressible_min_value": np.where(ok, minima[..., 1], np.nan),
-        "be_ok": ok & _baker_ericksen(coef, stretches),
-        "mono_ok": ok & np.all(coef >= -BAKER_ERICKSEN_TOLERANCE, axis=-1),
-        "error": errors,
+        "compressible_min_value": minima[..., 1],
+        "be_ok": be_ok, "mono_ok": mono_ok, "error": errors,
     }
     for name, column in columns.items():
         points[name] = column
@@ -887,54 +915,73 @@ def _per_parameter(points: np.recarray) -> list:
     ]
 
 
-def _flags(values: np.ndarray) -> list:
-    """``true`` or ``false`` for each of the booleans ``values``."""
-    return np.where(values, "true", "false").tolist()
+def _text_table(points: np.recarray) -> tuple:
+    """The text of the points ``points`` (N,) that both report writers read:
+    the JSON text of every field and the ``repr`` of every scalar float
+    field, each a list of N strings by field name.
 
-
-def _reprs(values: np.ndarray) -> list:
-    """``repr`` of each entry of the float64 array ``values`` along its first
-    axis, as a float or nested list, taken once per distinct entry.  The
-    entries are keyed by their exact bytes, so -0.0 and 0.0 are told apart;
-    a single float by its bits as an integer, which sorts faster."""
-    rows = np.ascontiguousarray(values).reshape(len(values), -1)
-    width = rows.shape[1]
-    keys = rows.view(np.uint64 if width == 1 else np.dtype((np.void, 8 * width)))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    texts = np.array(list(map(repr, values[first].tolist())), dtype=object)
-    return texts[inverse].tolist()
-
-
-def _json_column(points: np.recarray, name: str) -> list:
-    """The JSON text of the field ``name`` of each point.  Floats are written
-    as their ``repr`` (:func:`_reprs`), which is their JSON form when finite;
-    ``json`` encodes the error strings and the entries with a value that is
-    not finite, except that those of ``_NULLABLE`` are null."""
-    values = points[name]
-    if values.dtype == bool:
-        return _flags(values)
-    if values.dtype == object:
-        return ["null" if e is None else json.dumps(e) for e in values.tolist()]
-    texts = _reprs(values)
-    for k in np.flatnonzero(~np.isfinite(values.reshape(len(values), -1)).all(axis=-1)):
-        texts[k] = "null" if name in _NULLABLE else json.dumps(values[k].tolist())
-    return texts
+    The entries of all float fields are turned into text together: one
+    ``np.unique`` over their bits, so -0.0 and 0.0 stay apart, and one
+    ``repr`` per distinct bit pattern, which is the JSON form of a finite
+    float.  A vector or matrix field (``t``, ``f``) is written once per
+    distinct row, from its entries' texts.  In the JSON an entry that is not
+    finite takes the text ``json`` gives it (``NaN``, ``Infinity``), except
+    that a scalar of ``_NULLABLE`` is ``null``; the ``repr`` columns keep
+    ``nan`` and ``inf``.  Booleans are ``true`` or ``false``, and ``json``
+    encodes the error strings.
+    """
+    # a plain structured array, whose field access skips np.recarray's
+    # Python methods
+    points = np.asarray(points)
+    dtype = points.dtype
+    floats = [name for name in dtype.names if dtype[name].base == float]
+    entries = np.concatenate([points[name].reshape(len(points), -1) for name in floats], axis=1)
+    bits, codes = np.unique(entries.view(np.uint64), return_inverse=True)
+    values = bits.view(float)
+    reprs = np.array(list(map(repr, values.tolist())), dtype=object)
+    texts, nulls = reprs.copy(), reprs.copy()
+    special = np.flatnonzero(~np.isfinite(values))
+    texts[special] = [json.dumps(value) for value in values[special].tolist()]
+    nulls[special] = "null"
+    widths = [math.prod(dtype[name].shape) for name in floats]
+    fields = np.split(codes.reshape(entries.shape), np.cumsum(widths)[:-1], axis=1)
+    json_text, repr_text = {}, {}
+    for name, field in zip(floats, fields):
+        shape = dtype[name].shape
+        if not shape:
+            repr_text[name] = reprs[field[:, 0]].tolist()
+            json_text[name] = (nulls if name in _NULLABLE else texts)[field[:, 0]].tolist()
+            continue
+        rows = np.ascontiguousarray(field).view(np.dtype((np.void, field[0].nbytes)))[:, 0]
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        # the nested list that repr and json write, with %s for each entry
+        template = repr(np.zeros(shape).tolist()).replace("0.0", "%s")
+        lines = [template % tuple(row) for row in texts[field[first]].tolist()]
+        json_text[name] = np.array(lines, dtype=object)[inverse].tolist()
+    for name in dtype.names:
+        if dtype[name] == bool:
+            json_text[name] = np.where(points[name], "true", "false").tolist()
+        elif dtype[name] == object:
+            json_text[name] = ["null" if e is None else json.dumps(e)
+                               for e in points[name].tolist()]
+    return json_text, repr_text
 
 
 def write_report_json(report: StabilityReport, path) -> None:
     """Write the report as JSON: the header fields ``direction_count``,
     ``law``, ``per_parameter`` and ``region`` indented, then ``points``
-    last, one line per point, a compact object with sorted keys.  Each
-    point field is turned into text as a column (:func:`_json_column`), once
-    per distinct value, and the lines are joined from one template.
+    last, one line per point, a compact object with sorted keys.  The point
+    fields' texts come from the report's text table (:func:`_text_table`),
+    which :func:`write_summary_csv` shares, and the lines are joined from
+    one ``%`` template.
     """
     head = json.dumps({"law": report.law_label, "direction_count": report.direction_count,
                        "region": report.region, "per_parameter": report.per_parameter},
                       indent=2, sort_keys=True)
     names = sorted(report.points.dtype.names)
-    line = "{{" + ", ".join(f'"{name}": {{}}' for name in names) + "}}"
-    columns = [_json_column(report.points, name) for name in names]
-    points = ",\n    ".join(map(line.format, *columns))
+    line = "{" + ", ".join(f'"{name}": %s' for name in names) + "}"
+    json_text, _ = report._text
+    points = ",\n    ".join([line % row for row in zip(*(json_text[name] for name in names))])
     Path(path).write_text(f'{head[:-2]},\n  "points": [\n    {points}\n  ]\n}}\n')
 
 
@@ -943,16 +990,15 @@ def write_summary_csv(report: StabilityReport, path) -> None:
 
     The lines are joined as text, with the ``\\r\\n`` ends that
     ``csv.writer`` writes.  No field needs quoting: they are float
-    ``repr``s (:func:`_reprs`), ``true`` or ``false``, and ``t`` as
-    ``_format_params`` writes it, float ``repr``s joined by ``;``.
+    ``repr``s and ``true`` or ``false`` from the report's text table
+    (:func:`_text_table`), which :func:`write_report_json` shares, and
+    ``t`` as ``_format_params`` writes it, float ``repr``s joined by ``;``.
     """
-    points = report.points
+    json_text, repr_text = report._text
     t = [text for entry in report.per_parameter
          for text in [_format_params(entry["t"])] * entry["points"]]
-    lam1, lam2, i1, i2, min_value = (
-        _reprs(points[name]) for name in ("lambda1", "lambda2", "i1", "i2", "min_value")
-    )
-    lines = map(",".join, zip(t, lam1, lam2, i1, i2, _flags(points.elliptic), min_value,
-                              _flags(points.be_ok)))
+    lines = map(",".join, zip(t, repr_text["lambda1"], repr_text["lambda2"], repr_text["i1"],
+                              repr_text["i2"], json_text["elliptic"], repr_text["min_value"],
+                              json_text["be_ok"]))
     header = "t,lambda1,lambda2,i1,i2,elliptic,min_value,be_ok"
     Path(path).write_text("\r\n".join([header, *lines, ""]), newline="")

@@ -257,6 +257,17 @@ class TestScan:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not list(out.glob("*"))
 
+    def test_non_finite_parameter_row_rejected(self, tmp_path, capsys):
+        # its points would all fail, and its t would be a bare NaN in the JSON
+        out = tmp_path / "scan"
+        assert run(
+            "scan", "--law", "neo-hookean", "--t-values", "nan,0.5",
+            "--lambda1", "0.6,2.0,4", "--lambda2", "0.6,2.0,4",
+            "--directions", 8, "--out", out,
+        ) == 1
+        assert "error: parameter row 0 is not finite: [nan]" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
     @pytest.mark.parametrize("lambda1,lambda2,reasons", [
         # 1/(l1 l2) overflows at (1e-160, 1e-160); |F|^2 elsewhere on the edges
         ("1e-160,1,3", "1e-160,1,2", {

@@ -2,7 +2,10 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 import weakref
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -476,6 +479,31 @@ class TestStackedLawCall:
         assert par_shapes == [(3, 1, 1)] + [(1,)] * 3
         ref = stab.scan_invariant_plane(MR, rows, lam, lam, directions)
         assert [outcome(p) for p in report.points] == [outcome(p) for p in ref.points]
+
+
+class TestScanMemory:
+    def test_peak_grows_with_the_grid_by_its_own_arrays_alone(self, monkeypatch):
+        # with small law groups and condition blocks, a scan's working memory
+        # beyond its report is bounded: from a 20x20 to a 40x40 grid its
+        # tracemalloc peak grows by no more than the bigger scan's own (R, P)
+        # arrays, the report's points and the condition minima (R, P, 2) and
+        # error references (R, P) they are built from
+        monkeypatch.setattr(stab, "_LAW_POINTS", 256)
+        monkeypatch.setattr(stab, "_BLOCK_PAIRS", 2000)
+        law = cons.as_law(nets.build_model(nets.Architecture.MONOTONIC, 16, 1,
+                                           np.random.default_rng(3)))
+        rows, directions = np.linspace(0.0, 1.0, 10)[:, None], stab.fibonacci_directions(20)
+        peaks = []
+        for size in (20, 40):
+            lam = np.linspace(0.5, 3.0, size)
+            tracemalloc.start()
+            try:
+                report = stab.scan_invariant_plane(law, rows, lam, lam, directions)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        own = report.points.nbytes + report.points.size * (2 * 8 + 8)
+        assert peaks[1] - peaks[0] <= own
 
 
 def diagonal_block(rng, count=12):
@@ -1003,6 +1031,17 @@ class TestScan:
                 cons.neo_hookean(1.0), [[0.0]], [1.0], [1.0], np.empty((0, 3))
             )
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_row_raises_before_the_law(self, directions, monkeypatch,
+                                                            value):
+        def never(*args):
+            raise AssertionError("the law was called")
+
+        monkeypatch.setattr(stab, "_law_values", never)
+        with pytest.raises(ShapeMismatchError, match=r"parameter row 1 is not finite"):
+            stab.scan_invariant_plane(cons.neo_hookean(1.0), [[0.0], [value]], [1.0, 2.0],
+                                      [1.0], directions)
+
     @pytest.mark.parametrize("law", [MR, cons.MooneyRivlin([1.0], [-0.2], [0.0])])
     def test_baker_ericksen_matches_svd_check(self, law):
         # the scan reads the stretches off F's diagonal; the public check
@@ -1199,6 +1238,20 @@ def reference_column(points, name):
     return texts
 
 
+def reference_report_json(report, path):
+    """The JSON report, one ``repr`` per entry: the header as ``json`` indents
+    it, then one line per point from :func:`reference_column`."""
+    head = json.dumps({"law": report.law_label, "direction_count": report.direction_count,
+                       "region": report.region, "per_parameter": report.per_parameter},
+                      indent=2, sort_keys=True)
+    names = sorted(report.points.dtype.names)
+    columns = {name: reference_column(report.points, name) for name in names}
+    lines = ["{" + ", ".join(f'"{name}": {columns[name][k]}' for name in names) + "}"
+             for k in range(len(report.points))]
+    points = ",\n    ".join(lines)
+    Path(path).write_text(f'{head[:-2]},\n  "points": [\n    {points}\n  ]\n}}\n')
+
+
 def reference_summary_csv(report, path):
     """The per-point summary, one ``repr`` per entry, through ``csv.writer``."""
     points = report.points
@@ -1244,6 +1297,21 @@ def edited_scan(directions):
     return dataclasses.replace(report, points=points)
 
 
+def signed_zero_scan(directions):
+    # values shared across fields with both signs of zero: lambda2 = -0.0 on
+    # a point whose f and t hold 0.0, min_value -0.0 and 0.0, an f entry
+    # -0.0 beside 0.0, and 1.5 in lambda1, i1 and f at one point
+    lam = np.linspace(0.5, 3.0, 3)
+    report = stab.scan_invariant_plane(MR, [[0.0], [1.0]], lam, lam, directions)
+    points = report.points.copy()
+    points.lambda2[0] = -0.0
+    points.min_value[[1, 10]] = -0.0, 0.0
+    points.compressible_min_value[2] = -0.0
+    points.f[3, 0, 1] = -0.0
+    points.lambda1[4] = points.i1[4] = points.f[4, 2, 2] = 1.5
+    return dataclasses.replace(report, points=points)
+
+
 def two_parameter_scan(directions):
     model = nets.build_model(nets.Architecture.MONOTONIC, 4, 2, np.random.default_rng(5))
     lam = np.linspace(0.5, 3.0, 3)
@@ -1253,15 +1321,13 @@ def two_parameter_scan(directions):
 
 class TestReportWriters:
     @pytest.mark.parametrize("make", [law_failed_scan, overflowing_scan, edited_scan,
-                                      two_parameter_scan])
-    def test_text_matches_one_repr_per_entry(self, make, directions, tmp_path,
-                                             monkeypatch):
+                                      signed_zero_scan, two_parameter_scan])
+    def test_text_matches_one_repr_per_entry(self, make, directions, tmp_path):
         report = make(directions)
         stab.write_report_json(report, tmp_path / "report.json")
         stab.write_summary_csv(report, tmp_path / "summary.csv")
+        reference_report_json(report, tmp_path / "reference.json")
         reference_summary_csv(report, tmp_path / "reference.csv")
-        monkeypatch.setattr(stab, "_json_column", reference_column)
-        stab.write_report_json(report, tmp_path / "reference.json")
         assert (tmp_path / "report.json").read_bytes() == \
             (tmp_path / "reference.json").read_bytes()
         assert (tmp_path / "summary.csv").read_bytes() == \
@@ -1273,4 +1339,10 @@ class TestReportWriters:
         assert reference_column(overflowing_scan(directions).points, "i1").count("null") > 0
         f = reference_column(edited_scan(directions).points, "f")
         assert f[1] == f[10].replace("0.0", "-0.0", 1) and "Infinity" in f[3]
+        zero = signed_zero_scan(directions).points
+        column = partial(reference_column, zero)
+        assert column("lambda2")[0] == "-0.0" and "-0.0" not in column("f")[0] + column("t")[0]
+        assert [column("min_value")[k] for k in (1, 10)] == ["-0.0", "0.0"]
+        assert column("f")[3].count("-0.0") == 1
+        assert column("lambda1")[4] == column("i1")[4] == "1.5" and "1.5]]" in column("f")[4]
         assert reference_column(two_parameter_scan(directions).points, "t")[0] == "[0.0, 1.0]"
