@@ -13,17 +13,21 @@ Mooney-Rivlin oracle, each over 3 parameter rows, a 10x10 stretch grid over
 ``--warmup`` scans, alternating the two laws.  It wraps the scan's phases
 in ``stability`` with timers and reports the median per scan of:
 
-* ``points``: ``_scan_points``, the deformation gradients, their invariants
-  and invariant terms;
+* ``points``: ``_scan_points``, the deformation gradients, LAPACK's det of
+  each, and one invariant pass on their principal stretches (P, 3), which
+  gives the invariants and the diagonals of the invariant terms;
 * ``law``: ``_law_values``, the law's stress coefficients and tangent
   weights of every parameter row;
 * ``geometry``: ``_point_geometry``, the law- and direction-independent
-  coefficients of the acoustic tensors;
+  coefficients of the acoustic tensors, from the products of those
+  diagonals that they read;
 * ``polynomials``: ``_polynomials``, the coefficients of the condition
-  polynomials of every parameter row (0 for a checkout without them);
+  polynomials of every parameter row (0 for a checkout without them), whose
+  power-of-two factors the symmetrizer products apply;
 * ``minima``: ``_minima``, the blocked condition values and their minima;
 * ``report``: the rest of ``scan_invariant_plane``: argument checks, the
-  stretches, the verdict fields and the report's record array;
+  stretch pairs, the Baker-Ericksen stretches, the verdict fields, the
+  report's structured array and its ``per_parameter`` entries;
 * ``total``: ``scan_invariant_plane`` as a whole;
 * ``write``: ``write_report_json`` and ``write_summary_csv`` of the scan's
   report, into a temporary directory, after the scan and outside

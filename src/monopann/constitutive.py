@@ -156,7 +156,7 @@ def uniaxial_stress(law, lam, par) -> np.ndarray:
 
 def _check_isochoric(det: np.ndarray) -> None:
     """Raise ``NotIsochoricError`` where ``|det F - 1|`` exceeds the tolerance."""
-    if np.any(np.abs(det - 1.0) > ISOCHORIC_TOLERANCE):
+    if (np.abs(det - 1.0) > ISOCHORIC_TOLERANCE).any():
         raise NotIsochoricError("deformation gradient must satisfy det F = 1")
 
 

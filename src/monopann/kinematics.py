@@ -45,16 +45,15 @@ def _bview(x: np.ndarray, order: int = 2) -> np.ndarray:
     return x[(...,) + (None,) * order]
 
 
-def _invariant_terms(f: np.ndarray, det=None, inverse=None):
+def _invariant_terms(f: np.ndarray, det=None):
     """Closed forms of the isochoric invariants' first-order quantities.
 
-    Returns ``(det, h, i1, i2, g2, d1, d2)`` of f (..., 3, 3) from one det
-    and one inverse of f: ``det`` and ``inverse`` where given, else
-    LAPACK's.  They are the cofactor ``h = det f^-T``, the raw invariants
-    ``i1 = |f|^2`` and ``i2 = |h|^2``, ``g2 = 2 (|f|^2 f - f C)`` with
-    ``C = f^T f``, the derivative of ``|h|^2``, and the derivatives ``d1``,
-    ``d2`` of the isochoric invariants ``det^(-2/3) i1`` and
-    ``det^(-4/3) i2``.
+    Returns ``(det, h, i1, i2, g2, d1, d2)`` of f (..., 3, 3) from one det,
+    ``det`` where given, else LAPACK's, and LAPACK's inverse of f.  They are
+    the cofactor ``h = det f^-T``, the raw invariants ``i1 = |f|^2`` and
+    ``i2 = |h|^2``, ``g2 = 2 (|f|^2 f - f C)`` with ``C = f^T f``, the
+    derivative of ``|h|^2``, and the derivatives ``d1``, ``d2`` of the
+    isochoric invariants ``det^(-2/3) i1`` and ``det^(-4/3) i2``.
 
     Raises
     ------
@@ -64,8 +63,7 @@ def _invariant_terms(f: np.ndarray, det=None, inverse=None):
     f = np.asarray(f, dtype=float)
     det = np.linalg.det(f) if det is None else det
     _check_determinant(det)
-    inverse = np.linalg.inv(f) if inverse is None else inverse
-    h = _bview(det) * np.swapaxes(inverse, -1, -2)
+    h = _bview(det) * np.swapaxes(np.linalg.inv(f), -1, -2)
     i1 = np.einsum("...iI,...iI->...", f, f)
     i2 = np.einsum("...iI,...iI->...", h, h)
     g2 = 2.0 * (_bview(i1) * f - f @ (np.swapaxes(f, -1, -2) @ f))
@@ -80,20 +78,32 @@ def _check_determinant(det: np.ndarray) -> None:
         raise InvertedConfigurationError("invariant derivatives require det f > 0")
 
 
-def _diagonal_inverse(f: np.ndarray) -> np.ndarray:
-    """The inverse of the diagonal tensors ``f`` (P, 3, 3): the reciprocals
-    of their diagonals, which equal ``np.linalg.inv`` bit for bit wherever
-    they are finite (where a reciprocal overflows, LAPACK writes NaN off
-    the diagonal and this keeps 0)."""
-    inverse = np.zeros_like(f)
-    # entries 0, 4 and 8 of a flattened 3x3 tensor are its diagonal
-    np.divide(1.0, f.reshape(-1, 9)[:, ::4], out=inverse.reshape(-1, 9)[:, ::4])
-    return inverse
+def _principal_terms(s: np.ndarray, det: np.ndarray):
+    """:func:`_invariant_terms` of the diagonal tensors ``diag(s)`` from
+    their diagonals ``s`` (P, 3) and their det ``det`` (P,), which is not
+    checked: ``(det, h, i1, i2, g2, d1, d2)`` with the diagonals (P, 3) of
+    ``h``, ``g2``, ``d1`` and ``d2``.
+
+    Each value is formed by the operations that :func:`_invariant_terms`
+    applies to ``diag(s)`` and the reciprocals of s, which are LAPACK's
+    inverse wherever they are finite, in the same order, so it equals that
+    diagonal bit for bit: the zeros off the diagonal add nothing to a sum.
+    The steps run along the points, on the rows of ``s.T``.
+    """
+    s = s.T
+    h = det * (1.0 / s)
+    square, h_square = s * s, h * h
+    i1 = (square[0] + square[1]) + square[2]
+    i2 = (h_square[0] + h_square[1]) + h_square[2]
+    g2 = 2.0 * (i1 * s - s * square)
+    d1 = _scaled_first(det, h, i1, 2.0 * s, -2.0 / 3.0, 0)
+    d2 = _scaled_first(det, h, i2, g2, -4.0 / 3.0, 0)
+    return det, h.T, i1, i2, g2.T, d1.T, d2.T
 
 
-def _scaled_first(det, h, raw, raw_grad, p):
+def _scaled_first(det, h, raw, raw_grad, p, order=2):
     # d(J^p * raw) = p J^(p-1) raw H + J^p d(raw)
-    return _bview(p * det ** (p - 1.0) * raw) * h + _bview(det**p) * raw_grad
+    return _bview(p * det ** (p - 1.0) * raw, order) * h + _bview(det**p, order) * raw_grad
 
 
 def isochoric_invariants(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +179,7 @@ def _scaled_second(det, h, x_f, raw, raw_grad, raw_hess, p):
 
 def _check_positive(values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
-    if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
+    if not (np.isfinite(values) & (values > 0.0)).all():
         raise InvalidStretchError("stretch values must be positive and finite")
     return values
 

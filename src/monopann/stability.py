@@ -44,7 +44,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 
@@ -60,9 +60,8 @@ from .constitutive import (
 from .errors import EmptyGridError, MonopannError, ShapeMismatchError
 from .kinematics import (
     _check_determinant,
-    _diagonal_inverse,
-    _invariant_terms,
     _isochoric,
+    _principal_terms,
     principal_stretch_gradient,
 )
 from .networks import _arena
@@ -122,9 +121,9 @@ def _vectors(directions) -> np.ndarray:
         raise ShapeMismatchError(f"directions must have shape (D, 3), got {vectors.shape}")
     if len(vectors) == 0:
         raise EmptyGridError("direction set is empty")
-    bad = ~np.isfinite(vectors).all(axis=-1) | ~vectors.any(axis=-1)
-    if bad.any():
-        k = int(np.argmax(bad))
+    good = np.isfinite(vectors).all(axis=-1) & vectors.any(axis=-1)
+    if not good.all():
+        k = int(np.argmin(good))
         raise ShapeMismatchError(
             f"direction {k} is not finite and nonzero: {vectors[k].tolist()}"
         )
@@ -135,6 +134,7 @@ def _vectors(directions) -> np.ndarray:
 # 3x3 tensor, indexed by the third index m: (1, 2), (2, 0) and (0, 1)
 _NEXT = np.array([1, 2, 0])
 _LAST = np.array([2, 0, 1])
+_SHIFTED = np.concatenate([_NEXT, _LAST])
 # the monomials of x = (B_0^2, B_1^2, B_2^2) of degrees 1, 2 and 3, as
 # sorted index tuples (K = 3, 6 and 10), in the order of the condition
 # polynomials' coefficients and of the direction features; and those of
@@ -160,15 +160,45 @@ def _symmetrizer(entries) -> np.ndarray:
 # entries of a 3x3 table and a 3x3x3 tensor, then x_j x_k at the three
 # off-diagonal components, then x_j x_k x_L at each of them and x_0 x_1 x_2
 _CROSS = list(zip(_NEXT.tolist(), _LAST.tolist()))
-_QUADRATIC = _symmetrizer([*product(range(3), repeat=2), *_CROSS])
-_CUBIC = _symmetrizer([*product(range(3), repeat=3),
+_SQUARES = _symmetrizer([*product(range(3), repeat=2), *_CROSS])
+_CUBES = _symmetrizer([*product(range(3), repeat=3),
                        *((j, k, last) for j, k in _CROSS for last in range(3)), (0, 1, 2)])
+# the symmetrizers (q, E, K) of each quadratic and cubic form of
+# _polynomials, times the powers of two (and signs) of its entries: those of
+# the table and the cross products of each quadratic form, the 2 of
+# 2 n.cof(Q)n and the sign of the o_m^2 entries of det Q.  Each scales a
+# product by a power of two, which is exact, so the forms equal those with
+# the factors applied to their entries bit for bit.
+_QUADRATIC = np.stack([_SQUARES * np.repeat(factors, [9, 3])[:, None]
+                       for factors in ((1.0, 2.0), (1.0, -2.0), (2.0, -2.0))])
+_CUBIC = np.stack([2.0 * _CUBES, _CUBES * np.repeat([1.0, -1.0, 1.0], [27, 9, 1])[:, None]])
 
 
-def _point_geometry(f: np.ndarray, *terms):
+# the pairs (x, y) of the diagonals of (d1, d2, h, F, g2), by index, whose
+# products _point_geometry forms: x x of d1, d2, h and F at 0, 2, 3 and 6,
+# and x y + y x of (d1, d2), (h, F) and (h, g2), x y at 1, 4 and 5 and y x
+# at 7, 8 and 9
+_LEFT = np.array([0, 0, 1, 2, 2, 2, 3, 1, 3, 4])
+_RIGHT = np.array([0, 1, 1, 2, 3, 4, 3, 0, 2, 2])
+# the entries (20, 6) of the diagonals (5, 3) that the products take, those
+# of each x, then of each y: at the off-diagonal components (j, k) =
+# (_NEXT, _LAST) for x_j y_k, then at the diagonal ones for x_i y_i
+_TAKEN = (np.concatenate([_LEFT, _RIGHT])[:, None],
+          np.repeat([np.r_[_NEXT, 0:3], np.r_[_LAST, 0:3]], len(_LEFT), axis=0))
+# delta_iJ - 1 at row i and column J of a 3x3 table
+_OFF_DIAGONAL = (np.eye(3) - 1.0)[..., None]
+# per invariant I1, I2: the exponent p of J, p - 1, and the factor of
+# p J^(p-1) in the mixed terms with h: 2 of 2F, 1 of g2
+_EXPONENTS = np.array([[-2.0 / 3.0], [-4.0 / 3.0]])
+_LOWERED = np.array([[-5.0 / 3.0], [-7.0 / 3.0]])
+_MIXED = np.array([[2.0], [1.0]])
+
+
+def _point_geometry(s: np.ndarray, *terms):
     """The law- and direction-independent part of the acoustic tensors at
-    the diagonal deformation gradients ``f`` (P, 3, 3).  ``terms`` are the
-    points' ``kinematics._invariant_terms``, whose det is checked here.
+    the diagonal deformation gradients ``diag(s)``, for the principal
+    stretches ``s`` (P, 3).  ``terms`` are the points'
+    ``kinematics._principal_terms``, whose det is checked here.
 
     Returns ``(geometry, inverse)``.  ``geometry`` (P, 5, 12) holds, for
     each of the five tangent terms (see ``constitutive._tangent_terms``),
@@ -194,41 +224,44 @@ def _point_geometry(f: np.ndarray, *terms):
     """
     _check_isochoric(terms[0])
     det, h, i1, i2, g2, d1, d2 = terms
-    v = np.stack([np.diagonal(x, axis1=-2, axis2=-1) for x in (d1, d2, h, f, g2)])
-    inverse = v[2] / det[:, None]
-    inverse = np.ldexp(inverse, -np.frexp(inverse.max(axis=-1, keepdims=True))[1])
-    # the coefficients x_j y_k at the off-diagonal components and x_i y_i at
-    # the diagonal ones of (XB) o (YB), for every pair of the diagonals of
-    # (d1, d2, h, F, g2), and of (XB) o (YB) + (YB) o (XB)
-    products = (np.concatenate([v[..., _NEXT], v], axis=-1)[:, None]
-                * np.concatenate([v[..., _LAST], v], axis=-1)[None])
-    pairs = products + products.swapaxes(0, 1)
-    # J, |F|^2 and |h|^2 shaped to scale the (P, 6) products
-    det, i1, i2 = (x[:, None] for x in (det, i1, i2))
+    # every step runs along the points: the diagonals of (d1, d2, h, F, g2)
+    # as rows (5, 3, P)
+    v = np.stack([x.T for x in (d1, d2, h, s, g2)])
+    inverse = v[2] / det
+    inverse = np.ldexp(inverse, -np.frexp(inverse.max(axis=0))[1])
+    # the products (10, 6, P) x_j y_k at the off-diagonal components and
+    # x_i y_i at the diagonal ones of (XB) o (YB) for the pairs (_LEFT,
+    # _RIGHT), the mixed ones then summed to those of (XB) o (YB) + (YB) o (XB)
+    taken = v[_TAKEN]
+    products = taken[:10] * taken[10:]
+    products[1] += products[7]
+    products[4:6] += products[8:]
     # J^p and p J^(p-1) for the exponents p = -2/3 (I1) and -4/3 (I2)
     j1, j2 = det ** (-2.0 / 3.0), det ** (-4.0 / 3.0)
-    dj1, dj2 = -2.0 / 3.0 * j1 / det, -4.0 / 3.0 * j2 / det
-    geometry = np.zeros((len(det), 5, 12))
+    dj = _EXPONENTS * np.stack([j1, j2]) / det
+    geometry = np.zeros((5, 12, len(det)))
     # the entries of the products: O at the off-diagonal components, N_ii
-    at = [0, 1, 2, 3, 7, 11]
-    geometry[:, 0, at], geometry[:, 1, at], geometry[:, 2, at] = (
-        products[0, 0], pairs[0, 1], products[1, 1])
+    # on the diagonal of the 3x3 table
+    off, diagonal = geometry[:, :3], geometry[:, 3::4]
+    off[:3], diagonal[:3] = products[:3, :3], products[:3, 3:]
     # per invariant: p (p - 1) J^(p-2) |.|^2 for h o h, p J^(p-1) times the
     # raw gradient's factor (2F, g2) for the mixed pairs with h, and J^p
     # times the contraction of the raw second derivative: 2 I for I1, and
     # for I2 F_j F_k off the diagonal and, at row i and column J,
     # delta_iJ F_i^2 - (F F^T)_ii - C_JJ + |F|^2
-    geometry[:, 3, 3:] = 2.0 * j1
-    geometry[:, 3, at] += -5.0 / 3.0 * dj1 / det * i1 * products[2, 2] + pairs[2, 3] * (2.0 * dj1)
-    square = products[3, 3, :, 3:]
-    raw = np.where(np.eye(3, dtype=bool), square[:, :, None], 0.0)
-    raw -= square[:, :, None]
-    raw -= square[:, None, :]
-    raw += i1[:, :, None]
-    geometry[:, 4, :3] = products[3, 3, :, :3] * (2.0 * j2)
-    geometry[:, 4, 3:] = (raw * (2.0 * j2[:, :, None])).reshape(-1, 9)
-    geometry[:, 4, at] += -7.0 / 3.0 * dj2 / det * i2 * products[2, 2] + pairs[2, 4] * dj2
-    return geometry, inverse
+    geometry[3, 3:] = 2.0 * j1
+    square = products[6, 3:]
+    raw = square[:, None] * _OFF_DIAGONAL
+    raw -= square
+    raw += i1
+    j2_2 = 2.0 * j2
+    off[4] = products[6, :3] * j2_2
+    np.multiply(raw.reshape(9, -1), j2_2, out=geometry[4, 3:])
+    scale = _LOWERED * dj / det * np.stack([i1, i2])
+    isochoric = scale[:, None] * products[3] + products[4:6] * (_MIXED * dj)[:, None]
+    off[3:] += isochoric[:, :3]
+    diagonal[3:] += isochoric[:, 3:]
+    return np.ascontiguousarray(geometry.transpose(2, 0, 1)), inverse.T
 
 
 def _polynomials(weights: np.ndarray, geometry: np.ndarray, inverse: np.ndarray):
@@ -264,7 +297,10 @@ def _polynomials(weights: np.ndarray, geometry: np.ndarray, inverse: np.ndarray)
                     + sum_m (2 g_j g_k o_j o_k - k_m o_m^2) x_0 x_1 x_2,
 
     from ``cof(Q)_ii = a_j a_k - Q_jk^2`` and ``cof(Q)_jk = B_j B_k (o_j o_k
-    x_m - o_m a_m)``, with ``g`` the entries of ``inverse``.
+    x_m - o_m a_m)``, with ``g`` the entries of ``inverse``.  A factor
+    +-2^k that scales a whole table or column of these forms, and the 2 of
+    ``2 n.cof(Q)n``, is left to the form's symmetrizer (``_QUADRATIC``,
+    ``_CUBIC``); the 6 of ``6 det Q`` is applied to the sums.
     """
     rows, count = weights.shape[:2]
     # every intermediate is laid out (..., M) over the M = R P row-points,
@@ -272,31 +308,32 @@ def _polynomials(weights: np.ndarray, geometry: np.ndarray, inverse: np.ndarray)
     c = np.ascontiguousarray((weights[..., None, :] @ geometry).reshape(-1, 12).T)
     c = np.ldexp(c, -np.frexp(np.abs(c).max(axis=0))[1])
     o, n = c[:3], c[3:].reshape(3, 3, -1)
-    n1, n2 = n[_NEXT], n[_LAST]
-    g = np.tile(inverse.T, rows)
-    k, gg = g * g, g[_NEXT] * g[_LAST]
-    ggo, oo = gg * o, o * o
+    g = np.concatenate([inverse.T] * rows, axis=1)
+    # the rows m + 1 and m + 2 of n, o and g, each pair from one gather
+    n1, n2 = n[_SHIFTED].reshape(2, 3, 3, -1)
+    o_next, o_last = o[_SHIFTED].reshape(2, 3, -1)
+    g_next, g_last = g[_SHIFTED].reshape(2, 3, -1)
+    k, gg = g * g, g_next * g_last
     t = n[0] + n[1] + n[2]
     linear = np.stack([k, 2.0 * t])
     forms = np.empty((3, 12) + k.shape[1:])
     np.einsum("ijm,ikm->jkm", n, n, out=forms[0, :9].reshape(3, 3, -1))
     np.subtract(t[:, None] * k, k[:, None] * n, out=forms[1, :9].reshape(3, 3, -1))
     np.einsum("ijm,ikm->jkm", n1, n2, out=forms[2, :9].reshape(3, 3, -1))
-    forms[2, :9] *= 2.0
-    np.multiply(oo, 2.0, out=forms[0, 9:])
-    np.multiply(ggo, -2.0, out=forms[1, 9:])
-    np.negative(forms[0, 9:], out=forms[2, 9:])
+    oo = np.multiply(o, o, out=forms[0, 9:])
+    ggo = np.multiply(gg, o, out=forms[1, 9:])
+    forms[2, 9:] = oo
     tensors = np.empty((2, 37) + k.shape[1:])
     np.einsum("im,ikm,ilm->iklm", k, n1, n2, out=tensors[0, :27].reshape(3, 3, 3, -1))
     np.einsum("jm,km,lm->jklm", n[0], n[1], n[2], out=tensors[1, :27].reshape(3, 3, 3, -1))
-    np.multiply(np.stack([-2.0 * ggo, -oo])[:, :, None], n,
-                out=tensors[:, 27:36].reshape(2, 3, 3, -1))
-    tensors[0, 36] = (2.0 * gg * o[_NEXT] * o[_LAST] - k * oo).sum(axis=0)
+    np.multiply((-2.0 * ggo)[:, None], n, out=tensors[0, 27:36].reshape(3, 3, -1))
+    np.multiply(oo[:, None], n, out=tensors[1, 27:36].reshape(3, 3, -1))
+    tensors[0, 36] = (2.0 * gg * o_next * o_last - k * oo).sum(axis=0)
     tensors[1, 36] = 2.0 * o[0] * o[1] * o[2]
-    cubic = _CUBIC.T @ tensors
-    cubic *= [[[2.0]], [[6.0]]]
+    cubic = _CUBIC.mT @ tensors
+    cubic[1] *= 6.0
     return [np.ascontiguousarray(x.reshape(x.shape[:2] + (rows, count)).transpose(2, 0, 3, 1))
-            for x in (linear, _QUADRATIC.T @ forms, cubic)]
+            for x in (linear, _QUADRATIC.mT @ forms, cubic)]
 
 
 def _features(vectors: np.ndarray) -> list[np.ndarray]:
@@ -367,7 +404,8 @@ def _point_terms(law, f, par):
     ``X^T X`` up to a rotation and det X, and so the isochoric invariants
     that the law reads.  Returns the :func:`_point_geometry` ``(geometry,
     inverse)`` at ``diag(s)``, the tangent weights (P, 5) of ``law`` there,
-    and U and ``V^T`` (P, 3, 3), from one det and one invariant pass.
+    and U and ``V^T`` (P, 3, 3), from one det of F and one invariant pass on
+    s (``kinematics._principal_terms``).
 
     Raises ``NotIsochoricError`` off det F = 1 and
     ``InvertedConfigurationError`` where det F is not finite, before the SVD.
@@ -376,9 +414,8 @@ def _point_terms(law, f, par):
     _check_isochoric(det)
     _check_determinant(det)
     u, s, vh = np.linalg.svd(f)
-    principal = s[:, :, None] * np.eye(3)
-    terms = _invariant_terms(principal, det, _diagonal_inverse(principal))
-    geometry, inverse = _point_geometry(principal, *terms)
+    terms = _principal_terms(s, det)
+    geometry, inverse = _point_geometry(s, *terms)
     return geometry, inverse, _law_values(as_law(law), par, *_isochoric(terms))[1], u, vh
 
 
@@ -531,7 +568,7 @@ def hessian_decomposition(law, f, par):
 
 def _baker_ericksen(coef: np.ndarray, stretches: np.ndarray) -> np.ndarray:
     values = coef[..., :1] + stretches**2 * coef[..., 1:]
-    return np.all(values >= -BAKER_ERICKSEN_TOLERANCE, axis=-1)
+    return (values >= -BAKER_ERICKSEN_TOLERANCE).all(axis=-1)
 
 
 def baker_ericksen_check(law, f, par) -> np.ndarray:
@@ -552,6 +589,7 @@ def baker_ericksen_check(law, f, par) -> np.ndarray:
 # invariant-plane scan
 
 
+@cache
 def _point_dtype(params: int) -> np.dtype:
     """The fields of a scan point, for ``params`` parameters per row."""
     return np.dtype([
@@ -620,7 +658,7 @@ _BLOCK_PAIRS = 20000
 # at 125 MB (tracemalloc) in one call, and at 62 MB in calls of at most
 # 4096 points.  The benchmark's scan-grid, 3 rows of 100 points, takes one
 # call.  The point geometry is built for as many points at a time; its
-# temporaries take about 3 kB per point.
+# temporaries take about 2.8 kB per point.
 _LAW_POINTS = 4096
 # errors that fail a scan point instead of the scan
 _POINT_ERRORS = (MonopannError, np.linalg.LinAlgError)
@@ -675,9 +713,11 @@ def _scan_block(polynomials, features, minima, work) -> None:
 
 
 def _scan_points(lam1, lam2, errors):
-    """Deformation gradients (P, 3, 3) of the stretch pairs, their isochoric
-    invariants (P,) each, the indices of the points that go on to the law
-    and the geometry, and those points' ``kinematics._invariant_terms``.
+    """Deformation gradients (P, 3, 3) of the stretch pairs, their principal
+    stretches (P, 3), their isochoric invariants (P,) each, the index of the
+    points that go on to the law and the geometry (their indices, or a
+    slice of all points where none fails), and those points'
+    ``kinematics._principal_terms``.
 
     A point whose det F is not finite and positive (its third stretch
     ``1/(l1 l2)`` over- or underflows), or whose invariants overflow, fails
@@ -685,26 +725,29 @@ def _scan_points(lam1, lam2, errors):
     invariants are NaN or infinite.  The floating-point warnings of these
     points are ignored, because the check reports them point by point.
 
-    F is diagonal, so its inverse is the reciprocals of its diagonal
-    (``kinematics._diagonal_inverse``); a point with a subnormal stretch,
-    whose reciprocal overflows, fails either way, as its I2 is not finite.
-    det F stays LAPACK's, which the diagonal's product does not equal bit
-    for bit.
+    F is diagonal, so the invariant pass runs on its diagonal, the principal
+    stretches; a point with a subnormal stretch, whose reciprocal
+    overflows, fails there, as its I2 is not finite.  det F stays LAPACK's,
+    which the diagonal's product does not equal bit for bit.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         f = principal_stretch_gradient(lam1, lam2)
+        # entries 0, 4 and 8 of a flattened 3x3 tensor are its diagonal
+        s = f.reshape(-1, 9)[:, ::4]
         det = np.linalg.det(f)
-        valid = np.isfinite(det) & (det > 0.0)
-        terms = _invariant_terms(f[valid], det[valid], _diagonal_inverse(f[valid]))
-        i1, i2 = np.full((2, len(f)), np.nan)
-        i1[valid], i2[valid] = _isochoric(terms)
-    finite = np.isfinite(i1) & np.isfinite(i2)
+        terms = _principal_terms(s, det)
+        i1, i2 = _isochoric(terms)
+    valid = np.isfinite(det) & (det > 0.0)
+    finite = valid & np.isfinite(i1) & np.isfinite(i2)
+    if finite.all():
+        return f, s, i1, i2, slice(None), terms
+    i1[~valid] = i2[~valid] = np.nan
     for k in np.flatnonzero(~valid):
         errors[:, k] = f"det F = {det[k]:.6g} is not finite and positive"
     for k in np.flatnonzero(valid & ~finite):
         errors[:, k] = f"isochoric invariants not finite: I1 = {i1[k]:.6g}, I2 = {i2[k]:.6g}"
-    live = np.flatnonzero(valid & finite)
-    return f, i1, i2, live, [term[finite[valid]] for term in terms]
+    live = np.flatnonzero(finite)
+    return f, s, i1, i2, live, [term[live] for term in terms]
 
 
 def _minima(polynomials, vectors: np.ndarray, frames=None) -> np.ndarray:
@@ -761,11 +804,11 @@ def _groups(rows: int, points: int):
             yield slice(start, start + step), slice(first, first + span)
 
 
-def _scan_minima(law, param_grid, f, i1, i2, terms, vectors):
+def _scan_minima(law, param_grid, s, i1, i2, terms, vectors):
     """Stress coefficients (R, P, 2), smallest incompressible and
     compressible condition values (R, P, 2) and point errors (R, P) of the
-    points ``f`` (P, 3, 3) with invariants ``i1``, ``i2`` and invariant
-    terms ``terms`` in every parameter row; see
+    points with principal stretches ``s`` (P, 3), invariants ``i1``, ``i2``
+    and invariant terms ``terms`` in every parameter row; see
     :func:`scan_invariant_plane`.
 
     The point geometry is built once, for at most ``_LAW_POINTS`` points
@@ -775,7 +818,7 @@ def _scan_minima(law, param_grid, f, i1, i2, terms, vectors):
     error, the group's rows are evaluated one by one (:func:`_pointwise`).
     A geometry error fails its point in every row, where it overrides an
     error of the law."""
-    rows, count = len(param_grid), len(f)
+    rows, count = len(param_grid), len(s)
     errors = np.full((rows, count), None, dtype=object)
     coef = np.full((rows, count, 2), np.nan)
     minima = np.full((rows, count, 2), np.nan)
@@ -783,10 +826,10 @@ def _scan_minima(law, param_grid, f, i1, i2, terms, vectors):
     failed = np.full(count, None, dtype=object)
     for start in range(0, count, _LAW_POINTS):
         part = slice(start, start + _LAW_POINTS)
-        _pointwise(_point_geometry, (f[part], *(term[part] for term in terms)),
+        _pointwise(_point_geometry, (s[part], *(term[part] for term in terms)),
                    (geometry[part], inverse[part]), failed[part])
     for group, part in _groups(rows, count):
-        weights = np.full((len(param_grid[group]), len(f[part]), 5), np.nan)
+        weights = np.full((len(param_grid[group]), len(s[part]), 5), np.nan)
         try:
             _stacked_law_values(law, param_grid[group], i1[part], i2[part],
                                 coef[group, part], weights)
@@ -854,30 +897,31 @@ def scan_invariant_plane(
         raise ShapeMismatchError(f"parameter row {k} is not finite: {param_grid[k].tolist()}")
     vectors = _vectors(fibonacci_directions() if directions is None else directions)
 
-    lam1, lam2 = np.meshgrid(lambda1_values, lambda2_values, indexing="ij")
-    lam1, lam2 = lam1.ravel(), lam2.ravel()
+    # the stretch pairs in the order of a meshgrid with indexing "ij"
+    lam1 = np.repeat(lambda1_values, len(lambda2_values))
+    lam2 = np.concatenate([lambda2_values] * len(lambda1_values))
     errors = np.full((len(param_grid), len(lam1)), None, dtype=object)
-    f, i1, i2, live, terms = _scan_points(lam1, lam2, errors)
+    f, s, i1, i2, live, terms = _scan_points(lam1, lam2, errors)
     coef = np.full((len(param_grid), len(f), 2), np.nan)
     minima = np.full((len(param_grid), len(f), 2), np.nan)
+    # _baker_ericksen does not depend on the order of the stretches
     stretches = np.full((len(f), 3), np.nan)
+    stretches[live] = s[live]
     coef[:, live], minima[:, live], errors[:, live] = _scan_minima(
-        law, param_grid, f[live], i1[live], i2[live], terms, vectors
+        law, param_grid, stretches[live], i1[live], i2[live], terms, vectors
     )
-    # F is diagonal with positive entries, so its diagonal holds the principal
-    # stretches; _baker_ericksen does not depend on their order
-    stretches[live] = np.diagonal(f, axis1=-2, axis2=-1)[live]
 
     finite = np.isfinite(minima).all(axis=-1)
-    errors[np.equal(errors, None) & ~finite] = "non-finite condition values"
     ok = np.equal(errors, None)
+    errors[ok & ~finite] = "non-finite condition values"
+    ok &= finite
     # the points as (R, P) fields; a failed point gets False verdicts and NaN
     # minima.  The coefficients' verdicts come first and the minima are
     # masked in place, so that no (R, P) float temporary is alive beside the
     # points.  Every field is written, so the zero fill is never read; it is
     # far cheaper than np.recarray's, which fills the object field slot by slot
     be_ok = ok & _baker_ericksen(coef, stretches)
-    mono_ok = ok & np.all(coef >= -BAKER_ERICKSEN_TOLERANCE, axis=-1)
+    mono_ok = ok & (coef >= -BAKER_ERICKSEN_TOLERANCE).all(axis=-1)
     del coef
     minima[~ok] = np.nan
     points = np.zeros(errors.shape, _point_dtype(param_grid.shape[1]))
@@ -894,24 +938,24 @@ def scan_invariant_plane(
         points[name] = column
     region = {"lambda1": _span(lambda1_values), "lambda2": _span(lambda2_values),
               "i1": _span(i1[live]), "i2": _span(i2[live])}
-    points = points.view(np.recarray)
+    per_parameter = _per_parameter(points)
     return StabilityReport(
-        points.ravel(), _per_parameter(points), region, len(vectors), law.label
+        points.ravel().view(np.recarray), per_parameter, region, len(vectors), law.label
     )
 
 
-def _per_parameter(points: np.recarray) -> list:
-    """The ``per_parameter`` entries of a scan's points (R, P): per row its
-    ``t``, point count and failed points, and the fraction of its evaluated
-    points that pass each check, None where none was evaluated."""
+def _per_parameter(points: np.ndarray) -> list:
+    """The ``per_parameter`` entries of a scan's points (R, P), a plain
+    structured array: per row its ``t``, point count and failed points, and
+    the fraction of its evaluated points that pass each check, None where
+    none was evaluated."""
     count = points.shape[1]
-    passed = np.count_nonzero(np.equal(points.error, None), axis=-1).tolist()
-    passes = [np.count_nonzero(points[field], axis=-1).tolist()
-              for field in _FRACTIONS.values()]
+    passed = np.equal(points["error"], None).sum(axis=-1).tolist()
+    passes = [points[field].sum(axis=-1).tolist() for field in _FRACTIONS.values()]
     return [
         {"t": t, "points": count, "failed_points": count - n,
          **{key: k / n if n else None for key, k in zip(_FRACTIONS, row)}}
-        for t, n, *row in zip(points.t[:, 0].tolist(), passed, *passes)
+        for t, n, *row in zip(points["t"][:, 0].tolist(), passed, *passes)
     ]
 
 
@@ -972,16 +1016,22 @@ def write_report_json(report: StabilityReport, path) -> None:
     ``law``, ``per_parameter`` and ``region`` indented, then ``points``
     last, one line per point, a compact object with sorted keys.  The point
     fields' texts come from the report's text table (:func:`_text_table`),
-    which :func:`write_summary_csv` shares, and the lines are joined from
-    one ``%`` template.
+    which :func:`write_summary_csv` shares.  They fill one (N, 2F + 1)
+    object table, each after its key's text, with the end of the line
+    last, which is joined once.
     """
     head = json.dumps({"law": report.law_label, "direction_count": report.direction_count,
                        "region": report.region, "per_parameter": report.per_parameter},
                       indent=2, sort_keys=True)
     names = sorted(report.points.dtype.names)
-    line = "{" + ", ".join(f'"{name}": %s' for name in names) + "}"
     json_text, _ = report._text
-    points = ",\n    ".join([line % row for row in zip(*(json_text[name] for name in names))])
+    table = np.empty((len(report.points), 2 * len(names) + 1), dtype=object)
+    for k, name in enumerate(names):
+        table[:, 2 * k] = f'{", " if k else "{"}"{name}": '
+        table[:, 2 * k + 1] = json_text[name]
+    table[:, -1] = "},\n    "
+    table[-1:, -1] = "}"
+    points = "".join(table.ravel().tolist())
     Path(path).write_text(f'{head[:-2]},\n  "points": [\n    {points}\n  ]\n}}\n')
 
 

@@ -281,25 +281,41 @@ def per_point_wrappers(law, directions):
     }
 
 
+# the per-point wrappers that work in the principal frame of each point
+# (stability._point_terms)
+PRINCIPAL_WRAPPERS = ("ellipticity_incompressible", "ellipticity_compressible",
+                      "acoustic_tensor")
+
+
 class TestPerPointWrappers:
     """The per-point wrappers take the invariants and the geometry from one
-    ``kinematics._invariant_terms`` pass and check det F before it."""
+    invariant pass and check det F before it: ``_principal_terms`` on the
+    singular values of F for those of :data:`PRINCIPAL_WRAPPERS`,
+    ``kinematics._invariant_terms`` on F for the others."""
 
     def test_one_invariant_pass_per_call(self, rng, monkeypatch, directions):
-        original, calls = kin._invariant_terms, []
+        calls = {"_principal_terms": [], "_invariant_terms": []}
 
-        def counting(f, *args, **kwargs):
-            calls.append(len(f))
-            return original(f, *args, **kwargs)
+        def counting(name, original):
+            def wrapper(x, *args, **kwargs):
+                calls[name].append(len(x))
+                return original(x, *args, **kwargs)
 
-        for module in (cons, kin, stab):
-            monkeypatch.setattr(module, "_invariant_terms", counting, raising=False)
+            return wrapper
+
+        for name in calls:
+            wrapper = counting(name, getattr(kin, name))
+            for module in (cons, kin, stab):
+                monkeypatch.setattr(module, name, wrapper, raising=False)
         law = nets.build_model(nets.Architecture.MONOTONIC, 4, 1, rng)
         f = unimodular_block(rng, count=3)
         for name, call in per_point_wrappers(law, directions).items():
-            calls.clear()
+            for found in calls.values():
+                found.clear()
             call(f)
-            assert calls == [3], name
+            principal = name in PRINCIPAL_WRAPPERS
+            assert calls == {"_principal_terms": [3] if principal else [],
+                             "_invariant_terms": [] if principal else [3]}, name
 
     def test_one_determinant_per_call(self, rng, monkeypatch, directions):
         # checked for det F = 1, then reused by the invariant pass and the
@@ -532,7 +548,8 @@ class TestClosedFormGeometry:
         f = diagonal_block(rng)
         b = rng.standard_normal((9, 3)) * rng.uniform(0.2, 5.0, (9, 1))
         terms = kin._invariant_terms(f)
-        geometry, inverse = stab._point_geometry(f, *terms)
+        s = np.diagonal(f, axis1=-2, axis2=-1)
+        geometry, inverse = stab._point_geometry(s, *kin._principal_terms(s, terms[0]))
         got = principal_acoustic_terms(geometry, b)
         tangent_terms = cons._tangent_terms(f, terms)
         ref = np.einsum("ptiIjJ,dI,dJ->ptdij", tangent_terms, b, b)
@@ -558,7 +575,8 @@ class TestClosedFormGeometry:
         }
         for name, f in point_sets.items():
             terms = kin._invariant_terms(f)
-            geometry, _ = stab._point_geometry(f, *terms)
+            s = np.diagonal(f, axis1=-2, axis2=-1)
+            geometry, _ = stab._point_geometry(s, *kin._principal_terms(s, terms[0]))
             ref, _ = outer_point_geometry(f, *terms)
             assert np.array_equal(geometry, ref[..., PRINCIPAL_ENTRIES]), name
             # bit for bit, signed zeros included
@@ -592,6 +610,34 @@ class TestClosedFormGeometry:
         con, geo = stab.hessian_decomposition(law, f[0], T0)
         assert np.isfinite(con(b[0], b[1]) + geo(b[0], b[1]))
 
+    def test_scan_runs_no_tensor_invariant_pass(self, monkeypatch, tmp_path):
+        # the same report bytes with kinematics._invariant_terms unusable, on
+        # a grid whose edges fail by det F and by overflowing invariants
+        model = nets.build_model(nets.Architecture.MONOTONIC, 4, 1,
+                                 np.random.default_rng(3))
+        lam1, lam2 = [1e-200, 0.6, 1.0, 2.5], [1e-160, 0.5, 1.7, 3.0]
+        directions = stab.fibonacci_directions(30)
+
+        def write(name):
+            for law in (MR, cons.NeuralLaw(model)):
+                report = stab.scan_invariant_plane(law, [[0.2], [0.7]], lam1, lam2,
+                                                   directions)
+                assert 0 < report.per_parameter[0]["failed_points"] < len(lam1) * len(lam2)
+                stab.write_report_json(report, tmp_path / f"{name}-{law.label}.json")
+                stab.write_summary_csv(report, tmp_path / f"{name}-{law.label}.csv")
+
+        write("before")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the tensor invariant pass was used")
+
+        for module in (cons, kin, stab):
+            monkeypatch.setattr(module, "_invariant_terms", forbidden, raising=False)
+        write("after")
+        for path in sorted(tmp_path.glob("before-*")):
+            after = tmp_path / path.name.replace("before", "after")
+            assert path.read_bytes() == after.read_bytes(), path.name
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
     def test_error_types(self, rng):
         f = unimodular_block(rng, count=3)
@@ -601,8 +647,9 @@ class TestClosedFormGeometry:
             stab._point_terms(MR, bad, T0)
         off = f.copy()
         off[1] *= 1.01
+        s = np.linalg.svd(off, compute_uv=False)
         with pytest.raises(NotIsochoricError):
-            stab._point_geometry(off, *kin._invariant_terms(off))
+            stab._point_geometry(s, *kin._principal_terms(s, np.linalg.det(off)))
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
     def test_nan_point_fails_alone_in_every_row(self, rng):
@@ -769,9 +816,9 @@ class TestBatchedConditions:
         points, pairs, features = [], [], []
         point_geometry, scan_block = stab._point_geometry, stab._scan_block
 
-        def recording_points(f, *terms):
-            points.append(len(f))
-            return point_geometry(f, *terms)
+        def recording_points(s, *terms):
+            points.append(len(s))
+            return point_geometry(s, *terms)
 
         def recording_blocks(polynomials, block_features, minima, work):
             pairs.append(minima.shape[1] * len(directions))
