@@ -18,6 +18,7 @@ models always see parameters in the unit interval.
 import csv
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -309,6 +310,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "restarts"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.epochs < 0 or self.restarts < 1:
             raise ValueError("epochs must be >= 0 and restarts >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
@@ -364,8 +371,9 @@ class _Epoch:
     allocates an array.
 
     ``work`` is a ``networks._Workspace`` at the shifted invariants of
-    uniaxial tension.  ``lam``, ``stretch`` (``lam - lam^-2``, see
-    :func:`_uniaxial_terms`) and ``stress`` are repeated along the leading
+    uniaxial tension.  ``lam``, ``stretch`` (``2 (lam - lam^-2)``, see
+    :func:`_uniaxial_terms`; the 2 of the stress and of its derivative,
+    exact as a power of two) and ``stress`` are repeated along the leading
     axes of ``model``'s arrays, so that they have the shape of the stress
     residual and of its square: numpy runs an operation between arrays of
     one shape without an iteration buffer.  ``losses`` drops the sample
@@ -383,17 +391,18 @@ class _Epoch:
         (self.lam, self.stretch, self.stress, self.residual, self.square, self.losses,
          self.cot) = networks._arena([(5, (*lead, lam.size)), (1, lead),
                                       (1, (*lead, lam.size, 2))])
-        self.lam[...], self.stretch[...], self.stress[...] = lam, stretch, stress
+        self.lam[...], self.stress[...] = lam, stress
+        np.multiply(stretch, 2.0, out=self.stretch)
 
 
 def _losses(epoch: _Epoch, g):
     """The mean squared stress error per row, from the stress coefficients
     ``g``; the uniaxial stress and its mean take the operations of
-    ``constitutive.uniaxial_stress`` and ``np.mean``, so each row's loss
-    equals :func:`mse_loss` of that row's model.  Returns ``epoch.losses``."""
+    ``constitutive.uniaxial_stress`` and ``np.mean``, the stress's 2 taken
+    with ``epoch.stretch`` (exact), so each row's loss equals
+    :func:`mse_loss` of that row's model.  Returns ``epoch.losses``."""
     residual = np.divide(g[..., 1], epoch.lam, out=epoch.residual)
     np.add(g[..., 0], residual, out=residual)
-    residual *= 2.0
     residual *= epoch.stretch
     residual -= epoch.stress
     np.add.reduce(np.square(residual, out=epoch.square), axis=-1, out=epoch.losses)
@@ -413,9 +422,8 @@ def _loss_and_gradient(model, epoch: _Epoch):
     """
     g, vjp = networks._stress_vjp(model, epoch.work)
     losses = _losses(epoch, g)
-    # d loss / d g: (2 / S) residual 2 stretch, and that over lam
+    # d loss / d g: (2 / S) residual 2 (lam - lam^-2), and that over lam
     scale = np.multiply(epoch.residual, 2.0 / epoch.samples, out=epoch.cot[..., 0])
-    scale *= 2.0
     scale *= epoch.stretch
     np.divide(scale, epoch.lam, out=epoch.cot[..., 1])
     return losses, vjp(epoch.cot, epoch.grads)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -218,6 +219,18 @@ class TestTrainConfig:
     def test_learning_rate_must_be_positive_and_finite(self, lr):
         with pytest.raises(ValueError, match="learning rate"):
             cal.TrainConfig(epochs=1, learning_rate=lr)
+
+    @pytest.mark.parametrize("field", ["epochs", "restarts"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, np.float64(3), "3", None])
+    def test_counts_must_be_integers(self, field, value):
+        message = f"{field} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cal.TrainConfig(**{"epochs": 1, field: value})
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
+    def test_numpy_integers_are_counts(self, value):
+        config = cal.TrainConfig(epochs=value, restarts=value)
+        assert config.epochs == 3 and config.restarts == 3
 
 
 class TestAdam:
@@ -555,8 +568,10 @@ class TestEpochAllocation:
         """Around the network's trace and VJP an epoch allocates no array.
         At (n, R, S) = (8, 5, 60) what an epoch still takes is numpy's
         iteration buffers, the largest about 19 KiB for a broadcast
-        (R, S, n) operation inside the network, and the update takes under
-        1 KiB, less than any (R, P) array (1.6 KiB with one hidden layer).
+        (R, S, n) operation inside the network (only the bias adds still
+        broadcast; the output row is spread over the samples once per
+        trace), and the update takes under 1 KiB, less than any (R, P)
+        array (1.6 KiB with one hidden layer).
         With a fresh residual, square, cotangent and ADAM temporaries, an
         epoch took about 30 KiB and the update 5 to 14 KiB."""
         ds = cal.generate_synthetic(oracle_law(), np.linspace(1.0, 2.0, 12),
@@ -617,11 +632,13 @@ def aligned(view) -> bool:
 
 def workspace_views(model, work):
     """The arena views of a ``networks._Workspace`` of ``model``: its slots,
-    the entry layer's input, its product and the adjoint of that input."""
+    the entry layer's input, its product, the adjoint of that input, the
+    output row and the transposed weights."""
     entry = nets._entry(model)
     held = [out for k, out in enumerate(work.outputs) if k + 1 != entry]
     views = [*work.scratch, *work.slopes, *work.curvatures, *work.a_hats, *held,
-             *work.products, work.inputs[entry], work.entry_bar]
+             *work.products, work.inputs[entry], work.entry_bar, work.row,
+             *work.transposed]
     return [view for view in views if view is not None]
 
 

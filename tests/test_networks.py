@@ -477,6 +477,35 @@ class TestWorkspace:
             for got, want in zip(grads, fresh_grads, strict=True):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("arch", DERIVATIVE_CASES)
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_traces_refresh_the_weight_layouts(self, arch, stacked, rng):
+        """After a trace and its reverse rule, ``transposed`` holds each hidden
+        layer's contiguous ``W^T`` and ``row`` the output row on every sample;
+        after an in-place update of the weights, as the ADAM step makes, the
+        next trace holds the new ones: a stale copy would pass every bit test
+        of a first epoch."""
+        models = [make_model(arch, rng, nodes=5, param_dim=2) for _ in range(3)]
+        model = stack_models(models) if stacked else models[0]
+        inv, par = random_states(rng, 9, param_dim=2)
+        work = nets._Workspace(model, inv - 3.0, par)
+        for step in range(2):
+            if step:
+                for layer in model.layers:
+                    layer.weights -= rng.uniform(0.0, 0.1, layer.weights.shape)
+            nets._trace(model, work)
+            nets._reverse(model, work)
+            hidden = model.layers[:-1]
+            assert len(work.transposed) == len(hidden)
+            for slot, layer in zip(work.transposed, hidden):
+                want = np.ascontiguousarray(layer.weights.mT)
+                assert slot.shape == want.shape and slot.tobytes() == want.tobytes()
+            row = model.layers[-1].weights
+            want = np.broadcast_to(row, row.shape[:-2] + (9, row.shape[-1]))
+            assert work.row.shape == want.shape
+            assert work.row.tobytes() == np.ascontiguousarray(want).tobytes()
+            assert work.adjoints[-1] is work.row
+
 
 class TestArena:
     RUNS = [(2, (3,)), (1, ()), (2, (2, 7, 3)), (1, (5,)), (1, ()), (1, ()), (1, (4, 2))]
@@ -499,6 +528,25 @@ class TestArena:
         base = views[0].base
         assert all(view.base is base for view in views)
         assert base.size <= sum(view.size + 7 for view in views) + 8
+
+    @pytest.mark.parametrize("arch", DERIVATIVE_CASES)
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_workspace_layout_slots_are_aligned(self, arch, stacked, rng):
+        """The output-row and transposed-weight slots of a workspace are
+        views of its one arena, contiguous and on 64-byte boundaries."""
+        models = [make_model(arch, rng, nodes=5, param_dim=2) for _ in range(3)]
+        model = stack_models(models) if stacked else models[0]
+        inv, par = random_states(rng, 9, param_dim=2)
+        work = nets._Workspace(model, inv - 3.0, par)
+        lead = (3,) if stacked else ()
+        views = [work.row, *work.transposed]
+        assert work.row.shape == (*lead, 9, 5)
+        assert [v.shape for v in work.transposed] == [
+            layer.weights.mT.shape for layer in model.layers[:-1]]
+        base = work.slopes[0].base
+        for view in views:
+            assert view.flags.c_contiguous and view.ctypes.data % 64 == 0
+            assert view.base is base
 
     def test_smaller_runs_share_the_buffer(self):
         base = nets._arena(self.RUNS)[0].base
