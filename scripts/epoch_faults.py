@@ -32,13 +32,19 @@ without them.
 
 Each checkout runs in its own process: two checkouts interleaved in one
 process share one C heap, and where that heap trims memory and faults it
-back in then depends on both.  The last line of standard output is one
-JSON object with every figure, by checkout, architecture and shape.
+back in then depends on both.  A shared host's speed drifts between
+processes, so ``--rounds`` processes per checkout run in turn (A, B, A,
+B, ...), and each figure is reported as the median over the rounds and
+its spread, the largest less the smallest; a difference between two
+checkouts that is not larger than both spreads shows nothing.  The last
+line of standard output is one JSON object with every figure's median and
+spread, by checkout, architecture and shape.
 """
 
 import argparse
 import json
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -50,6 +56,7 @@ ARCHS = ("monotonic", "unrestricted_2hl", "convex_monotonic", "unrestricted_1hl"
 # (without its held-out value) and of calibrate-wide
 SHAPES = ((8, 5, 20, (0.1, 0.5, 0.9)), (32, 2, 40, (0.1, 0.3, 0.5, 0.7, 0.9)))
 ORACLE = ([0.0, 0.0, 0.25, 0.15], [0.0, 0.0, 0.05, 0.03], [0.0, 0.0, 0.02, 0.0])
+FIGURES = ("us", "faults", "transient_kib", "adam_us", "outside_us")
 
 
 def measure(src: Path, epochs: int, warmup: int) -> dict:
@@ -139,33 +146,48 @@ def measure(src: Path, epochs: int, warmup: int) -> dict:
     return out
 
 
+def summary(values: list) -> dict:
+    """The median of ``values`` and their spread, the largest less the smallest."""
+    return {"median": statistics.median(values), "spread": max(values) - min(values)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, action="append", required=True,
                         help="a checkout's src directory; give one per checkout")
     parser.add_argument("--epochs", type=int, default=2000)
     parser.add_argument("--warmup", type=int, default=500)
+    parser.add_argument("--rounds", type=int, default=3,
+                        help="processes per checkout, run in turn")
     parser.add_argument("--child", action="store_true",
                         help="measure the one --src in this process and print JSON")
     args = parser.parse_args(argv)
     if args.child:
         print(json.dumps(measure(args.src[0].resolve(), args.epochs, args.warmup)))
         return 0
+    srcs = [src.resolve() for src in args.src]
+    rounds = {src: [] for src in srcs}
+    for _ in range(args.rounds):
+        for src in srcs:
+            done = subprocess.run(
+                [sys.executable, __file__, "--child", "--src", str(src),
+                 "--epochs", str(args.epochs), "--warmup", str(args.warmup)],
+                capture_output=True, text=True, check=True, timeout=3600,
+            )
+            rounds[src].append(json.loads(done.stdout.splitlines()[-1]))
     result = {}
-    for src in args.src:
-        src = src.resolve()
-        done = subprocess.run(
-            [sys.executable, __file__, "--child", "--src", str(src),
-             "--epochs", str(args.epochs), "--warmup", str(args.warmup)],
-            capture_output=True, text=True, check=True, timeout=3600,
-        )
-        result[str(src)] = json.loads(done.stdout.splitlines()[-1])
+    for src, runs in rounds.items():
+        result[str(src)] = {
+            key: {figure: summary([run[key][figure] for run in runs]) for figure in FIGURES}
+            for key in runs[0]
+        }
         print(src)
-        print(f"  {'architecture/shape':36s} {'us/epoch':>9s} {'faults/epoch':>12s} "
-              f"{'transient KiB':>13s} {'adam us':>8s} {'outside us':>10s}")
+        print(f"  {'architecture/shape (median, spread)':36s} {'us/epoch':>16s} "
+              f"{'faults/epoch':>16s} {'transient KiB':>16s} {'adam us':>16s} "
+              f"{'outside us':>16s}")
         for key, row in result[str(src)].items():
-            print(f"  {key:36s} {row['us']:9.1f} {row['faults']:12.2f} "
-                  f"{row['transient_kib']:13.1f} {row['adam_us']:8.1f} {row['outside_us']:10.1f}")
+            print(f"  {key:36s}" + "".join(
+                f" {row[f]['median']:9.1f} {row[f]['spread']:6.1f}" for f in FIGURES))
     print(json.dumps(result, sort_keys=True))
     return 0
 

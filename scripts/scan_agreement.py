@@ -19,7 +19,9 @@ benchmark's scan-grid workload (a seeded monotonic network with n = 8,
 then the Mooney-Rivlin law, over 3 parameter rows, a 10x10 grid over
 [0.5, 3] and 200 directions), both laws in one command, which also writes
 ``comparison.csv``, and the network on a 4x4 grid over [1e-200, 3], whose
-failed points write null values and error texts.
+failed points write null values and error texts.  Every ``*_report.json``
+that differs is compared as the laws' reports are, and its differing
+entries and worst minimum deviation are printed.
 
 It exits 1 if any verdict, ``error`` or ``per_parameter`` entry differs, if
 a minimum differs by more than ``MINIMUM_TOLERANCE``, or if any CLI
@@ -100,9 +102,10 @@ def scan_all(src: Path, work: Path) -> dict:
     return reports
 
 
-def cli_artifacts(src: Path, work: Path) -> dict:
+def cli_artifacts(src: Path, work: Path) -> tuple[dict, dict]:
     """The sha256 of every file that the :func:`cli_scans` commands write
-    with ``src``, by its path under ``work``."""
+    with ``src``, by its path under ``work``, and the report of every
+    ``*_report.json`` among them, by the same path."""
     sys.path.insert(0, str(src))
     import numpy as np
 
@@ -114,8 +117,11 @@ def cli_artifacts(src: Path, work: Path) -> dict:
     for name, args in cli_scans(str(work / "scan_model.json")).items():
         if cli.main(["scan", *args, "--out", str(work / name)]) != 0:
             raise SystemExit(f"scan {name} failed")
-    return {path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(work.glob("*/*"))}
+    paths = {path.relative_to(work).as_posix(): path for path in sorted(work.glob("*/*"))}
+    return ({name: hashlib.sha256(path.read_bytes()).hexdigest()
+             for name, path in paths.items()},
+            {name: json.loads(path.read_text()) for name, path in paths.items()
+             if name.endswith("_report.json")})
 
 
 def run_child(src: Path) -> dict:
@@ -157,7 +163,7 @@ def compare(parent: dict, change: dict) -> tuple[list, float, float]:
 
 def compare_files(parent: dict, change: dict) -> list:
     """The names of the artifacts that differ, or that only one side wrote."""
-    return [f"artifact {name} differs" for name in sorted(parent.keys() | change.keys())
+    return [name for name in sorted(parent.keys() | change.keys())
             if parent.get(name) != change.get(name)]
 
 
@@ -172,8 +178,9 @@ def main(argv=None) -> int:
     if args.child is not None:
         src = args.child.resolve()
         (args.work / "cli").mkdir()
-        print(json.dumps({"reports": scan_all(src, args.work),
-                          "artifacts": cli_artifacts(src, args.work / "cli")}))
+        artifacts, cli_reports = cli_artifacts(src, args.work / "cli")
+        print(json.dumps({"reports": scan_all(src, args.work), "artifacts": artifacts,
+                          "cli_reports": cli_reports}))
         return 0
     if args.parent is None or args.change is None:
         parser.error("--parent and --change are required")
@@ -181,7 +188,12 @@ def main(argv=None) -> int:
     change = run_child((args.change / "src").resolve())
     diffs, worst_min, worst_inv = compare(parent["reports"], change["reports"])
     files = compare_files(parent["artifacts"], change["artifacts"])
-    for line in diffs + files:
+    # the differing reports that both sides wrote, compared entry by entry
+    reports = [name for name in files
+               if name in parent["cli_reports"] and name in change["cli_reports"]]
+    cli_diffs, cli_min, _ = compare({name: parent["cli_reports"][name] for name in reports},
+                                    {name: change["cli_reports"][name] for name in reports})
+    for line in diffs + [f"artifact {name} differs" for name in files] + cli_diffs:
         print(line)
     print(f"laws: {len(parent['reports'])}, differing verdicts, errors or "
           f"per_parameter entries: {len(diffs)}")
@@ -189,6 +201,8 @@ def main(argv=None) -> int:
           f"(absolute, or relative above 1; bound {MINIMUM_TOLERANCE:g})")
     print(f"worst i1/i2 relative deviation: {worst_inv:.3g}")
     print(f"CLI scan artifacts: {len(parent['artifacts'])}, differing: {len(files)}")
+    print(f"differing CLI reports: {len(reports)}, differing verdicts, errors or "
+          f"per_parameter entries: {len(cli_diffs)}, worst minimum deviation: {cli_min:.3g}")
     return 1 if diffs or files or worst_min > MINIMUM_TOLERANCE else 0
 
 

@@ -15,8 +15,8 @@ vector, and return a scalar potential in MPa:
 All derivatives used downstream (first and second order in the inputs, and
 the parameter-side vector-Jacobian product of the stress coefficients) come
 from one engine that every architecture and depth shares: the reverse rule
-``r <- (r o sigma'(a_k)) W_k`` and a forward tangent
-``a'_k = (sigma'(a_{k-1}) o a'_{k-1}) W_k^T`` with one reverse sweep over it.
+``r <- (r o sigma'(a_k)) W_k`` and a forward tangent ``a'_k = (sigma'(a_{k-1})
+o a'_{k-1}) W_k^T``, run by the VJP and, along I1 and I2, by the Hessian.
 The architectures differ only in which hidden layer first reads the invariants.
 One forward trace evaluates each hidden activation once, and sigma' and
 sigma'' come from that layer's output (tanh) or from the ``exp(-|a|)`` its
@@ -246,8 +246,8 @@ def _as_batch(model: PotentialModel, inv, par):
 #   tangent of x_k, c at layer e): ``abar = s' o xbar + s'' o a' o r_k``,
 #   ``Wbar = abar^T x + ahat^T x'``, ``bbar = sum_s abar``, ``xbar <- abar W``;
 #   the output row gets ``sum_s s' o a'`` of the last layer.
-# * Hessian: ``sum_{k >= e} A_k^T diag(s'' o r_k) A_k`` with
-#   ``A_e = W_e[:, :2]`` and ``A_k = (s'_{k-1} o W_k) A_{k-1}``.
+# * Hessian: the tangent rule along e_1 and e_2, then one weighted sum per
+#   layer, ``H_ab = sum_{k >= e} sum_i (s''_k o r_k)_i a'_{k,a,i} a'_{k,b,i}``.
 # The arrays may carry a leading restart axis, against which inputs broadcast.
 # Every array of shape (..., S, n) that the trace, the reverse rule and the
 # VJP form is written with ``out=`` into a view of one :class:`_Workspace`,
@@ -532,18 +532,13 @@ _GRAM_ROW, _GRAM_COL = [0, 0, 1], [0, 1, 1]
 _GRAM_FULL = [[0, 1], [1, 2]]
 
 
-def _weighted_gram(c, w):
-    """``sum_i c_i w_ia w_ib``, shape (..., 2, 2), for ``c`` (..., n), ``w`` (..., n, 2)."""
-    return (c[..., None, :] * w.mT) @ w
-
-
 def invariant_hessians_batch(model: PotentialModel, inv, par):
     """Stress coefficients (..., 2) and the symmetric 2x2 Hessian in the
     invariants (..., 2, 2), from one trace and one reverse sweep.
 
-    Each hidden layer from the entry layer on contributes one weighted Gram
-    matrix ``A^T diag(c) A`` (see above): ``A`` maps the invariants into the
-    layer's pre-activation and ``c`` is its activation's second derivative
+    Each hidden layer from the entry layer on adds ``sum_i c_i a'_ai a'_bi``
+    to the entries (00, 01, 11) (see above): ``a'_a`` is the tangent of its
+    pre-activation along I_a, and ``c`` its activation's second derivative
     times the derivative of psi in the layer's output.
     """
     inv, par, lead = _as_batch(model, inv, par)
@@ -551,16 +546,18 @@ def invariant_hessians_batch(model: PotentialModel, inv, par):
     work = _Workspace(model, inv - 3.0, par)
     _trace(model, work)
     g = _reverse(model, work)
-    slopes, curvatures, adjoints = work.slopes, work.curvatures, work.adjoints
-    # the entry layer's A is the same for every sample: one (S, n) @ (n, 3)
-    # product for the entries (00, 01, 11) of its weighted Gram matrix
+    # the entry layer's tangents, W_e[:, :2] for every sample: one (S, n) @
+    # (n, 3) product for its entries, then (2, ..., 1, n) from the trace's W_e^T
     jac = hidden[entry].weights[..., :2]
     pairs = jac[..., _GRAM_ROW] * jac[..., _GRAM_COL]
-    h = ((curvatures[entry] * adjoints[entry]) @ pairs)[..., _GRAM_FULL]
-    jac = jac[..., None, :, :]
+    h = (work.curvatures[entry] * work.adjoints[entry]) @ pairs
+    a_dot = np.moveaxis(work.transposed[entry][..., :2, :], -2, 0)[..., None, :]
     for k in range(entry + 1, len(hidden)):
-        jac = (slopes[k - 1][..., None, :] * hidden[k].weights[..., None, :, :]) @ jac
-        h += _weighted_gram(curvatures[k] * adjoints[k], jac)
+        a_dot = (work.slopes[k - 1] * a_dot) @ work.transposed[k]
+        weighted = work.curvatures[k] * work.adjoints[k] * a_dot
+        for j, (a, b) in enumerate(zip(_GRAM_ROW, _GRAM_COL)):
+            h[..., j] += np.vecdot(weighted[a], a_dot[b])
+    h = h[..., _GRAM_FULL]
     return g.reshape(g.shape[:-2] + lead + (2,)), h.reshape(h.shape[:-3] + lead + (2, 2))
 
 
@@ -651,17 +648,23 @@ def _array(entry: dict, key: str, idx: int) -> np.ndarray:
 def model_from_json(text: str) -> PotentialModel:
     """Parse a document of :func:`model_to_json` and :func:`validate` it.
 
-    Raises :class:`ShapeMismatchError` naming a missing key, or the layer
-    and array that is not a rectangular array of numbers.
+    Raises :class:`ShapeMismatchError` for a document that is not a JSON
+    object, naming a missing key or one of the wrong type, or the layer and
+    array that is not a rectangular array of numbers.
     """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ShapeMismatchError("model document is not a JSON object")
     try:
+        for key, kind in (("layers", list), ("n", int), ("m", int)):
+            if not isinstance(doc[key], kind) or isinstance(doc[key], bool):
+                raise ShapeMismatchError(f"model document's '{key}' is not a JSON {kind.__name__}")
         layers = [Layer(_array(entry, "w", idx),
                         None if entry["b"] is None else _array(entry, "b", idx),
                         Activation(entry["activation"]), Constraint(entry["constraint"]))
                   for idx, entry in enumerate(doc["layers"])]
-        model = PotentialModel(Architecture(doc["architecture"]), int(doc["n"]),
-                               int(doc["m"]), layers, doc.get("metadata", {}))
+        model = PotentialModel(Architecture(doc["architecture"]), doc["n"], doc["m"], layers,
+                               doc.get("metadata", {}))
     except KeyError as exc:
         raise ShapeMismatchError(f"model document lacks the key {exc}") from None
     validate(model)
@@ -673,4 +676,8 @@ def save_model(model: PotentialModel, path) -> None:
 
 
 def load_model(path) -> PotentialModel:
-    return model_from_json(Path(path).read_text())
+    """The model in a file; text that is not valid JSON raises ``ValueError`` naming it."""
+    try:
+        return model_from_json(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -653,13 +653,12 @@ class StabilityReport:
 _BLOCK_PAIRS = 20000
 # Upper bound on the row-points (parameter rows x stretch pairs) of one law
 # evaluation in a scan, and so of the condition polynomials built from it
-# (44 coefficients per row-point).  A network's Hessian holds (S, n, n)
-# products, about 12 kB per point at n = 32, and its workspace's output-row
-# slot 8n bytes more: one row of 10000 points peaked at 125 MB (tracemalloc)
-# in one call, and at 62 MB in calls of at most 4096 points.  The
-# benchmark's scan-grid, 3 rows of 100 points, takes one call.  The point
-# geometry is built for as many points at a time; its temporaries take
-# about 2.8 kB per point.
+# (44 coefficients per row-point).  A network's Hessian peaks at about
+# 4.7 kB per point at n = 32: one row of 10000 points (monotonic, n = 32, 30
+# directions) peaked at 56 MB (tracemalloc) in one call, and at 29 MB in
+# calls of at most 4096 points.  The benchmark's scan-grid, 3 rows of 100
+# points, takes one call.  The point geometry is built for as many points at
+# a time; its temporaries take about 2.8 kB per point.
 _LAW_POINTS = 4096
 # errors that fail a scan point instead of the scan
 _POINT_ERRORS = (MonopannError, np.linalg.LinAlgError)

@@ -61,11 +61,17 @@ def separate_hessian(model, i1, i2, par):
     nets._reverse(model, work)
     jac = hidden[entry].weights[..., :2]
     pairs = jac[..., nets._GRAM_ROW] * jac[..., nets._GRAM_COL]
-    h = ((work.curvatures[entry] * work.adjoints[entry]) @ pairs)[..., nets._GRAM_FULL]
-    jac = jac[..., None, :, :]
+    h = (work.curvatures[entry] * work.adjoints[entry]) @ pairs
+    # the tangents along I1 and I2, a'_k = (s'_{k-1} o a'_{k-1}) W_k^T from
+    # a'_e = W_e[:, :2], each with its own weighted sums
+    tangents = [np.broadcast_to(jac[..., a][..., None, :], work.slopes[entry].shape)
+                for a in range(2)]
     for k in range(entry + 1, len(hidden)):
-        jac = (work.slopes[k - 1][..., None, :] * hidden[k].weights[..., None, :, :]) @ jac
-        h += nets._weighted_gram(work.curvatures[k] * work.adjoints[k], jac)
+        tangents = [(work.slopes[k - 1] * t) @ work.transposed[k] for t in tangents]
+        for j, (a, b) in enumerate(zip(nets._GRAM_ROW, nets._GRAM_COL)):
+            weighted = work.curvatures[k] * work.adjoints[k] * tangents[a]
+            h[..., j] += np.vecdot(weighted, tangents[b])
+    h = h[..., nets._GRAM_FULL]
     return h.reshape(h.shape[:-3] + lead + (2, 2))
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,21 @@ class TestDerivatives:
             inv, par = random_states(rng, 50)
             _, h = nets.invariant_hessians_batch(model, inv, par)
             np.testing.assert_allclose(h, np.swapaxes(h, -1, -2), atol=1e-14)
+
+    def test_hessian_peak_below_one_jacobian_product(self, rng):
+        # the tangents along I1 and I2 replace per-sample (n, n) products:
+        # at the scan's largest law call a Hessian peaks below one (S, n, n)
+        # array (about 19 MB; 50 MB with those products)
+        nodes, samples = 32, 4096
+        model = make_model(nets.Architecture.MONOTONIC, rng, nodes=nodes)
+        inv, par = random_states(rng, samples)
+        tracemalloc.start()
+        try:
+            nets.invariant_hessians_batch(model, inv, par)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * samples * nodes * nodes
 
 
 class TestVjp:
@@ -650,14 +666,33 @@ class TestMalformedModelFiles:
          "layer 1: non-finite value in 'b'"),
         (edit_entry(["layers", 2, "w", 0, 0], float("inf")), ConstraintViolationError,
          "layer 2: non-finite"),
+        (edit_entry(["layers"], {"w": [[1.0]]}), ShapeMismatchError, "'layers' is not"),
+        (edit_entry(["layers", 1], [0.5]), ShapeMismatchError, "layer 1: 'w'"),
+        (edit_entry(["n"], None), ShapeMismatchError, "'n' is not"),
+        (edit_entry(["n"], [4]), ShapeMismatchError, "'n' is not"),
+        (edit_entry(["n"], 4.0), ShapeMismatchError, "'n' is not"),
+        (edit_entry(["m"], None), ShapeMismatchError, "'m' is not"),
+        (edit_entry(["m"], True), ShapeMismatchError, "'m' is not"),
     ], ids=["no-layers", "no-architecture", "no-bias-key", "ragged-w", "ragged-b",
             "text-weight", "null-weight", "nan-weight", "infinite-bias",
-            "infinite-output-weight"])
+            "infinite-output-weight", "layers-object", "layer-list", "null-n", "list-n",
+            "float-n", "null-m", "bool-m"])
     def test_rejected(self, edit, error, match, rng):
         doc = json.loads(nets.model_to_json(make_model(nets.Architecture.MONOTONIC, rng)))
         edit(doc)
         with pytest.raises(error, match=match):
             nets.model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "null", "4"])
+    def test_document_not_an_object(self, text):
+        with pytest.raises(ShapeMismatchError, match="not a JSON object"):
+            nets.model_from_json(text)
+
+    def test_invalid_json_names_the_file(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text('{"n": 4,')
+        with pytest.raises(ValueError, match="net.json: Expecting"):
+            nets.load_model(path)
 
     @pytest.mark.parametrize("arch", ALL_ARCHITECTURES)
     def test_validate_flags_non_finite_free_weight(self, arch, rng):
