@@ -8,9 +8,12 @@ another commit::
 It scans a fixed set of laws with each checkout's ``src``, each in its own
 fresh interpreter: untrained networks of all four architectures (n = 6,
 seeds 11 to 13) and a Mooney-Rivlin law, on a 12x12 stretch grid over
-[0.3, 4], with 3 parameter rows and 150 Fibonacci directions.  The reports
-are compared as each checkout's ``stability.write_report_json`` writes
-them.  It prints the worst deviation of the condition minima (absolute, or
+[0.3, 4], with 3 parameter rows and 150 Fibonacci directions.  One more
+scan takes several spans and steps of the law call: the monotonic network
+of seed 11 with ``stability._LAW_POINTS`` set to 50 (and restored
+afterwards) on 5 parameter rows and the same grid plus a 1e-200 edge,
+whose points fail.  The reports are compared as each checkout's
+``stability.write_report_json`` writes them.  It prints the worst deviation of the condition minima (absolute, or
 relative above 1) and of the invariants i1, i2 (relative).
 
 Each checkout also runs four ``scan`` commands (:func:`cli_scans`), and the
@@ -42,6 +45,8 @@ SEEDS = (11, 12, 13)
 NODES = 6
 GRID = (0.3, 4.0, 12)
 ROWS = [[0.0], [0.5], [1.0]]
+SPLIT_ROWS = [[0.0], [0.25], [0.5], [0.75], [1.0]]
+SPLIT_LAW_POINTS = 50
 DIRECTIONS = 150
 EXACT = ("elliptic", "compressible_elliptic", "be_ok", "mono_ok", "error")
 MINIMA = ("min_value", "compressible_min_value")
@@ -99,6 +104,17 @@ def scan_all(src: Path, work: Path) -> dict:
         report = stability.scan_invariant_plane(law, ROWS, lam, lam, directions)
         stability.write_report_json(report, path)
         reports[law.label] = json.loads(path.read_text())
+    law = next(law for law in laws if law.label == f"monotonic-{SEEDS[0]}")
+    edged = np.r_[1e-200, lam]
+    budget = stability._LAW_POINTS
+    stability._LAW_POINTS = SPLIT_LAW_POINTS
+    try:
+        report = stability.scan_invariant_plane(law, SPLIT_ROWS, edged, edged, directions)
+    finally:
+        stability._LAW_POINTS = budget
+    path = work / "split_report.json"
+    stability.write_report_json(report, path)
+    reports[f"{law.label}-split"] = json.loads(path.read_text())
     return reports
 
 

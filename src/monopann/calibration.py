@@ -331,7 +331,7 @@ class CalibrationRecord:
     restart_index: int
     rank: int = -1
     diverged: bool = False
-    learning_rate: float = 2e-3
+    learning_rate: float = TrainConfig.learning_rate
     beta1: float = ADAM_BETA1
     beta2: float = ADAM_BETA2
     eps: float = ADAM_EPS

@@ -90,6 +90,23 @@ def _write_rows(path: Path, header: list, rows: list) -> Path:
     return path
 
 
+def _param_paths(out: Path, stem: str, values: list) -> list:
+    """The CSV path ``<stem>_p<value:g>.csv`` in ``out`` of each parameter
+    value in ``values``.
+
+    Raises ``MonopannError`` for two values, equal ones included, that share
+    a path, whose files would overwrite each other.
+    """
+    paths = {}
+    for value in values:
+        path = out / f"{stem}_p{value:g}.csv"
+        if path in paths:
+            raise MonopannError(
+                f"parameter values {paths[path]!r} and {value!r} share the file {path}")
+        paths[path] = value
+    return list(paths)
+
+
 def _closed_form_law(name: str, args):
     """The closed-form law ``name`` with the coefficients given in ``args``."""
     if name == "neo-hookean":
@@ -106,19 +123,19 @@ def cmd_gendata(args) -> int:
     law = _closed_form_law(args.oracle, args)
     lam = _grid(args.grid)
     params = _floats(args.params)
+    paths = _param_paths(out, args.name, params)
     rng = np.random.default_rng(args.seed) if args.noise > 0.0 else None
     full = calibration.generate_synthetic(
         law, lam, params, noise_std=args.noise, rng=rng,
         label=args.label, source=f"synthetic:{law.label}",
     )
     # one CSV per parameter value; sidecars share the family-wide bounds
-    for value in params:
+    for value, path in zip(params, paths):
         mask = full.param_raw == value
         subset = calibration.Dataset(
             full.lam[mask], full.stress[mask], full.param_raw[mask],
             full.param_min, full.param_max, args.label, full.source,
         )
-        path = out / f"{args.name}_p{value:g}.csv"
         calibration.save_dataset(subset, path)
         print(f"wrote {path}")
     return 0
@@ -287,14 +304,14 @@ def cmd_report(args) -> int:
     model = networks.load_model(_require(args.model))
     dataset = _load_data(args)
     stem = Path(args.model).stem
+    values = np.unique(dataset.param_raw).tolist()
     series = []
-    for value in np.unique(dataset.param_raw):
+    for value, path in zip(values, _param_paths(out, f"{stem}_curve", values)):
         mask = dataset.param_raw == value
         lam_data = dataset.lam[mask]
         p_data = dataset.stress[mask]
         t = dataset.params_normalized(np.array([value]))[0]
         p_model = constitutive.uniaxial_stress(model, lam_data, t)
-        path = out / f"{stem}_curve_p{value:g}.csv"
         constitutive.write_curve_csv(path, lam_data, p_model, p_data, t)
         print(f"wrote {path}")
         lam_dense = np.linspace(lam_data.min(), lam_data.max(), args.points)
@@ -326,8 +343,8 @@ def _split(p) -> None:
 
 def _train(p) -> None:
     p.add_argument("--epochs", type=int, default=20000)
-    p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--lr", type=float, default=2e-3)
+    p.add_argument("--restarts", type=int, default=calibration.TrainConfig.restarts)
+    p.add_argument("--lr", type=float, default=calibration.TrainConfig.learning_rate)
 
 
 def _coefficients(p) -> None:

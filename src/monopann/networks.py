@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConstraintViolationError, ShapeMismatchError
+from .errors import ConstraintViolationError, MonopannError, ShapeMismatchError
 
 __all__ = [
     "Activation",
@@ -676,8 +676,13 @@ def save_model(model: PotentialModel, path) -> None:
 
 
 def load_model(path) -> PotentialModel:
-    """The model in a file; text that is not valid JSON raises ``ValueError`` naming it."""
+    """The model in a file.  Every rejection of its text names the file:
+    text that is not valid JSON raises ``ValueError``, and every error of
+    :func:`model_from_json` keeps its type."""
+    text = Path(path).read_text()
     try:
-        return model_from_json(Path(path).read_text())
+        return model_from_json(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except (MonopannError, ValueError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None

@@ -57,7 +57,7 @@ from .constitutive import (
     _tangent_weights,
     as_law,
 )
-from .errors import EmptyGridError, MonopannError, ShapeMismatchError
+from .errors import EmptyGridError, MonopannError, NotIsochoricError, ShapeMismatchError
 from .kinematics import (
     _check_determinant,
     _isochoric,
@@ -198,7 +198,7 @@ def _point_geometry(s: np.ndarray, *terms):
     """The law- and direction-independent part of the acoustic tensors at
     the diagonal deformation gradients ``diag(s)``, for the principal
     stretches ``s`` (P, 3).  ``terms`` are the points'
-    ``kinematics._principal_terms``, whose det is checked here.
+    ``kinematics._principal_terms``.
 
     Returns ``(geometry, inverse)``.  ``geometry`` (P, 5, 12) holds, for
     each of the five tangent terms (see ``constitutive._tangent_terms``),
@@ -218,11 +218,7 @@ def _point_geometry(s: np.ndarray, *terms):
     in the second derivative of I1 and, in that of I2, the contraction of
     its ``x_f o x_f`` part, ``2 J^-4/3 [(FB) o (FB) - |B|^2 F F^T
     - (|FB|^2 - |B|^2 |F|^2) I]``.
-
-    Raises ``NotIsochoricError`` where ``|det F - 1|`` exceeds the tolerance
-    and ``InvertedConfigurationError`` where det F is not finite.
     """
-    _check_isochoric(terms[0])
     det, h, i1, i2, g2, d1, d2 = terms
     # every step runs along the points: the diagonals of (d1, d2, h, F, g2)
     # as rows (5, 3, P)
@@ -651,14 +647,14 @@ class StabilityReport:
 # workspace larger than a 2 MiB L2 cache, and both ran slower (3 rows of 100
 # and of 400 points, 200 directions).
 _BLOCK_PAIRS = 20000
-# Upper bound on the row-points (parameter rows x stretch pairs) of one law
-# evaluation in a scan, and so of the condition polynomials built from it
-# (44 coefficients per row-point).  A network's Hessian peaks at about
-# 4.7 kB per point at n = 32: one row of 10000 points (monotonic, n = 32, 30
-# directions) peaked at 56 MB (tracemalloc) in one call, and at 29 MB in
-# calls of at most 4096 points.  The benchmark's scan-grid, 3 rows of 100
-# points, takes one call.  The point geometry is built for as many points at
-# a time; its temporaries take about 2.8 kB per point.
+# Upper bound on the points of a scan's span, whose geometry is built at
+# once (its temporaries take about 2.8 kB per point), and on the row-points
+# (parameter rows x stretch pairs) of one law evaluation, and so of the
+# condition polynomials built from it (44 coefficients per row-point).  A
+# network's Hessian peaks at about 4.7 kB per point at n = 32: one row of
+# 10000 points (monotonic, n = 32, 30 directions) peaked at 56 MB
+# (tracemalloc) in one call, and at 25 MB in spans of at most 4096 points.
+# The benchmark's scan-grid, 3 rows of 100 points, takes one span.
 _LAW_POINTS = 4096
 # errors that fail a scan point instead of the scan
 _POINT_ERRORS = (MonopannError, np.linalg.LinAlgError)
@@ -715,15 +711,17 @@ def _scan_block(polynomials, features, minima, work) -> None:
 def _scan_points(lam1, lam2, errors):
     """Deformation gradients (P, 3, 3) of the stretch pairs, their principal
     stretches (P, 3), their isochoric invariants (P,) each, the index of the
-    points that go on to the law and the geometry (their indices, or a
+    points that go on to the geometry and the law (their indices, or a
     slice of all points where none fails), and those points'
     ``kinematics._principal_terms``.
 
-    A point whose det F is not finite and positive (its third stretch
-    ``1/(l1 l2)`` over- or underflows), or whose invariants overflow, fails
-    in every row of ``errors`` (R, P) with a reason that names the value; its
-    invariants are NaN or infinite.  The floating-point warnings of these
-    points are ignored, because the check reports them point by point.
+    A point fails here, before the geometry and the law, in every row of
+    ``errors`` (R, P): where det F is not finite and positive (its third
+    stretch ``1/(l1 l2)`` over- or underflows; its invariants are NaN), or
+    its invariants overflow, with a reason that names the value, and then
+    where ``constitutive._check_isochoric`` raises on its det, with that
+    error's text.  The floating-point warnings of these points are
+    ignored, because the check reports them point by point.
 
     F is diagonal, so the invariant pass runs on its diagonal, the principal
     stretches; a point with a subnormal stretch, whose reciprocal
@@ -739,14 +737,25 @@ def _scan_points(lam1, lam2, errors):
         i1, i2 = _isochoric(terms)
     valid = np.isfinite(det) & (det > 0.0)
     finite = valid & np.isfinite(i1) & np.isfinite(i2)
-    if finite.all():
+    live = finite.copy()
+    try:
+        _check_isochoric(det[finite])
+    except NotIsochoricError:
+        # point by point, so that the check fails only its own points
+        for k in np.flatnonzero(finite):
+            try:
+                _check_isochoric(det[k])
+            except NotIsochoricError as exc:
+                errors[:, k] = _describe(exc)
+                live[k] = False
+    if live.all():
         return f, s, i1, i2, slice(None), terms
     i1[~valid] = i2[~valid] = np.nan
     for k in np.flatnonzero(~valid):
         errors[:, k] = f"det F = {det[k]:.6g} is not finite and positive"
     for k in np.flatnonzero(valid & ~finite):
         errors[:, k] = f"isochoric invariants not finite: I1 = {i1[k]:.6g}, I2 = {i2[k]:.6g}"
-    live = np.flatnonzero(finite)
+    live = np.flatnonzero(live)
     return f, s, i1, i2, live, [term[live] for term in terms]
 
 
@@ -792,18 +801,6 @@ def _stacked_law_values(law, param_grid, i1, i2, coef, weights) -> None:
     coef[...], weights[...] = values
 
 
-def _groups(rows: int, points: int):
-    """Slices ``(rows, points)`` that cover R parameter rows and P points
-    with groups of at most ``_LAW_POINTS`` row-points and at least one:
-    rows in steps with every point while a row fits, else one row at a time
-    with its points in steps."""
-    span = max(min(points, _LAW_POINTS), 1)
-    step = _LAW_POINTS // span
-    for start in range(0, rows, step):
-        for first in range(0, points, span):
-            yield slice(start, start + step), slice(first, first + span)
-
-
 def _scan_minima(law, param_grid, s, i1, i2, terms, vectors):
     """Stress coefficients (R, P, 2), smallest incompressible and
     compressible condition values (R, P, 2) and point errors (R, P) of the
@@ -811,39 +808,35 @@ def _scan_minima(law, param_grid, s, i1, i2, terms, vectors):
     and invariant terms ``terms`` in every parameter row; see
     :func:`scan_invariant_plane`.
 
-    The point geometry is built once, for at most ``_LAW_POINTS`` points
-    at a time.  Then the law is evaluated once per group of :func:`_groups`
-    (:func:`_stacked_law_values`), and the group's condition polynomials
-    and minima follow from its weights.  Where the law raises a point
-    error, the group's rows are evaluated one by one (:func:`_pointwise`).
-    A geometry error fails its point in every row, where it overrides an
-    error of the law."""
+    The points are taken in spans of at most ``_LAW_POINTS``, each of which
+    builds its point geometry once, and a span's rows in steps of at most
+    ``_LAW_POINTS`` row-points and at least one row.  Each step evaluates
+    the law once (:func:`_stacked_law_values`), and its condition
+    polynomials and minima follow from its weights.  Where the law raises a
+    point error, the step's rows are evaluated one by one
+    (:func:`_pointwise`), and the error fails its point in its row only."""
     rows, count = len(param_grid), len(s)
     errors = np.full((rows, count), None, dtype=object)
     coef = np.full((rows, count, 2), np.nan)
     minima = np.full((rows, count, 2), np.nan)
-    geometry, inverse = np.full((count, 5, 12), np.nan), np.full((count, 3), np.nan)
-    failed = np.full(count, None, dtype=object)
-    for start in range(0, count, _LAW_POINTS):
-        part = slice(start, start + _LAW_POINTS)
-        _pointwise(_point_geometry, (s[part], *(term[part] for term in terms)),
-                   (geometry[part], inverse[part]), failed[part])
-    for group, part in _groups(rows, count):
-        weights = np.full((len(param_grid[group]), len(s[part]), 5), np.nan)
-        try:
-            _stacked_law_values(law, param_grid[group], i1[part], i2[part],
-                                coef[group, part], weights)
-        except _POINT_ERRORS:
-            # row by row, so that an error fails only its own point in its own row
-            for t, row_coef, row_weights, row_errors in zip(
-                param_grid[group], coef[group, part], weights, errors[group, part]
-            ):
-                _pointwise(partial(_law_values, law, t), (i1[part], i2[part]),
-                           (row_coef, row_weights), row_errors)
-        polynomials = _polynomials(weights, geometry[part], inverse[part])
-        minima[group, part] = _minima(polynomials, vectors)
-    geometric = np.not_equal(failed, None)
-    errors[:, geometric] = failed[geometric]
+    for first in range(0, count, _LAW_POINTS):
+        part = slice(first, first + _LAW_POINTS)
+        geometry, inverse = _point_geometry(s[part], *(term[part] for term in terms))
+        step = _LAW_POINTS // min(count, _LAW_POINTS)
+        for start in range(0, rows, step):
+            group = slice(start, start + step)
+            weights = np.full((len(param_grid[group]), len(geometry), 5), np.nan)
+            try:
+                _stacked_law_values(law, param_grid[group], i1[part], i2[part],
+                                    coef[group, part], weights)
+            except _POINT_ERRORS:
+                # row by row, so that an error fails only its own point in its own row
+                for t, row_coef, row_weights, row_errors in zip(
+                    param_grid[group], coef[group, part], weights, errors[group, part]
+                ):
+                    _pointwise(partial(_law_values, law, t), (i1[part], i2[part]),
+                               (row_coef, row_weights), row_errors)
+            minima[group, part] = _minima(_polynomials(weights, geometry, inverse), vectors)
     return coef, minima, errors
 
 
@@ -864,19 +857,20 @@ def scan_invariant_plane(
     stress coefficients, and the ordered-stress check at every point.
     ``directions`` (D, 3) are the probing directions, by default
     :func:`fibonacci_directions`; ``direction_count`` reports D.  The
-    point geometry is built once per scan, and the law is evaluated once
-    for all parameter rows, in groups of at most ``_LAW_POINTS``
-    row-points (:func:`_groups`).  Each group's condition polynomials
-    follow from its weights, and its points are then taken in blocks of at
-    most ``_BLOCK_PAIRS`` point-direction pairs (:func:`_minima`), against
-    direction features built once per group.  Points stay independent: a
-    point whose det F or invariants are not finite, that raises a package
-    or linear-algebra error, or whose condition values are not finite,
-    records the reason and the scan continues.  An error of the law fails
-    the point in its row only, an error of the geometry in every row, where
-    it overrides an error of the law.  Each verdict is computed as one (R,
-    P) array over the R parameter rows and P stretch pairs, which fills a
-    field of the report's ``points``.
+    points are taken in spans of at most ``_LAW_POINTS``, each building its
+    point geometry once and evaluating the law for all parameter rows in
+    steps of at most ``_LAW_POINTS`` row-points (:func:`_scan_minima`).
+    Each step's condition polynomials follow from its weights, and its
+    points are then taken in blocks of at most ``_BLOCK_PAIRS``
+    point-direction pairs (:func:`_minima`), against direction features
+    built once per step.  Points stay independent and record why they
+    fail, and the scan continues: a point whose det F or invariants are
+    not finite, or whose det F is off 1, fails in every row at the gate of
+    :func:`_scan_points`, and ``region``'s invariant spans leave it out; a
+    package or linear-algebra error of the law, or condition values that
+    are not finite, fail a point in its row only.  Each verdict is computed
+    as one (R, P) array over the R parameter rows and P stretch pairs,
+    which fills a field of the report's ``points``.
 
     Raises ``EmptyGridError`` for an empty parameter or stretch grid and
     ``ShapeMismatchError`` for a parameter row that is not finite, whose

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monopann import cli
+from monopann import calibration, cli, constitutive
 from monopann.cli import main
 from monopann.networks import Architecture, build_model, save_model
 
@@ -67,6 +67,18 @@ class TestGendata:
         for sidecar in out.glob("*.json"):
             doc = json.loads(sidecar.read_text())
             assert doc["param_min"] == 0.2 and doc["param_max"] == 0.8
+
+    @pytest.mark.parametrize("params, pair", [
+        ("0.1,0.10000001,0.5", "0.1 and 0.10000001"),
+        ("0.1,0.1", "0.1 and 0.1"),
+    ], ids=["alike", "equal"])
+    def test_parameter_values_sharing_a_file_rejected(self, tmp_path, capsys, params, pair):
+        # their files would overwrite each other: nothing is written
+        out = tmp_path / "data"
+        assert run("gendata", "--grid", "1,2,5", "--params", params, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"error: parameter values {pair} share the file {out / 'dataset_p0.1.csv'}" in err
+        assert not list(out.glob("*"))
 
     @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
     def test_bad_noise_level_rejected(self, tmp_path, capsys, noise):
@@ -323,25 +335,30 @@ class TestScan:
         assert code == 2
         assert "FileNotFound" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, document, message", [
+    @pytest.mark.parametrize("command, edit, message", [
         ("scan", None, "layer 1: non-finite value in 'w'"),
         ("evaluate", None, "layer 1: non-finite value in 'w'"),
-        ("scan", "[1, 2]", "model document is not a JSON object"),
-        ("evaluate", "[1, 2]", "model document is not a JSON object"),
-    ], ids=["scan", "evaluate", "scan-not-an-object", "evaluate-not-an-object"])
+        ("scan", lambda text: "[1, 2]", "model document is not a JSON object"),
+        ("evaluate", lambda text: "[1, 2]", "model document is not a JSON object"),
+        ("scan", lambda text: text.replace('"tanh"', '"relu"', 1),
+         "'relu' is not a valid Activation"),
+    ], ids=["scan", "evaluate", "scan-not-an-object", "evaluate-not-an-object",
+            "scan-unknown-activation"])
     def test_non_finite_model_weight_rejected(self, tmp_path, small_dataset, command,
-                                              document, message, capsys):
-        # the model file holds a NaN weight, or ``document`` in its place
+                                              edit, message, capsys):
+        # the model file holds a NaN weight, or its text passed through
+        # ``edit``; the error names the file
         model = build_model(Architecture.MONOTONIC, 4, 1, np.random.default_rng(0))
         model.layers[1].weights[2, 0] = np.nan
-        save_model(model, tmp_path / "net.json")
-        if document is not None:
-            (tmp_path / "net.json").write_text(document)
+        path = tmp_path / "net.json"
+        save_model(model, path)
+        if edit is not None:
+            path.write_text(edit(path.read_text()))
         out = tmp_path / "out"
         args = (["--t-values", "0", "--lambda1", "0.8,1.5,3", "--lambda2", "0.8,1.5,3"]
                 if command == "scan" else ["--data", data_arg(small_dataset)])
-        assert run(command, "--model", tmp_path / "net.json", *args, "--out", out) == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        assert run(command, "--model", path, *args, "--out", out) == 1
+        assert f"error: {path}: {message}" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
 
     def test_two_laws_comparison_csv(self, tmp_path, small_dataset):
@@ -429,6 +446,22 @@ class TestReport:
         ]
         svg = (out / "monotonic_rank0_curves.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    def test_parameter_values_sharing_a_file_rejected(self, tmp_path, capsys):
+        # raw values 0.1 and 0.10000001 would write one curve file and one
+        # series label twice: nothing is written
+        law = constitutive.neo_hookean(0.5)
+        data = tmp_path / "data.csv"
+        calibration.save_dataset(calibration.generate_synthetic(
+            law, np.linspace(1.0, 2.0, 5), [0.1, 0.10000001, 0.9]), data)
+        model = tmp_path / "net.json"
+        save_model(build_model(Architecture.MONOTONIC, 4, 1, np.random.default_rng(0)), model)
+        out = tmp_path / "report"
+        assert run("report", "--model", model, "--data", data, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert ("error: parameter values 0.1 and 0.10000001 share the file "
+                f"{out / 'net_curve_p0.1.csv'}") in err
+        assert not list(out.glob("*"))
 
     @pytest.mark.parametrize("points", [0, 1])
     def test_fewer_than_two_points_rejected(self, tmp_path, small_dataset, capsys,

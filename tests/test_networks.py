@@ -673,15 +673,24 @@ class TestMalformedModelFiles:
         (edit_entry(["n"], 4.0), ShapeMismatchError, "'n' is not"),
         (edit_entry(["m"], None), ShapeMismatchError, "'m' is not"),
         (edit_entry(["m"], True), ShapeMismatchError, "'m' is not"),
+        (edit_entry(["layers", 0, "activation"], "relu"), ValueError,
+         "'relu' is not a valid Activation"),
     ], ids=["no-layers", "no-architecture", "no-bias-key", "ragged-w", "ragged-b",
             "text-weight", "null-weight", "nan-weight", "infinite-bias",
             "infinite-output-weight", "layers-object", "layer-list", "null-n", "list-n",
-            "float-n", "null-m", "bool-m"])
-    def test_rejected(self, edit, error, match, rng):
+            "float-n", "null-m", "bool-m", "unknown-activation"])
+    def test_rejected(self, edit, error, match, rng, tmp_path):
         doc = json.loads(nets.model_to_json(make_model(nets.Architecture.MONOTONIC, rng)))
         edit(doc)
-        with pytest.raises(error, match=match):
+        with pytest.raises(error, match=match) as parsed:
             nets.model_from_json(json.dumps(doc))
+        # the same rejection from a file names it, with the same type
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error) as loaded:
+            nets.load_model(path)
+        assert type(loaded.value) is type(parsed.value)
+        assert str(loaded.value) == f"{path}: {parsed.value}"
 
     @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "null", "4"])
     def test_document_not_an_object(self, text):

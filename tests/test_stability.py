@@ -435,13 +435,14 @@ class TestStackedLawCall:
     @pytest.mark.parametrize("budget, calls", [
         (250, [(2, 100)] * 2 + [(1, 100)]),
         (50, [(1, 50)] * 10),
-        (30, [(1, 30), (1, 30), (1, 30), (1, 10)] * 5),
+        (30, [(1, 30)] * 15 + [(1, 10)] * 5),
     ])
     def test_rows_and_points_beyond_the_point_budget_take_several_calls(
         self, monkeypatch, directions, budget, calls
     ):
         # rows that fit go together; a row that does not fit is split by
-        # points, and every call stays within the budget
+        # points, each span of points taking every row before the next span,
+        # and every call stays within the budget
         law = random_laws()[1]
         lam = np.linspace(0.5, 3.0, 10)  # 100 points
         rows = [[0.0], [0.2], [0.35], [0.5], [1.0]]
@@ -497,29 +498,49 @@ class TestStackedLawCall:
         assert [outcome(p) for p in report.points] == [outcome(p) for p in ref.points]
 
 
+def scan_peaks(rows, sizes):
+    """The tracemalloc peak of a scan of a monotonic network (n = 16) over
+    ``rows`` and a square grid of each size in ``sizes``, 20 directions,
+    and the report of the last scan."""
+    law = cons.as_law(nets.build_model(nets.Architecture.MONOTONIC, 16, 1,
+                                       np.random.default_rng(3)))
+    directions, peaks = stab.fibonacci_directions(20), []
+    for size in sizes:
+        lam = np.linspace(0.5, 3.0, size)
+        tracemalloc.start()
+        try:
+            report = stab.scan_invariant_plane(law, rows, lam, lam, directions)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks, report
+
+
 class TestScanMemory:
-    def test_peak_grows_with_the_grid_by_its_own_arrays_alone(self, monkeypatch):
-        # with small law groups and condition blocks, a scan's working memory
-        # beyond its report is bounded: from a 20x20 to a 40x40 grid its
-        # tracemalloc peak grows by no more than the bigger scan's own (R, P)
-        # arrays, the report's points and the condition minima (R, P, 2) and
-        # error references (R, P) they are built from
+    @pytest.fixture(autouse=True)
+    def small_spans(self, monkeypatch):
+        # small spans and condition blocks, so that the grid, not one span,
+        # sets what a bigger scan adds to the peak
         monkeypatch.setattr(stab, "_LAW_POINTS", 256)
         monkeypatch.setattr(stab, "_BLOCK_PAIRS", 2000)
-        law = cons.as_law(nets.build_model(nets.Architecture.MONOTONIC, 16, 1,
-                                           np.random.default_rng(3)))
-        rows, directions = np.linspace(0.0, 1.0, 10)[:, None], stab.fibonacci_directions(20)
-        peaks = []
-        for size in (20, 40):
-            lam = np.linspace(0.5, 3.0, size)
-            tracemalloc.start()
-            try:
-                report = stab.scan_invariant_plane(law, rows, lam, lam, directions)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+
+    def test_peak_grows_with_the_grid_by_its_own_arrays_alone(self):
+        # a scan's working memory beyond its report is bounded: from a
+        # 20x20 to a 40x40 grid its tracemalloc peak grows by no more than
+        # the bigger scan's own (R, P) arrays, the report's points and the
+        # condition minima (R, P, 2) and error references (R, P) they are
+        # built from
+        peaks, report = scan_peaks(np.linspace(0.0, 1.0, 10)[:, None], (20, 40))
         own = report.points.nbytes + report.points.size * (2 * 8 + 8)
         assert peaks[1] - peaks[0] <= own
+
+    def test_one_row_peak_grows_by_a_report_row_and_a_geometry_row_per_point(self):
+        # one row: the peak grows per added point by less than one report
+        # row and one point's geometry (5, 12) and inverse (3,), so the
+        # geometry is not held for every point of the scan at once
+        peaks, report = scan_peaks([[0.5]], (40, 80))
+        per_point = report.points.itemsize + (5 * 12 + 3) * 8
+        assert peaks[1] - peaks[0] < per_point * (80**2 - 40**2)
 
 
 def diagonal_block(rng, count=12):
@@ -647,9 +668,8 @@ class TestClosedFormGeometry:
             stab._point_terms(MR, bad, T0)
         off = f.copy()
         off[1] *= 1.01
-        s = np.linalg.svd(off, compute_uv=False)
         with pytest.raises(NotIsochoricError):
-            stab._point_geometry(s, *kin._principal_terms(s, np.linalg.det(off)))
+            stab._point_terms(MR, off, T0)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
     def test_nan_point_fails_alone_in_every_row(self, rng):
